@@ -155,7 +155,7 @@ def cmd_rmap(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bound_line(kind: str, observed: int, bound: int, label: str) -> tuple[str, bool]:
+def _bound_line(observed: int, bound: int, label: str) -> tuple[str, bool]:
     ok = observed <= bound
     marker = "PASS" if ok else "FAIL"
     return f"bound={label} observed<=bound {marker}", ok
@@ -163,7 +163,6 @@ def _bound_line(kind: str, observed: int, bound: int, label: str) -> tuple[str, 
 
 def cmd_width(args: argparse.Namespace) -> int:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
-    units = parse_assignments(scm, None)
     unit_ids: list[int] = []
     if args.units:
         unit_ids = [scm.by_name(n.strip()).id for n in args.units.split(",") if n.strip()]
@@ -198,7 +197,7 @@ def cmd_width(args: argparse.Namespace) -> int:
         n = om.n_components
         lifted_u = lift_order_unconstrained(order, dup, om.h_id)
         wu = simulate_elimination(go, lifted_u).width
-        line, ok = _bound_line("unconstrained", wu, 3 * n * (w + 1), "3n(w+1)")
+        line, ok = _bound_line(wu, 3 * n * (w + 1), "3n(w+1)")
         all_ok &= ok
         print(f"lifted unconstrained width: {wu}")
         print(line)
@@ -213,7 +212,7 @@ def cmd_width(args: argparse.Namespace) -> int:
                 bound, label = 3 * w + 3, "3w+3"
             else:
                 bound, label = max(3 * w + 3, len(unit_ids)), "max(3w+3,|U|)"
-            line, ok = _bound_line("constrained", wc, bound, label)
+            line, ok = _bound_line(wc, bound, label)
             all_ok &= ok
             print(f"lifted constrained width: {wc}")
             print(line)
@@ -229,14 +228,14 @@ def cmd_width(args: argparse.Namespace) -> int:
             lifted = lift_order_constrained(order, dedup, None, unit_ids)
             wn = simulate_elimination(gn, lifted).width
             print(f"lifted constrained width ({args.lifted}-world): {wn}")
-            line, ok = _bound_line("n-world", wn, w, "w")
+            line, ok = _bound_line(wn, w, "w")
             all_ok &= ok
             print(line)
         else:
             lifted = lift_order_unconstrained(order, dedup, None)
             wn = simulate_elimination(gn, lifted).width
             print(f"lifted unconstrained width ({args.lifted}-world): {wn}")
-            line, ok = _bound_line("n-world", wn, args.lifted * (w + 1) - 1, "n(w+1)-1")
+            line, ok = _bound_line(wn, args.lifted * (w + 1) - 1, "n(w+1)-1")
             all_ok &= ok
             print(line)
     if not all_ok:

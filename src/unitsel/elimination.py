@@ -46,9 +46,6 @@ class UGraph:
     def neighbors(self, v: int) -> set[int]:
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def copy(self) -> "UGraph":
         g = UGraph()
         g.adj = {v: set(ns) for v, ns in self.adj.items()}

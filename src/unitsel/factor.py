@@ -57,6 +57,13 @@ class Variable:
             ) from None
 
 
+def unravel(vids: tuple[int, ...], cards: tuple[int, ...], flat: int) -> Instantiation:
+    """The instantiation at C-order index ``flat`` of the grid over ``vids``
+    (ascending ids, last varying fastest)."""
+    states = np.unravel_index(flat, cards) if cards else ()
+    return {v: int(s) for v, s in zip(vids, states)}
+
+
 @dataclass(frozen=True)
 class MaximizerTable:
     """Argmax bookkeeping produced by :meth:`Factor.max_out`.
@@ -86,9 +93,7 @@ class MaximizerTable:
             idx = tuple(fixed[v] for v in self.kept_vids)
         except KeyError as missing:
             raise FactorError(f"maximizer lookup missing variable {missing}") from None
-        flat = int(self.flat_argmax[idx])
-        states = np.unravel_index(flat, self.elim_cards) if self.elim_cards else ()
-        return {v: int(s) for v, s in zip(self.elim_vids, states)}
+        return unravel(self.elim_vids, self.elim_cards, int(self.flat_argmax[idx]))
 
 
 class Factor:
@@ -148,12 +153,6 @@ class Factor:
         """Canonical flat view: last scope variable varies fastest."""
         return self.values.reshape(-1)
 
-    def card_of(self, vid: int) -> int:
-        try:
-            return self.cards[self.vids.index(vid)]
-        except ValueError:
-            raise FactorError(f"variable {vid} not in scope {self.vids}") from None
-
     def __getitem__(self, inst: Mapping[int, int]) -> float:
         try:
             idx = tuple(inst[v] for v in self.vids)
@@ -185,14 +184,11 @@ class Factor:
 
     # -- operations -----------------------------------------------------------
 
-    def _expand(self, union_vids: tuple[int, ...], union_cards: tuple[int, ...]) -> np.ndarray:
+    def _expand(self, union_vids: tuple[int, ...]) -> np.ndarray:
         # Both scopes are ascending, so a reshape (size-1 axes for missing
         # variables) aligns the tables without any transpose.
-        shape = []
         mine = dict(zip(self.vids, self.cards))
-        for vid, card in zip(union_vids, union_cards):
-            shape.append(mine.get(vid, 1) if vid in mine else 1)
-        return self.values.reshape(shape)
+        return self.values.reshape([mine.get(vid, 1) for vid in union_vids])
 
     def multiply(self, other: "Factor") -> "Factor":
         cards = dict(zip(self.vids, self.cards))
@@ -203,7 +199,7 @@ class Factor:
                 )
         union_vids = tuple(sorted(cards))
         union_cards = tuple(cards[v] for v in union_vids)
-        out = self._expand(union_vids, union_cards) * other._expand(union_vids, union_cards)
+        out = self._expand(union_vids) * other._expand(union_vids)
         return Factor(union_vids, union_cards, np.broadcast_to(out, union_cards))
 
     def __mul__(self, other: "Factor") -> "Factor":
@@ -286,30 +282,11 @@ class Factor:
         return Factor(self.vids, self.cards, self.values * c)
 
 
-# Module-level aliases matching the operation vocabulary used elsewhere.
-
-def multiply(f: Factor, g: Factor) -> Factor:
-    return f.multiply(g)
-
-
 def multiply_all(factors: Iterable[Factor]) -> Factor:
-    result = Factor.scalar(1.0)
-    for f in factors:
+    # Start from the first factor: a scalar 1 gives the same product bit for
+    # bit, at the cost of one validated copy.
+    factors = list(factors)
+    result = factors[0] if factors else Factor.scalar(1.0)
+    for f in factors[1:]:
         result = result.multiply(f)
     return result
-
-
-def sum_out(f: Factor, vids: Iterable[int]) -> Factor:
-    return f.sum_out(vids)
-
-
-def max_out(f: Factor, vids: Iterable[int]) -> tuple[Factor, MaximizerTable]:
-    return f.max_out(vids)
-
-
-def divide(f: Factor, g: Factor) -> Factor:
-    return f.divide(g)
-
-
-def reduce_factor(f: Factor, evidence: Mapping[int, int]) -> Factor:
-    return f.reduce(evidence)

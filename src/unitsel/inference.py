@@ -8,6 +8,10 @@ out of the quotients. Dividing pairwise is sound because both passes create
 factors with identical scopes at every step: evidence indicator factors never
 enlarge a created scope.
 
+All engines share one core: ``_query_order`` (disjointness check and order),
+``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass, then the e2
+pass); each entry point adds only its own max pass, count or normalization.
+
 Targets with Pr(u, e2) = 0 receive the value 0 through the 0/0 = 0 division
 convention and are reported as excluded; they can never win the maximization
 unless every target is excluded, which raises InconsistentEvidenceError.
@@ -20,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .factor import Factor, Instantiation, MaximizerTable, multiply_all
+from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
 from .elimination import EliminationOrder, minfill_order, moral_graph
 from .model import ModelError, Scm, evidence_to_lambdas
 
@@ -95,7 +99,6 @@ def eliminate(
     step_base: int = 0,
     trace: list[TraceStep] | None = None,
     scm: Scm | None = None,
-    card_of: Mapping[int, int] | None = None,
 ) -> tuple[list[TaggedFactor], list[_MaxStep]]:
     """Eliminate the order's variables from the pool using sum or max.
 
@@ -115,7 +118,7 @@ def eliminate(
         if not mention:
             # No factor mentions the variable: eliminate the implicit
             # all-ones factor over it so the semantics stay exact.
-            card = card_of[vid] if card_of else scm.var(vid).cardinality
+            card = scm.var(vid).cardinality
             mention = [TaggedFactor(("unit", vid), Factor.ones((vid,), (card,)))]
         product = multiply_all(tf.factor for tf in mention)
         cluster = product.vids
@@ -186,13 +189,51 @@ def default_order(scm: Scm, targets: Iterable[int]) -> EliminationOrder:
     return EliminationOrder(base.prefix + suffix, frozenset(targets))
 
 
-def _check_order(scm: Scm, order: EliminationOrder, targets: set[int]) -> EliminationOrder:
+def _query_order(
+    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Iterable[int]
+) -> EliminationOrder:
+    """Refuse overlapping target and evidence sets (each given by its variable
+    ids), then return the default order or the caller's one constrained on the
+    targets."""
+    targets = frozenset(targets)
+    seen = set(targets)
+    for e in map(set, evidence):
+        if seen & e:
+            raise ModelError("targets and evidence sets must be pairwise disjoint")
+        seen |= e
+    if order is None:
+        return default_order(scm, targets)
     if set(order.sequence) != {v.id for v in scm.variables}:
         raise ModelError("elimination order must cover all model variables")
-    tail = set(order.sequence[len(order.sequence) - len(targets):]) if targets else set()
-    if tail != targets:
-        raise ModelError("elimination order must be constrained on the targets")
-    return EliminationOrder(order.sequence, frozenset(targets))
+    return EliminationOrder(order.sequence, targets)
+
+
+def _sum_pass(
+    scm: Scm,
+    evidence: Mapping[int, int],
+    prefix: Sequence[int],
+    trace: list[TraceStep] | None = None,
+) -> list[TaggedFactor]:
+    """Sum the prefix out of the CPTs times the evidence indicators."""
+    pool = cpt_pool(scm) + lambda_pool(scm, evidence)
+    return eliminate("sum", pool, prefix, trace=trace, scm=scm)[0]
+
+
+def _two_pass(
+    scm: Scm,
+    e1: Mapping[int, int],
+    e2: Mapping[int, int],
+    prefix: Sequence[int],
+    trace: list[TraceStep] | None = None,
+) -> tuple[list[TaggedFactor], list[TaggedFactor]]:
+    """The Reverse-MAP sum passes over one prefix: under e1+e2 (traced),
+    then under e2 alone."""
+    return _sum_pass(scm, {**e1, **e2}, prefix, trace), _sum_pass(scm, e2, prefix)
+
+
+def _product(pool: Iterable[TaggedFactor]) -> Factor:
+    """Multiply the surviving factors in tag order."""
+    return multiply_all(tf.factor for tf in sorted(pool, key=lambda t: t.tag))
 
 
 def _scalar_value(pool: Iterable[TaggedFactor]) -> float:
@@ -216,19 +257,13 @@ def map_ve(
     maximizes out the targets, recovering the instantiation from the
     maximizer tables.
     """
-    targets = set(targets)
-    if targets & set(evidence):
-        raise ModelError("targets and evidence variables must be disjoint")
-    order = default_order(scm, targets) if order is None else _check_order(scm, order, targets)
+    order = _query_order(scm, targets, order, evidence)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool = cpt_pool(scm) + lambda_pool(scm, evidence)
-    pool, _ = eliminate("sum", pool, order.prefix, trace=trace, scm=scm)
+    pool = _sum_pass(scm, evidence, order.prefix, trace)
     pool, max_steps = eliminate(
         "max", pool, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
     )
-    value = _scalar_value(pool)
-    inst = _recover_instantiation(max_steps)
-    return QueryResult(value, inst, trace)
+    return QueryResult(_scalar_value(pool), _recover_instantiation(max_steps), trace)
 
 
 def _paired_division(
@@ -258,25 +293,13 @@ def rmap_ve(
     Two sum passes over the same order (evidence e1+e2, then e2 alone) are
     divided pairwise and the targets maximized out of the quotients.
     """
-    targets = set(targets)
-    sets = [targets, set(e1), set(e2)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sets[i] & sets[j]:
-                raise ModelError("targets, e1 and e2 must be pairwise disjoint")
-    order = default_order(scm, targets) if order is None else _check_order(scm, order, targets)
+    order = _query_order(scm, targets, order, e1, e2)
     trace: list[TraceStep] | None = [] if want_trace else None
-
-    both = dict(e1)
-    both.update(e2)
-    pool1 = cpt_pool(scm) + lambda_pool(scm, both)
-    pool2 = cpt_pool(scm) + lambda_pool(scm, e2)
-    pool1, _ = eliminate("sum", pool1, order.prefix, trace=trace, scm=scm)
-    pool2, _ = eliminate("sum", pool2, order.prefix, scm=scm)
+    pool1, pool2 = _two_pass(scm, e1, e2, order.prefix, trace)
 
     # Materializing the pass-2 marginal over the targets gives the excluded
     # count and the consistency check; fine at desk scale.
-    joint2 = multiply_all(tf.factor for tf in sorted(pool2, key=lambda t: t.tag))
+    joint2 = _product(pool2)
     excluded = int(np.count_nonzero(joint2.values == 0))
     if joint2.max_value() == 0.0:
         raise InconsistentEvidenceError(
@@ -293,9 +316,7 @@ def rmap_ve(
         # Everything ties at zero, including excluded units; return the
         # lexicographically smallest unit with Pr(u, e2) > 0 instead (the
         # brute-force tie rule skips excluded units the same way).
-        flat = int(np.argmax(joint2.values > 0))
-        states = np.unravel_index(flat, joint2.cards) if joint2.cards else ()
-        inst = {v: int(s) for v, s in zip(joint2.vids, states)}
+        inst = unravel(joint2.vids, joint2.cards, int(np.argmax(joint2.values > 0)))
     return QueryResult(value, inst, trace, excluded)
 
 
@@ -308,16 +329,8 @@ def rmap_table(
 ) -> Factor:
     """The full conditional profile Pr(e1 | u, e2) as a factor over the
     targets (0 where Pr(u, e2) = 0). Used for whole-grid checks."""
-    targets = set(targets)
-    order = default_order(scm, targets) if order is None else _check_order(scm, order, targets)
-    both = dict(e1)
-    both.update(e2)
-    pool1 = cpt_pool(scm) + lambda_pool(scm, both)
-    pool2 = cpt_pool(scm) + lambda_pool(scm, e2)
-    pool1, _ = eliminate("sum", pool1, order.prefix, scm=scm)
-    pool2, _ = eliminate("sum", pool2, order.prefix, scm=scm)
-    quotients = _paired_division(pool1, pool2)
-    return multiply_all(tf.factor for tf in sorted(quotients, key=lambda t: t.tag))
+    order = _query_order(scm, targets, order, e1, e2)
+    return _product(_paired_division(*_two_pass(scm, e1, e2, order.prefix)))
 
 
 def posterior(
@@ -327,14 +340,9 @@ def posterior(
     order: EliminationOrder | None = None,
 ) -> Factor:
     """Normalized conditional table Pr(targets | evidence)."""
-    targets = set(targets)
-    if targets & set(evidence):
-        raise ModelError("targets and evidence variables must be disjoint")
-    order = default_order(scm, targets) if order is None else _check_order(scm, order, targets)
-    pool = cpt_pool(scm) + lambda_pool(scm, evidence)
-    pool, _ = eliminate("sum", pool, order.prefix, scm=scm)
-    joint = multiply_all(tf.factor for tf in sorted(pool, key=lambda t: t.tag))
-    assert set(joint.vids) == targets, "survivors must cover exactly the targets"
+    order = _query_order(scm, targets, order, evidence)
+    joint = _product(_sum_pass(scm, evidence, order.prefix))
+    assert set(joint.vids) == order.constrained_suffix, "survivors must be the targets"
     mass = joint.total()
     if mass == 0.0:
         raise InconsistentEvidenceError("evidence has zero probability mass")
@@ -352,11 +360,8 @@ def query_prob(scm: Scm, event: Mapping[int, int], given: Mapping[int, int]) -> 
 
 def joint_mass(scm: Scm, inst: Mapping[int, int], order: EliminationOrder | None = None) -> float:
     """Pr(inst) by summing out every variable under the indicators."""
-    if order is None:
-        order = minfill_order(moral_graph(scm))
-    pool = cpt_pool(scm) + lambda_pool(scm, inst)
-    pool, _ = eliminate("sum", pool, order.sequence, scm=scm)
-    return _scalar_value(pool)
+    order = _query_order(scm, (), order)
+    return _scalar_value(_sum_pass(scm, inst, order.sequence))
 
 
 def _target_grid(scm: Scm, targets: Iterable[int]):
@@ -369,14 +374,10 @@ def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> 
     """Full enumeration over the targets; ties go to the lexicographically
     smallest instantiation in declaration order (the VE tie rule)."""
     targets = set(targets)
-    if targets & set(evidence):
-        raise ModelError("targets and evidence variables must be disjoint")
-    order = minfill_order(moral_graph(scm))
+    order = _query_order(scm, (), None, targets, evidence)
     best: tuple[float, Instantiation] | None = None
     for u in _target_grid(scm, targets):
-        full = dict(evidence)
-        full.update(u)
-        p = joint_mass(scm, full, order)
+        p = joint_mass(scm, {**evidence, **u}, order)
         if best is None or p > best[0]:
             best = (p, u)
     assert best is not None
@@ -392,14 +393,7 @@ def brute_rmap(
     """Full enumeration Reverse-MAP oracle with the same exclusion rule and
     tie-breaking as the VE path."""
     targets = set(targets)
-    sets = [targets, set(e1), set(e2)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sets[i] & sets[j]:
-                raise ModelError("targets, e1 and e2 must be pairwise disjoint")
-    order = minfill_order(moral_graph(scm))
-    both = dict(e1)
-    both.update(e2)
+    order = _query_order(scm, (), None, targets, e1, e2)
     best: tuple[float, Instantiation] | None = None
     excluded = 0
     for u in _target_grid(scm, targets):
@@ -407,8 +401,7 @@ def brute_rmap(
         if m2 == 0.0:
             excluded += 1
             continue
-        m1 = joint_mass(scm, {**both, **u}, order)
-        val = m1 / m2
+        val = joint_mass(scm, {**e1, **e2, **u}, order) / m2
         if best is None or val > best[0]:
             best = (val, u)
     if best is None:
@@ -462,8 +455,7 @@ def unit_select(
         flat = int(masked.argmax())  # first max in C order = smallest unit
         unit_ids = tuple(sorted(objective.unit_ids))
         cards = tuple(scm.var(v).cardinality for v in unit_ids)
-        states = np.unravel_index(flat, cards) if cards else ()
-        inst = {v: int(s) for v, s in zip(unit_ids, states)}
+        inst = unravel(unit_ids, cards, flat)
         excluded = int(defined.size - np.count_nonzero(defined))
-        return QueryResult(float(values[tuple(states)]), inst, excluded=excluded)
+        return QueryResult(float(values.flat[flat]), inst, excluded=excluded)
     raise ValueError(f"unknown method {method!r}")

@@ -11,7 +11,6 @@ written X^k.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -295,7 +294,3 @@ def enumerate_instantiations(
     ranges = [range(scm.var(v).cardinality) for v in vids]
     for states in itertools.product(*ranges):
         yield dict(zip(vids, states))
-
-
-def unit_grid_size(scm: Scm, vids: Iterable[int]) -> int:
-    return math.prod(scm.var(v).cardinality for v in vids)

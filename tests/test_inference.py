@@ -145,10 +145,18 @@ def test_rmap_excluded_units_counted():
 
 
 def test_rmap_requires_disjoint_sets(two_node):
-    with pytest.raises(ModelError):
-        rmap_ve(two_node, [0], {0: 0}, {})
-    with pytest.raises(ModelError):
-        rmap_ve(two_node, [0], {1: 0}, {1: 1})
+    # Every entry point refuses a target inside the evidence and, for the
+    # Reverse-MAP ones, overlapping e1 and e2 (which would drop e1).
+    for rmap in (rmap_ve, rmap_table, brute_rmap):
+        with pytest.raises(ModelError):
+            rmap(two_node, [0], {0: 0}, {})
+        with pytest.raises(ModelError):
+            rmap(two_node, [0], {1: 0}, {1: 1})
+        with pytest.raises(ModelError):
+            rmap(two_node, [0], {1: 1}, {1: 0})
+    for query in (map_ve, brute_map, posterior):
+        with pytest.raises(ModelError):
+            query(two_node, [0], {0: 1})
 
 
 def test_posterior_two_node(two_node):
