@@ -385,6 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ModelError, FactorError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as err:
+        print(f"error: out of memory ({err or 'allocation failed'})", file=sys.stderr)
+        return EXIT_INPUT
     except AssertionError as err:
         print(f"internal invariant breach: {err}", file=sys.stderr)
         return EXIT_INTERNAL

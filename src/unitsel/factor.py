@@ -163,9 +163,6 @@ class Factor:
     def total(self) -> float:
         return float(self.values.sum())
 
-    def max_value(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
     def __repr__(self) -> str:
         return f"Factor(scope={self.vids}, cards={self.cards})"
 

@@ -15,10 +15,15 @@ pass); each entry point adds only its own max pass, count or normalization.
 Targets with Pr(u, e2) = 0 receive the value 0 through the 0/0 = 0 division
 convention and are reported as excluded; they can never win the maximization
 unless every target is excluded, which raises InconsistentEvidenceError.
+Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so a count
+pass over the survivors' nonzero masks gives the excluded count and the
+consistency check at width cost, in exact integers; no table over all targets
+is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -280,6 +285,38 @@ def _paired_division(
     return out
 
 
+def _count_positive(
+    pool: Sequence[TaggedFactor], order: Sequence[int], cards: Mapping[int, int], grid: int
+) -> int:
+    """Number of instantiations of the order's variables (``grid`` of them)
+    at which every factor in the pool is positive, by one sum elimination
+    over the factors' 0/1 masks. Counts are exact: int64 while the grid fits,
+    Python integers beyond."""
+    dtype = np.int64 if grid < 2**63 else object
+    tables = [
+        (tf.factor.vids, (tf.factor.values > 0).astype(np.int64).astype(dtype))
+        for tf in pool
+    ]
+    count = 1
+    for var in order:
+        mention = [t for t in tables if var in t[0]]
+        if not mention:
+            count *= cards[var]
+            continue
+        tables = [t for t in tables if var not in t[0]]
+        vids = tuple(sorted({v for t in mention for v in t[0]}))
+        product = np.ones((1,) * len(vids), dtype=dtype)
+        for scope, arr in mention:
+            # Ascending scopes align by reshape, as in Factor.multiply.
+            product = product * arr.reshape([cards[v] if v in scope else 1 for v in vids])
+        axis = vids.index(var)
+        summed = np.asarray(product.sum(axis=axis), dtype=dtype)
+        tables.append((vids[:axis] + vids[axis + 1 :], summed))
+    for _, arr in tables:
+        count *= arr.item()
+    return count
+
+
 def rmap_ve(
     scm: Scm,
     targets: Iterable[int],
@@ -297,14 +334,14 @@ def rmap_ve(
     trace: list[TraceStep] | None = [] if want_trace else None
     pool1, pool2 = _two_pass(scm, e1, e2, order.prefix, trace)
 
-    # Materializing the pass-2 marginal over the targets gives the excluded
-    # count and the consistency check; fine at desk scale.
-    joint2 = _product(pool2)
-    excluded = int(np.count_nonzero(joint2.values == 0))
-    if joint2.max_value() == 0.0:
+    cards = {v: scm.var(v).cardinality for v in order.suffix}
+    grid = math.prod(cards.values())
+    consistent = _count_positive(pool2, order.suffix, cards, grid)
+    if consistent == 0:
         raise InconsistentEvidenceError(
             "evidence e2 is inconsistent with every target instantiation"
         )
+    excluded = grid - consistent
 
     quotients = _paired_division(pool1, pool2)
     pool, max_steps = eliminate(
@@ -313,10 +350,18 @@ def rmap_ve(
     value = _scalar_value(pool)
     inst = _recover_instantiation(max_steps)
     if value == 0.0:
-        # Everything ties at zero, including excluded units; return the
-        # lexicographically smallest unit with Pr(u, e2) > 0 instead (the
-        # brute-force tie rule skips excluded units the same way).
-        inst = unravel(joint2.vids, joint2.cards, int(np.argmax(joint2.values > 0)))
+        # Everything ties at zero, including excluded units, and a tie at zero
+        # need not go to the smallest unit. Return the lexicographically
+        # smallest unit with Pr(u, e2) > 0 (the brute-force tie rule skips
+        # excluded units the same way): the first maximizer of the product of
+        # the pass-2 survivors' nonzero masks, whose maximum is 1, recovered
+        # from a max pass in descending-id order whatever the caller's order.
+        masks = [
+            TaggedFactor(tf.tag, Factor(tf.factor.vids, tf.factor.cards, tf.factor.values > 0))
+            for tf in pool2
+        ]
+        descending = sorted(order.suffix, reverse=True)
+        inst = _recover_instantiation(eliminate("max", masks, descending, scm=scm)[1])
     return QueryResult(value, inst, trace, excluded)
 
 

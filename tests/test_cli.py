@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from unitsel import fixture_path
+from unitsel import cli, fixture_path
 from unitsel.cli import main
 
 
@@ -81,6 +81,17 @@ def test_rmap_rejects_overlapping_sets(capsys, two_node):
         "--e1", "V=v1", "--e2", "V=v2",
     ])
     assert code == 1
+
+
+def test_memory_error_exits_1_without_traceback(capsys, two_node, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 32.0 TiB")
+
+    monkeypatch.setattr(cli, "cmd_rmap", exhausted)
+    code = main(["rmap", "--model", str(two_node), "--targets", "U", "--e1", "V=v1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "32.0 TiB" in err and "Traceback" not in err
 
 
 def test_trace_prints_worked_clusters(capsys, five_node, tmp_path):

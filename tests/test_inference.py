@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,65 @@ def test_rmap_excluded_units_counted():
     res = rmap_ve(scm, [0], {}, {1: 1})
     assert res.excluded == 1 and res.instantiation == {0: 1}
     assert brute_rmap(scm, [0], {}, {1: 1}).excluded == 1
+
+
+def test_rmap_zero_optimum_takes_smallest_consistent_unit():
+    # Pr(Y=1) = 0 makes every value 0; the tie goes to the lexicographically
+    # smallest unit that is not excluded, whatever the order's suffix.
+    xor = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=float)
+    identity = make_scm(
+        [("U", "01"), ("X", "01"), ("Y", "01")],
+        {"U": [], "X": ["U"], "Y": []},
+        {"U": [0.5, 0.5], "X": [1, 0, 0, 1], "Y": [1.0, 0.0]},  # X == U
+    )
+    two_units = make_scm(
+        [("U0", "01"), ("U1", "01"), ("X", "01"), ("Y", "01")],
+        {"U0": [], "U1": [], "X": ["U0", "U1"], "Y": []},
+        {"U0": [0.5, 0.5], "U1": [0.5, 0.5], "X": xor, "Y": [1.0, 0.0]},
+    )
+    ascending = EliminationOrder((3, 2, 0, 1), frozenset({0, 1}))
+    cases = [
+        # U=0 is the smallest unit but contradicts X=1.
+        (identity, [0], {2: 1}, {1: 1}, None, {0: 1}, 1),
+        # No unit is excluded, yet the quotient max pass alone ties to (0, 1).
+        (two_units, [0, 1], {2: 1, 3: 1}, {}, None, {0: 0, 1: 0}, 0),
+        # X = U0 xor U1 = 1 excludes (0, 0) and (1, 1); the order's suffix
+        # alone would pick (1, 0).
+        (two_units, [0, 1], {3: 1}, {2: 1}, ascending, {0: 0, 1: 1}, 2),
+    ]
+    for scm, targets, e1, e2, order, unit, excluded in cases:
+        res = rmap_ve(scm, targets, e1, e2, order=order)
+        brute = brute_rmap(scm, targets, e1, e2)
+        assert (res.value, res.instantiation, res.excluded) == (0.0, unit, excluded)
+        assert (res.value, res.instantiation, res.excluded) == (
+            brute.value, brute.instantiation, brute.excluded,
+        )
+
+
+def _disjoint_units(k: int, card: int):
+    """U_i -> X_i with X_i = U_i for i < k, and Y = X_0: width 2 for any k."""
+    states = [str(s) for s in range(card)]
+    names = [f"U{i}" for i in range(k)] + [f"X{i}" for i in range(k)] + ["Y"]
+    parents = {**{f"U{i}": [] for i in range(k)}, **{f"X{i}": [f"U{i}"] for i in range(k)}}
+    tables = {**{f"U{i}": np.full(card, 1.0 / card) for i in range(k)},
+              **{f"X{i}": np.eye(card) for i in range(k)}, "Y": np.eye(card)}
+    return make_scm([(n, states) for n in names], {**parents, "Y": ["X0"]}, tables)
+
+
+@pytest.mark.parametrize("k, card, pinned", [(26, 2, 0), (39, 3, 3), (40, 3, 3)])
+def test_rmap_disjoint_units_at_width_cost(k, card, pinned):
+    # The grid has card**k units: 2**26 cells would be a 512 MiB table, and
+    # 3**39 and 3**40 excluded counts are exact neither in float64 nor (the
+    # second) in int64.
+    scm = _disjoint_units(k, card)
+    e2 = {k + i: 1 for i in range(1, pinned + 1)}
+    start = time.perf_counter()
+    res = rmap_ve(scm, range(k), {2 * k: 1}, e2)
+    elapsed = time.perf_counter() - start
+    assert res.excluded == card**k - card ** (k - pinned)
+    assert res.value == 1.0
+    assert res.instantiation == {i: int(i <= pinned) for i in range(k)}
+    assert elapsed < 1.0
 
 
 def test_rmap_requires_disjoint_sets(two_node):
