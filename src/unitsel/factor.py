@@ -8,6 +8,12 @@ canonical serialization used everywhere in this package.
 Because all scopes are kept sorted, two factors can be broadcast against each
 other with plain reshapes (no transposes), which keeps multiply/divide exact
 and cheap.
+
+Tables are validated once, where they enter the package: ``Factor(...)``
+checks the scope, the size and that every entry is finite and non-negative,
+and copies the table. The results of factor operations are computed from
+validated factors, so they are trusted: they skip the checks and the copy and
+keep the dtype of the computation (integer tables stay integer).
 """
 
 from __future__ import annotations
@@ -118,10 +124,24 @@ class Factor:
             raise FactorError("factor values must be finite")
         if np.any(arr < 0):
             raise FactorError("factor values must be non-negative")
-        arr.flags.writeable = False
+        self._set(vids, cards, arr)
+
+    @classmethod
+    def _trusted(
+        cls, vids: tuple[int, ...], cards: tuple[int, ...], values: np.ndarray
+    ) -> "Factor":
+        """A factor over a table the package computed from validated factors:
+        no copy and no checks. ``values`` must be an ndarray of shape
+        ``cards``; it keeps its dtype and becomes read-only."""
+        factor = object.__new__(cls)
+        factor._set(vids, cards, values)
+        return factor
+
+    def _set(self, vids: tuple[int, ...], cards: tuple[int, ...], values: np.ndarray) -> None:
+        values.flags.writeable = False
         object.__setattr__(self, "vids", vids)
         object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Factor is immutable")
@@ -196,8 +216,9 @@ class Factor:
                 )
         union_vids = tuple(sorted(cards))
         union_cards = tuple(cards[v] for v in union_vids)
-        out = self._expand(union_vids) * other._expand(union_vids)
-        return Factor(union_vids, union_cards, np.broadcast_to(out, union_cards))
+        # asarray: numpy returns a 0-d product as a scalar.
+        out = np.asarray(self._expand(union_vids) * other._expand(union_vids))
+        return Factor._trusted(union_vids, union_cards, out)
 
     def __mul__(self, other: "Factor") -> "Factor":
         return self.multiply(other)
@@ -211,10 +232,10 @@ class Factor:
             raise FactorError(f"cannot sum out {sorted(missing)}: not in scope {self.vids}")
         axes = tuple(i for i, v in enumerate(self.vids) if v in vids)
         kept = [(v, c) for v, c in zip(self.vids, self.cards) if v not in vids]
-        out = self.values.sum(axis=axes)
-        return Factor(
-            tuple(v for v, _ in kept), tuple(c for _, c in kept), out
-        )
+        kept_cards = tuple(c for _, c in kept)
+        # keepdims: a full sum stays an ndarray (not a scalar or Python int).
+        out = self.values.sum(axis=axes, keepdims=True).reshape(kept_cards)
+        return Factor._trusted(tuple(v for v, _ in kept), kept_cards, out)
 
     def max_out(self, vids: Iterable[int]) -> tuple["Factor", MaximizerTable]:
         vids = set(vids)
@@ -238,9 +259,9 @@ class Factor:
         moved = self.values.transpose(elim_axes + kept_axes)
         flat = moved.reshape((math.prod(elim_cards),) + kept_cards)
         arg = flat.argmax(axis=0)
-        best = np.take_along_axis(flat, arg[np.newaxis, ...], axis=0)[0]
+        best = np.take_along_axis(flat, arg[np.newaxis, ...], axis=0).reshape(kept_cards)
         table = MaximizerTable(kept_vids, kept_cards, elim_vids, elim_cards, arg)
-        return Factor(kept_vids, kept_cards, best), table
+        return Factor._trusted(kept_vids, kept_cards, best), table
 
     def divide(self, other: "Factor") -> "Factor":
         """Pointwise quotient over equal scopes with the 0/0 = 0 convention."""
@@ -254,8 +275,8 @@ class Factor:
             raise FactorError(
                 "division undefined: positive numerator over zero denominator"
             )
-        out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return Factor(self.vids, self.cards, out)
+        out = np.divide(num, den, out=np.zeros(self.cards), where=den > 0)
+        return Factor._trusted(self.vids, self.cards, out)
 
     def reduce(self, evidence: Mapping[int, int]) -> "Factor":
         """Zero every entry inconsistent with ``evidence``; scope unchanged."""
@@ -268,20 +289,18 @@ class Factor:
             card = self.cards[axis]
             if not 0 <= state < card:
                 raise FactorError(f"state {state} out of range for variable {vid}")
-            mask = np.zeros(card)
-            mask[state] = 1.0
             shape = [1] * len(self.cards)
             shape[axis] = card
-            out = out * mask.reshape(shape)
-        return Factor(self.vids, self.cards, out)
+            out = out * (np.arange(card) == state).reshape(shape)
+        return Factor._trusted(self.vids, self.cards, out)
 
     def scale(self, c: float) -> "Factor":
-        return Factor(self.vids, self.cards, self.values * c)
+        return Factor._trusted(self.vids, self.cards, np.asarray(self.values * c))
 
 
 def multiply_all(factors: Iterable[Factor]) -> Factor:
     # Start from the first factor: a scalar 1 gives the same product bit for
-    # bit, at the cost of one validated copy.
+    # bit, at the cost of one more multiply.
     factors = list(factors)
     result = factors[0] if factors else Factor.scalar(1.0)
     for f in factors[1:]:

@@ -15,10 +15,11 @@ pass); each entry point adds only its own max pass, count or normalization.
 Targets with Pr(u, e2) = 0 receive the value 0 through the 0/0 = 0 division
 convention and are reported as excluded; they can never win the maximization
 unless every target is excluded, which raises InconsistentEvidenceError.
-Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so a count
-pass over the survivors' nonzero masks gives the excluded count and the
-consistency check at width cost, in exact integers; no table over all targets
-is built.
+Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so one
+more sum elimination, over the targets and on the survivors' 0/1 masks as
+integer factors (int64, or Python integers once the target grid reaches
+2^63), counts the consistent targets exactly and at width cost. The same masks
+break a tie at value zero.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
 from .elimination import EliminationOrder, minfill_order, moral_graph
 from .model import ModelError, Scm, evidence_to_lambdas
+from .worlds import enumerate_instantiations
 
 Tag = tuple
 """Factor provenance: ("cpt", vid), ("lam", vid), ("step", i) or ("unit", vid)."""
@@ -67,12 +69,6 @@ class QueryResult:
     excluded: int | None = None
 
 
-@dataclass
-class _MaxStep:
-    var: int
-    table: MaximizerTable
-
-
 def _tag_label(tag: Tag, scm: Scm | None = None) -> str:
     kind = tag[0]
     if kind == "cpt":
@@ -104,7 +100,7 @@ def eliminate(
     step_base: int = 0,
     trace: list[TraceStep] | None = None,
     scm: Scm | None = None,
-) -> tuple[list[TaggedFactor], list[_MaxStep]]:
+) -> tuple[list[TaggedFactor], list[MaximizerTable]]:
     """Eliminate the order's variables from the pool using sum or max.
 
     At each step, all factors mentioning the variable are multiplied, the
@@ -115,23 +111,24 @@ def eliminate(
     if op not in ("sum", "max"):
         raise ValueError(f"unknown elimination op {op!r}")
     pool = list(pool)
-    max_steps: list[_MaxStep] = []
+    max_tables: list[MaximizerTable] = []
     for i, vid in enumerate(order):
         step = step_base + i + 1
         mention = [tf for tf in pool if vid in tf.factor.vids]
         rest = [tf for tf in pool if vid not in tf.factor.vids]
         if not mention:
             # No factor mentions the variable: eliminate the implicit
-            # all-ones factor over it so the semantics stay exact.
-            card = scm.var(vid).cardinality
-            mention = [TaggedFactor(("unit", vid), Factor.ones((vid,), (card,)))]
+            # all-ones factor over it so the semantics stay exact. It is an
+            # integer factor, so an integer count stays exact.
+            ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
+            mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
         product = multiply_all(tf.factor for tf in mention)
         cluster = product.vids
         if op == "sum":
             created = product.sum_out({vid})
         else:
             created, table = product.max_out({vid})
-            max_steps.append(_MaxStep(vid, table))
+            max_tables.append(table)
         tag = ("step", step)
         if trace is not None:
             used = tuple(
@@ -148,7 +145,7 @@ def eliminate(
                 )
             )
         pool = rest + [TaggedFactor(tag, created)]
-    return pool, max_steps
+    return pool, max_tables
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm | None) -> str:
@@ -175,12 +172,12 @@ def format_trace(steps: Iterable[TraceStep], scm: Scm) -> str:
     return "\n".join(lines)
 
 
-def _recover_instantiation(max_steps: list[_MaxStep]) -> Instantiation:
+def _recover_instantiation(tables: list[MaximizerTable]) -> Instantiation:
     """Walk the max pass in reverse, fixing each variable by table lookup
     under the already-fixed later variables."""
     fixed: Instantiation = {}
-    for step in reversed(max_steps):
-        fixed.update(step.table.lookup(fixed))
+    for table in reversed(tables):
+        fixed.update(table.lookup(fixed))
     return fixed
 
 
@@ -265,10 +262,15 @@ def map_ve(
     order = _query_order(scm, targets, order, evidence)
     trace: list[TraceStep] | None = [] if want_trace else None
     pool = _sum_pass(scm, evidence, order.prefix, trace)
-    pool, max_steps = eliminate(
+    pool, tables = eliminate(
         "max", pool, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
     )
-    return QueryResult(_scalar_value(pool), _recover_instantiation(max_steps), trace)
+    value = _scalar_value(pool)
+    if value == 0.0:
+        # Every unit ties at zero, and a max pass breaks a tie toward the
+        # smallest unit only when the maximum is positive.
+        return QueryResult(value, {v: 0 for v in reversed(order.suffix)}, trace)
+    return QueryResult(value, _recover_instantiation(tables), trace)
 
 
 def _paired_division(
@@ -283,38 +285,6 @@ def _paired_division(
         assert f1.same_scope(f2), "corresponding factors must share a scope"
         out.append(TaggedFactor(tag, f1.divide(f2)))
     return out
-
-
-def _count_positive(
-    pool: Sequence[TaggedFactor], order: Sequence[int], cards: Mapping[int, int], grid: int
-) -> int:
-    """Number of instantiations of the order's variables (``grid`` of them)
-    at which every factor in the pool is positive, by one sum elimination
-    over the factors' 0/1 masks. Counts are exact: int64 while the grid fits,
-    Python integers beyond."""
-    dtype = np.int64 if grid < 2**63 else object
-    tables = [
-        (tf.factor.vids, (tf.factor.values > 0).astype(np.int64).astype(dtype))
-        for tf in pool
-    ]
-    count = 1
-    for var in order:
-        mention = [t for t in tables if var in t[0]]
-        if not mention:
-            count *= cards[var]
-            continue
-        tables = [t for t in tables if var not in t[0]]
-        vids = tuple(sorted({v for t in mention for v in t[0]}))
-        product = np.ones((1,) * len(vids), dtype=dtype)
-        for scope, arr in mention:
-            # Ascending scopes align by reshape, as in Factor.multiply.
-            product = product * arr.reshape([cards[v] if v in scope else 1 for v in vids])
-        axis = vids.index(var)
-        summed = np.asarray(product.sum(axis=axis), dtype=dtype)
-        tables.append((vids[:axis] + vids[axis + 1 :], summed))
-    for _, arr in tables:
-        count *= arr.item()
-    return count
 
 
 def rmap_ve(
@@ -334,9 +304,14 @@ def rmap_ve(
     trace: list[TraceStep] | None = [] if want_trace else None
     pool1, pool2 = _two_pass(scm, e1, e2, order.prefix, trace)
 
-    cards = {v: scm.var(v).cardinality for v in order.suffix}
-    grid = math.prod(cards.values())
-    consistent = _count_positive(pool2, order.suffix, cards, grid)
+    grid = math.prod(scm.var(v).cardinality for v in order.suffix)
+    dtype = np.int64 if grid < 2**63 else object
+    masks = []
+    for tag, f in pool2:
+        mask = np.asarray(f.values > 0, dtype=np.int64).astype(dtype, copy=False)
+        masks.append(TaggedFactor(tag, Factor._trusted(f.vids, f.cards, mask)))
+    counts = eliminate("sum", masks, order.suffix, scm=scm)[0]
+    consistent = math.prod(tf.factor.values.item() for tf in counts)
     if consistent == 0:
         raise InconsistentEvidenceError(
             "evidence e2 is inconsistent with every target instantiation"
@@ -344,25 +319,20 @@ def rmap_ve(
     excluded = grid - consistent
 
     quotients = _paired_division(pool1, pool2)
-    pool, max_steps = eliminate(
+    pool, tables = eliminate(
         "max", quotients, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
     )
     value = _scalar_value(pool)
-    inst = _recover_instantiation(max_steps)
     if value == 0.0:
         # Everything ties at zero, including excluded units, and a tie at zero
         # need not go to the smallest unit. Return the lexicographically
         # smallest unit with Pr(u, e2) > 0 (the brute-force tie rule skips
         # excluded units the same way): the first maximizer of the product of
-        # the pass-2 survivors' nonzero masks, whose maximum is 1, recovered
-        # from a max pass in descending-id order whatever the caller's order.
-        masks = [
-            TaggedFactor(tf.tag, Factor(tf.factor.vids, tf.factor.cards, tf.factor.values > 0))
-            for tf in pool2
-        ]
+        # the masks, whose maximum is 1, recovered from a max pass in
+        # descending-id order whatever the caller's order.
         descending = sorted(order.suffix, reverse=True)
-        inst = _recover_instantiation(eliminate("max", masks, descending, scm=scm)[1])
-    return QueryResult(value, inst, trace, excluded)
+        tables = eliminate("max", masks, descending, scm=scm)[1]
+    return QueryResult(value, _recover_instantiation(tables), trace, excluded)
 
 
 def rmap_table(
@@ -409,19 +379,13 @@ def joint_mass(scm: Scm, inst: Mapping[int, int], order: EliminationOrder | None
     return _scalar_value(_sum_pass(scm, inst, order.sequence))
 
 
-def _target_grid(scm: Scm, targets: Iterable[int]):
-    from .worlds import enumerate_instantiations
-
-    return enumerate_instantiations(scm, targets)
-
-
 def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> QueryResult:
     """Full enumeration over the targets; ties go to the lexicographically
     smallest instantiation in declaration order (the VE tie rule)."""
     targets = set(targets)
     order = _query_order(scm, (), None, targets, evidence)
     best: tuple[float, Instantiation] | None = None
-    for u in _target_grid(scm, targets):
+    for u in enumerate_instantiations(scm, targets):
         p = joint_mass(scm, {**evidence, **u}, order)
         if best is None or p > best[0]:
             best = (p, u)
@@ -441,7 +405,7 @@ def brute_rmap(
     order = _query_order(scm, (), None, targets, e1, e2)
     best: tuple[float, Instantiation] | None = None
     excluded = 0
-    for u in _target_grid(scm, targets):
+    for u in enumerate_instantiations(scm, targets):
         m2 = joint_mass(scm, {**e2, **u}, order)
         if m2 == 0.0:
             excluded += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -73,21 +73,29 @@ class Formula:
         return Formula(self.root, self.variables, tuple(u_vars), tuple(v_vars))
 
 
+def _postorder(root: Node) -> Iterator[Node]:
+    """The AST's nodes, children before parents and left before right; no
+    recursion, since a DIMACS conjunction nests one level per clause."""
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or isinstance(node, Var):
+            yield node
+            continue
+        stack.append((node, True))
+        if isinstance(node, Not):
+            stack.append((node.child, False))
+        else:
+            stack += ((node.right, False), (node.left, False))
+
+
 def collect_names(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Not):
-        return collect_names(node.child)
-    return collect_names(node.left) | collect_names(node.right)
+    return {n.name for n in _postorder(node) if isinstance(n, Var)}
 
 
 def gate_count(node: Node) -> int:
     """Number of connective nodes (compiled gate nodes) in the AST."""
-    if isinstance(node, Var):
-        return 0
-    if isinstance(node, Not):
-        return 1 + gate_count(node.child)
-    return 1 + gate_count(node.left) + gate_count(node.right)
+    return sum(not isinstance(n, Var) for n in _postorder(node))
 
 
 def evaluate(node: Node, assignment: Mapping[str, int]) -> bool:
@@ -235,32 +243,31 @@ def compile_formula(formula: Formula) -> tuple[Scm, int]:
         taken.add(name)
         return name
 
-    def build(node: Node) -> int:
+    # Gates get ids and names in post-order; each node's id goes on the
+    # stack, and a gate pops its inputs' ids.
+    built: list[int] = []
+    for node in _postorder(formula.root):
         if isinstance(node, Var):
-            return ids[node.name]
-        if isinstance(node, Not):
-            child = build(node.child)
-            vid = len(variables)
-            variables.append(Variable(vid, gate_name(), 2, ("0", "1")))
-            parents[vid] = (child,)
-            tables[vid] = NOT_TABLE
-            return vid
-        left = build(node.left)
-        right = build(node.right)
+            built.append(ids[node.name])
+            continue
         vid = len(variables)
         variables.append(Variable(vid, gate_name(), 2, ("0", "1")))
-        if left == right:
-            # Repeated literal (e.g. a DIMACS clause "1 1 0"): both inputs
-            # are the same node, and the gate reduces to the identity.
-            parents[vid] = (left,)
-            tables[vid] = IDENTITY_TABLE
+        if isinstance(node, Not):
+            parents[vid] = (built.pop(),)
+            tables[vid] = NOT_TABLE
         else:
-            parents[vid] = (left, right)
-            tables[vid] = AND_TABLE if isinstance(node, And) else OR_TABLE
-        return vid
+            right, left = built.pop(), built.pop()
+            if left == right:
+                # Repeated literal (e.g. a DIMACS clause "1 1 0"): both inputs
+                # are the same node, and the gate reduces to the identity.
+                parents[vid] = (left,)
+                tables[vid] = IDENTITY_TABLE
+            else:
+                parents[vid] = (left, right)
+                tables[vid] = AND_TABLE if isinstance(node, And) else OR_TABLE
+        built.append(vid)
 
-    sentinel = build(formula.root)
-    return Scm(variables, parents, tables), sentinel
+    return Scm(variables, parents, tables), built.pop()
 
 
 # -- exact ground truths -------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitsel import cli, fixture_path
 from unitsel.cli import main
+from unitsel.reductions import gate_count, parse_dimacs
 
 
 @pytest.fixture()
@@ -156,6 +162,71 @@ def test_compile_cnf_then_rmap_contradiction_exits_2(capsys, tmp_path):
         "--e1", f"{sentinel}=1",
     ])
     assert code == 2
+
+
+def test_compile_cnf_model_json_is_stable(capsys, tmp_path):
+    # Gates take ids and s1, s2, ... names in post-order of the AST.
+    dimacs = tmp_path / "f.cnf"
+    dimacs.write_text("p cnf 2 2\n1 -2 0\n-1 0\n")
+    model = tmp_path / "f.json"
+    assert main(["compile-cnf", "--dimacs", str(dimacs), "--out", str(model)]) == 0
+    assert "sentinel: s4" in capsys.readouterr().err
+    assert model.read_bytes() == (
+        b'{"variables":[{"name":"x1","states":["0","1"]},{"name":"x2","states":["0","1"]},'
+        b'{"name":"s1","states":["0","1"]},{"name":"s2","states":["0","1"]},'
+        b'{"name":"s3","states":["0","1"]},{"name":"s4","states":["0","1"]}],'
+        b'"parents":{"x1":[],"x2":[],"s1":["x2"],"s2":["x1","s1"],"s3":["x1"],'
+        b'"s4":["s2","s3"]},"cpts":{"x1":[0.5,0.5],"x2":[0.5,0.5],"s1":[0.0,1.0,1.0,0.0],'
+        b'"s2":[1.0,0.0,0.0,1.0,0.0,1.0,0.0,1.0],"s3":[0.0,1.0,1.0,0.0],'
+        b'"s4":[1.0,0.0,1.0,0.0,1.0,0.0,0.0,1.0]}}'
+    )
+
+
+def test_compile_cnf_large_formula_exits_0(capsys, tmp_path):
+    # The conjunction nests one level per clause: 1,200 clauses are deeper
+    # than the recursion limit.
+    clauses = [f"{i % 40 + 1} -{7 * i % 40 + 1} {13 * i % 40 + 1} 0" for i in range(1200)]
+    text = "p cnf 40 1200\n" + "\n".join(clauses) + "\n"
+    dimacs = tmp_path / "big.cnf"
+    dimacs.write_text(text)
+    model = tmp_path / "big.json"
+    assert main(["compile-cnf", "--dimacs", str(dimacs), "--out", str(model)]) == 0
+    gates = gate_count(parse_dimacs(text).root)
+    assert len(json.loads(model.read_text())["variables"]) == 40 + gates
+
+
+@st.composite
+def _dimacs_like(draw):
+    """Well-formed CNF, then possibly a wrong header or a bad token."""
+    n = draw(st.integers(1, 5))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=6))
+    header = draw(st.sampled_from(
+        [f"p cnf {n} {len(clauses)}", f"p cnf {n} {len(clauses) + 1}", "p cnf 0 1",
+         f"p dnf {n} 1", f"p cnf {n}", ""]
+    ))
+    lines = [header] + [" ".join(map(str, c)) + " 0" for c in clauses]
+    junk = draw(st.sampled_from(["", "c note", "0", "x", f"{n + 1} 0", "1", "-"]))
+    lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines).encode()
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=80).map(str.encode)
+_tokens = st.lists(st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "3", "\n", "x"]),
+                   max_size=30).map(lambda toks: " ".join(toks).encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_dimacs_like(), _text, _tokens, st.binary(max_size=40)))
+def test_compile_cnf_fuzz_exit_codes(data):
+    # Any input ends in a documented exit code, never a raw exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        dimacs = os.path.join(tmp, "f.cnf")
+        with open(dimacs, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["compile-cnf", "--dimacs", dimacs, "--out", os.path.join(tmp, "m.json")])
+    assert code in (0, 1, 2, 3)
 
 
 def test_gen_random_deterministic(capsys, tmp_path):

@@ -134,6 +134,20 @@ def test_reduce_zeroing():
     assert zeros.reduce({0: 1}).equal_table(zeros)
 
 
+def test_operation_results_are_read_only():
+    f = Factor((0, 1), (2, 2), JOINT)
+    g = Factor((1,), (2,), [0.0, 5.0])
+    results = [
+        f.multiply(g), Factor.scalar(2.0).multiply(Factor.scalar(3.0)),
+        f.sum_out({0}), f.sum_out({0, 1}), f.max_out({1})[0], f.max_out({0, 1})[0],
+        f.divide(f), f.reduce({1: 0}), f.scale(2.0), Factor.scalar(2.0).scale(3.0),
+    ]
+    for r in results:
+        assert isinstance(r.values, np.ndarray) and r.values.shape == r.cards
+        with pytest.raises(ValueError):
+            r.values[...] = 0.0
+
+
 def test_indicator():
     lam = Factor.indicator(3, 2, 1)
     assert lam.vids == (3,) and list(lam.flat) == [0.0, 1.0]

@@ -53,6 +53,15 @@ def test_eliminate_empty_order(two_node):
     assert out == pool and steps == []
 
 
+def test_eliminate_unmentioned_variable_keeps_integer_count(two_node):
+    # The implicit all-ones factor is integer, so counts stay exact.
+    trace = []
+    out, _ = eliminate("sum", [], (0, 1), trace=trace, scm=two_node)
+    assert [tf.factor.values.dtype for tf in out] == [np.int64, np.int64]
+    assert [tf.factor.values.item() for tf in out] == [2, 2]
+    assert [s.used for s in trace] == [("1_0(U)",), ("1_1(V)",)]
+
+
 def test_eliminate_trace_reproduces_worked_table(five_node):
     ids = {v.name: v.id for v in five_node.variables}
     order = EliminationOrder(
@@ -114,6 +123,18 @@ def test_map_inconsistent_evidence_gives_zero(two_node):
     result = map_ve(scm, [0], {1: 1})
     assert result.value == 0.0
     assert result.instantiation == {0: 0}  # tie-break default
+    # X = U0 xor U1 and Pr(Y=1) = 0: every unit ties at zero, and the tie
+    # goes to the all-zero unit, as in brute_map.
+    xor = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=float)
+    two_units = make_scm(
+        [("U0", "01"), ("U1", "01"), ("X", "01"), ("Y", "01")],
+        {"U0": [], "U1": [], "X": ["U0", "U1"], "Y": []},
+        {"U0": [0.5, 0.5], "U1": [0.5, 0.5], "X": xor, "Y": [1.0, 0.0]},
+    )
+    result = map_ve(two_units, [0, 1], {2: 1, 3: 1})
+    brute = brute_map(two_units, [0, 1], {2: 1, 3: 1})
+    assert (result.value, result.instantiation) == (0.0, {0: 0, 1: 0})
+    assert (result.value, result.instantiation) == (brute.value, brute.instantiation)
 
 
 def test_rmap_empty_e1_value_one(two_node):
