@@ -140,13 +140,32 @@ class ClusterReport:
 
 def moral_graph(scm: Scm) -> UGraph:
     """Undirect all edges and marry every pair of common parents."""
-    g = UGraph(nodes=(v.id for v in scm.variables))
-    for v in scm.variables:
-        family = list(scm.parents[v.id]) + [v.id]
+    return moral_subgraph(scm, range(scm.n))
+
+
+def moral_subgraph(scm: Scm, vids: Iterable[int]) -> UGraph:
+    """The moral graph of the families of ``vids``: for an ancestrally closed
+    set, the moral graph of the submodel it induces."""
+    vids = sorted(vids)
+    g = UGraph(nodes=vids)
+    for vid in vids:
+        family = list(scm.parents[vid]) + [vid]
         for i, a in enumerate(family):
             for b in family[i + 1:]:
                 g.add_edge(a, b)
     return g
+
+
+def ancestral_closure(scm: Scm, vids: Iterable[int]) -> frozenset[int]:
+    """The variables ``vids`` together with all their ancestors."""
+    closure: set[int] = set()
+    stack = list(vids)
+    while stack:
+        vid = stack.pop()
+        if vid not in closure:
+            closure.add(vid)
+            stack.extend(scm.parents[vid])
+    return frozenset(closure)
 
 
 def simulate_elimination(g: UGraph, order: EliminationOrder | Sequence[int]) -> ClusterReport:

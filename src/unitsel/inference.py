@@ -12,6 +12,15 @@ All engines share one core: ``_query_order`` (disjointness check and order),
 ``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass, then the e2
 pass); each entry point adds only its own max pass, count or normalization.
 
+Every query is pruned to the ancestral closure of its targets and evidence.
+A variable outside it is barren: no evidence and no target lies at or below
+it, so summing it out of its CPT gives 1 (barren-node removal; Shachter 1986,
+Darwiche 2009 ch. 6). The default order is constrained minfill on the moral
+graph of the closure alone, and a sum pass pools only the CPTs of its order's
+variables. A caller order may cover any ancestrally closed set of variables
+that contains the targets and evidence; the whole model always qualifies,
+and then the passes, values and traces are those of the unpruned model.
+
 Targets with Pr(u, e2) = 0 receive the value 0 through the 0/0 = 0 division
 convention and are reported as excluded; they can never win the maximization
 unless every target is excluded, which raises InconsistentEvidenceError.
@@ -31,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
-from .elimination import EliminationOrder, minfill_order, moral_graph
+from .elimination import EliminationOrder, ancestral_closure, minfill_order, moral_subgraph
 from .model import ModelError, Scm, evidence_to_lambdas
 from .worlds import enumerate_instantiations
 
@@ -82,8 +91,9 @@ def _tag_label(tag: Tag, scm: Scm | None = None) -> str:
     return f"1_{tag[1]}"
 
 
-def cpt_pool(scm: Scm) -> list[TaggedFactor]:
-    return [TaggedFactor(("cpt", v.id), scm.cpt_factor(v.id)) for v in scm.variables]
+def cpt_pool(scm: Scm, vids: Iterable[int]) -> list[TaggedFactor]:
+    """The CPT factors of ``vids`` in id order."""
+    return [TaggedFactor(("cpt", vid), scm.cpt_factor(vid)) for vid in sorted(vids)]
 
 
 def lambda_pool(scm: Scm, evidence: Mapping[int, int]) -> list[TaggedFactor]:
@@ -181,12 +191,13 @@ def _recover_instantiation(tables: list[MaximizerTable]) -> Instantiation:
     return fixed
 
 
-def default_order(scm: Scm, targets: Iterable[int]) -> EliminationOrder:
-    """Constrained minfill order with the target block re-sorted to descending
-    id, so reverse-order argmax recovery breaks ties toward the
-    lexicographically smallest instantiation in declaration order."""
+def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> EliminationOrder:
+    """Constrained minfill order over the moral graph of the ancestrally
+    closed set ``vids``, with the target block re-sorted to descending id, so
+    reverse-order argmax recovery breaks ties toward the lexicographically
+    smallest instantiation in declaration order."""
     targets = set(targets)
-    base = minfill_order(moral_graph(scm), constrained_suffix=targets)
+    base = minfill_order(moral_subgraph(scm, vids), constrained_suffix=targets)
     suffix = tuple(sorted(targets, reverse=True))
     return EliminationOrder(base.prefix + suffix, frozenset(targets))
 
@@ -195,8 +206,9 @@ def _query_order(
     scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Iterable[int]
 ) -> EliminationOrder:
     """Refuse overlapping target and evidence sets (each given by its variable
-    ids), then return the default order or the caller's one constrained on the
-    targets."""
+    ids), then return an order constrained on the targets: the default order
+    over the ancestral closure of the targets and evidence, or the caller's
+    one, which must cover an ancestrally closed set containing them."""
     targets = frozenset(targets)
     seen = set(targets)
     for e in map(set, evidence):
@@ -204,33 +216,39 @@ def _query_order(
             raise ModelError("targets and evidence sets must be pairwise disjoint")
         seen |= e
     if order is None:
-        return default_order(scm, targets)
-    if set(order.sequence) != {v.id for v in scm.variables}:
-        raise ModelError("elimination order must cover all model variables")
+        return default_order(scm, targets, ancestral_closure(scm, seen))
+    covered = set(order.sequence)
+    closed = covered <= scm.parents.keys() and ancestral_closure(scm, covered) == covered
+    if not (closed and seen <= covered):
+        raise ModelError(
+            "elimination order must cover an ancestrally closed set of model "
+            "variables containing the targets and evidence"
+        )
     return EliminationOrder(order.sequence, targets)
 
 
 def _sum_pass(
     scm: Scm,
     evidence: Mapping[int, int],
-    prefix: Sequence[int],
+    order: EliminationOrder,
     trace: list[TraceStep] | None = None,
 ) -> list[TaggedFactor]:
-    """Sum the prefix out of the CPTs times the evidence indicators."""
-    pool = cpt_pool(scm) + lambda_pool(scm, evidence)
-    return eliminate("sum", pool, prefix, trace=trace, scm=scm)[0]
+    """Sum the order's prefix out of the CPTs of the order's variables times
+    the evidence indicators."""
+    pool = cpt_pool(scm, order.sequence) + lambda_pool(scm, evidence)
+    return eliminate("sum", pool, order.prefix, trace=trace, scm=scm)[0]
 
 
 def _two_pass(
     scm: Scm,
     e1: Mapping[int, int],
     e2: Mapping[int, int],
-    prefix: Sequence[int],
+    order: EliminationOrder,
     trace: list[TraceStep] | None = None,
 ) -> tuple[list[TaggedFactor], list[TaggedFactor]]:
-    """The Reverse-MAP sum passes over one prefix: under e1+e2 (traced),
+    """The Reverse-MAP sum passes over one order: under e1+e2 (traced),
     then under e2 alone."""
-    return _sum_pass(scm, {**e1, **e2}, prefix, trace), _sum_pass(scm, e2, prefix)
+    return _sum_pass(scm, {**e1, **e2}, order, trace), _sum_pass(scm, e2, order)
 
 
 def _product(pool: Iterable[TaggedFactor]) -> Factor:
@@ -261,7 +279,7 @@ def map_ve(
     """
     order = _query_order(scm, targets, order, evidence)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool = _sum_pass(scm, evidence, order.prefix, trace)
+    pool = _sum_pass(scm, evidence, order, trace)
     pool, tables = eliminate(
         "max", pool, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
     )
@@ -302,7 +320,7 @@ def rmap_ve(
     """
     order = _query_order(scm, targets, order, e1, e2)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool1, pool2 = _two_pass(scm, e1, e2, order.prefix, trace)
+    pool1, pool2 = _two_pass(scm, e1, e2, order, trace)
 
     grid = math.prod(scm.var(v).cardinality for v in order.suffix)
     dtype = np.int64 if grid < 2**63 else object
@@ -345,7 +363,7 @@ def rmap_table(
     """The full conditional profile Pr(e1 | u, e2) as a factor over the
     targets (0 where Pr(u, e2) = 0). Used for whole-grid checks."""
     order = _query_order(scm, targets, order, e1, e2)
-    return _product(_paired_division(*_two_pass(scm, e1, e2, order.prefix)))
+    return _product(_paired_division(*_two_pass(scm, e1, e2, order)))
 
 
 def posterior(
@@ -356,7 +374,7 @@ def posterior(
 ) -> Factor:
     """Normalized conditional table Pr(targets | evidence)."""
     order = _query_order(scm, targets, order, evidence)
-    joint = _product(_sum_pass(scm, evidence, order.prefix))
+    joint = _product(_sum_pass(scm, evidence, order))
     assert set(joint.vids) == order.constrained_suffix, "survivors must be the targets"
     mass = joint.total()
     if mass == 0.0:
@@ -374,9 +392,9 @@ def query_prob(scm: Scm, event: Mapping[int, int], given: Mapping[int, int]) -> 
 
 
 def joint_mass(scm: Scm, inst: Mapping[int, int], order: EliminationOrder | None = None) -> float:
-    """Pr(inst) by summing out every variable under the indicators."""
-    order = _query_order(scm, (), order)
-    return _scalar_value(_sum_pass(scm, inst, order.sequence))
+    """Pr(inst) by summing out the order's variables under the indicators."""
+    order = _query_order(scm, (), order, inst)
+    return _scalar_value(_sum_pass(scm, inst, order))
 
 
 def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> QueryResult:
@@ -437,7 +455,9 @@ def unit_select(
     return the instantiation over the base unit variables. Units whose
     conditioning mass vanishes are excluded and counted. A caller-supplied
     ``order`` (and the optional pre-built objective model ``om`` it refers
-    to) must cover the objective model's variables.
+    to) must cover an ancestrally closed set of the objective model's
+    variables that contains the units and the evidence, such as the whole
+    objective model; by default only that closure is ordered.
     """
     from .objective import build_objective_model, evaluate_L_profile, validate_objective
 

@@ -10,9 +10,11 @@ hardness-proof constructions, testable against truth-table enumeration.
 from __future__ import annotations
 
 import json
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -73,20 +75,30 @@ class Formula:
         return Formula(self.root, self.variables, tuple(u_vars), tuple(v_vars))
 
 
-def _postorder(root: Node) -> Iterator[Node]:
-    """The AST's nodes, children before parents and left before right; no
-    recursion, since a DIMACS conjunction nests one level per clause."""
-    stack: list[tuple[Node, bool]] = [(root, False)]
+def _children(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, Var):
+        return ()
+    if isinstance(node, Not):
+        return (node.child,)
+    return (node.left, node.right)
+
+
+def _postorder(root, children: Callable[..., tuple] = _children) -> Iterator:
+    """The tree's nodes (by default an AST's), children before parents and
+    left before right; no recursion, since a DIMACS conjunction nests one
+    level per clause."""
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded or isinstance(node, Var):
+        if expanded:
+            yield node
+            continue
+        kids = children(node)
+        if not kids:
             yield node
             continue
         stack.append((node, True))
-        if isinstance(node, Not):
-            stack.append((node.child, False))
-        else:
-            stack += ((node.right, False), (node.left, False))
+        stack += ((kid, False) for kid in reversed(kids))
 
 
 def collect_names(node: Node) -> set[str]:
@@ -99,24 +111,22 @@ def gate_count(node: Node) -> int:
 
 
 def evaluate(node: Node, assignment: Mapping[str, int]) -> bool:
-    if isinstance(node, Var):
-        return bool(assignment[node.name])
-    if isinstance(node, Not):
-        return not evaluate(node.child, assignment)
-    if isinstance(node, And):
-        return evaluate(node.left, assignment) and evaluate(node.right, assignment)
-    return evaluate(node.left, assignment) or evaluate(node.right, assignment)
+    """The formula's value under a {name: 0/1} assignment of its variables."""
+    return bool(vector_evaluate(node, {name: np.bool_(v) for name, v in assignment.items()}))
 
 
 def vector_evaluate(node: Node, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate over numpy boolean arrays (broadcasting truth tables)."""
-    if isinstance(node, Var):
-        return arrays[node.name]
-    if isinstance(node, Not):
-        return ~vector_evaluate(node.child, arrays)
-    if isinstance(node, And):
-        return vector_evaluate(node.left, arrays) & vector_evaluate(node.right, arrays)
-    return vector_evaluate(node.left, arrays) | vector_evaluate(node.right, arrays)
+    values: list[np.ndarray] = []
+    for n in _postorder(node):
+        if isinstance(n, Var):
+            values.append(arrays[n.name])
+        elif isinstance(n, Not):
+            values.append(~values.pop())
+        else:
+            right, left = values.pop(), values.pop()
+            values.append(left & right if isinstance(n, And) else left | right)
+    return values.pop()
 
 
 def truth_table(formula: Formula) -> np.ndarray:
@@ -128,6 +138,16 @@ def truth_table(formula: Formula) -> np.ndarray:
 
 
 # -- DIMACS ----------------------------------------------------------------------
+
+_DIMACS_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _dimacs_int(token: str) -> int:
+    """An ASCII decimal integer. Python's ``int`` also reads ``1_0`` and
+    non-ASCII digits, which DIMACS does not allow."""
+    if _DIMACS_INT.fullmatch(token) is None:
+        raise ValueError(f"not a DIMACS integer: {token!r}")
+    return int(token)
 
 
 def parse_dimacs(text: str) -> Formula:
@@ -148,7 +168,7 @@ def parse_dimacs(text: str) -> Formula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ModelError(f"line {lineno}: bad DIMACS header {line!r}")
             try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
+                n_vars, n_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
             except ValueError:
                 raise ModelError(f"line {lineno}: non-integer header counts") from None
             if n_vars < 1:
@@ -158,7 +178,7 @@ def parse_dimacs(text: str) -> Formula:
             raise ModelError(f"line {lineno}: clause before DIMACS header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = _dimacs_int(tok)
             except ValueError:
                 raise ModelError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:
@@ -324,48 +344,131 @@ def sat_via_rmap(
 
 
 # -- formula JSON ----------------------------------------------------------------------
+#
+# A formula nests one JSON object per AST level, and both the C encoder and the
+# C decoder of the json module recurse once per level, so the node tree is
+# written and read here with explicit stacks. The bytes are those of
+# ``json.dumps(doc, separators=(",", ":"))``.
+
+_FIELDS = {"var": ("name",), "not": ("child",), "and": ("left", "right"), "or": ("left", "right")}
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
 
 
-def _node_to_json(node: Node) -> dict:
-    if isinstance(node, Var):
-        return {"op": "var", "name": node.name}
-    if isinstance(node, Not):
-        return {"op": "not", "child": _node_to_json(node.child)}
-    op = "and" if isinstance(node, And) else "or"
-    return {"op": op, "left": _node_to_json(node.left), "right": _node_to_json(node.right)}
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
-def _node_from_json(doc: dict) -> Node:
-    try:
+def _node_to_json(root: Node) -> str:
+    """The node's JSON text, written parent first."""
+    parts: list[str] = []
+    stack: list[Node | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Var):
+            parts.append(f'{{"op":"var","name":{_dumps(item.name)}}}')
+        elif isinstance(item, Not):
+            parts.append('{"op":"not","child":')
+            stack += ("}", item.child)
+        else:
+            op = "and" if isinstance(item, And) else "or"
+            parts.append(f'{{"op":"{op}","left":')
+            stack += ("}", item.right, ',"right":', item.left)
+    return "".join(parts)
+
+
+def _doc_children(doc) -> tuple:
+    """A JSON formula node's children, once its fields are checked."""
+    if not isinstance(doc, dict) or "op" not in doc:
+        raise ModelError(f"bad formula node: {reprlib.repr(doc)}")
+    fields = _FIELDS.get(doc["op"]) if isinstance(doc["op"], str) else None
+    if fields is None:
+        raise ModelError(f"unknown formula op {doc['op']!r}")
+    if any(f not in doc for f in fields):
+        raise ModelError(f"formula node {doc['op']!r} needs the fields {list(fields)}")
+    return () if doc["op"] == "var" else tuple(doc[f] for f in fields)
+
+
+def _node_from_json(root) -> Node:
+    built: list[Node] = []
+    for doc in _postorder(root, _doc_children):
         op = doc["op"]
-    except (TypeError, KeyError):
-        raise ModelError(f"bad formula node: {doc!r}") from None
-    if op == "var":
-        return Var(doc["name"])
-    if op == "not":
-        return Not(_node_from_json(doc["child"]))
-    if op in ("and", "or"):
-        cls = And if op == "and" else Or
-        return cls(_node_from_json(doc["left"]), _node_from_json(doc["right"]))
-    raise ModelError(f"unknown formula op {op!r}")
+        if op == "var":
+            built.append(Var(doc["name"]))
+        elif op == "not":
+            built.append(Not(built.pop()))
+        else:
+            right, left = built.pop(), built.pop()
+            built.append((And if op == "and" else Or)(left, right))
+    return built.pop()
+
+
+def _json_key(text: str, pos: int) -> tuple[str, int]:
+    """An object key at ``pos`` and the position after its colon."""
+    if not text.startswith('"', pos):
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+    key, pos = json.decoder.scanstring(text, pos + 1)
+    pos = _JSON_SPACE.match(text, pos).end()
+    if not text.startswith(":", pos):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+    return key, _JSON_SPACE.match(text, pos + 1).end()
+
+
+def _json_loads(text: str):
+    """``json.loads`` with the containers opened and closed on an explicit
+    stack; ``raw_decode`` reads only scalars."""
+    decoder = json.JSONDecoder()
+    stack: list[tuple[dict | list, str | None]] = []  # open container, its key
+    pos = _JSON_SPACE.match(text).end()
+    while True:
+        char = text[pos:pos + 1]
+        if char and char in "{[":
+            container: dict | list = {} if char == "{" else []
+            pos = _JSON_SPACE.match(text, pos + 1).end()
+            if not text.startswith("}" if char == "{" else "]", pos):
+                key, pos = _json_key(text, pos) if char == "{" else (None, pos)
+                stack.append((container, key))
+                continue
+            value, pos = container, pos + 1
+        else:
+            value, pos = decoder.raw_decode(text, pos)
+        # The value is complete: store it, closing every container it ends.
+        while stack:
+            container, key = stack[-1]
+            if key is None:
+                container.append(value)
+            else:
+                container[key] = value
+            pos = _JSON_SPACE.match(text, pos).end()
+            if text.startswith(",", pos):
+                pos = _JSON_SPACE.match(text, pos + 1).end()
+                if key is not None:
+                    key, pos = _json_key(text, pos)
+                    stack[-1] = (container, key)
+                break
+            if not text.startswith("]" if key is None else "}", pos):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+            stack.pop()
+            value, pos = container, pos + 1
+        else:
+            if _JSON_SPACE.match(text, pos).end() != len(text):
+                raise json.JSONDecodeError("Extra data", text, pos)
+            return value
 
 
 def save_formula(formula: Formula) -> bytes:
-    doc: dict = {
-        "variables": list(formula.variables),
-        "root": _node_to_json(formula.root),
-    }
+    text = f'{{"variables":{_dumps(list(formula.variables))},"root":{_node_to_json(formula.root)}'
     if formula.u_vars is not None:
-        doc["u"] = list(formula.u_vars)
-        doc["v"] = list(formula.v_vars)
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        text += f',"u":{_dumps(list(formula.u_vars))},"v":{_dumps(list(formula.v_vars))}'
+    return (text + "}").encode("utf-8")
 
 
 def load_formula(data: bytes | str) -> Formula:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = _json_loads(data)
     except json.JSONDecodeError as err:
         raise ModelError(f"malformed formula document: {err}") from None
     root = _node_from_json(doc.get("root"))

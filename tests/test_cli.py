@@ -229,6 +229,39 @@ def test_compile_cnf_fuzz_exit_codes(data):
     assert code in (0, 1, 2, 3)
 
 
+@st.composite
+def _order_files(draw):
+    """five_node order files: a permuted subset of its variables (sometimes
+    with the targets A, B moved last), plus repeats, unknown names and
+    headers."""
+    kept = draw(st.permutations("ABCDE"))[: draw(st.integers(0, 5))]
+    if draw(st.booleans()):
+        kept = [n for n in kept if n not in "AB"] + [n for n in kept if n in "AB"]
+    lines = list(kept)
+    extras = st.sampled_from(["A", "C", "D", "Z", "#constrained: A,B", "#constrained: C", "# c"])
+    for line in draw(st.lists(extras, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_files(), st.sampled_from(["map", "rmap"]), st.sampled_from(["", "C=c1", "D=d0"]))
+def test_order_file_fuzz_exit_codes(order_text, command, e2):
+    # A caller order must cover an ancestrally closed set containing the
+    # targets and evidence; any other file ends in a documented exit code.
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "five_node.json")
+        shutil.copy(fixture_path("five_node.json"), model)
+        order = os.path.join(tmp, "order.txt")
+        with open(order, "w") as fh:
+            fh.write(order_text)
+        args = [command, "--model", model, "--targets", "A,B", "--order", order, "--trace"]
+        args += ["--e", "E=e0"] if command == "map" else ["--e1", "E=e0", "--e2", e2]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
+
+
 def test_gen_random_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gen", "--kind", "random", "--n", "8", "--seed", "3", "--out", str(a)]) == 0

@@ -30,6 +30,8 @@ from unitsel.inference import (
     joint_mass,
     lambda_pool,
 )
+from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
+from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import evaluate_L_brute
 from unitsel.worlds import enumerate_instantiations
 from corpus import random_instance, small_scm
@@ -48,7 +50,7 @@ def five_node():
 
 
 def test_eliminate_empty_order(two_node):
-    pool = cpt_pool(two_node)
+    pool = cpt_pool(two_node, range(two_node.n))
     out, steps = eliminate("sum", pool, ())
     assert out == pool and steps == []
 
@@ -86,7 +88,7 @@ def test_product_of_pool_is_evidence_marginal(five_node):
     order = EliminationOrder(
         tuple(ids[n] for n in "EDCBA"), frozenset(targets)
     )
-    pool = cpt_pool(five_node) + lambda_pool(five_node, evidence)
+    pool = cpt_pool(five_node, range(five_node.n)) + lambda_pool(five_node, evidence)
     pool, _ = eliminate("sum", pool, order.prefix)
     from unitsel.factor import multiply_all
 
@@ -396,3 +398,94 @@ def test_custom_order_must_be_constrained(two_node):
         map_ve(two_node, [0], {1: 0}, order=EliminationOrder((0, 1)))
     ok = map_ve(two_node, [0], {1: 0}, order=EliminationOrder((1, 0), frozenset({0})))
     assert abs(ok.value - 0.24) < 1e-12
+
+
+def test_unit_select_random_40_prunes_to_small_width():
+    # The bench.run_width_trial instance random 40/0.4/8 at trial 0. Over the
+    # whole objective model (402 nodes, width 27) the solve asks for a 2 GiB
+    # table; the query's ancestral closure has width 4.
+    rng = np.random.default_rng([8, 0])
+    scm = gen_random_scm(GenConfig(node_count=40, seed=8, unit_ratio=0.4), rng=rng)
+    units = _pick_units(scm.roots, 0.4, rng)
+    endo = scm.endogenous()
+    y = int(rng.choice([v for v in endo if not scm.children[v]]))
+    x = int(rng.choice([v for v in endo if v != y]))
+    L = gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
+    start = time.perf_counter()
+    res = unit_select(scm, L)
+    assert time.perf_counter() - start < 1.0
+    assert set(res.instantiation) == set(units) and res.excluded == 0
+    assert 0.0 <= res.value <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_default_order_matches_whole_model_order(seed):
+    # The default order covers only the ancestral closure of the targets and
+    # evidence; a caller order over the whole model must give the same answers.
+    scm = small_scm(seed + 1000)
+    rng = np.random.default_rng([95, seed])
+    vids = [v.id for v in scm.variables]
+    rng.shuffle(vids)
+    targets = sorted(vids[:2])
+    e1 = {vids[2]: int(rng.integers(0, 2))}
+    e2 = {vids[3]: int(rng.integers(0, 2))} if rng.random() < 0.7 else {}
+    evidence = {**e1, **e2}
+    whole = minfill_order(moral_graph(scm), constrained_suffix=targets)
+
+    def both(query, *args):
+        out = []
+        for order in (None, whole):
+            try:
+                out.append(query(scm, targets, *args, order=order))
+            except InconsistentEvidenceError:
+                out.append(None)
+        assert (out[0] is None) == (out[1] is None)
+        return out
+
+    pruned, full = both(map_ve, evidence)
+    assert abs(pruned.value - full.value) <= 1e-12
+    kept = ancestral_closure(scm, set(targets) | set(evidence))
+    traced = map_ve(scm, targets, evidence, want_trace=True).trace
+    assert {s.var for s in traced} == kept
+    pruned, full = both(rmap_ve, e1, e2)
+    if pruned is not None:
+        assert abs(pruned.value - full.value) <= 1e-12
+        assert pruned.excluded == full.excluded
+    for query, args in ((rmap_table, (e1, e2)), (posterior, (evidence,))):
+        pruned, full = both(query, *args)
+        if pruned is not None:
+            assert pruned.vids == full.vids
+            assert np.abs(pruned.values - full.values).max() <= 1e-12
+
+
+def test_default_order_skips_barren_node(five_node):
+    # D has no evidence and no target below it: the default order leaves it
+    # out, and the worked EDCBA caller order keeps its step.
+    ids = {v.name: v.id for v in five_node.variables}
+    targets, evidence = [ids["A"], ids["B"]], {ids["E"]: 0}
+    pruned = map_ve(five_node, targets, evidence, want_trace=True)
+    order = EliminationOrder(tuple(ids[n] for n in "EDCBA"), frozenset(targets))
+    full = map_ve(five_node, targets, evidence, order=order, want_trace=True)
+    assert ids["D"] not in {s.var for s in pruned.trace}
+    assert ids["D"] in {s.var for s in full.trace}
+    assert abs(pruned.value - full.value) <= 1e-12
+    assert pruned.instantiation == full.instantiation
+
+
+def test_caller_order_must_cover_an_ancestrally_closed_set(five_node):
+    ids = {v.name: v.id for v in five_node.variables}
+    targets, evidence = [ids["A"], ids["B"]], {ids["E"]: 0}
+    expected = map_ve(five_node, targets, evidence).value
+
+    def order(names):
+        return EliminationOrder(tuple(ids[n] for n in names), frozenset(targets))
+
+    for names in ("ECBA", "EDCBA"):  # the closure, and the whole model
+        got = map_ve(five_node, targets, evidence, order=order(names)).value
+        assert abs(got - expected) <= 1e-12
+    # Missing the ancestor C of E; D without its parent C; E missing.
+    for names in ("EBA", "EDBA", "CBA"):
+        with pytest.raises(ModelError):
+            map_ve(five_node, targets, evidence, order=order(names))
+    with pytest.raises(ModelError):
+        joint_mass(five_node, evidence, EliminationOrder((ids["A"], ids["B"])))

@@ -56,6 +56,13 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p cnf 1 1\n1\n")
     with pytest.raises(ModelError):
         parse_dimacs("p cnf 1 0\n")
+    # Only ASCII decimal integers: Python's int() would read x10 and x1 here.
+    with pytest.raises(ModelError, match="line 1"):
+        parse_dimacs("p cnf 1_0 1\n1_0 0\n")
+    with pytest.raises(ModelError, match="line 2"):
+        parse_dimacs("p cnf 1 1\n\uff11 0\n")
+    with pytest.raises(ModelError, match="line 2"):
+        parse_dimacs("p cnf 10 1\n1_0 0\n")
 
 
 def test_parse_comments_and_unused_variables():
@@ -183,10 +190,45 @@ def test_sentinel_conditional_is_zero_one():
 def test_formula_json_roundtrip():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
     f = f.with_partition(("x1",), ("x2",))
-    back = load_formula(save_formula(f))
+    data = save_formula(f)
+    assert data == (
+        b'{"variables":["x1","x2"],"root":{"op":"and","left":{"op":"or","left":'
+        b'{"op":"var","name":"x1"},"right":{"op":"var","name":"x2"}},"right":'
+        b'{"op":"not","child":{"op":"var","name":"x1"}}},"u":["x1"],"v":["x2"]}'
+    )
+    back = load_formula(data)
     assert back == f
     with pytest.raises(ModelError):
         load_formula(b'{"root": {"op": "nope"}}')
+
+
+def test_formula_json_roundtrip_large_formula():
+    # The conjunction nests one level per clause: 1,200 clauses are deeper
+    # than the recursion limit, and than the json module's C coder allows.
+    clauses = [(i % 40 + 1, -(7 * i % 40 + 1), 13 * i % 40 + 1) for i in range(1200)]
+    text = "p cnf 40 1200\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
+    f = parse_dimacs(text)
+    data = save_formula(f)
+    back = load_formula(data)
+    assert back.variables == f.variables
+    assert save_formula(back) == data
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        bits = rng.integers(0, 2, size=40)
+        assignment = {f"x{i + 1}": int(b) for i, b in enumerate(bits)}
+        expected = all(any((bits[abs(l) - 1] == 1) == (l > 0) for l in c) for c in clauses)
+        assert evaluate(back.root, assignment) == expected
+
+
+def test_formula_json_rejects_bad_nodes():
+    with pytest.raises(ModelError):
+        load_formula(b'{"root": {"op": "and", "left": {"op": "var", "name": "x1"}}}')
+    with pytest.raises(ModelError):
+        load_formula(b'{"root": {"op": "not", "child": [1]}}')
+    with pytest.raises(ModelError):
+        load_formula(b'{"root": {"op": ["var"], "name": "x1"}}')
+    with pytest.raises(ModelError):
+        load_formula(b'{"root": {"op": "var", "name": "x1"},}')
 
 
 def test_formula_partition_validation():
