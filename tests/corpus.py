@@ -8,7 +8,7 @@ import numpy as np
 
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
-from unitsel.elimination import UGraph
+from unitsel.elimination import EliminationOrder, UGraph
 
 
 def small_scm(seed: int, lo: int = 5, hi: int = 10) -> Scm:
@@ -84,6 +84,35 @@ def random_ugraph(seed: int, lo: int = 5, hi: int = 12, p: float = 0.35) -> UGra
             if rng.random() < p:
                 g.add_edge(a, b)
     return g
+
+
+def reference_minfill_order(g: UGraph, constrained_suffix=None) -> EliminationOrder:
+    """The set-based greedy minfill loop: every step scans every eligible
+    live node with ``UGraph.fill_count`` (ties: smallest id)."""
+    suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
+    work = g.copy()
+    seq: list[int] = []
+    while work.nodes:
+        pool = work.nodes - suffix if suffix else work.nodes
+        if not pool:
+            pool = work.nodes
+        best = min(pool, key=lambda v: (work.fill_count(v), v))
+        seq.append(best)
+        work.eliminate(best)
+    return EliminationOrder(tuple(seq), suffix)
+
+
+def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:
+    """Clusters of eliminating ``seq`` from a plain dict of neighbor sets."""
+    adj = {v: set(ns) for v, ns in g.adj.items()}
+    clusters = []
+    for v in seq:
+        ns = adj.pop(v)
+        clusters.append(frozenset(ns | {v}))
+        for a in ns:
+            adj[a] |= ns - {a}
+            adj[a].discard(v)
+    return clusters
 
 
 def random_dag_scm(seed: int, lo: int = 5, hi: int = 12) -> Scm:

@@ -262,6 +262,58 @@ def test_order_file_fuzz_exit_codes(order_text, command, e2):
     assert code in (0, 1, 2, 3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.none() | st.tuples(st.integers(2, 5), st.integers(0, 20)), st.data())
+def test_width_fuzz_exit_codes(generated, data):
+    # five_node or a small generated model, with generated unit lists
+    # (repeats, blanks and unknown names included), order sources, world
+    # counts and objectives; any of them ends in a documented exit code.
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if generated is None:
+                shutil.copy(fixture_path("five_node.json"), model)
+            else:
+                n, seed = generated
+                assert main(["gen", "--kind", "random", "--n", str(n), "--seed", str(seed), "--out", model]) == 0
+        with open(model) as fh:
+            doc = json.load(fh)
+        names = [v["name"] for v in doc["variables"]]
+        roots = [name for name in names if not doc["parents"][name]]
+        name = st.sampled_from(names) | st.sampled_from(["Z", "", " "])
+        args = ["width", "--model", model]
+        if data.draw(st.booleans()):
+            args += ["--units", ",".join(data.draw(st.lists(st.sampled_from(roots) | name, max_size=4)))]
+        order = data.draw(st.sampled_from(["minfill", "exhaustive", "file"]))
+        if order == "file":
+            lines = data.draw(st.permutations(names))
+            for line in data.draw(st.lists(name, max_size=2)):
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            if data.draw(st.booleans()):
+                lines.insert(0, "#constrained: " + ",".join(data.draw(st.lists(name, max_size=3))))
+            order = os.path.join(tmp, "order.txt")
+            with open(order, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        args += ["--order", order]
+        lifted = data.draw(st.none() | st.integers(-1, 3))
+        if lifted is not None:
+            args += ["--lifted", str(lifted)]
+        if data.draw(st.booleans()):
+            outcome = data.draw(name)
+            states = next((v["states"] for v in doc["variables"] if v["name"] == outcome), ["0"])
+            objective = {
+                "units": data.draw(st.lists(st.sampled_from(roots) | name, max_size=3)),
+                "terms": [{"weight": 1.0, "y": {outcome: data.draw(st.sampled_from(states))}}],
+            }
+            path = os.path.join(tmp, "objective.json")
+            with open(path, "w") as fh:
+                json.dump(objective, fh)
+            args += ["--objective", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
+
+
 def test_gen_random_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gen", "--kind", "random", "--n", "8", "--seed", "3", "--out", str(a)]) == 0

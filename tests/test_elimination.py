@@ -21,8 +21,19 @@ from unitsel import (
     treewidth_exact,
     treewidth_exact_enum,
 )
-from unitsel import fixture_path
-from unitsel.bench import gen_tight_family, tight_family_order
+import unitsel.bench as bench_module
+import unitsel.inference as inference_module
+from unitsel import fixture_path, parse_dimacs, sat_via_rmap, unit_select
+from unitsel.bench import (
+    GenConfig,
+    _pick_units,
+    default_bench_configs,
+    gen_benefit_objective,
+    gen_random_scm,
+    gen_tight_family,
+    run_width_table,
+    tight_family_order,
+)
 from unitsel.elimination import (
     eliminate_all,
     format_order_file,
@@ -30,7 +41,13 @@ from unitsel.elimination import (
     skeleton,
 )
 from unitsel.objective import ObjectiveFunction, ObjectiveTerm
-from corpus import random_dag_scm, random_ugraph
+from corpus import (
+    random_cnf,
+    random_dag_scm,
+    random_ugraph,
+    reference_clusters,
+    reference_minfill_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +116,15 @@ def test_simulation_requires_full_cover(five_node):
         simulate_elimination(moral_graph(five_node), [0, 1])
 
 
+def test_simulation_rejects_repeated_node():
+    # A repeat used to pass the cover check and raise a bare KeyError.
+    g = UGraph(nodes=[3, 7, 11], edges=[(3, 7), (7, 11)])
+    with pytest.raises(ModelError, match="cover exactly"):
+        simulate_elimination(g, [3, 7, 7, 11])
+    with pytest.raises(ModelError, match="cover exactly"):
+        simulate_elimination(g, [3, 7, 7])
+
+
 def test_minfill_tree_is_width_one():
     g = UGraph(nodes=range(7), edges=[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     order = minfill_order(g)
@@ -123,6 +149,91 @@ def test_minfill_constrained_suffix_is_respected(five_node):
     units = {ids["A"], ids["B"]}
     order = minfill_order(moral_graph(five_node), constrained_suffix=units)
     assert set(order.sequence[-2:]) == units
+
+
+def test_minfill_edge_cases():
+    assert minfill_order(UGraph()) == EliminationOrder(())
+    assert minfill_order(UGraph(), constrained_suffix=set()).constrained_suffix == frozenset()
+    g = UGraph(nodes=[5, 2, 9], edges=[(5, 2), (2, 9)])
+    order = minfill_order(g, constrained_suffix=set())
+    assert order.sequence == (5, 2, 9) and order.constrained_suffix == frozenset()
+    order = minfill_order(g, constrained_suffix=[9, 2, 5, 9])
+    assert order.sequence == (5, 2, 9) and order.constrained_suffix == frozenset({2, 5, 9})
+    for outside in ([4], [2, 4], [5, 2, 9, 4]):
+        with pytest.raises(ModelError):
+            minfill_order(g, constrained_suffix=outside)
+
+
+def _assert_matches_reference(g, suffix):
+    got = minfill_order(g, constrained_suffix=suffix)
+    want = reference_minfill_order(g, suffix)
+    assert got.sequence == want.sequence
+    assert got.constrained_suffix == want.constrained_suffix
+    assert list(simulate_elimination(g, got).clusters) == reference_clusters(g, got.sequence)
+
+
+def _record_minfill_calls(monkeypatch, module):
+    """Record the (graph, suffix) of every minfill_order call made through
+    ``module``."""
+    calls = []
+
+    def record(g, constrained_suffix=None):
+        suffix = None if constrained_suffix is None else frozenset(constrained_suffix)
+        calls.append((g.copy(), suffix))
+        return minfill_order(g, constrained_suffix=suffix)
+
+    monkeypatch.setattr(module, "minfill_order", record)
+    return calls
+
+
+def test_minfill_matches_reference_on_relabelled_random_graphs():
+    for seed in range(240):
+        rng = np.random.default_rng([313, seed])
+        base = random_ugraph(seed, lo=0, hi=24, p=float(rng.uniform(0.1, 0.7)))
+        # Non-contiguous ids whose order differs from the generator's labels.
+        ids = rng.choice(10_000, len(base.nodes), replace=False)
+        labels = {v: int(x) for v, x in zip(sorted(base.nodes), ids)}
+        g = UGraph(labels.values(), [(labels[a], labels[b]) for a in base.adj for b in base.adj[a]])
+        nodes = sorted(g.nodes)
+        kind = seed % 4
+        if kind == 0:
+            suffix = None
+        elif kind == 1:
+            suffix = set()
+        elif kind == 2:
+            suffix = set(nodes)
+        else:
+            suffix = {v for v in nodes if rng.random() < 0.4}
+        _assert_matches_reference(g, suffix)
+
+
+def test_minfill_matches_reference_on_width_table_graphs(monkeypatch):
+    # The base, objective and twin moral graphs of every default cell.
+    calls = _record_minfill_calls(monkeypatch, bench_module)
+    run_width_table(default_bench_configs(7, trials=1))
+    assert len(calls) == 3 * 15
+    for g, suffix in calls:
+        _assert_matches_reference(g, suffix)
+
+
+def test_minfill_matches_reference_on_query_closures(monkeypatch):
+    # The ancestral closures that default_order hands to minfill, from unit
+    # selection on random SCMs and from SAT through Reverse-MAP.
+    calls = _record_minfill_calls(monkeypatch, inference_module)
+    for seed in range(12):
+        rng = np.random.default_rng([29, seed])
+        ur = (0.4, 1.0)[seed % 2]
+        scm = gen_random_scm(GenConfig(node_count=10 + seed, seed=seed, unit_ratio=ur), rng=rng)
+        units = _pick_units(scm.roots, ur, rng)
+        endo = scm.endogenous()
+        y = int(rng.choice([v for v in endo if not scm.children[v]]))
+        x = int(rng.choice([v for v in endo if v != y]))
+        unit_select(scm, gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units))
+    for seed in range(8):
+        sat_via_rmap(parse_dimacs(random_cnf(seed, max_vars=10, ratio=(1.5, 4.3)[seed % 2])))
+    assert len(calls) == 20
+    for g, suffix in calls:
+        _assert_matches_reference(g, suffix)
 
 
 def test_elimination_order_validation():
