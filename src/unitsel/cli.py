@@ -100,13 +100,12 @@ def _load_order(path: str, scm: Scm) -> EliminationOrder:
 def cmd_solve(args: argparse.Namespace) -> int:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     objective = load_objective(scm, _read(args.objective))
-    om = None
     order = None
     if args.order:
-        # The order names objective-model variables (the model being solved).
-        om = build_objective_model(scm, objective)
-        order = _load_order(args.order, om.model)
-    result = unit_select(scm, objective, method=args.method, order=order, om=om)
+        # The order names objective-model variables (the model being solved);
+        # unit_select builds the same model again.
+        order = _load_order(args.order, build_objective_model(scm, objective).model)
+    result = unit_select(scm, objective, method=args.method, order=order)
     if args.json:
         doc = {
             "unit": scm.names_of(result.instantiation),
@@ -155,10 +154,13 @@ def cmd_rmap(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bound_line(observed: int, bound: int, label: str) -> tuple[str, bool]:
-    ok = observed <= bound
-    marker = "PASS" if ok else "FAIL"
-    return f"bound={label} observed<=bound {marker}", ok
+def _report_lifted(heading: str, graph, order: EliminationOrder, bound: int, label: str) -> bool:
+    """Print a lifted order's width and its check against a proven bound."""
+    width = simulate_elimination(graph, order).width
+    ok = width <= bound
+    print(f"{heading}: {width}")
+    print(f"bound={label} observed<=bound {'PASS' if ok else 'FAIL'}")
+    return ok
 
 
 def cmd_width(args: argparse.Namespace) -> int:
@@ -188,22 +190,16 @@ def cmd_width(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     w = report.width
-    all_ok = True
     if args.objective:
         objective = load_objective(scm, _read(args.objective))
         om = build_objective_model(scm, objective)
         dup = om.duplicates()
         go = moral_graph(om.model)
-        n = om.n_components
-        lifted_u = lift_order_unconstrained(order, dup, om.h_id)
-        wu = simulate_elimination(go, lifted_u).width
-        line, ok = _bound_line(wu, 3 * n * (w + 1), "3n(w+1)")
-        all_ok &= ok
-        print(f"lifted unconstrained width: {wu}")
-        print(line)
+        lifted = lift_order_unconstrained(order, dup, om.h_id)
+        bound = 3 * om.n_components * (w + 1)
+        all_ok = _report_lifted("lifted unconstrained width", go, lifted, bound, "3n(w+1)")
         if unit_ids:
-            lifted_c = lift_order_constrained(order, dup, om.h_id, unit_ids)
-            wc = simulate_elimination(go, lifted_c).width
+            lifted = lift_order_constrained(order, dup, om.h_id, unit_ids)
             outcome_vars = {vid for t in objective.terms for vid in (*t.y, *t.w)}
             twin = all(not t.e for t in objective.terms)
             if twin and len(outcome_vars) == 1:
@@ -212,32 +208,22 @@ def cmd_width(args: argparse.Namespace) -> int:
                 bound, label = 3 * w + 3, "3w+3"
             else:
                 bound, label = max(3 * w + 3, len(unit_ids)), "max(3w+3,|U|)"
-            line, ok = _bound_line(wc, bound, label)
-            all_ok &= ok
-            print(f"lifted constrained width: {wc}")
-            print(line)
-    elif args.lifted is not None:
+            all_ok &= _report_lifted("lifted constrained width", go, lifted, bound, label)
+    else:
+        k = args.lifted
         shared = unit_ids if unit_ids else list(scm.roots)
-        nw, wm = n_world_model(scm, shared, args.lifted)
+        nw, wm = n_world_model(scm, shared, k)
         gn = moral_graph(nw)
-        dup = {b: c for b, c in wm.copies.items()}
-        dedup = {
-            b: tuple(dict.fromkeys(c)) for b, c in dup.items()
-        }  # shared vars appear once
+        # A shared variable's copies are one node, listed once.
+        dedup = {b: tuple(dict.fromkeys(c)) for b, c in wm.copies.items()}
         if unit_ids:
             lifted = lift_order_constrained(order, dedup, None, unit_ids)
-            wn = simulate_elimination(gn, lifted).width
-            print(f"lifted constrained width ({args.lifted}-world): {wn}")
-            line, ok = _bound_line(wn, w, "w")
-            all_ok &= ok
-            print(line)
+            heading = f"lifted constrained width ({k}-world)"
+            all_ok = _report_lifted(heading, gn, lifted, w, "w")
         else:
             lifted = lift_order_unconstrained(order, dedup, None)
-            wn = simulate_elimination(gn, lifted).width
-            print(f"lifted unconstrained width ({args.lifted}-world): {wn}")
-            line, ok = _bound_line(wn, args.lifted * (w + 1) - 1, "n(w+1)-1")
-            all_ok &= ok
-            print(line)
+            heading = f"lifted unconstrained width ({k}-world)"
+            all_ok = _report_lifted(heading, gn, lifted, k * (w + 1) - 1, "n(w+1)-1")
     if not all_ok:
         print("a proven width bound was violated", file=sys.stderr)
         return EXIT_INTERNAL

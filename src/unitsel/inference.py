@@ -78,14 +78,12 @@ class QueryResult:
     excluded: int | None = None
 
 
-def _tag_label(tag: Tag, scm: Scm | None = None) -> str:
+def _tag_label(tag: Tag, scm: Scm) -> str:
     kind = tag[0]
     if kind == "cpt":
-        name = scm.var(tag[1]).name if scm else str(tag[1])
-        return f"f_{name}"
+        return f"f_{scm.var(tag[1]).name}"
     if kind == "lam":
-        name = scm.var(tag[1]).name if scm else str(tag[1])
-        return f"lambda_{name}"
+        return f"lambda_{scm.var(tag[1]).name}"
     if kind == "step":
         return f"f{tag[1]}"
     return f"1_{tag[1]}"
@@ -107,16 +105,18 @@ def eliminate(
     op: str,
     pool: Sequence[TaggedFactor],
     order: Sequence[int],
+    scm: Scm,
     step_base: int = 0,
     trace: list[TraceStep] | None = None,
-    scm: Scm | None = None,
 ) -> tuple[list[TaggedFactor], list[MaximizerTable]]:
     """Eliminate the order's variables from the pool using sum or max.
 
     At each step, all factors mentioning the variable are multiplied, the
     operation is applied over that variable, and the result (tagged with the
     step index) replaces them. Returns the surviving pool and, for max, the
-    per-step maximizer tables needed for instantiation recovery.
+    per-step maximizer tables needed for instantiation recovery. ``scm``
+    names the traced factors and gives the cardinality of a variable that no
+    factor mentions.
     """
     if op not in ("sum", "max"):
         raise ValueError(f"unknown elimination op {op!r}")
@@ -158,9 +158,7 @@ def eliminate(
     return pool, max_tables
 
 
-def _scope_names(vids: tuple[int, ...], scm: Scm | None) -> str:
-    if scm is None:
-        return ",".join(map(str, vids))
+def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:
     names = [scm.var(v).name for v in vids]
     if all(len(n) == 1 for n in names):
         return "".join(names)
@@ -446,7 +444,6 @@ def unit_select(
     objective,
     method: str = "ve",
     order: EliminationOrder | None = None,
-    om=None,
 ) -> QueryResult:
     """argmax_u L(u) for a weighted counterfactual objective.
 
@@ -454,9 +451,9 @@ def unit_select(
     ``method="brute"`` evaluates L(u) for every unit by enumeration. Both
     return the instantiation over the base unit variables. Units whose
     conditioning mass vanishes are excluded and counted. A caller-supplied
-    ``order`` (and the optional pre-built objective model ``om`` it refers
-    to) must cover an ancestrally closed set of the objective model's
-    variables that contains the units and the evidence, such as the whole
+    ``order`` names variables of ``build_objective_model(scm, objective)``
+    (the build is deterministic) and must cover an ancestrally closed set of
+    them that contains the units and the evidence, such as the whole
     objective model; by default only that closure is ordered.
     """
     from .objective import build_objective_model, evaluate_L_profile, validate_objective
@@ -466,8 +463,7 @@ def unit_select(
         raise ModelError("invalid objective: " + "; ".join(report.violations))
 
     if method == "ve":
-        if om is None:
-            om = build_objective_model(scm, objective)
+        om = build_objective_model(scm, objective)
         result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
         inst = {
             base: result.instantiation[om_id]

@@ -76,20 +76,24 @@ class ObjectiveReport:
 
 
 def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveReport:
-    """Check the weight simplex, per-term disjointness, unit exogeneity and
-    endogeneity of all term variables. Violations are reported, not raised."""
+    """Check the weight simplex, per-term disjointness, distinct exogenous
+    units and endogeneity of all term variables. Violations are reported,
+    not raised."""
     violations: list[str] = []
     if not objective.terms:
         violations.append("objective has no terms")
     weights = [t.weight for t in objective.terms]
-    if any(w < 0 for w in weights):
-        violations.append("term weights must be non-negative")
+    if not all(0 <= w < math.inf for w in weights):  # NaN fails too
+        violations.append("term weights must be finite and non-negative")
     if weights and abs(sum(weights) - 1.0) > WEIGHT_TOL:
         violations.append(f"term weights sum to {sum(weights)!r}, expected 1")
-    for vid in objective.unit_ids:
+    for vid in sorted(set(objective.unit_ids)):
         if not 0 <= vid < scm.n:
             violations.append(f"unknown unit variable id {vid}")
-        elif not scm.is_root(vid):
+            continue
+        if objective.unit_ids.count(vid) > 1:
+            violations.append(f"unit variable {scm.var(vid).name!r} is repeated")
+        if not scm.is_root(vid):
             violations.append(f"unit variable {scm.var(vid).name!r} is not exogenous")
     if not objective.unit_ids:
         violations.append("objective has no unit variables")
@@ -449,15 +453,26 @@ def load_objective(scm: Scm, data: bytes | str) -> ObjectiveFunction:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
         raise ModelError(f"malformed objective document: {err}") from None
-    if "units" not in doc or "terms" not in doc:
+    if not isinstance(doc, dict) or "units" not in doc or "terms" not in doc:
         raise ModelError("objective document needs 'units' and 'terms'")
+    if not (isinstance(doc["units"], list) and all(isinstance(n, str) for n in doc["units"])):
+        raise ModelError("objective 'units' must be a list of variable names")
+    if not isinstance(doc["terms"], list):
+        raise ModelError("objective 'terms' must be a list")
     unit_ids = tuple(scm.by_name(name).id for name in doc["units"])
     terms = []
     for i, entry in enumerate(doc["terms"], start=1):
-        if "weight" not in entry:
+        if not isinstance(entry, dict) or "weight" not in entry:
             raise ModelError(f"term {i} has no weight")
         insts = {}
         for key in ("x", "y", "v", "w", "e"):
-            insts[key] = scm.instantiation(entry.get(key, {}))
-        terms.append(ObjectiveTerm(weight=float(entry["weight"]), **insts))
+            inst = entry.get(key, {})
+            if not isinstance(inst, dict):
+                raise ModelError(f"term {i}: {key!r} must map variable names to states")
+            insts[key] = scm.instantiation(inst)
+        try:
+            weight = float(entry["weight"])
+        except (TypeError, ValueError):
+            raise ModelError(f"term {i}: weight {entry['weight']!r} is not a number") from None
+        terms.append(ObjectiveTerm(weight=weight, **insts))
     return ObjectiveFunction(unit_ids, tuple(terms))

@@ -5,16 +5,16 @@ root per variable and one functional gate node per connective; the single
 sentinel leaf takes value 1 exactly on satisfying assignments. Together with
 the exact satisfying-count ratios this gives executable versions of the
 hardness-proof constructions, testable against truth-table enumeration.
+Formulas enter only as DIMACS CNF text (``parse_dimacs``) or as ``Formula``
+ASTs built in code.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -83,17 +83,16 @@ def _children(node: Node) -> tuple[Node, ...]:
     return (node.left, node.right)
 
 
-def _postorder(root, children: Callable[..., tuple] = _children) -> Iterator:
-    """The tree's nodes (by default an AST's), children before parents and
-    left before right; no recursion, since a DIMACS conjunction nests one
-    level per clause."""
-    stack: list[tuple[object, bool]] = [(root, False)]
+def _postorder(root: Node) -> Iterator[Node]:
+    """The AST's nodes, children before parents and left before right; no
+    recursion, since a DIMACS conjunction nests one level per clause."""
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             yield node
             continue
-        kids = children(node)
+        kids = _children(node)
         if not kids:
             yield node
             continue
@@ -341,138 +340,3 @@ def sat_via_rmap(
         scm.var(vid).name: state for vid, state in result.instantiation.items()
     }
     return True, witness
-
-
-# -- formula JSON ----------------------------------------------------------------------
-#
-# A formula nests one JSON object per AST level, and both the C encoder and the
-# C decoder of the json module recurse once per level, so the node tree is
-# written and read here with explicit stacks. The bytes are those of
-# ``json.dumps(doc, separators=(",", ":"))``.
-
-_FIELDS = {"var": ("name",), "not": ("child",), "and": ("left", "right"), "or": ("left", "right")}
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
-def _node_to_json(root: Node) -> str:
-    """The node's JSON text, written parent first."""
-    parts: list[str] = []
-    stack: list[Node | str] = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Var):
-            parts.append(f'{{"op":"var","name":{_dumps(item.name)}}}')
-        elif isinstance(item, Not):
-            parts.append('{"op":"not","child":')
-            stack += ("}", item.child)
-        else:
-            op = "and" if isinstance(item, And) else "or"
-            parts.append(f'{{"op":"{op}","left":')
-            stack += ("}", item.right, ',"right":', item.left)
-    return "".join(parts)
-
-
-def _doc_children(doc) -> tuple:
-    """A JSON formula node's children, once its fields are checked."""
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise ModelError(f"bad formula node: {reprlib.repr(doc)}")
-    fields = _FIELDS.get(doc["op"]) if isinstance(doc["op"], str) else None
-    if fields is None:
-        raise ModelError(f"unknown formula op {doc['op']!r}")
-    if any(f not in doc for f in fields):
-        raise ModelError(f"formula node {doc['op']!r} needs the fields {list(fields)}")
-    return () if doc["op"] == "var" else tuple(doc[f] for f in fields)
-
-
-def _node_from_json(root) -> Node:
-    built: list[Node] = []
-    for doc in _postorder(root, _doc_children):
-        op = doc["op"]
-        if op == "var":
-            built.append(Var(doc["name"]))
-        elif op == "not":
-            built.append(Not(built.pop()))
-        else:
-            right, left = built.pop(), built.pop()
-            built.append((And if op == "and" else Or)(left, right))
-    return built.pop()
-
-
-def _json_key(text: str, pos: int) -> tuple[str, int]:
-    """An object key at ``pos`` and the position after its colon."""
-    if not text.startswith('"', pos):
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
-    key, pos = json.decoder.scanstring(text, pos + 1)
-    pos = _JSON_SPACE.match(text, pos).end()
-    if not text.startswith(":", pos):
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-    return key, _JSON_SPACE.match(text, pos + 1).end()
-
-
-def _json_loads(text: str):
-    """``json.loads`` with the containers opened and closed on an explicit
-    stack; ``raw_decode`` reads only scalars."""
-    decoder = json.JSONDecoder()
-    stack: list[tuple[dict | list, str | None]] = []  # open container, its key
-    pos = _JSON_SPACE.match(text).end()
-    while True:
-        char = text[pos:pos + 1]
-        if char and char in "{[":
-            container: dict | list = {} if char == "{" else []
-            pos = _JSON_SPACE.match(text, pos + 1).end()
-            if not text.startswith("}" if char == "{" else "]", pos):
-                key, pos = _json_key(text, pos) if char == "{" else (None, pos)
-                stack.append((container, key))
-                continue
-            value, pos = container, pos + 1
-        else:
-            value, pos = decoder.raw_decode(text, pos)
-        # The value is complete: store it, closing every container it ends.
-        while stack:
-            container, key = stack[-1]
-            if key is None:
-                container.append(value)
-            else:
-                container[key] = value
-            pos = _JSON_SPACE.match(text, pos).end()
-            if text.startswith(",", pos):
-                pos = _JSON_SPACE.match(text, pos + 1).end()
-                if key is not None:
-                    key, pos = _json_key(text, pos)
-                    stack[-1] = (container, key)
-                break
-            if not text.startswith("]" if key is None else "}", pos):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-            stack.pop()
-            value, pos = container, pos + 1
-        else:
-            if _JSON_SPACE.match(text, pos).end() != len(text):
-                raise json.JSONDecodeError("Extra data", text, pos)
-            return value
-
-
-def save_formula(formula: Formula) -> bytes:
-    text = f'{{"variables":{_dumps(list(formula.variables))},"root":{_node_to_json(formula.root)}'
-    if formula.u_vars is not None:
-        text += f',"u":{_dumps(list(formula.u_vars))},"v":{_dumps(list(formula.v_vars))}'
-    return (text + "}").encode("utf-8")
-
-
-def load_formula(data: bytes | str) -> Formula:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = _json_loads(data)
-    except json.JSONDecodeError as err:
-        raise ModelError(f"malformed formula document: {err}") from None
-    root = _node_from_json(doc.get("root"))
-    variables = tuple(doc.get("variables") or sorted(collect_names(root)))
-    u = tuple(doc["u"]) if "u" in doc else None
-    v = tuple(doc["v"]) if "v" in doc else None
-    return Formula(root, variables, u, v)

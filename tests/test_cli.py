@@ -164,6 +164,57 @@ def test_compile_cnf_then_rmap_contradiction_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_inconsistent_e2_exits_2(capsys, tmp_path):
+    # x1 and not x1: the sentinel s2 is never 1, so e2 has zero mass.
+    dimacs = tmp_path / "contradiction.cnf"
+    dimacs.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    model = tmp_path / "circuit.json"
+    assert main(["compile-cnf", "--dimacs", str(dimacs), "--out", str(model)]) == 0
+    assert capsys.readouterr().err == "sentinel: s2\n"
+    code = main(["rmap", "--model", str(model), "--targets", "x1", "--e2", "s2=1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: evidence e2 is inconsistent with every target instantiation\n"
+
+
+def test_solve_zero_optimum_exits_2(capsys, tmp_path):
+    # X = N and Y = X: under do(X=0), Y is 0 whatever the unit U.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "variables": [{"name": v, "states": ["0", "1"]} for v in "UNXY"],
+        "parents": {"U": [], "N": [], "X": ["N"], "Y": ["X"]},
+        "cpts": {"U": [0.5, 0.5], "N": [0.5, 0.5], "X": [1, 0, 0, 1], "Y": [1, 0, 0, 1]},
+    }))
+    objective = tmp_path / "objective.json"
+    objective.write_text('{"units":["U"],"terms":[{"weight":1.0,"x":{"X":"0"},"y":{"Y":"1"}}]}')
+    code = main(["solve", "--model", str(model), "--objective", str(objective)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "value: 0.0\n" in captured.out
+    assert "objective value is zero" in captured.err
+
+
+def test_repeated_unit_is_refused(capsys, tmp_path):
+    # A repeated unit once built a stray root and a second unit copy: solve
+    # answered on that model and width failed with an unrelated message.
+    model = tmp_path / "model.json"
+    assert main(["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", str(model)]) == 0
+    objective = tmp_path / "objective.json"
+    objective.write_text(
+        '{"units":["X1","X1"],"terms":[{"weight":1.0,"x":{"X2":"0"},"y":{"X4":"1"}}]}'
+    )
+    given = ["--model", str(model), "--objective", str(objective)]
+    for args in (
+        ["solve", *given],
+        ["solve", "--method", "brute", "--json", *given],
+        ["build-objective-model", *given],
+        ["width", "--units", "X1", *given],
+    ):
+        capsys.readouterr()
+        assert main(args) == 1, args
+        assert capsys.readouterr().err == "error: invalid objective: unit variable 'X1' is repeated\n"
+
+
 def test_compile_cnf_model_json_is_stable(capsys, tmp_path):
     # Gates take ids and s1, s2, ... names in post-order of the AST.
     dimacs = tmp_path / "f.cnf"
@@ -309,6 +360,103 @@ def test_width_fuzz_exit_codes(generated, data):
             with open(path, "w") as fh:
                 json.dump(objective, fh)
             args += ["--objective", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
+
+
+_bad_weights = st.sampled_from([0, 2, -1.0, float("nan"), "x", None, [1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(2, 6), st.integers(0, 20)), st.data())
+def test_query_fuzz_exit_codes(generated, data):
+    # solve, map, rmap, gen and build-objective-model on a small generated
+    # model. Targets, evidence and objectives are valid, or carry one flaw: a
+    # repeated, unknown or non-root unit or target, a bad state or a bad
+    # weight. Any of them ends in a documented exit code.
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        n, seed = generated
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["gen", "--kind", "random", "--n", str(n), "--seed", str(seed), "--out", model]) == 0
+        with open(model) as fh:
+            doc = json.load(fh)
+        states = {v["name"]: v["states"] + ["9"] for v in doc["variables"]}
+        roots = [name for name in states if not doc["parents"][name]]
+        endo = [name for name in states if doc["parents"][name]]
+        flaw = data.draw(st.sampled_from([None, None, "repeat", "unknown", "nonroot", "state", "weight"]))
+
+        def pick(pool, min_size=0):
+            return data.draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=2, unique=True))
+
+        def inst(names):
+            # The state "9" exists in no model: only the "state" flaw uses it.
+            return {v: data.draw(st.sampled_from(states[v][:-1])) for v in names}
+
+        def flawed(names):
+            extra = {"repeat": names[:1], "unknown": ["Z"], "nonroot": endo[:1]}
+            return names + extra.get(flaw, [])
+
+        command = data.draw(st.sampled_from(["solve", "map", "rmap", "gen", "build-objective-model"]))
+        if command == "gen":
+            kind = data.draw(st.sampled_from(["random", "tight"]))
+            args = ["gen", "--kind", kind, "--n", str(data.draw(st.integers(-1, 6))),
+                    "--seed", str(seed), "--max-parents", str(data.draw(st.integers(-1, 4))),
+                    "--out", os.path.join(tmp, "gen.json")]
+            if data.draw(st.booleans()):
+                args += ["--objective-out", os.path.join(tmp, "gen_objective.json")]
+        elif command in ("map", "rmap"):
+            evidence = inst(pick(endo))
+            if flaw == "state" and evidence:
+                evidence[next(iter(evidence))] = "9"
+            text = [f"{v}={s}" for v, s in evidence.items()]
+            cut = data.draw(st.integers(0, len(text)))
+            args = [command, "--model", model, "--targets", ",".join(flawed(pick(roots, 1)))]
+            if command == "map":
+                args += ["--e", ",".join(text)]
+            else:
+                args += ["--e1", ",".join(text[:cut]), "--e2", ",".join(text[cut:])]
+        else:
+            units = flawed(pick(roots, 1))
+            terms = []
+            count = data.draw(st.integers(1, 2))
+            for _ in range(count):
+                chosen = data.draw(st.permutations(endo))[:2]
+                term = {"weight": 1.0 / count, "y": inst(chosen[:1])}
+                if len(chosen) > 1:
+                    term[data.draw(st.sampled_from("xvwe"))] = inst(chosen[1:])
+                terms.append(term)
+            if flaw == "state":
+                terms[0]["y"] = {v: "9" for v in terms[0]["y"]}
+            if flaw == "weight":
+                terms[0]["weight"] = data.draw(_bad_weights)
+            objective = os.path.join(tmp, "objective.json")
+            with open(objective, "w") as fh:
+                json.dump({"units": units, "terms": terms}, fh)
+            args = [command, "--model", model, "--objective", objective]
+            if command == "solve":
+                args += ["--method", data.draw(st.sampled_from(["ve", "brute"]))]
+                if data.draw(st.booleans()):
+                    args.append("--json")
+                if data.draw(st.booleans()):
+                    # Objective-model names when the objective builds, with
+                    # the units moved last or not.
+                    om = os.path.join(tmp, "om.json")
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        built = main(["build-objective-model", "--model", model,
+                                      "--objective", objective, "--out", om]) == 0
+                    names = list(states)
+                    if built:
+                        with open(om) as fh:
+                            names = [v["name"] for v in json.load(fh)["variables"]]
+                    names = data.draw(st.permutations(names))
+                    if data.draw(st.booleans()):
+                        names = [v for v in names if v not in units] + [v for v in names if v in units]
+                    order = os.path.join(tmp, "order.txt")
+                    with open(order, "w") as fh:
+                        fh.write("#constrained: " + ",".join(units) + "\n" + "\n".join(names) + "\n")
+                    args += ["--order", order]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
     assert code in (0, 1, 2, 3)

@@ -51,7 +51,7 @@ def five_node():
 
 def test_eliminate_empty_order(two_node):
     pool = cpt_pool(two_node, range(two_node.n))
-    out, steps = eliminate("sum", pool, ())
+    out, steps = eliminate("sum", pool, (), two_node)
     assert out == pool and steps == []
 
 
@@ -89,7 +89,7 @@ def test_product_of_pool_is_evidence_marginal(five_node):
         tuple(ids[n] for n in "EDCBA"), frozenset(targets)
     )
     pool = cpt_pool(five_node, range(five_node.n)) + lambda_pool(five_node, evidence)
-    pool, _ = eliminate("sum", pool, order.prefix)
+    pool, _ = eliminate("sum", pool, order.prefix, five_node)
     from unitsel.factor import multiply_all
 
     marginal = multiply_all(tf.factor for tf in pool)

@@ -18,6 +18,7 @@ from unitsel import (
     posterior,
     query_prob,
     save_objective,
+    unit_select,
     validate_objective,
 )
 from unitsel.bench import gen_benefit_objective
@@ -53,6 +54,11 @@ def test_validate_reports_simplex_violation():
     report = validate_objective(scm, L)
     assert not report.ok
     assert any("sum" in v for v in report.violations)
+    # A NaN weight passes the sum check; brute force once answered NaN.
+    L = ObjectiveFunction((0,), (ObjectiveTerm(float("nan"), y={3: 0}),))
+    assert validate_objective(scm, L).violations == ["term weights must be finite and non-negative"]
+    with pytest.raises(ModelError, match="finite"):
+        unit_select(scm, L, method="brute")
 
 
 def test_validate_reports_disjointness_violation():
@@ -70,6 +76,32 @@ def test_validate_unit_and_endogeneity_rules():
     assert not report.ok
     assert any("exogenous" in v for v in report.violations)
     assert any("endogenous" in v for v in report.violations)
+
+
+def test_repeated_unit_is_refused():
+    scm = xor_scm()
+    L = load_objective(scm, b'{"units":["U","U"],"terms":[{"weight":1.0,"y":{"Y":"0"}}]}')
+    assert validate_objective(scm, L).violations == ["unit variable 'U' is repeated"]
+    with pytest.raises(ModelError, match="'U' is repeated"):
+        build_objective_model(scm, L)
+    for method in ("ve", "brute"):
+        with pytest.raises(ModelError, match="'U' is repeated"):
+            unit_select(scm, L, method=method)
+
+
+def test_load_objective_refuses_malformed_documents():
+    scm = xor_scm()
+    for doc, message in (
+        (b"[]", "needs 'units' and 'terms'"),
+        (b'{"units":"U","terms":[]}', "list of variable names"),
+        (b'{"units":["U"],"terms":{}}', "'terms' must be a list"),
+        (b'{"units":["U"],"terms":[1]}', "term 1 has no weight"),
+        (b'{"units":["U"],"terms":[{"weight":1,"y":["Y"]}]}', "'y' must map"),
+        (b'{"units":["U"],"terms":[{"weight":null,"y":{"Y":"0"}}]}', "not a number"),
+        (b'{"units":["U"],"terms":[{"weight":[1],"y":{"Y":"0"}}]}', "not a number"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            load_objective(scm, doc)
 
 
 def test_outcome_cpt_rewrite_rows():

@@ -17,10 +17,8 @@ from unitsel.reductions import (
     emajsat_ratio,
     evaluate,
     gate_count,
-    load_formula,
     parse_dimacs,
     sat_via_rmap,
-    save_formula,
     truth_table,
 )
 from unitsel.worlds import enumerate_instantiations
@@ -187,48 +185,18 @@ def test_sentinel_conditional_is_zero_one():
     assert set(np.unique(table.values)) <= {0.0, 1.0}
 
 
-def test_formula_json_roundtrip():
-    f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
-    f = f.with_partition(("x1",), ("x2",))
-    data = save_formula(f)
-    assert data == (
-        b'{"variables":["x1","x2"],"root":{"op":"and","left":{"op":"or","left":'
-        b'{"op":"var","name":"x1"},"right":{"op":"var","name":"x2"}},"right":'
-        b'{"op":"not","child":{"op":"var","name":"x1"}}},"u":["x1"],"v":["x2"]}'
-    )
-    back = load_formula(data)
-    assert back == f
-    with pytest.raises(ModelError):
-        load_formula(b'{"root": {"op": "nope"}}')
-
-
-def test_formula_json_roundtrip_large_formula():
+def test_evaluate_large_formula():
     # The conjunction nests one level per clause: 1,200 clauses are deeper
-    # than the recursion limit, and than the json module's C coder allows.
+    # than the recursion limit.
     clauses = [(i % 40 + 1, -(7 * i % 40 + 1), 13 * i % 40 + 1) for i in range(1200)]
     text = "p cnf 40 1200\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses)
     f = parse_dimacs(text)
-    data = save_formula(f)
-    back = load_formula(data)
-    assert back.variables == f.variables
-    assert save_formula(back) == data
     rng = np.random.default_rng(5)
     for _ in range(20):
         bits = rng.integers(0, 2, size=40)
         assignment = {f"x{i + 1}": int(b) for i, b in enumerate(bits)}
         expected = all(any((bits[abs(l) - 1] == 1) == (l > 0) for l in c) for c in clauses)
-        assert evaluate(back.root, assignment) == expected
-
-
-def test_formula_json_rejects_bad_nodes():
-    with pytest.raises(ModelError):
-        load_formula(b'{"root": {"op": "and", "left": {"op": "var", "name": "x1"}}}')
-    with pytest.raises(ModelError):
-        load_formula(b'{"root": {"op": "not", "child": [1]}}')
-    with pytest.raises(ModelError):
-        load_formula(b'{"root": {"op": ["var"], "name": "x1"}}')
-    with pytest.raises(ModelError):
-        load_formula(b'{"root": {"op": "var", "name": "x1"},}')
+        assert evaluate(f.root, assignment) == expected
 
 
 def test_formula_partition_validation():
