@@ -46,6 +46,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.node_count < 2:
             raise ModelError("node_count must be >= 2")
+        if self.max_parents < 1:
+            raise ModelError("max_parents must be >= 1")
         if not 0 < self.unit_ratio <= 1:
             raise ModelError("unit_ratio must be in (0, 1]")
 

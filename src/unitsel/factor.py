@@ -9,6 +9,19 @@ Because all scopes are kept sorted, two factors can be broadcast against each
 other with plain reshapes (no transposes), which keeps multiply/divide exact
 and cheap.
 
+``sum_out`` and ``max_out`` combine rows: the eliminated axes move to the
+front, and each joint state of the eliminated variables (C order) selects one
+row shaped like the kept scope. A max keeps a running maximum over the rows,
+and a sum adds them in state order, so every numpy operation spans a whole
+row. A reduction along the eliminated axis would instead run one inner loop
+per kept cell, and the eliminated variable is usually last or nearly last in
+a sorted scope, which makes those loops 2 or 4 cells long. A sum takes its
+variables one at a time, so summing many variables out adds in a tree, as
+pairwise summation does, instead of running one Python step per joint state.
+Adding in state order gives the bits of ``ndarray.sum`` over one variable
+with fewer than 8 states; from 8 states on, numpy may sum pairwise, and the
+two can differ in the last place.
+
 Tables are validated once, where they enter the package: ``Factor(...)``
 checks the scope, the size and that every entry is finite and non-negative,
 and copies the table. The results of factor operations are computed from
@@ -223,19 +236,38 @@ class Factor:
     def __mul__(self, other: "Factor") -> "Factor":
         return self.multiply(other)
 
-    def sum_out(self, vids: Iterable[int]) -> "Factor":
-        vids = set(vids)
-        if not vids:
-            return self
+    def _require(self, vids: set[int], op: str) -> None:
         missing = vids - set(self.vids)
         if missing:
-            raise FactorError(f"cannot sum out {sorted(missing)}: not in scope {self.vids}")
-        axes = tuple(i for i, v in enumerate(self.vids) if v in vids)
-        kept = [(v, c) for v, c in zip(self.vids, self.cards) if v not in vids]
-        kept_cards = tuple(c for _, c in kept)
-        # keepdims: a full sum stays an ndarray (not a scalar or Python int).
-        out = self.values.sum(axis=axes, keepdims=True).reshape(kept_cards)
-        return Factor._trusted(tuple(v for v, _ in kept), kept_cards, out)
+            raise FactorError(f"cannot {op} out {sorted(missing)}: not in scope {self.vids}")
+
+    def _rows(self, vids: set[int]):
+        """The kept scope (vids, cards) and the table's rows: one array per
+        joint state of the eliminated variables (ascending id, C order), each
+        shaped like the kept scope (a 1-cell axis when nothing is kept). One
+        eliminated variable gives strided views of the table; several give
+        views when their axes merge, and a copy otherwise."""
+        elim, kept = [], []
+        for axis, vid in enumerate(self.vids):
+            (elim if vid in vids else kept).append(axis)
+        kept_vids = tuple([self.vids[i] for i in kept])
+        kept_cards = tuple([self.cards[i] for i in kept])
+        rows = self.values.transpose(elim + kept).reshape((-1,) + (kept_cards or (1,)))
+        return kept_vids, kept_cards, rows
+
+    def sum_out(self, vids: Iterable[int]) -> "Factor":
+        """Sum ``vids`` out, one variable at a time in ascending id order,
+        adding each variable's rows in state order."""
+        vids = set(vids)
+        self._require(vids, "sum")
+        factor = self
+        for vid in sorted(vids):
+            kept_vids, kept_cards, rows = factor._rows({vid})
+            total = rows[0]
+            for state in range(1, len(rows)):
+                total = total + rows[state]
+            factor = Factor._trusted(kept_vids, kept_cards, total.reshape(kept_cards))
+        return factor
 
     def max_out(self, vids: Iterable[int]) -> tuple["Factor", MaximizerTable]:
         vids = set(vids)
@@ -244,24 +276,26 @@ class Factor:
                 self.vids, self.cards, (), (), np.zeros(self.cards, dtype=np.int64)
             )
             return self, table
-        missing = vids - set(self.vids)
-        if missing:
-            raise FactorError(f"cannot max out {sorted(missing)}: not in scope {self.vids}")
-        elim_axes = tuple(i for i, v in enumerate(self.vids) if v in vids)
-        kept_axes = tuple(i for i, v in enumerate(self.vids) if v not in vids)
-        elim_vids = tuple(self.vids[i] for i in elim_axes)
-        elim_cards = tuple(self.cards[i] for i in elim_axes)
-        kept_vids = tuple(self.vids[i] for i in kept_axes)
-        kept_cards = tuple(self.cards[i] for i in kept_axes)
-        # Move the eliminated axes (ascending id) to the front and flatten
-        # them: the first argmax in C order is then the lexicographically
-        # smallest maximizing joint state.
-        moved = self.values.transpose(elim_axes + kept_axes)
-        flat = moved.reshape((math.prod(elim_cards),) + kept_cards)
-        arg = flat.argmax(axis=0)
-        best = np.take_along_axis(flat, arg[np.newaxis, ...], axis=0).reshape(kept_cards)
-        table = MaximizerTable(kept_vids, kept_cards, elim_vids, elim_cards, arg)
-        return Factor._trusted(kept_vids, kept_cards, best), table
+        self._require(vids, "max")
+        kept_vids, kept_cards, rows = self._rows(vids)
+        elim = [(v, c) for v, c in zip(self.vids, self.cards) if v in vids]
+        # A row replaces the recorded maximizer only where it is strictly
+        # larger, so each cell keeps its first maximizing row in C order: the
+        # lexicographically smallest maximizing joint state.
+        best = rows[0]
+        arg = np.zeros(best.shape, dtype=np.int64)
+        for state in range(1, len(rows)):
+            row = rows[state]
+            np.copyto(arg, state, where=row > best)
+            best = np.maximum(best, row)
+        table = MaximizerTable(
+            kept_vids,
+            kept_cards,
+            tuple(v for v, _ in elim),
+            tuple(c for _, c in elim),
+            arg.reshape(kept_cards),
+        )
+        return Factor._trusted(kept_vids, kept_cards, best.reshape(kept_cards)), table
 
     def divide(self, other: "Factor") -> "Factor":
         """Pointwise quotient over equal scopes with the 0/0 = 0 convention."""

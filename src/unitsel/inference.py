@@ -11,6 +11,9 @@ enlarge a created scope.
 All engines share one core: ``_query_order`` (disjointness check and order),
 ``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass, then the e2
 pass); each entry point adds only its own max pass, count or normalization.
+Every pass is one call of ``eliminate``, which keeps its factors in buckets
+(bucket elimination; Dechter 1999), so a step touches only the factors that
+mention its variable, never the whole pool.
 
 Every query is pruned to the ancestral closure of its targets and evidence.
 A variable outside it is barren: no evidence and no target lies at or below
@@ -117,15 +120,33 @@ def eliminate(
     per-step maximizer tables needed for instantiation recovery. ``scm``
     names the traced factors and gives the cardinality of a variable that no
     factor mentions.
+
+    The factors wait in buckets (Dechter 1999): each in the bucket of its
+    first variable in the order, or among the survivors when the order has
+    none of its variables. The pool's factors are placed first, in pool
+    order, and each created factor after them, so every bucket and the
+    survivors list their factors in pool order followed by creation order,
+    the order in which a scan of the whole pool would meet them.
     """
     if op not in ("sum", "max"):
         raise ValueError(f"unknown elimination op {op!r}")
-    pool = list(pool)
+    position: dict[int, int] = {}
+    for i, vid in enumerate(order):
+        position.setdefault(vid, i)
+    buckets: dict[int, list[TaggedFactor]] = {}
+    survivors: list[TaggedFactor] = []
+
+    def place(tf: TaggedFactor) -> None:
+        first = min((position[v] for v in tf.factor.vids if v in position), default=None)
+        (survivors if first is None else buckets.setdefault(first, [])).append(tf)
+
+    for tf in pool:
+        place(tf)
     max_tables: list[MaximizerTable] = []
     for i, vid in enumerate(order):
         step = step_base + i + 1
-        mention = [tf for tf in pool if vid in tf.factor.vids]
-        rest = [tf for tf in pool if vid not in tf.factor.vids]
+        # Popped: buckets kept to the end would hold every consumed factor.
+        mention = buckets.pop(i, [])
         if not mention:
             # No factor mentions the variable: eliminate the implicit
             # all-ones factor over it so the semantics stay exact. It is an
@@ -154,8 +175,8 @@ def eliminate(
                     cluster,
                 )
             )
-        pool = rest + [TaggedFactor(tag, created)]
-    return pool, max_tables
+        place(TaggedFactor(tag, created))
+    return survivors, max_tables
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:

@@ -294,6 +294,17 @@ def save_model(scm: Scm) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
+def json_number(value, context: str) -> float:
+    """A JSON number as a float. JSON booleans, strings, objects, arrays and
+    null are refused, though ``float`` would take some of them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{context} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f"{context} {value!r} is out of range") from None
+
+
 def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
     """Parse the JSON model document and reject illegal models.
 
@@ -342,7 +353,9 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
             raise ModelError(f"no CPT for variable {name!r}")
     for name, flat in doc["cpts"].items():
         vid = resolve(name, "cpts")
-        tables[vid] = np.asarray(flat, dtype=np.float64)
+        if not isinstance(flat, list):
+            raise ModelError(f"CPT of {name!r} must be a list of numbers")
+        tables[vid] = np.array([json_number(x, f"CPT of {name!r}: entry") for x in flat])
 
     try:
         scm = Scm(variables, parents, tables)

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable
-from .model import ModelError, Scm, validate
+from .model import ModelError, Scm, json_number, validate
 from .worlds import bracket_name, counterfactual_term_profile
 
 WEIGHT_TOL = 1e-9
@@ -470,9 +470,6 @@ def load_objective(scm: Scm, data: bytes | str) -> ObjectiveFunction:
             if not isinstance(inst, dict):
                 raise ModelError(f"term {i}: {key!r} must map variable names to states")
             insts[key] = scm.instantiation(inst)
-        try:
-            weight = float(entry["weight"])
-        except (TypeError, ValueError):
-            raise ModelError(f"term {i}: weight {entry['weight']!r} is not a number") from None
+        weight = json_number(entry["weight"], f"term {i}: weight")
         terms.append(ObjectiveTerm(weight=weight, **insts))
     return ObjectiveFunction(unit_ids, tuple(terms))

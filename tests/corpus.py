@@ -9,6 +9,8 @@ import numpy as np
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph
+from unitsel.factor import Factor, multiply_all
+from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 
 
 def small_scm(seed: int, lo: int = 5, hi: int = 10) -> Scm:
@@ -131,3 +133,34 @@ def random_cnf(seed: int, max_vars: int = 12, ratio: float = 1.5) -> str:
         lits = [int(v) if rng.random() < 0.5 else -int(v) for v in vs]
         lines.append(" ".join(map(str, lits)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
+    """The pool-scan elimination loop: every step scans the whole pool for
+    the factors that mention its variable, and appends the created factor
+    after the rest."""
+    pool = list(pool)
+    max_tables = []
+    for i, vid in enumerate(order):
+        step = step_base + i + 1
+        mention = [tf for tf in pool if vid in tf.factor.vids]
+        rest = [tf for tf in pool if vid not in tf.factor.vids]
+        if not mention:
+            ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
+            mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
+        product = multiply_all(tf.factor for tf in mention)
+        if op == "sum":
+            created = product.sum_out({vid})
+        else:
+            created, table = product.max_out({vid})
+            max_tables.append(table)
+        tag = ("step", step)
+        if trace is not None:
+            used = tuple(
+                f"{_tag_label(tf.tag, scm)}({_scope_names(tf.factor.vids, scm)})"
+                for tf in mention
+            )
+            created_label = f"{_tag_label(tag, scm)}({_scope_names(created.vids, scm)})"
+            trace.append(TraceStep(step, vid, used, created_label, product.vids))
+        pool = rest + [TaggedFactor(tag, created)]
+    return pool, max_tables

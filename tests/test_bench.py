@@ -31,6 +31,9 @@ def test_gen_config_validation():
         GenConfig(node_count=1, seed=0)
     with pytest.raises(ModelError):
         GenConfig(node_count=5, seed=0, unit_ratio=0.0)
+    for max_parents in (0, -1):
+        with pytest.raises(ModelError, match="max_parents"):
+            GenConfig(node_count=3, seed=0, max_parents=max_parents)
 
 
 def test_gen_random_scm_minimal():

@@ -462,6 +462,37 @@ def test_query_fuzz_exit_codes(generated, data):
     assert code in (0, 1, 2, 3)
 
 
+def test_non_numbers_are_refused(capsys, tmp_path):
+    # A JSON true or string once loaded as a number and solved with exit 0,
+    # and an object in a CPT printed a raw TypeError traceback.
+    model = tmp_path / "model.json"
+    assert main(["gen", "--kind", "random", "--n", "4", "--seed", "1", "--out", str(model)]) == 0
+    good = json.loads(model.read_text())
+    objective = tmp_path / "objective.json"
+    term = {"x": {"X2": "0"}, "y": {"X4": "1"}}
+    for weight in (True, "1.0", None, {"w": 1}):
+        objective.write_text(json.dumps({"units": ["X1"], "terms": [{"weight": weight, **term}]}))
+        capsys.readouterr()
+        assert main(["solve", "--model", str(model), "--objective", str(objective)]) == 1
+        assert capsys.readouterr().err == f"error: term 1: weight {weight!r} is not a number\n"
+    objective.write_text(json.dumps({"units": ["X1"], "terms": [{"weight": 1.0, **term}]}))
+    bad = tmp_path / "bad.json"
+    for cpt in ([True, False], ["0.5", "0.5"], {"p": 1}):
+        bad.write_text(json.dumps({**good, "cpts": {**good["cpts"], "X1": cpt}}))
+        for args in (["solve", "--objective", str(objective)], ["width"]):
+            capsys.readouterr()
+            assert main([args[0], "--model", str(bad), *args[1:]]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: CPT of 'X1'") and "Traceback" not in err
+
+
+def test_gen_refuses_max_parents_below_one(capsys):
+    for value in ("0", "-1"):
+        capsys.readouterr()
+        assert main(["gen", "--kind", "random", "--n", "3", "--max-parents", value]) == 1
+        assert capsys.readouterr().err == "error: max_parents must be >= 1\n"
+
+
 def test_gen_random_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gen", "--kind", "random", "--n", "8", "--seed", "3", "--out", str(a)]) == 0

@@ -231,3 +231,92 @@ def test_max_out_reconstruction_property(f):
     best, table = f.max_out(set(f.vids))
     arg = table.lookup({})
     assert f[arg] == best.total()
+
+
+# -- kernels against the numpy reductions they replaced -----------------------
+
+
+def _old_sum_out(f, vids):
+    axes = tuple(i for i, v in enumerate(f.vids) if v in vids)
+    kept = tuple(c for v, c in zip(f.vids, f.cards) if v not in vids)
+    return f.values.sum(axis=axes, keepdims=True).reshape(kept)
+
+
+def _old_max_out(f, vids):
+    elim = tuple(i for i, v in enumerate(f.vids) if v in vids)
+    kept = tuple(i for i, v in enumerate(f.vids) if v not in vids)
+    kept_cards = tuple(f.cards[i] for i in kept)
+    flat = f.values.transpose(elim + kept).reshape((-1,) + kept_cards)
+    arg = flat.argmax(axis=0)
+    best = np.take_along_axis(flat, arg[np.newaxis, ...], axis=0).reshape(kept_cards)
+    return best, arg
+
+
+@st.composite
+def kernel_cases(draw):
+    """A table over 0-4 variables of 1-9 states, as float64 (random or with
+    many ties), int64 or object (Python integers beyond 2^63), and a subset
+    of its scope to eliminate."""
+    cards = tuple(draw(st.lists(st.integers(1, 9), max_size=4)))
+    while math.prod(cards) > 2000:
+        cards = cards[:-1]
+    vids = tuple(sorted(draw(st.lists(st.integers(0, 20), min_size=len(cards),
+                                      max_size=len(cards), unique=True))))
+    n = math.prod(cards)
+    kind = draw(st.sampled_from(["float", "ties", "int64", "object"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        values = rng.random(n)
+    elif kind == "ties":
+        values = rng.integers(0, 3, size=n) / 4.0
+    elif kind == "int64":
+        values = rng.integers(0, 2**40, size=n)
+    else:
+        values = np.array([2**70 + int(x) for x in rng.integers(0, 3, size=n)], dtype=object)
+    f = Factor._trusted(vids, cards, values.reshape(cards))
+    elim = set(draw(st.lists(st.sampled_from(vids), unique=True))) if vids else set()
+    return f, elim, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernels_match_numpy_reductions(case):
+    f, elim, kind = case
+    kept = tuple(v for v in f.vids if v not in elim)
+    summed = f.sum_out(elim)
+    best, table = f.max_out(elim)
+    assert summed.vids == best.vids == table.kept_vids == kept
+    assert summed.values.dtype == best.values.dtype == f.values.dtype
+    if not elim:
+        assert summed is f and best is f and not table.flat_argmax.any()
+        return
+    old_sum = _old_sum_out(f, elim)
+    assert summed.values.shape == old_sum.shape
+    # Sums of integers, and of quarters, are exact in any order. A float sum
+    # over one variable with fewer than 8 states adds in the same order as
+    # numpy; otherwise numpy may add pairwise, which bounds the difference by
+    # twice the summation error of its addends.
+    addends = math.prod(f.cards) // math.prod(summed.cards)
+    if kind != "float" or (len(elim) == 1 and addends < 8):
+        assert np.array_equal(summed.values, old_sum)
+    else:
+        rtol = 2 * addends * np.finfo(np.float64).eps
+        assert np.allclose(summed.values, old_sum, rtol=rtol, atol=0.0)
+    old_best, old_arg = _old_max_out(f, elim)
+    assert np.array_equal(best.values, old_best)
+    assert np.array_equal(table.flat_argmax, old_arg)
+    assert table.flat_argmax.shape == summed.cards
+
+
+def test_sum_over_many_variables_adds_in_a_tree():
+    # Summing 16 binary variables out one at a time adds in a tree of depth
+    # 16, so the error stays within 16 roundings; adding the 2^16 joint
+    # states one after another could drift about sqrt(2^16) roundings off.
+    values = np.random.default_rng(7).random((2,) * 16)
+    f = Factor(range(16), (2,) * 16, values)
+    exact = math.fsum(values.ravel())
+    assert abs(f.sum_out(range(16)).total() - exact) <= 16 * np.finfo(float).eps * exact
+    half = f.sum_out(range(1, 16)).values
+    assert np.allclose(half, [math.fsum(values[s].ravel()) for s in (0, 1)],
+                       rtol=15 * np.finfo(float).eps, atol=0.0)

@@ -24,6 +24,7 @@ from unitsel import (
 )
 from unitsel import fixture_path
 from unitsel.inference import (
+    TaggedFactor,
     cpt_pool,
     eliminate,
     format_trace,
@@ -31,10 +32,11 @@ from unitsel.inference import (
     lambda_pool,
 )
 from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
+from unitsel.factor import Factor
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import evaluate_L_brute
 from unitsel.worlds import enumerate_instantiations
-from corpus import random_instance, small_scm
+from corpus import random_instance, reference_eliminate, small_scm
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,79 @@ def test_product_of_pool_is_evidence_marginal(five_node):
             if dict(zip(sorted(set(ids.values()) - targets), states))[ids["E"]] == 0
         )
         assert math.isclose(marginal[full], expected, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _random_pool(rng, scm, dtype):
+    """Factors over random subsets of the model's variables, some repeated
+    scopes and scalars among them, tagged in pool order."""
+    pool = []
+    for j in range(int(rng.integers(0, 12))):
+        k = int(rng.integers(0, min(3, scm.n) + 1))
+        vids = tuple(sorted(int(v) for v in rng.choice(scm.n, size=k, replace=False)))
+        cards = tuple(scm.var(v).cardinality for v in vids)
+        values = rng.integers(0, 4, size=cards)
+        if dtype == "float":
+            values = np.asarray(values * rng.random(cards))
+        pool.append(TaggedFactor(("cpt", j % scm.n), Factor._trusted(vids, cards, values)))
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bucket_eliminate_matches_pool_scan(seed):
+    # Survivors with their tags, tables and order, traces and maximizer
+    # tables are those of the pool-scan loop, on random pools and orders that
+    # may skip or repeat a variable, or name one no factor mentions.
+    rng = np.random.default_rng([95, seed])
+    n = int(rng.integers(1, 9))
+    cards = [int(c) for c in rng.integers(1, 4, size=n)]
+    scm = make_scm(
+        [(f"V{i}", [str(s) for s in range(c)]) for i, c in enumerate(cards)],
+        {f"V{i}": [] for i in range(n)},
+        {f"V{i}": np.full(c, 1.0 / c) for i, c in enumerate(cards)},
+    )
+    for op, dtype in itertools.product(("sum", "max"), ("float", "int")):
+        pool = _random_pool(rng, scm, dtype)
+        order = [int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)]
+        if order and rng.random() < 0.2:
+            order.append(order[0])
+        step_base = int(rng.integers(0, 3))
+        got_trace, want_trace = [], []
+        got = eliminate(op, pool, order, scm, step_base, got_trace)
+        want = reference_eliminate(op, pool, order, scm, step_base, want_trace)
+        assert [tf.tag for tf in got[0]] == [tf.tag for tf in want[0]]
+        for g, w in zip(got[0], want[0]):
+            assert g.factor.equal_table(w.factor)
+            assert g.factor.values.dtype == w.factor.values.dtype
+        assert got_trace == want_trace
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            assert (g.kept_vids, g.elim_vids) == (w.kept_vids, w.elim_vids)
+            assert np.array_equal(g.flat_argmax, w.flat_argmax)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bucket_eliminate_matches_pool_scan_on_query_passes(seed):
+    scm = small_scm(seed + 1000)
+    rng = np.random.default_rng([96, seed])
+    vids = [v.id for v in scm.variables]
+    rng.shuffle(vids)
+    targets = sorted(vids[:2])
+    evidence = {vids[2]: int(rng.integers(0, 2))}
+    order = minfill_order(moral_graph(scm), constrained_suffix=set(targets))
+    pool = cpt_pool(scm, range(scm.n)) + lambda_pool(scm, evidence)
+    got_trace, want_trace = [], []
+    got, _ = eliminate("sum", pool, order.prefix, scm, trace=got_trace)
+    want, _ = reference_eliminate("sum", pool, order.prefix, scm, trace=want_trace)
+    assert got_trace == want_trace
+    assert [tf.tag for tf in got] == [tf.tag for tf in want]
+    assert all(g.factor.equal_table(w.factor) for g, w in zip(got, want))
+    got_max = eliminate("max", got, order.suffix, scm, len(order.prefix))
+    want_max = reference_eliminate("max", want, order.suffix, scm, len(order.prefix))
+    assert [tf.factor.values.item() for tf in got_max[0]] == [
+        tf.factor.values.item() for tf in want_max[0]
+    ]
+    for g, w in zip(got_max[1], want_max[1]):
+        assert np.array_equal(g.flat_argmax, w.flat_argmax)
 
 
 def test_map_two_node(two_node):

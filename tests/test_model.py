@@ -110,6 +110,27 @@ def test_load_errors_name_the_node(two_node):
         load_model(b"not json")
 
 
+def test_load_model_refuses_non_number_cpt_entries(two_node):
+    # float() and numpy once read true as 1.0 and "0.5" as 0.5, and raised a
+    # raw TypeError on an object.
+    import json
+
+    for cpt, message in (
+        ([True, False], "True is not a number"),
+        (["0.5", "0.5"], "'0.5' is not a number"),
+        ([None, 1.0], "None is not a number"),
+        ([{"p": 1}, 0.5], "is not a number"),
+        ([[0.2, 0.8]], "is not a number"),
+        ([10**400, 0.0], "out of range"),
+        ({"p": 1}, "must be a list of numbers"),
+        ("0.2", "must be a list of numbers"),
+    ):
+        doc = json.loads(two_node)
+        doc["cpts"]["U"] = cpt
+        with pytest.raises(ModelError, match=f"CPT of 'U'.*{message}"):
+            load_model(json.dumps(doc), allow_nonfunctional=True)
+
+
 def test_cpt_factor_matches_storage_order():
     scm = make_scm(
         [("B", ["0", "1"]), ("A", ["0", "1"])],

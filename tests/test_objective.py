@@ -99,6 +99,9 @@ def test_load_objective_refuses_malformed_documents():
         (b'{"units":["U"],"terms":[{"weight":1,"y":["Y"]}]}', "'y' must map"),
         (b'{"units":["U"],"terms":[{"weight":null,"y":{"Y":"0"}}]}', "not a number"),
         (b'{"units":["U"],"terms":[{"weight":[1],"y":{"Y":"0"}}]}', "not a number"),
+        (b'{"units":["U"],"terms":[{"weight":true,"y":{"Y":"0"}}]}', "weight True is not a number"),
+        (b'{"units":["U"],"terms":[{"weight":"1.0","y":{"Y":"0"}}]}', "weight '1.0' is not a number"),
+        (b'{"units":["U"],"terms":[{"weight":{"w":1},"y":{"Y":"0"}}]}', "not a number"),
     ):
         with pytest.raises(ModelError, match=message):
             load_objective(scm, doc)

@@ -1,0 +1,41 @@
+"""Smoke test of the committed benchmark: each workload runs one short pass
+from the repo root, checks its answers and prints every declared metric."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _run(workload: str, trace: int) -> tuple[dict, dict]:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.01", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    return details["details"], result
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_runs_and_checks_its_answers(workload):
+    _, result = _run(workload, trace=0)
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+    assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["end_to_end"]}
+
+
+def test_traced_run_measures_the_sum_passes():
+    # The tracer splits the sum passes by wrapping inference.eliminate by
+    # name; a renamed loop would report them as unmeasured zeros.
+    details, result = _run("sat-circuit", trace=1)
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["per_layer"]}
+    assert "inference.sum_e1e2.self_s" not in details["unmeasured"]
+    assert result["metrics"]["inference.sum_e1e2.self_s"]["value"] > 0
