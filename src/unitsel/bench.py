@@ -48,6 +48,8 @@ class GenConfig:
             raise ModelError("node_count must be >= 2")
         if self.max_parents < 1:
             raise ModelError("max_parents must be >= 1")
+        if self.trials < 1:
+            raise ModelError("trials must be >= 1")
         if not 0 < self.unit_ratio <= 1:
             raise ModelError("unit_ratio must be in (0, 1]")
 

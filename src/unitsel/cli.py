@@ -15,7 +15,7 @@ import sys
 from typing import Mapping, Sequence
 
 from .factor import FactorError, Instantiation
-from .model import ModelError, Scm, load_model, save_model
+from .model import ModelError, Scm, json_number, load_model, save_model
 from .objective import (
     build_objective_model,
     load_objective,
@@ -266,21 +266,37 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bench_configs(doc, seed: int, trials: int) -> list[GenConfig]:
+    """One GenConfig per entry of a bench config document: a non-empty list
+    of objects with an integer "n" and optional integer "max_parents" and
+    "trials" and number "ur"."""
+    if not isinstance(doc, list) or not doc:
+        raise ModelError("bench config must be a non-empty list of objects")
+    cfgs = []
+    for i, entry in enumerate(doc, start=1):
+        if not isinstance(entry, dict) or not set(entry) <= {"n", "max_parents", "trials", "ur"}:
+            raise ModelError(f"bench config entry {i} must be an object with keys among "
+                             "n, max_parents, trials and ur")
+        entry = {"n": None, "max_parents": 3, "trials": trials, "ur": 1.0, **entry}
+        for key in ("n", "max_parents", "trials"):
+            if isinstance(entry[key], bool) or not isinstance(entry[key], int):
+                raise ModelError(f"bench config entry {i}: {key!r} must be an integer")
+        cfgs.append(GenConfig(
+            node_count=entry["n"],
+            seed=seed,
+            max_parents=entry["max_parents"],
+            unit_ratio=json_number(entry["ur"], f"bench config entry {i}: 'ur'"),
+            trials=entry["trials"],
+        ))
+    return cfgs
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.config == "default":
         cfgs = default_bench_configs(args.seed, trials=args.trials)
     else:
         doc = json.loads(_read(args.config).decode("utf-8"))
-        cfgs = [
-            GenConfig(
-                node_count=entry["n"],
-                seed=args.seed,
-                max_parents=entry.get("max_parents", 3),
-                unit_ratio=entry.get("ur", 1.0),
-                trials=entry.get("trials", args.trials),
-            )
-            for entry in doc
-        ]
+        cfgs = _bench_configs(doc, args.seed, args.trials)
     rows = run_width_table(cfgs)
     _write(args.out, width_table_csv(rows).encode("utf-8"))
     if not all(r.lifted_bound_ok for r in rows):

@@ -14,6 +14,7 @@ canonical sorted-scope factor layout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -83,7 +84,6 @@ class Scm:
             arr.flags.writeable = False
             self.tables[v.id] = arr
 
-        self.children: dict[int, tuple[int, ...]] = {v.id: () for v in self.variables}
         kids: dict[int, list[int]] = {v.id: [] for v in self.variables}
         for v in self.variables:
             for p in self.parents[v.id]:
@@ -318,24 +318,33 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
         raise ModelError(f"malformed model document: {err}") from None
-    for key in ("variables", "parents", "cpts"):
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
+    for key, kind, word in (("variables", list, "an array"), ("parents", dict, "an object"),
+                            ("cpts", dict, "an object")):
         if key not in doc:
             raise ModelError(f"model document missing {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ModelError(f"model {key!r} must be {word}")
 
     variables = []
     for i, entry in enumerate(doc["variables"]):
-        try:
-            name = entry["name"]
-            states = tuple(entry["states"])
-        except (TypeError, KeyError) as err:
-            raise ModelError(f"bad variable entry at position {i}: {err}") from None
-        variables.append(Variable(i, name, len(states), states))
+        if not isinstance(entry, dict):
+            entry = {}
+        name, states = entry.get("name"), entry.get("states")
+        if not (isinstance(name, str) and isinstance(states, list)
+                and all(isinstance(state, str) for state in states)):
+            raise ModelError(
+                f"bad variable entry at position {i}: needs a string 'name' and "
+                "a list of string 'states'"
+            )
+        variables.append(Variable(i, name, len(states), tuple(states)))
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise ModelError("duplicate variable names")
 
-    def resolve(name: str, context: str) -> int:
-        if name not in by_name:
+    def resolve(name, context: str) -> int:
+        if not isinstance(name, str) or name not in by_name:
             raise ModelError(f"unknown variable {name!r} referenced by {context}")
         return by_name[name].id
 
@@ -345,6 +354,8 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
             raise ModelError(f"no parent list for variable {name!r}")
     for name, plist in doc["parents"].items():
         vid = resolve(name, "parents")
+        if not isinstance(plist, list):
+            raise ModelError(f"parents of {name!r} must be a list of names")
         parents[vid] = tuple(resolve(p, f"parents of {name!r}") for p in plist)
 
     tables: dict[int, np.ndarray] = {}
@@ -355,7 +366,12 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         vid = resolve(name, "cpts")
         if not isinstance(flat, list):
             raise ModelError(f"CPT of {name!r} must be a list of numbers")
-        tables[vid] = np.array([json_number(x, f"CPT of {name!r}: entry") for x in flat])
+        context = f"CPT of {name!r}: entry"
+        entries = [json_number(x, context) for x in flat]
+        bad = [x for x in entries if not 0 <= x < math.inf]  # NaN fails too
+        if bad:
+            raise ModelError(f"{context} {bad[0]!r} is negative, infinite or NaN")
+        tables[vid] = np.array(entries)
 
     try:
         scm = Scm(variables, parents, tables)

@@ -8,7 +8,9 @@ mixture root H has one state per term with prior w_i and becomes a parent of
 every outcome copy; each outcome CPT keeps its original rows when H selects
 its own term and clamps the outcome to the term's target state otherwise.
 Then L(u) = Pr'(e1 | e2, u) with e1 the outcome assignments and e2 the
-treatment, intervened-value and per-term evidence assignments.
+treatment, intervened-value and per-term evidence assignments. The units,
+each term's non-unit roots and each term's worlds are copied by the same
+world-copy routine that builds :func:`~unitsel.worlds.n_world_model`.
 
 Per-term worlds are dropped when unused: world 1 iff the term has no
 evidence, world 2 iff it has no world-2 treatment and no outcome there,
@@ -26,7 +28,7 @@ import numpy as np
 
 from .factor import Instantiation, Variable
 from .model import ModelError, Scm, json_number, validate
-from .worlds import bracket_name, counterfactual_term_profile
+from .worlds import _copy_world, bracket_name, counterfactual_term_profile
 
 WEIGHT_TOL = 1e-9
 
@@ -174,13 +176,6 @@ class ObjectiveModel:
         return out
 
 
-def _fresh_name(taken: set[str], base: str) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
 def build_objective_model(
     scm: Scm, objective: ObjectiveFunction, drop_worlds: bool = True
 ) -> ObjectiveModel:
@@ -213,47 +208,25 @@ def build_objective_model(
     tables: dict[int, np.ndarray] = {}
     taken: set[str] = set()
 
-    def add(name: str, base: Variable) -> int:
-        vid = len(variables)
-        name = _fresh_name(taken, name)
+    def fresh(name: str) -> str:
+        while name in taken:
+            name += "'"
         taken.add(name)
-        variables.append(Variable(vid, name, base.cardinality, base.state_names))
-        return vid
+        return name
 
-    unit_om = {}
-    for u in units:
-        vid = add(scm.var(u).name, scm.var(u))
-        parents[vid] = ()
-        tables[vid] = scm.tables[u]
-        unit_om[u] = vid
-
+    unit_om = _copy_world(scm, units, fresh, variables, parents, tables, {})
     components: list[ComponentMap] = []
     for i, term in enumerate(objective.terms, start=1):
         worlds = term.retained_worlds() if drop_worlds else (1, 2, 3)
-        roots_om: dict[int, int] = {}
-        for r in nonunit_roots:
-            vid = add(f"{scm.var(r).name}^{i}", scm.var(r))
-            parents[vid] = ()
-            tables[vid] = scm.tables[r]
-            roots_om[r] = vid
-        endo_om: dict[int, dict[int, int]] = {b: {} for b in endo}
-        for world in worlds:
-            for b in endo:
-                name = bracket_name(f"{scm.var(b).name}^{i}", world)
-                endo_om[b][world] = add(name, scm.var(b))
-        for world in worlds:
-            for b in endo:
-                vid = endo_om[b][world]
-                ps = []
-                for p in scm.parents[b]:
-                    if p in unit_set:
-                        ps.append(unit_om[p])
-                    elif p in roots_om:
-                        ps.append(roots_om[p])
-                    else:
-                        ps.append(endo_om[p][world])
-                parents[vid] = tuple(ps)
-                tables[vid] = scm.tables[b]
+        roots_om = _copy_world(scm, nonunit_roots, lambda name: fresh(f"{name}^{i}"),
+                               variables, parents, tables, {})
+        shared = {**unit_om, **roots_om}
+        world_om = {
+            world: _copy_world(scm, endo, lambda name: fresh(bracket_name(f"{name}^{i}", world)),
+                               variables, parents, tables, shared)
+            for world in worlds
+        }
+        endo_om = {b: {world: world_om[world][b] for world in worlds} for b in endo}
         # Mutilate the treated copies: world 2 at x, world 3 at v.
         for world, treatment in ((2, term.x), (3, term.v)):
             for b, state in treatment.items():
@@ -262,16 +235,10 @@ def build_objective_model(
                 point[state] = 1.0
                 parents[vid] = ()
                 tables[vid] = point
-        components.append(
-            ComponentMap(worlds, {b: dict(w) for b, w in endo_om.items()}, roots_om)
-        )
+        components.append(ComponentMap(worlds, endo_om, roots_om))
 
     h_id = len(variables)
-    h_name = _fresh_name(taken, "H")
-    taken.add(h_name)
-    variables.append(
-        Variable(h_id, h_name, n, tuple(f"h{i}" for i in range(1, n + 1)))
-    )
+    variables.append(Variable(h_id, fresh("H"), n, tuple(f"h{i}" for i in range(1, n + 1))))
     parents[h_id] = ()
     tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
 

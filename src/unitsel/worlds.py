@@ -75,35 +75,44 @@ def n_world_model(
     variables: list[Variable] = []
     parents: dict[int, tuple[int, ...]] = {}
     tables: dict[int, np.ndarray] = {}
+    common = _copy_world(scm, sorted(shared), lambda name: name, variables, parents, tables, {})
+    own = [b for b in range(scm.n) if b not in shared]
+    worlds = [
+        _copy_world(scm, own, lambda name: namer(name, k), variables, parents, tables, common)
+        for k in range(1, n + 1)
+    ]
+    copies = {
+        b: (common[b],) * n if b in shared else tuple(world[b] for world in worlds)
+        for b in range(scm.n)
+    }
+    return Scm(variables, parents, tables), WorldMap(n, shared, copies)
 
-    def add_var(name: str, base: Variable) -> int:
-        vid = len(variables)
-        variables.append(Variable(vid, name, base.cardinality, base.state_names))
-        return vid
 
-    copies: dict[int, list[int]] = {v.id: [] for v in scm.variables}
-    for v in scm.variables:
-        if v.id in shared:
-            vid = add_var(v.name, v)
-            copies[v.id] = [vid] * n
-            parents[vid] = ()
-            tables[vid] = scm.tables[v.id]
-    for world in range(1, n + 1):
-        for v in scm.variables:
-            if v.id in shared:
-                continue
-            vid = add_var(namer(v.name, world), v)
-            copies[v.id].append(vid)
-    for world in range(1, n + 1):
-        for v in scm.variables:
-            if v.id in shared:
-                continue
-            vid = copies[v.id][world - 1]
-            parents[vid] = tuple(copies[p][world - 1] for p in scm.parents[v.id])
-            tables[vid] = scm.tables[v.id]
+def _copy_world(
+    scm: Scm,
+    base_ids: Iterable[int],
+    name: Callable[[str], str],
+    variables: list[Variable],
+    parents: dict[int, tuple[int, ...]],
+    tables: dict[int, np.ndarray],
+    shared: Mapping[int, int],
+) -> dict[int, int]:
+    """Append one world's copies of ``base_ids`` to a model under construction.
 
-    wm = WorldMap(n, shared, {b: tuple(c) for b, c in copies.items()})
-    return Scm(variables, parents, tables), wm
+    Copies take the next free ids in ``base_ids`` order, named by ``name``,
+    and keep their base CPTs. A copy's parents are the ``shared`` copies
+    (base id -> model id) or else this world's own copies. Returns the
+    world's base id -> copy id map.
+    """
+    copy: dict[int, int] = {}
+    for b in base_ids:
+        v = scm.var(b)
+        copy[b] = len(variables)
+        variables.append(Variable(len(variables), name(v.name), v.cardinality, v.state_names))
+    for b, vid in copy.items():
+        parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
+        tables[vid] = scm.tables[b]
+    return copy
 
 
 def triplet_model(scm: Scm) -> tuple[Scm, WorldMap]:

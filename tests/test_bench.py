@@ -34,6 +34,9 @@ def test_gen_config_validation():
     for max_parents in (0, -1):
         with pytest.raises(ModelError, match="max_parents"):
             GenConfig(node_count=3, seed=0, max_parents=max_parents)
+    for trials in (0, -1):
+        with pytest.raises(ModelError, match="trials"):
+            GenConfig(node_count=3, seed=0, trials=trials)
 
 
 def test_gen_random_scm_minimal():

@@ -549,3 +549,59 @@ def test_env_seed_default(capsys, tmp_path, monkeypatch):
     b = tmp_path / "b.json"
     assert main(["gen", "--kind", "random", "--n", "6", "--seed", "5", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("prior", ["[1.5, -0.5]", "[NaN, NaN]"])
+def test_non_probability_prior_is_refused_on_load(capsys, two_node, observe_v1_objective, tmp_path, prior):
+    # width and build-objective-model once exited 0 on these priors.
+    doc = json.loads(two_node.read_text())
+    text = json.dumps(doc).replace(json.dumps(doc["cpts"]["U"]), prior)
+    model = tmp_path / "bad.json"
+    model.write_text(text)
+    for args in (["width", "--model", str(model)],
+                 ["build-objective-model", "--model", str(model), "--objective", str(observe_v1_objective)]):
+        assert main(args) == 1
+        assert "is negative, infinite or NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    '[{"x": 1}]', '[{"n": "a"}]', '[5]', '{}', '[]', '[{"n": 4, "trials": 0}]',
+    '[{"n": 4, "ur": "0.5"}]', '[{"n": 4, "max_parents": 1.5}]', '[{"n": true}]',
+])
+def test_bench_refuses_malformed_configs(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["bench", "--config", str(cfg), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_bench_refuses_zero_trials(capsys):
+    assert main(["bench", "--trials", "0"]) == 1
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
+_bench_entries = st.fixed_dictionaries(
+    {"n": st.integers(2, 6)},
+    optional={"max_parents": st.integers(-1, 3), "ur": st.sampled_from([0.0, 0.4, 1.0, 1.5])},
+)
+_bad_bench_entries = st.sampled_from(
+    [5, None, "n", [], {}, {"x": 1}, {"n": "a"}, {"n": 3.0}, {"n": 3, "trials": 0},
+     {"n": 3, "trials": 1, "ur": None}, {"n": True, "trials": 1}]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(_bench_entries, max_size=3),
+                 st.lists(_bench_entries | _bad_bench_entries, max_size=3),
+                 st.sampled_from([{}, 5, "x", None])))
+def test_bench_fuzz_exit_codes(config):
+    # Tiny configs of one trial each, mixed with flawed entries or replaced
+    # by a non-list; any of them ends in a documented exit code.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["bench", "--config", path, "--seed", "3", "--trials", "1"])
+    assert code in (0, 1, 2, 3)

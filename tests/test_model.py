@@ -131,6 +131,41 @@ def test_load_model_refuses_non_number_cpt_entries(two_node):
             load_model(json.dumps(doc), allow_nonfunctional=True)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('"variables"', "must be a JSON object"),
+        ("[1]", "must be a JSON object"),
+        ('{"variables": [], "parents": {}, "cpts": []}', "'cpts' must be an object"),
+        ('{"variables": 5, "parents": {}, "cpts": {}}', "'variables' must be an array"),
+        ('{"variables": [], "parents": [], "cpts": {}}', "'parents' must be an object"),
+        ('{"variables": [5], "parents": {}, "cpts": {}}', "position 0"),
+        ('{"variables": [{"name": 5, "states": ["0"]}], "parents": {}, "cpts": {}}', "position 0"),
+        ('{"variables": [{"name": "A", "states": "01"}], "parents": {"A": []}, "cpts": {"A": [1, 0]}}',
+         "position 0"),
+        ('{"variables": [{"name": "A", "states": [0, 1]}], "parents": {"A": []}, "cpts": {"A": [1, 0]}}',
+         "position 0"),
+        ('{"variables": [{"name": "A", "states": ["0"]}], "parents": {"A": 5}, "cpts": {"A": [1]}}',
+         "parents of 'A' must be a list"),
+        ('{"variables": [{"name": "A", "states": ["0"]}], "parents": {"A": [[1]]}, "cpts": {"A": [1]}}',
+         "unknown variable \\[1\\]"),
+    ],
+)
+def test_load_model_refuses_malformed_shapes(doc, message):
+    # These once raised AttributeError or TypeError, or read "01" as two states.
+    with pytest.raises(ModelError, match=message):
+        load_model(doc, allow_nonfunctional=True)
+
+
+@pytest.mark.parametrize("cpt", ["[1.5, -0.5]", "[NaN, NaN]", "[Infinity, -Infinity]"])
+def test_load_model_refuses_non_probability_cpt_entries(cpt):
+    # Each row sums to 1 or to NaN, which the normalization check let through.
+    doc = ('{"variables": [{"name": "U", "states": ["0", "1"]}], "parents": {"U": []}, '
+           f'"cpts": {{"U": {cpt}}}}}')
+    with pytest.raises(ModelError, match="CPT of 'U': entry .* is negative, infinite or NaN"):
+        load_model(doc)
+
+
 def test_cpt_factor_matches_storage_order():
     scm = make_scm(
         [("B", ["0", "1"]), ("A", ["0", "1"])],
