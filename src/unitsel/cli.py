@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Mapping, Sequence
 
-from .factor import FactorError, Instantiation
+from .factor import Instantiation
 from .model import ModelError, Scm, json_number, load_model, save_model
 from .objective import (
     build_objective_model,
@@ -384,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InconsistentEvidenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ModelError, FactorError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as err:

@@ -22,11 +22,14 @@ Adding in state order gives the bits of ``ndarray.sum`` over one variable
 with fewer than 8 states; from 8 states on, numpy may sum pairwise, and the
 two can differ in the last place.
 
-Tables are validated once, where they enter the package: ``Factor(...)``
-checks the scope, the size and that every entry is finite and non-negative,
-and copies the table. The results of factor operations are computed from
-validated factors, so they are trusted: they skip the checks and the copy and
-keep the dtype of the computation (integer tables stay integer).
+Tables are validated once, where they enter the package. CPT tables enter
+through :class:`~unitsel.model.Scm`, which checks every entry once, so
+``Scm.cpt_factor`` and the 0/1 indicators are built trusted. ``Factor(...)``
+is the entry point for factors built outside the package: it checks the
+scope, the size and that every entry is finite and non-negative, and copies
+the table. The results of factor operations are computed from validated
+factors, so they are trusted: they skip the checks and the copy and keep the
+dtype of the computation (integer tables stay integer).
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ class Factor:
     def _trusted(
         cls, vids: tuple[int, ...], cards: tuple[int, ...], values: np.ndarray
     ) -> "Factor":
-        """A factor over a table the package computed from validated factors:
-        no copy and no checks. ``values`` must be an ndarray of shape
+        """A factor over a table the package checked (an ``Scm`` CPT) or built
+        itself: no copy and no checks. ``values`` must be an ndarray of shape
         ``cards``; it keeps its dtype and becomes read-only."""
         factor = object.__new__(cls)
         factor._set(vids, cards, values)
@@ -177,7 +180,7 @@ class Factor:
             raise FactorError(f"state {state} out of range for cardinality {card}")
         table = np.zeros(card)
         table[state] = 1.0
-        return cls((vid,), (card,), table)
+        return cls._trusted((vid,), (card,), table)
 
     # -- basic access ---------------------------------------------------------
 

@@ -33,10 +33,11 @@ class ModelError(ValueError):
 class Scm:
     """A discrete DAG model: variables, parent lists and CPT tables.
 
-    Construction checks structure only (known ids, table shapes). Semantic
-    legality (acyclicity, row normalization, functional internal CPTs) is
-    reported by :func:`validate` so that deliberately broken models can be
-    built in tests.
+    Construction checks structure (known ids, table shapes) and that every
+    CPT entry is finite and non-negative, however the model was built, so the
+    CPT factors can skip those checks. Semantic legality (acyclicity, row
+    normalization, functional internal CPTs) is reported by :func:`validate`
+    so that deliberately broken models can be built in tests.
     """
 
     def __init__(
@@ -74,15 +75,21 @@ class Scm:
                 raise ModelError(f"no CPT for variable {v.name!r}")
             shape = tuple(self.variables[p].cardinality for p in self.parents[v.id])
             shape += (v.cardinality,)
+            size = math.prod(shape)
             arr = np.asarray(tables[v.id], dtype=np.float64)
-            if arr.size != int(np.prod(shape)):
+            if arr.size != size:
                 raise ModelError(
-                    f"CPT for variable {v.name!r} has {arr.size} entries, "
-                    f"expected {int(np.prod(shape))}"
+                    f"CPT for variable {v.name!r} has {arr.size} entries, expected {size}"
                 )
             arr = arr.reshape(shape).copy()
             arr.flags.writeable = False
             self.tables[v.id] = arr
+        # One test over every entry; NaN fails both comparisons.
+        entries = np.concatenate([t.reshape(-1) for t in self.tables.values()] or [[]])
+        if not np.all((entries >= 0) & (entries < math.inf)):
+            v, x = next((v, x) for v in self.variables
+                        for x in self.tables[v.id].flat if not 0 <= x < math.inf)
+            raise ModelError(f"CPT of {v.name!r}: entry {float(x)!r} is negative, infinite or NaN")
 
         kids: dict[int, list[int]] = {v.id: [] for v in self.variables}
         for v in self.variables:
@@ -138,7 +145,7 @@ class Scm:
             sorted_scope = tuple(scope[i] for i in order)
             table = self.tables[vid].transpose(order)
             cards = tuple(self.var(v).cardinality for v in sorted_scope)
-            self._factors[vid] = Factor(sorted_scope, cards, np.ascontiguousarray(table))
+            self._factors[vid] = Factor._trusted(sorted_scope, cards, np.ascontiguousarray(table))
         return self._factors[vid]
 
     def topological_order(self) -> tuple[int, ...]:
@@ -338,7 +345,10 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
                 f"bad variable entry at position {i}: needs a string 'name' and "
                 "a list of string 'states'"
             )
-        variables.append(Variable(i, name, len(states), tuple(states)))
+        try:
+            variables.append(Variable(i, name, len(states), tuple(states)))
+        except FactorError as err:
+            raise ModelError(str(err)) from None
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise ModelError("duplicate variable names")
@@ -367,16 +377,9 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         if not isinstance(flat, list):
             raise ModelError(f"CPT of {name!r} must be a list of numbers")
         context = f"CPT of {name!r}: entry"
-        entries = [json_number(x, context) for x in flat]
-        bad = [x for x in entries if not 0 <= x < math.inf]  # NaN fails too
-        if bad:
-            raise ModelError(f"{context} {bad[0]!r} is negative, infinite or NaN")
-        tables[vid] = np.array(entries)
+        tables[vid] = np.array([json_number(x, context) for x in flat])
 
-    try:
-        scm = Scm(variables, parents, tables)
-    except FactorError as err:
-        raise ModelError(str(err)) from None
+    scm = Scm(variables, parents, tables)
 
     report = validate(scm)
     if not report.acyclic or not report.normalized:

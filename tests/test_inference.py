@@ -564,3 +564,20 @@ def test_caller_order_must_cover_an_ancestrally_closed_set(five_node):
             map_ve(five_node, targets, evidence, order=order(names))
     with pytest.raises(ModelError):
         joint_mass(five_node, evidence, EliminationOrder((ids["A"], ids["B"])))
+
+
+def test_queries_build_no_validated_factor(monkeypatch):
+    # CPT entries are checked once, in Scm; the query paths build every
+    # factor trusted, so the public constructor's checks and copy never run.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("validating Factor(...) called on a query path")
+
+    monkeypatch.setattr(Factor, "__init__", refuse)
+    scm, units, L = random_instance(3)
+    full = scm.forward_eval({r: 0 for r in scm.roots})
+    endo = scm.endogenous()
+    e1, e2 = {endo[-1]: full[endo[-1]]}, {endo[0]: full[endo[0]]}
+    assert map_ve(scm, units, {**e1, **e2}).value > 0
+    assert rmap_ve(scm, units, e1, e2).value > 0
+    assert posterior(scm, units, e2).total() == pytest.approx(1.0)
+    unit_select(scm, L, method="ve")

@@ -2,11 +2,15 @@
 
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from unitsel import (
     ModelError,
+    Scm,
+    Variable,
     evidence_to_lambdas,
     joint_prob,
     load_model,
@@ -149,6 +153,10 @@ def test_load_model_refuses_non_number_cpt_entries(two_node):
          "parents of 'A' must be a list"),
         ('{"variables": [{"name": "A", "states": ["0"]}], "parents": {"A": [[1]]}, "cpts": {"A": [1]}}',
          "unknown variable \\[1\\]"),
+        ('{"variables": [{"name": "A", "states": []}], "parents": {"A": []}, "cpts": {"A": []}}',
+         "'A' needs cardinality >= 1"),
+        ('{"variables": [{"name": "A", "states": ["0", "0"]}], "parents": {"A": []}, '
+         '"cpts": {"A": [1, 0]}}', "'A': duplicate state names"),
     ],
 )
 def test_load_model_refuses_malformed_shapes(doc, message):
@@ -164,6 +172,52 @@ def test_load_model_refuses_non_probability_cpt_entries(cpt):
            f'"cpts": {{"U": {cpt}}}}}')
     with pytest.raises(ModelError, match="CPT of 'U': entry .* is negative, infinite or NaN"):
         load_model(doc)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -0.5])
+def test_scm_refuses_non_probability_entries(entry):
+    # Models built through the API were once unchecked: brute force answered
+    # with the bad entry, and VE failed inside Factor.
+    table = [0.5, 0.5, 1.0, 0.0, entry, 1.0]
+    message = f"CPT of 'B': entry {entry!r} is negative, infinite or NaN"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        make_scm([("A", ["0", "1"]), ("B", ["0", "1", "2"])], {"A": [], "B": ["A"]},
+                 {"A": [1.0, 0.0], "B": table})
+    variables = [Variable(0, "A", 2, ("0", "1")), Variable(1, "B", 3, ("0", "1", "2"))]
+    with pytest.raises(ModelError, match=re.escape(message)):
+        Scm(variables, {0: (), 1: (0,)}, {0: np.array([1.0, 0.0]), 1: np.array(table)})
+
+
+def test_scm_refuses_negative_prior_that_brute_force_answered():
+    # validate() calls this a legal SCM (every row sums to 1), and
+    # unit_select(method="brute") once answered L = 1.5 for Pr(Y=1 | u).
+    with pytest.raises(ModelError, match="CPT of 'R': entry -0.5 is negative"):
+        make_scm(
+            [("U", ["0", "1"]), ("R", ["0", "1"]), ("Y", ["0", "1"])],
+            {"U": [], "R": [], "Y": ["U", "R"]},
+            {"U": [0.5, 0.5], "R": [1.5, -0.5], "Y": [1, 0, 0, 1, 0, 1, 1, 0]},
+        )
+
+
+def test_model_with_no_variables_loads():
+    scm = load_model('{"variables": [], "parents": {}, "cpts": {}}')
+    assert scm.n == 0 and validate(scm).is_valid_scm
+    assert Scm([], {}, {}).n == 0
+
+
+def test_cpt_factor_is_a_read_only_copy_in_sorted_scope():
+    # B (id 0) has parent A (id 1), so the factor transposes the storage.
+    a, b = np.array([0.25, 0.75]), np.array([[0.5, 0.5], [0.125, 0.875]])
+    scm = make_scm([("B", ["0", "1"]), ("A", ["0", "1"])], {"A": [], "B": ["A"]},
+                   {"A": a, "B": b})
+    a[:] = b[:] = 7.0
+    for vid in (0, 1):
+        f = scm.cpt_factor(vid)
+        assert not f.values.flags.writeable
+        storage_to_sorted = np.argsort(scm.parents[vid] + (vid,))
+        assert np.array_equal(f.values, scm.tables[vid].transpose(storage_to_sorted))
+    assert scm.cpt_factor(0).values.tolist() == [[0.5, 0.125], [0.5, 0.875]]
+    assert scm.cpt_factor(1).values.tolist() == [0.25, 0.75]
 
 
 def test_cpt_factor_matches_storage_order():
