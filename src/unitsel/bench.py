@@ -25,6 +25,7 @@ from .objective import (
     build_objective_model,
 )
 from .elimination import (
+    EliminationOrder,
     lift_order_constrained,
     minfill_order,
     moral_graph,
@@ -163,8 +164,6 @@ def gen_tight_family(n: int) -> tuple[Scm, tuple[int, ...], ObjectiveFunction]:
 
 def tight_family_order(scm: Scm, n: int):
     """The constrained order X1, ..., X(n-1), E, U1, ..., Un."""
-    from .elimination import EliminationOrder
-
     seq = tuple(scm.by_name(f"X{i}").id for i in range(1, n)) + (
         scm.by_name("E").id,
     ) + tuple(scm.by_name(f"U{i}").id for i in range(1, n + 1))
@@ -223,7 +222,6 @@ class WidthRow:
     mean_w1: float
     mean_w2: float
     lifted_bound_ok: bool  # lifted constrained width <= 2w + 2 in every trial
-    unit_count: float = 0.0
 
 
 def _pick_units(roots: Sequence[int], ur: float, rng: np.random.Generator) -> tuple[int, ...]:
@@ -294,7 +292,6 @@ def run_width_table(cfgs: Sequence[GenConfig]) -> list[WidthRow]:
                 mean_w1=mean("w1"),
                 mean_w2=mean("w2"),
                 lifted_bound_ok=all(t["lifted_ok"] for t in trials),
-                unit_count=mean("units"),
             )
         )
     return rows

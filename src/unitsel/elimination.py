@@ -30,6 +30,9 @@ import numpy as np
 
 from .model import ModelError, Scm
 
+ENUM_MAX_ORDERS = 50000  # orders visited by treewidth_exact_enum
+EXACT_MAX_FREE = 22  # nodes per phase of treewidth_exact's subset program
+
 
 class UGraph:
     """A simple undirected graph over integer node ids."""
@@ -365,7 +368,7 @@ def eliminate_all(g: UGraph, vids: Iterable[int]) -> UGraph:
 
 
 def treewidth_exact_enum(
-    g: UGraph, constrained_suffix: Iterable[int] | None = None, max_orders: int = 50000
+    g: UGraph, constrained_suffix: Iterable[int] | None = None
 ) -> tuple[int, EliminationOrder]:
     """Minimum width by enumerating all (constrained) orders.
 
@@ -376,9 +379,9 @@ def treewidth_exact_enum(
     suffix = sorted(constrained_suffix) if constrained_suffix is not None else []
     rest = [v for v in nodes if v not in set(suffix)]
     count = math.factorial(len(rest)) * math.factorial(len(suffix))
-    if count > max_orders:
+    if count > ENUM_MAX_ORDERS:
         raise ModelError(
-            f"enumeration oracle would visit {count} orders (limit {max_orders})"
+            f"enumeration oracle would visit {count} orders (limit {ENUM_MAX_ORDERS})"
         )
     best: tuple[int, tuple[int, ...]] | None = None
     for head in itertools.permutations(rest):
@@ -434,9 +437,7 @@ def _phase_min_width(g: UGraph, phase_nodes: list[int]) -> int:
     return best[(1 << n) - 1]
 
 
-def treewidth_exact(
-    g: UGraph, constrained_suffix: Iterable[int] | None = None, max_free: int = 22
-) -> int:
+def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) -> int:
     """Exact (constrained) treewidth via dynamic programming over subsets.
 
     The constrained problem splits into two independent phases: the filled
@@ -445,8 +446,8 @@ def treewidth_exact(
     """
     suffix = set(constrained_suffix) if constrained_suffix is not None else set()
     first = sorted(g.nodes - suffix)
-    if len(first) > max_free or len(suffix) > max_free:
-        raise ModelError(f"exact oracle limited to {max_free} nodes per phase")
+    if len(first) > EXACT_MAX_FREE or len(suffix) > EXACT_MAX_FREE:
+        raise ModelError(f"exact oracle limited to {EXACT_MAX_FREE} nodes per phase")
     size1 = _phase_min_width(g, first)
     if suffix:
         reduced = eliminate_all(g, first)

@@ -236,9 +236,6 @@ class Factor:
         out = np.asarray(self._expand(union_vids) * other._expand(union_vids))
         return Factor._trusted(union_vids, union_cards, out)
 
-    def __mul__(self, other: "Factor") -> "Factor":
-        return self.multiply(other)
-
     def _require(self, vids: set[int], op: str) -> None:
         missing = vids - set(self.vids)
         if missing:

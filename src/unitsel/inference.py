@@ -8,9 +8,10 @@ out of the quotients. Dividing pairwise is sound because both passes create
 factors with identical scopes at every step: evidence indicator factors never
 enlarge a created scope.
 
-All engines share one core: ``_query_order`` (disjointness check and order),
-``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass, then the e2
-pass); each entry point adds only its own max pass, count or normalization.
+All engines share one core: ``_query_order`` (id and disjointness checks
+and order), ``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass,
+then the e2 pass); each entry point adds only its own max pass, count or
+normalization.
 Every pass is one call of ``eliminate``, which keeps its factors in buckets
 (bucket elimination; Dechter 1999), so a step touches only the factors that
 mention its variable, never the whole pool.
@@ -45,6 +46,7 @@ import numpy as np
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
 from .elimination import EliminationOrder, ancestral_closure, minfill_order, moral_subgraph
 from .model import ModelError, Scm, evidence_to_lambdas
+from .objective import build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
 Tag = tuple
@@ -225,15 +227,19 @@ def _query_order(
     scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Iterable[int]
 ) -> EliminationOrder:
     """Refuse overlapping target and evidence sets (each given by its variable
-    ids), then return an order constrained on the targets: the default order
-    over the ancestral closure of the targets and evidence, or the caller's
-    one, which must cover an ancestrally closed set containing them."""
+    ids) and ids that are not in the model, then return an order constrained
+    on the targets: the default order over the ancestral closure of the
+    targets and evidence, or the caller's one, which must cover an
+    ancestrally closed set containing them."""
     targets = frozenset(targets)
     seen = set(targets)
     for e in map(set, evidence):
         if seen & e:
             raise ModelError("targets and evidence sets must be pairwise disjoint")
         seen |= e
+    unknown = seen.difference(scm.parents)
+    if unknown:
+        raise ModelError(f"unknown variable ids {sorted(unknown, key=repr)} in the query")
     if order is None:
         return default_order(scm, targets, ancestral_closure(scm, seen))
     covered = set(order.sequence)
@@ -475,14 +481,9 @@ def unit_select(
     ``order`` names variables of ``build_objective_model(scm, objective)``
     (the build is deterministic) and must cover an ancestrally closed set of
     them that contains the units and the evidence, such as the whole
-    objective model; by default only that closure is ordered.
+    objective model; by default only that closure is ordered. An invalid
+    objective is refused with ModelError by the build or the evaluation.
     """
-    from .objective import build_objective_model, evaluate_L_profile, validate_objective
-
-    report = validate_objective(scm, objective)
-    if not report.ok:
-        raise ModelError("invalid objective: " + "; ".join(report.violations))
-
     if method == "ve":
         om = build_objective_model(scm, objective)
         result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
@@ -499,9 +500,8 @@ def unit_select(
             )
         masked = np.where(defined, values, -1.0)
         flat = int(masked.argmax())  # first max in C order = smallest unit
-        unit_ids = tuple(sorted(objective.unit_ids))
-        cards = tuple(scm.var(v).cardinality for v in unit_ids)
-        inst = unravel(unit_ids, cards, flat)
+        cards = tuple(scm.var(v).cardinality for v in objective.unit_ids)
+        inst = unravel(objective.unit_ids, cards, flat)
         excluded = int(defined.size - np.count_nonzero(defined))
         return QueryResult(float(values.flat[flat]), inst, excluded=excluded)
     raise ValueError(f"unknown method {method!r}")

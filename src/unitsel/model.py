@@ -350,8 +350,6 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         except FactorError as err:
             raise ModelError(str(err)) from None
     by_name = {v.name: v for v in variables}
-    if len(by_name) != len(variables):
-        raise ModelError("duplicate variable names")
 
     def resolve(name, context: str) -> int:
         if not isinstance(name, str) or name not in by_name:
@@ -359,9 +357,6 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         return by_name[name].id
 
     parents: dict[int, tuple[int, ...]] = {}
-    for name in by_name:
-        if name not in doc["parents"]:
-            raise ModelError(f"no parent list for variable {name!r}")
     for name, plist in doc["parents"].items():
         vid = resolve(name, "parents")
         if not isinstance(plist, list):
@@ -369,9 +364,6 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         parents[vid] = tuple(resolve(p, f"parents of {name!r}") for p in plist)
 
     tables: dict[int, np.ndarray] = {}
-    for name in by_name:
-        if name not in doc["cpts"]:
-            raise ModelError(f"no CPT for variable {name!r}")
     for name, flat in doc["cpts"].items():
         vid = resolve(name, "cpts")
         if not isinstance(flat, list):

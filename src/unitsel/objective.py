@@ -8,9 +8,12 @@ mixture root H has one state per term with prior w_i and becomes a parent of
 every outcome copy; each outcome CPT keeps its original rows when H selects
 its own term and clamps the outcome to the term's target state otherwise.
 Then L(u) = Pr'(e1 | e2, u) with e1 the outcome assignments and e2 the
-treatment, intervened-value and per-term evidence assignments. The units,
-each term's non-unit roots and each term's worlds are copied by the same
-world-copy routine that builds :func:`~unitsel.worlds.n_world_model`.
+treatment, intervened-value and per-term evidence assignments. The build
+copies the units, then makes one pass per term: it copies the term's non-unit
+roots and retained worlds (with the routine that builds
+:func:`~unitsel.worlds.n_world_model`), mutilates the treatment copies, makes
+H the last parent of each outcome copy and records the term's e1/e2 entries.
+H is appended last, so its id is the number of copies.
 
 Per-term worlds are dropped when unused: world 1 iff the term has no
 evidence, world 2 iff it has no world-2 treatment and no outcome there,
@@ -26,9 +29,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import Instantiation, Variable
+from .factor import Instantiation, Variable, multiply_all
 from .model import ModelError, Scm, json_number, validate
-from .worlds import _copy_world, bracket_name, counterfactual_term_profile
+from .worlds import _copy_world, _point_mass, bracket_name, counterfactual_term_profile
 
 WEIGHT_TOL = 1e-9
 
@@ -124,6 +127,12 @@ def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveRepor
     return ObjectiveReport(not violations, violations)
 
 
+def _check_objective(scm: Scm, objective: ObjectiveFunction) -> None:
+    report = validate_objective(scm, objective)
+    if not report.ok:
+        raise ModelError("invalid objective: " + "; ".join(report.violations))
+
+
 @dataclass(frozen=True)
 class ComponentMap:
     """Where one term's copies live inside the objective model."""
@@ -155,25 +164,17 @@ class ObjectiveModel:
         """Base variable id -> copies in lifting sequence: all components'
         world-1 copies, then world-2 copies, then world-3 copies. Unit roots
         map to their single shared copy."""
-        base_to_om_unit = dict(zip(self.unit_base_ids, self.unit_om_ids))
-        out: dict[int, tuple[int, ...]] = {}
-        for base in base_to_om_unit:
-            out[base] = (base_to_om_unit[base],)
-        root_ids = {b for comp in self.components for b in comp.roots}
-        for base in root_ids:
-            out[base] = tuple(
-                comp.roots[base] for comp in self.components if base in comp.roots
-            )
-        endo_ids = {b for comp in self.components for b in comp.endo}
-        for base in endo_ids:
-            copies = []
-            for world in (1, 2, 3):
-                for comp in self.components:
-                    om_id = comp.endo.get(base, {}).get(world)
-                    if om_id is not None:
-                        copies.append(om_id)
-            out[base] = tuple(copies)
-        return out
+        copies = {b: [u] for b, u in zip(self.unit_base_ids, self.unit_om_ids)}
+        for comp in self.components:
+            for base, om_id in comp.roots.items():
+                copies.setdefault(base, []).append(om_id)
+        for world in (1, 2, 3):
+            for comp in self.components:
+                for base, per_world in comp.endo.items():
+                    ids = copies.setdefault(base, [])
+                    if world in per_world:
+                        ids.append(per_world[world])
+        return {base: tuple(ids) for base, ids in copies.items()}
 
 
 def build_objective_model(
@@ -185,9 +186,7 @@ def build_objective_model(
     its term uses; pass False to keep full triplets for every component.
     The base model must be functional unless every term is treatment-free.
     """
-    report = validate_objective(scm, objective)
-    if not report.ok:
-        raise ModelError("invalid objective: " + "; ".join(report.violations))
+    _check_objective(scm, objective)
     needs_functional = any(t.x or t.v for t in objective.terms)
     base_report = validate(scm)
     if not base_report.is_valid_bn:
@@ -197,11 +196,13 @@ def build_objective_model(
             "objective has interventions: the base model must be functional"
         )
 
-    units = tuple(sorted(objective.unit_ids))
-    unit_set = set(units)
-    nonunit_roots = tuple(r for r in scm.roots if r not in unit_set)
+    units = objective.unit_ids
+    nonunit_roots = tuple(r for r in scm.roots if r not in units)
     endo = scm.endogenous()
     n = objective.n
+    term_worlds = [t.retained_worlds() if drop_worlds else (1, 2, 3) for t in objective.terms]
+    # H comes after every copy, so its id is the number of copies.
+    h_id = len(units) + sum(len(nonunit_roots) + len(w) * len(endo) for w in term_worlds)
 
     variables: list[Variable] = []
     parents: dict[int, tuple[int, ...]] = {}
@@ -216,67 +217,45 @@ def build_objective_model(
 
     unit_om = _copy_world(scm, units, fresh, variables, parents, tables, {})
     components: list[ComponentMap] = []
-    for i, term in enumerate(objective.terms, start=1):
-        worlds = term.retained_worlds() if drop_worlds else (1, 2, 3)
-        roots_om = _copy_world(scm, nonunit_roots, lambda name: fresh(f"{name}^{i}"),
+    e1: Instantiation = {}
+    e2: Instantiation = {}
+    for i, (term, worlds) in enumerate(zip(objective.terms, term_worlds)):
+        tag = f"^{i + 1}"
+        roots_om = _copy_world(scm, nonunit_roots, lambda name: fresh(name + tag),
                                variables, parents, tables, {})
         shared = {**unit_om, **roots_om}
         world_om = {
-            world: _copy_world(scm, endo, lambda name: fresh(bracket_name(f"{name}^{i}", world)),
+            world: _copy_world(scm, endo, lambda name: fresh(bracket_name(name + tag, world)),
                                variables, parents, tables, shared)
             for world in worlds
         }
-        endo_om = {b: {world: world_om[world][b] for world in worlds} for b in endo}
-        # Mutilate the treated copies: world 2 at x, world 3 at v.
-        for world, treatment in ((2, term.x), (3, term.v)):
+        # Mutilate world 2 at x and world 3 at v. Each outcome copy gets H as
+        # its last parent: rows for the other mixture states clamp it to the
+        # term's target state.
+        for world, treatment, outcome in ((2, term.x, term.y), (3, term.v, term.w)):
             for b, state in treatment.items():
-                vid = endo_om[b][world]
-                point = np.zeros(scm.var(b).cardinality)
-                point[state] = 1.0
+                vid = world_om[world][b]
                 parents[vid] = ()
-                tables[vid] = point
+                tables[vid] = _point_mass(scm.var(b).cardinality, state)
+                e2[vid] = state
+            for b, state in outcome.items():
+                vid = world_om[world][b]
+                point = _point_mass(scm.var(b).cardinality, state)
+                rows = np.tile(point, tables[vid].shape[:-1] + (n, 1))
+                rows[..., i, :] = tables[vid]
+                parents[vid] += (h_id,)
+                tables[vid] = rows
+                e1[vid] = state
+        e2.update((world_om[1][b], state) for b, state in term.e.items())
+        endo_om = {b: {world: world_om[world][b] for world in worlds} for b in endo}
         components.append(ComponentMap(worlds, endo_om, roots_om))
 
-    h_id = len(variables)
     variables.append(Variable(h_id, fresh("H"), n, tuple(f"h{i}" for i in range(1, n + 1))))
     parents[h_id] = ()
     tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
 
-    # Rewire every outcome copy: H becomes its last parent; rows for other
-    # mixture states clamp the outcome to this term's target state.
-    for i, term in enumerate(objective.terms):
-        comp = components[i]
-        for world, outcome in ((2, term.y), (3, term.w)):
-            for b, state in outcome.items():
-                vid = comp.endo[b][world]
-                old = tables[vid]
-                card = scm.var(b).cardinality
-                new = np.empty(old.shape[:-1] + (n, card))
-                clamp = np.zeros(card)
-                clamp[state] = 1.0
-                new[..., :, :] = clamp
-                new[..., i, :] = old
-                parents[vid] = parents[vid] + (h_id,)
-                tables[vid] = new
-
-    e1: Instantiation = {}
-    e2: Instantiation = {}
-    for i, term in enumerate(objective.terms):
-        comp = components[i]
-        for b, state in term.y.items():
-            e1[comp.endo[b][2]] = state
-        for b, state in term.w.items():
-            e1[comp.endo[b][3]] = state
-        for b, state in term.x.items():
-            e2[comp.endo[b][2]] = state
-        for b, state in term.v.items():
-            e2[comp.endo[b][3]] = state
-        for b, state in term.e.items():
-            e2[comp.endo[b][1]] = state
-
-    model = Scm(variables, parents, tables)
     return ObjectiveModel(
-        model=model,
+        model=Scm(variables, parents, tables),
         h_id=h_id,
         e1=e1,
         e2=e2,
@@ -296,8 +275,6 @@ def _bn_term_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observational term profile Pr(y, w | e, u) for treatment-free terms on
     a general Bayesian network, via the full joint factor."""
-    from .factor import multiply_all
-
     if term.x or term.v:
         raise ModelError("treatment-free evaluation requested for a term with treatments")
     space = math.prod(v.cardinality for v in scm.variables)
@@ -325,9 +302,11 @@ def evaluate_L_profile(
 
     The value grid axes follow ascending unit ids. A unit is undefined
     (masked False, value 0) when some term's conditioning mass Pr(e^i, u)
-    is zero.
+    is zero. An invalid objective is refused with ModelError, as by
+    :func:`build_objective_model`.
     """
-    unit_ids = tuple(sorted(objective.unit_ids))
+    _check_objective(scm, objective)
+    unit_ids = objective.unit_ids
     functional = validate(scm).functional
     shape = tuple(scm.var(v).cardinality for v in unit_ids)
     total = np.zeros(shape)
@@ -349,12 +328,12 @@ def evaluate_L_brute(
     scm: Scm, objective: ObjectiveFunction, u: Mapping[int, int]
 ) -> float | None:
     """Reference value of L(u) via the per-term enumeration oracle; None when
-    the unit is undefined (some term conditions on a zero-mass event)."""
-    unit_ids = tuple(sorted(objective.unit_ids))
-    if set(u) != set(unit_ids):
+    the unit is undefined (some term conditions on a zero-mass event). An
+    invalid objective is refused with ModelError."""
+    if set(u) != set(objective.unit_ids):
         raise ModelError("u must assign exactly the unit variables")
     values, defined = evaluate_L_profile(scm, objective)
-    idx = tuple(u[v] for v in unit_ids)
+    idx = tuple(u[v] for v in objective.unit_ids)
     if not bool(defined[idx]):
         return None
     return float(values[idx])
@@ -400,7 +379,7 @@ def model_size_stats(om: ObjectiveModel) -> SizeStats:
 def save_objective(scm: Scm, objective: ObjectiveFunction) -> bytes:
     """Serialize to the objective JSON document (omitted keys mean empty)."""
     doc: dict = {
-        "units": [scm.var(v).name for v in sorted(objective.unit_ids)],
+        "units": [scm.var(v).name for v in objective.unit_ids],
         "terms": [],
     }
     for term in objective.terms:

@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .factor import Variable
+from .inference import brute_rmap, rmap_ve
 from .model import ModelError, Scm
 
 EMAJSAT_MAX_V = 20
@@ -327,8 +328,6 @@ def sat_via_rmap(
     The optimum is positive iff the formula is satisfiable, in which case the
     maximizing unit is a satisfying assignment (returned as {name: 0/1}).
     """
-    from .inference import brute_rmap, rmap_ve
-
     scm, sentinel = compile_formula(formula)
     targets = [scm.by_name(name).id for name in formula.variables]
     e1 = {sentinel: 1}

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable
-from .model import ModelError, Scm
+from .model import ModelError, Scm, validate
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,13 @@ def _copy_world(
     return copy
 
 
+def _point_mass(cardinality: int, state: int) -> np.ndarray:
+    """The distribution that puts all its mass on ``state``."""
+    point = np.zeros(cardinality)
+    point[state] = 1.0
+    return point
+
+
 def triplet_model(scm: Scm) -> tuple[Scm, WorldMap]:
     """Three copies sharing all exogenous variables (bracket naming)."""
     return n_world_model(scm, scm.roots, 3, namer=bracket_name)
@@ -139,10 +146,8 @@ def mutilate(scm: Scm, interventions: Mapping[int, int]) -> Scm:
         v = scm.var(vid)
         if not 0 <= state < v.cardinality:
             raise ModelError(f"state {state} out of range for {v.name!r}")
-        point = np.zeros(v.cardinality)
-        point[state] = 1.0
         parents[vid] = ()
-        tables[vid] = point
+        tables[vid] = _point_mass(v.cardinality, state)
     return Scm(scm.variables, parents, tables)
 
 
@@ -283,8 +288,6 @@ def counterfactual_oracle(
     ``u`` assigns a subset of the roots. Returns None when the conditioning
     mass Pr(e, u) is zero (the value is undefined for this unit).
     """
-    from .model import validate
-
     if not validate(scm).functional:
         raise ModelError("counterfactual oracle requires a functional SCM")
     unit_ids = tuple(sorted(u))

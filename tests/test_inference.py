@@ -317,6 +317,25 @@ def test_rmap_requires_disjoint_sets(two_node):
             query(two_node, [0], {0: 1})
 
 
+def test_queries_refuse_unknown_ids(two_node):
+    # These once raised a raw KeyError from the ancestral closure.
+    unknown = "unknown variable ids"
+    for rmap in (rmap_ve, rmap_table, brute_rmap):
+        with pytest.raises(ModelError, match=unknown):
+            rmap(two_node, [0], {99: 0}, {})
+        with pytest.raises(ModelError, match=unknown):
+            rmap(two_node, [-1], {1: 0}, {})
+        with pytest.raises(ModelError, match=unknown):
+            rmap(two_node, [0], {}, {2: 0})
+    for query in (map_ve, brute_map, posterior):
+        with pytest.raises(ModelError, match=unknown):
+            query(two_node, [7], {})
+        with pytest.raises(ModelError, match=unknown):
+            query(two_node, [0], {5: 1})
+    with pytest.raises(ModelError, match=unknown):
+        joint_mass(two_node, {0: 0, 2: 1})
+
+
 def test_posterior_two_node(two_node):
     marg = posterior(two_node, {1}, {})
     assert np.allclose(marg.flat, [0.36, 0.64], rtol=1e-12)

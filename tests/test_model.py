@@ -157,6 +157,10 @@ def test_load_model_refuses_non_number_cpt_entries(two_node):
          "'A' needs cardinality >= 1"),
         ('{"variables": [{"name": "A", "states": ["0", "0"]}], "parents": {"A": []}, '
          '"cpts": {"A": [1, 0]}}', "'A': duplicate state names"),
+        ('{"variables": [{"name": "A", "states": ["0"]}], "parents": {"A": []}, "cpts": {}}',
+         "no CPT for variable 'A'"),
+        ('{"variables": [{"name": "A", "states": ["0"]}, {"name": "A", "states": ["0"]}], '
+         '"parents": {"A": []}, "cpts": {"A": [1]}}', "variable names must be unique"),
     ],
 )
 def test_load_model_refuses_malformed_shapes(doc, message):

@@ -2,9 +2,9 @@
 
 Each corpus is hashed (sha256) over the saved model JSON plus every
 structural output a caller reads: e1, e2, the mixture root id, the
-component maps and ``duplicates()`` of an objective model, and the world
-map of an n-world model. A refactor of either builder must leave every
-digest unchanged.
+component maps and ``duplicates()`` of an objective model, the world map
+of an n-world model, and the evidence pair of a counterfactual query. A
+refactor of any builder must leave every digest unchanged.
 """
 
 import hashlib
@@ -15,7 +15,9 @@ from unitsel import (
     ObjectiveFunction,
     ObjectiveTerm,
     build_objective_model,
+    counterfactual_query,
     make_scm,
+    mutilate,
     n_world_model,
     save_model,
     triplet_model,
@@ -110,6 +112,17 @@ def world_records():
         yield world_record(*twin_model(scm))
 
 
+def mutilated_records():
+    for seed in SEEDS:
+        scm = random_scm(seed)
+        endo = scm.endogenous()
+        x, y, z = endo[0], endo[-1], endo[len(endo) // 2]
+        for interventions in ({x: 0}, {x: 1, y: 0}):
+            yield save_model(mutilate(scm, interventions))
+        model, e1, e2 = counterfactual_query(scm, {x: 0}, {y: 1}, {x: 1}, {y: 0}, {z: 1})
+        yield save_model(model) + repr((e1, e2)).encode()
+
+
 CORPORA = {
     "objective-random": (
         random_objective_records,
@@ -122,6 +135,10 @@ CORPORA = {
     "n-world": (
         world_records,
         "5df34131473bb3c4ecd54951c41f139eccf391e6950886ac68c19365dbdd4e82",
+    ),
+    "mutilated": (
+        mutilated_records,
+        "3579ef0aa4532046ac463d54dbcb856c62be8da8cc00f4b42799689c08dd32f2",
     ),
 }
 

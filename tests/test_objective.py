@@ -12,6 +12,8 @@ from unitsel import (
     build_objective_model,
     evaluate_L_brute,
     evaluate_L_profile,
+    fixture_path,
+    load_model,
     load_objective,
     make_scm,
     model_size_stats,
@@ -21,6 +23,7 @@ from unitsel import (
     unit_select,
     validate_objective,
 )
+import unitsel.objective
 from unitsel.bench import gen_benefit_objective
 from unitsel.inference import InconsistentEvidenceError
 from unitsel.worlds import enumerate_instantiations
@@ -87,6 +90,36 @@ def test_repeated_unit_is_refused():
     for method in ("ve", "brute"):
         with pytest.raises(ModelError, match="'U' is repeated"):
             unit_select(scm, L, method=method)
+
+
+def test_oracles_refuse_invalid_objective():
+    # Weights summing to 2: both oracles once answered L(U=u1) = 1.2, while
+    # unit_select refused the objective.
+    with open(fixture_path("two_node.json"), "rb") as fh:
+        scm = load_model(fh.read(), allow_nonfunctional=True)
+    term = ObjectiveTerm(1.0, y={1: 0})
+    L = ObjectiveFunction((0,), (term, term))
+    message = "invalid objective: term weights sum to 2.0, expected 1"
+    with pytest.raises(ModelError, match=message):
+        evaluate_L_profile(scm, L)
+    with pytest.raises(ModelError, match=message):
+        evaluate_L_brute(scm, L, {0: 0})
+    with pytest.raises(ModelError, match=message):
+        unit_select(scm, L, method="brute")
+
+
+def test_unit_select_checks_the_objective_once(monkeypatch):
+    calls = []
+    check = unitsel.objective.validate_objective
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(unitsel.objective, "validate_objective", counted)
+    scm = xor_scm()
+    unit_select(scm, gen_benefit_objective(scm, 2, 3, (0.4, 0.3, 0.2, 0.1), units=(0,)))
+    assert len(calls) == 1
 
 
 def test_load_objective_refuses_malformed_documents():
