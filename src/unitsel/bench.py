@@ -11,7 +11,6 @@ width of the twin model (brute-force cost).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -224,6 +223,10 @@ class WidthRow:
     lifted_bound_ok: bool  # lifted constrained width <= 2w + 2 in every trial
 
 
+# The per-trial counts, averaged into the WidthRow fields mean_<count>.
+_COUNTS = ("n", "n1", "n2", "roots", "w", "w1", "w2")
+
+
 def _pick_units(roots: Sequence[int], ur: float, rng: np.random.Generator) -> tuple[int, ...]:
     count = max(1, int(round(ur * len(roots))))
     return tuple(sorted(int(v) for v in rng.choice(roots, size=count, replace=False)))
@@ -262,17 +265,8 @@ def run_width_trial(cfg: GenConfig, trial: int) -> dict:
         base_order, om.duplicates(), om.h_id, units
     )
     lifted_width = simulate_elimination(g1, lifted).width
-    return {
-        "n": scm.n,
-        "n1": om.model.n,
-        "n2": twin.n,
-        "roots": len(roots),
-        "units": len(units),
-        "w": w,
-        "w1": w1,
-        "w2": w2,
-        "lifted_ok": lifted_width <= 2 * w + 2,
-    }
+    counts = (scm.n, om.model.n, twin.n, len(roots), w, w1, w2)
+    return {**dict(zip(_COUNTS, counts)), "lifted_ok": lifted_width <= 2 * w + 2}
 
 
 def run_width_table(cfgs: Sequence[GenConfig]) -> list[WidthRow]:
@@ -280,43 +274,22 @@ def run_width_table(cfgs: Sequence[GenConfig]) -> list[WidthRow]:
     rows = []
     for cfg in cfgs:
         trials = [run_width_trial(cfg, t) for t in range(cfg.trials)]
-        mean = lambda key: float(np.mean([t[key] for t in trials]))
-        rows.append(
-            WidthRow(
-                config=cfg,
-                mean_n=mean("n"),
-                mean_n1=mean("n1"),
-                mean_n2=mean("n2"),
-                mean_roots=mean("roots"),
-                mean_w=mean("w"),
-                mean_w1=mean("w1"),
-                mean_w2=mean("w2"),
-                lifted_bound_ok=all(t["lifted_ok"] for t in trials),
-            )
-        )
+        means = {f"mean_{key}": float(np.mean([t[key] for t in trials])) for key in _COUNTS}
+        rows.append(WidthRow(cfg, **means, lifted_bound_ok=all(t["lifted_ok"] for t in trials)))
     return rows
 
 
 def width_table_csv(rows: Iterable[WidthRow]) -> str:
     """Fixed-header CSV: n,n2,R,ur,n1,w,w1,w2."""
-    out = io.StringIO()
-    out.write("n,n2,R,ur,n1,w,w1,w2\n")
-    for row in rows:
-        cells = [
-            f"{row.mean_n:.6g}",
-            f"{row.mean_n2:.6g}",
-            f"{row.mean_roots:.6g}",
-            f"{row.config.unit_ratio:.6g}",
-            f"{row.mean_n1:.6g}",
-            f"{row.mean_w:.6g}",
-            f"{row.mean_w1:.6g}",
-            f"{row.mean_w2:.6g}",
-        ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    lines = ["n,n2,R,ur,n1,w,w1,w2"]
+    for r in rows:
+        cells = (r.mean_n, r.mean_n2, r.mean_roots, r.config.unit_ratio, r.mean_n1, r.mean_w,
+                 r.mean_w1, r.mean_w2)
+        lines.append(",".join(f"{c:.6g}" for c in cells))
+    return "\n".join(lines) + "\n"
 
 
-def default_bench_configs(seed: int, trials: int = 25) -> list[GenConfig]:
+def default_bench_configs(seed: int, trials: int = GenConfig.trials) -> list[GenConfig]:
     return [
         GenConfig(node_count=n, seed=seed, unit_ratio=ur, trials=trials)
         for n in (10, 15, 20)

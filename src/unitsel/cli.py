@@ -33,6 +33,7 @@ from .elimination import (
 )
 from .inference import (
     InconsistentEvidenceError,
+    _scope_names,
     format_trace,
     map_ve,
     rmap_ve,
@@ -178,12 +179,7 @@ def cmd_width(args: argparse.Namespace) -> int:
         order = _load_order(args.order, scm)
     report = simulate_elimination(g, order)
     print(f"width: {report.width}")
-    names = [
-        "".join(sorted(scm.var(v).name for v in c))
-        if all(len(scm.var(v).name) == 1 for v in c)
-        else ",".join(sorted(scm.var(v).name for v in c))
-        for c in report.clusters
-    ]
+    names = [_scope_names(sorted(c, key=lambda v: scm.var(v).name), scm) for c in report.clusters]
     print("clusters: " + " ".join(names))
 
     if args.lifted is None and not args.objective:
@@ -277,7 +273,8 @@ def _bench_configs(doc, seed: int, trials: int) -> list[GenConfig]:
         if not isinstance(entry, dict) or not set(entry) <= {"n", "max_parents", "trials", "ur"}:
             raise ModelError(f"bench config entry {i} must be an object with keys among "
                              "n, max_parents, trials and ur")
-        entry = {"n": None, "max_parents": 3, "trials": trials, "ur": 1.0, **entry}
+        entry = {"n": None, "max_parents": GenConfig.max_parents, "trials": trials,
+                 "ur": GenConfig.unit_ratio, **entry}
         for key in ("n", "max_parents", "trials"):
             if isinstance(entry[key], bool) or not isinstance(entry[key], int):
                 raise ModelError(f"bench config entry {i}: {key!r} must be an integer")
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("random", "tight"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-parents", type=int, default=3)
+    p.add_argument("--max-parents", type=int, default=GenConfig.max_parents)
     p.add_argument("--out")
     p.add_argument("--objective-out")
     p.set_defaults(func=cmd_gen)
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the width-table experiment")
     p.add_argument("--config", default="default", help="default|<json file>")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=GenConfig.trials)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -45,7 +45,7 @@ import numpy as np
 
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
 from .elimination import EliminationOrder, ancestral_closure, minfill_order, moral_subgraph
-from .model import ModelError, Scm, evidence_to_lambdas
+from .model import ModelError, Scm, _check_state, evidence_to_lambdas
 from .objective import build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
@@ -224,10 +224,10 @@ def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> Elim
 
 
 def _query_order(
-    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Iterable[int]
+    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Mapping[int, int]
 ) -> EliminationOrder:
-    """Refuse overlapping target and evidence sets (each given by its variable
-    ids) and ids that are not in the model, then return an order constrained
+    """Refuse overlapping target and evidence sets, ids that are not in the
+    model and evidence states out of range, then return an order constrained
     on the targets: the default order over the ancestral closure of the
     targets and evidence, or the caller's one, which must cover an
     ancestrally closed set containing them."""
@@ -240,6 +240,8 @@ def _query_order(
     unknown = seen.difference(scm.parents)
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown, key=repr)} in the query")
+    for vid, state in (item for e in evidence for item in e.items()):
+        _check_state(scm.var(vid), state)
     if order is None:
         return default_order(scm, targets, ancestral_closure(scm, seen))
     covered = set(order.sequence)
@@ -426,7 +428,8 @@ def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> 
     """Full enumeration over the targets; ties go to the lexicographically
     smallest instantiation in declaration order (the VE tie rule)."""
     targets = set(targets)
-    order = _query_order(scm, (), None, targets, evidence)
+    # The first unit stands for every unit: the order covers their variables.
+    order = _query_order(scm, (), None, dict.fromkeys(targets, 0), evidence)
     best: tuple[float, Instantiation] | None = None
     for u in enumerate_instantiations(scm, targets):
         p = joint_mass(scm, {**evidence, **u}, order)
@@ -445,7 +448,7 @@ def brute_rmap(
     """Full enumeration Reverse-MAP oracle with the same exclusion rule and
     tie-breaking as the VE path."""
     targets = set(targets)
-    order = _query_order(scm, (), None, targets, e1, e2)
+    order = _query_order(scm, (), None, dict.fromkeys(targets, 0), e1, e2)
     best: tuple[float, Instantiation] | None = None
     excluded = 0
     for u in enumerate_instantiations(scm, targets):

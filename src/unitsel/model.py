@@ -274,6 +274,14 @@ def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:
     return p
 
 
+def _check_state(var: Variable, state) -> None:
+    """Refuse with ModelError a ``state`` that is not an integer (a bool is
+    not) in ``range(var.cardinality)``."""
+    is_int = isinstance(state, (int, np.integer)) and not isinstance(state, bool)
+    if not (is_int and 0 <= state < var.cardinality):
+        raise ModelError(f"state {state} out of range for {var.name!r}")
+
+
 def evidence_to_lambdas(scm: Scm, evidence: Mapping[int, int]) -> list[Factor]:
     """One single-variable 0/1 indicator factor per evidence assignment."""
     out = []

@@ -31,7 +31,8 @@ import numpy as np
 
 from .factor import Instantiation, Variable, multiply_all
 from .model import ModelError, Scm, json_number, validate
-from .worlds import _copy_world, _point_mass, bracket_name, counterfactual_term_profile
+from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
+                     counterfactual_term_profile)
 
 WEIGHT_TOL = 1e-9
 
@@ -81,9 +82,9 @@ class ObjectiveReport:
 
 
 def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveReport:
-    """Check the weight simplex, per-term disjointness, distinct exogenous
-    units and endogeneity of all term variables. Violations are reported,
-    not raised."""
+    """Check the weight simplex, distinct exogenous units and each term, by
+    the term rule that :func:`~unitsel.worlds.counterfactual_query` applies.
+    Violations are reported, not raised."""
     violations: list[str] = []
     if not objective.terms:
         violations.append("objective has no terms")
@@ -102,28 +103,8 @@ def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveRepor
             violations.append(f"unit variable {scm.var(vid).name!r} is not exogenous")
     if not objective.unit_ids:
         violations.append("objective has no unit variables")
-    for i, term in enumerate(objective.terms, start=1):
-        treatments = set(term.x) | set(term.v)
-        outcomes = set(term.y) | set(term.w)
-        overlap = treatments & outcomes
-        if overlap:
-            names = ", ".join(scm.var(v).name for v in sorted(overlap) if 0 <= v < scm.n)
-            violations.append(f"term {i}: treatments overlap outcomes ({names})")
-        for role, inst in (("x", term.x), ("y", term.y), ("v", term.v),
-                           ("w", term.w), ("e", term.e)):
-            for vid, state in inst.items():
-                if not 0 <= vid < scm.n:
-                    violations.append(f"term {i}: unknown variable id {vid} in {role}")
-                    continue
-                var = scm.var(vid)
-                if scm.is_root(vid):
-                    violations.append(
-                        f"term {i}: variable {var.name!r} in {role} must be endogenous"
-                    )
-                if not 0 <= state < var.cardinality:
-                    violations.append(
-                        f"term {i}: state {state} out of range for {var.name!r}"
-                    )
+    for i, t in enumerate(objective.terms, start=1):
+        violations += (f"term {i}: {m}" for m in _term_violations(scm, t.x, t.y, t.v, t.w, t.e))
     return ObjectiveReport(not violations, violations)
 
 
@@ -332,11 +313,7 @@ def evaluate_L_brute(
     invalid objective is refused with ModelError."""
     if set(u) != set(objective.unit_ids):
         raise ModelError("u must assign exactly the unit variables")
-    values, defined = evaluate_L_profile(scm, objective)
-    idx = tuple(u[v] for v in objective.unit_ids)
-    if not bool(defined[idx]):
-        return None
-    return float(values[idx])
+    return _profile_at(scm, evaluate_L_profile(scm, objective), u)
 
 
 # -- size accounting -------------------------------------------------------------

@@ -327,12 +327,14 @@ def sat_via_rmap(
     All variables are targets; e1 sets the sentinel to 1 and e2 is empty.
     The optimum is positive iff the formula is satisfiable, in which case the
     maximizing unit is a satisfying assignment (returned as {name: 0/1}).
+    ``method`` is "ve" (:func:`rmap_ve`) or "brute" (:func:`brute_rmap`).
     """
+    if method not in ("ve", "brute"):
+        raise ValueError(f"unknown method {method!r}")
     scm, sentinel = compile_formula(formula)
     targets = [scm.by_name(name).id for name in formula.variables]
-    e1 = {sentinel: 1}
     run = rmap_ve if method == "ve" else brute_rmap
-    result = run(scm, targets, e1, {})
+    result = run(scm, targets, {sentinel: 1}, {})
     if result.value == 0.0:
         return False, None
     witness = {

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable
-from .model import ModelError, Scm, validate
+from .model import ModelError, Scm, _check_state, validate
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,39 @@ def mutilate(scm: Scm, interventions: Mapping[int, int]) -> Scm:
     parents = dict(scm.parents)
     tables = dict(scm.tables)
     for vid, state in interventions.items():
+        if vid not in scm.parents:
+            raise ModelError(f"unknown variable id {vid} in the interventions")
         v = scm.var(vid)
-        if not 0 <= state < v.cardinality:
-            raise ModelError(f"state {state} out of range for {v.name!r}")
+        _check_state(v, state)
         parents[vid] = ()
         tables[vid] = _point_mass(v.cardinality, state)
     return Scm(scm.variables, parents, tables)
+
+
+def _term_violations(
+    scm: Scm, x: Mapping, y: Mapping, v: Mapping, w: Mapping, e: Mapping
+) -> list[str]:
+    """The ways the term Pr(y_x, w_v | e) is ill-posed on ``scm``, empty when
+    it is well posed: treatments (x, v) that overlap outcomes (y, w), unknown
+    or exogenous variables, and states outside a variable's range."""
+    violations = []
+    overlap = (set(x) | set(v)) & (set(y) | set(w))
+    if overlap:
+        names = ", ".join(scm.var(i).name for i in sorted(overlap) if 0 <= i < scm.n)
+        violations.append(f"treatments overlap outcomes ({names})")
+    for role, inst in (("x", x), ("y", y), ("v", v), ("w", w), ("e", e)):
+        for vid, state in inst.items():
+            if not 0 <= vid < scm.n:
+                violations.append(f"unknown variable id {vid} in {role}")
+                continue
+            var = scm.var(vid)
+            if scm.is_root(vid):
+                violations.append(f"variable {var.name!r} in {role} must be endogenous")
+            try:
+                _check_state(var, state)
+            except ModelError as err:
+                violations.append(str(err))
+    return violations
 
 
 def counterfactual_query(
@@ -164,18 +191,12 @@ def counterfactual_query(
     World 2 is mutilated at [X]=x, world 3 at [[V]]=v. Returns the model and
     the evidence pair e1 = {[Y]=y, [[W]]=w}, e2 = {[X]=x, [[V]]=v, E=e}.
     Conditioning on the intervened values in e2 is tautological after
-    mutilation but kept to mirror the reduction statement.
+    mutilation but kept to mirror the reduction statement. An ill-posed term
+    is refused with ModelError.
     """
-    overlap = (set(x) | set(v)) & (set(y) | set(w))
-    if overlap:
-        names = ", ".join(scm.var(i).name for i in sorted(overlap))
-        raise ModelError(f"treatments overlap outcomes: {names}")
-    for inst in (x, y, v, w, e):
-        for vid in inst:
-            if scm.is_root(vid):
-                raise ModelError(
-                    f"query variable {scm.var(vid).name!r} must be endogenous"
-                )
+    violations = _term_violations(scm, x, y, v, w, e)
+    if violations:
+        raise ModelError("ill-posed counterfactual term: " + "; ".join(violations))
     tm, wm = triplet_model(scm)
     interventions: Instantiation = {}
     interventions.update(wm.map_instantiation(x, 2))
@@ -238,6 +259,8 @@ def counterfactual_term_profile(
     """
     unit_ids = tuple(sorted(unit_ids))
     for vid in unit_ids:
+        if vid not in scm.parents:
+            raise ModelError(f"unknown unit variable id {vid}")
         if not scm.is_root(vid):
             raise ModelError(f"unit variable {scm.var(vid).name!r} must be a root")
     roots = tuple(sorted(scm.roots))
@@ -286,16 +309,27 @@ def counterfactual_oracle(
     """Ground-truth Pr(y_x, w_v | e, u) by exogenous enumeration.
 
     ``u`` assigns a subset of the roots. Returns None when the conditioning
-    mass Pr(e, u) is zero (the value is undefined for this unit).
+    mass Pr(e, u) is zero (the value is undefined for this unit). An
+    ill-posed term or unit is refused with ModelError.
     """
     if not validate(scm).functional:
         raise ModelError("counterfactual oracle requires a functional SCM")
-    unit_ids = tuple(sorted(u))
-    values, defined = counterfactual_term_profile(scm, x, y, v, w, e, unit_ids)
-    idx = tuple(u[r] for r in unit_ids)
-    if not bool(defined[idx]):
-        return None
-    return float(values[idx])
+    violations = _term_violations(scm, x, y, v, w, e)
+    if violations:
+        raise ModelError("ill-posed counterfactual term: " + "; ".join(violations))
+    return _profile_at(scm, counterfactual_term_profile(scm, x, y, v, w, e, u), u)
+
+
+def _profile_at(scm: Scm, profile: tuple, u: Mapping[int, int]) -> float | None:
+    """The entry at unit ``u`` of a ``(values, defined)`` profile whose axes
+    follow the ascending ids of ``u``; None where it is undefined. A state
+    out of its unit's range is refused with ModelError, so that a negative
+    one never reads another unit's entry."""
+    for vid, state in u.items():
+        _check_state(scm.var(vid), state)
+    idx = tuple(u[vid] for vid in sorted(u))
+    values, defined = profile
+    return float(values[idx]) if defined[idx] else None
 
 
 def enumerate_instantiations(

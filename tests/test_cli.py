@@ -10,8 +10,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitsel import cli, fixture_path
+from unitsel import cli, fixture_path, load_model, rmap_ve
 from unitsel.cli import main
+from unitsel.inference import format_trace
 from unitsel.reductions import gate_count, parse_dimacs
 
 
@@ -113,6 +114,20 @@ def test_trace_prints_worked_clusters(capsys, five_node, tmp_path):
         assert cluster in out
 
 
+def test_rmap_trace_prints_the_api_trace(capsys, five_node):
+    code = main([
+        "rmap", "--model", str(five_node), "--targets", "A,B",
+        "--e1", "D=d1", "--e2", "E=e0", "--trace",
+    ])
+    assert code == 0
+    scm = load_model(five_node.read_bytes())
+    ids = {v.name: v.id for v in scm.variables}
+    result = rmap_ve(scm, [ids["A"], ids["B"]], {ids["D"]: 1}, {ids["E"]: 0}, want_trace=True)
+    lines = capsys.readouterr().out.splitlines()
+    assert "\n".join(lines[:-3]) == format_trace(result.trace, scm)
+    assert lines[-3:] == [f"value: {result.value!r}", "instantiation: A=a1,B=b1", "excluded: 3"]
+
+
 def test_width_five_node(capsys, five_node):
     assert main(["width", "--model", str(five_node)]) == 0
     out = capsys.readouterr().out
@@ -138,6 +153,21 @@ def test_width_tight_family(capsys, tmp_path):
     assert "observed<=bound PASS" in out
     lifted = [l for l in out.splitlines() if l.startswith("lifted constrained width")]
     assert lifted and int(lifted[0].split(":")[1]) >= 5
+
+
+def test_width_objective_with_evidence_and_one_outcome(capsys, five_node, tmp_path):
+    # Evidence rules out the twin bound 2w+2; one outcome variable (D, in
+    # both terms) gives 3w+3.
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"units": ["A"], "terms": [
+        {"weight": 0.5, "x": {"B": "b0"}, "y": {"D": "d1"}, "e": {"E": "e0"}},
+        {"weight": 0.5, "y": {"D": "d0"}, "e": {"C": "c1"}},
+    ]}))
+    code = main(["width", "--model", str(five_node), "--units", "A", "--objective", str(objective)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "lifted constrained width: 3", "bound=3w+3 observed<=bound PASS",
+    ]
 
 
 def test_width_lifted_nworld(capsys, five_node):

@@ -336,6 +336,23 @@ def test_queries_refuse_unknown_ids(two_node):
         joint_mass(two_node, {0: 0, 2: 1})
 
 
+def test_queries_refuse_out_of_range_evidence_states(two_node):
+    # These once raised a raw IndexError (1.5) or FactorError (5, -1) from
+    # the evidence indicator, and a bool state matched every state.
+    for state in (5, -1, 1.5, True):
+        message = f"state {state} out of range for 'V'"
+        for rmap in (rmap_ve, rmap_table, brute_rmap):
+            with pytest.raises(ModelError, match=message):
+                rmap(two_node, [0], {1: state}, {})
+            with pytest.raises(ModelError, match=message):
+                rmap(two_node, [0], {}, {1: state})
+        for query in (map_ve, brute_map, posterior):
+            with pytest.raises(ModelError, match=message):
+                query(two_node, [0], {1: state})
+        with pytest.raises(ModelError, match=message):
+            joint_mass(two_node, {0: 0, 1: state})
+
+
 def test_posterior_two_node(two_node):
     marg = posterior(two_node, {1}, {})
     assert np.allclose(marg.flat, [0.36, 0.64], rtol=1e-12)

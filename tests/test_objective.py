@@ -108,6 +108,17 @@ def test_oracles_refuse_invalid_objective():
         unit_select(scm, L, method="brute")
 
 
+def test_evaluate_L_brute_refuses_out_of_range_unit_states():
+    # A state of -1 once answered for U=u2 (0.3), and 2 raised a raw IndexError.
+    with open(fixture_path("two_node.json"), "rb") as fh:
+        scm = load_model(fh.read(), allow_nonfunctional=True)
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}),))
+    assert evaluate_L_brute(scm, L, {0: 1}) == 0.3
+    for state in (-1, 2):
+        with pytest.raises(ModelError, match=f"state {state} out of range for 'U'"):
+            evaluate_L_brute(scm, L, {0: state})
+
+
 def test_unit_select_checks_the_objective_once(monkeypatch):
     calls = []
     check = unitsel.objective.validate_objective

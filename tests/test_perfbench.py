@@ -1,6 +1,8 @@
 """Smoke test of the committed benchmark: each workload runs one short pass
 from the repo root, checks its answers and prints every declared metric."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -39,3 +41,18 @@ def test_traced_run_measures_the_sum_passes():
     assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["per_layer"]}
     assert "inference.sum_e1e2.self_s" not in details["unmeasured"]
     assert result["metrics"]["inference.sum_e1e2.self_s"]["value"] > 0
+
+
+def test_every_traced_layer_function_resolves():
+    # The tracer reports a layer whose wrapped name is gone as an unmeasured
+    # 0 instead of failing, so a rename in the package must fail here.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for targets in tracing.LAYER_FUNCTIONS.values()
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []

@@ -175,6 +175,12 @@ def test_sat_via_rmap_witness_satisfies():
                 assert evaluate(f.root, witness)
 
 
+def test_sat_via_rmap_refuses_unknown_method():
+    # A typo once ran brute_rmap silently.
+    with pytest.raises(ValueError, match="unknown method 'typo'"):
+        sat_via_rmap(parse_dimacs("p cnf 2 1\n1 2 0\n"), method="typo")
+
+
 def test_sentinel_conditional_is_zero_one():
     f = parse_dimacs(random_cnf(3, max_vars=6))
     scm, sentinel = compile_formula(f)

@@ -105,6 +105,63 @@ def test_counterfactual_query_rejects_overlap_and_roots():
         counterfactual_query(scm, {0: 0}, {2: 0}, {}, {}, {})
 
 
+def test_counterfactual_query_refuses_unknown_ids_and_states():
+    # An unknown id once raised a raw KeyError, and an out-of-range outcome
+    # state was accepted.
+    scm = chain_scm()
+    with pytest.raises(ModelError, match="ill-posed counterfactual term: unknown variable id 9"):
+        counterfactual_query(scm, {}, {9: 0}, {}, {}, {})
+    with pytest.raises(ModelError, match="state 5 out of range for 'Y'"):
+        counterfactual_query(scm, {}, {2: 5}, {}, {}, {})
+    with pytest.raises(ModelError, match=r"overlap outcomes \(X\); variable 'U' in e must be"):
+        counterfactual_query(scm, {1: 0}, {1: 1}, {}, {}, {0: 0})
+
+
+def test_mutilate_refuses_unknown_ids():
+    # Id 7 once raised a raw IndexError, and -1 returned the model unmutilated.
+    scm = chain_scm()
+    for vid in (7, -1):
+        with pytest.raises(ModelError, match=f"unknown variable id {vid}"):
+            mutilate(scm, {vid: 0})
+
+
+def xor_noise_scm(endogenous_noise: bool):
+    """Y = U xor N with Pr(N=1) = 0.2; N copies a root R when endogenous."""
+    if not endogenous_noise:
+        return make_scm(
+            [("U", ["0", "1"]), ("N", ["0", "1"]), ("Y", ["0", "1"])],
+            {"U": [], "N": [], "Y": ["U", "N"]},
+            {"U": [0.5, 0.5], "N": [0.8, 0.2], "Y": [1, 0, 0, 1, 0, 1, 1, 0]},
+        )
+    return make_scm(
+        [("U", ["0", "1"]), ("R", ["0", "1"]), ("N", ["0", "1"]), ("Y", ["0", "1"])],
+        {"U": [], "R": [], "N": ["R"], "Y": ["U", "N"]},
+        {"U": [0.5, 0.5], "R": [0.8, 0.2], "N": [1, 0, 0, 1], "Y": [1, 0, 0, 1, 0, 1, 1, 0]},
+    )
+
+
+def test_oracle_refuses_ill_posed_terms_and_units():
+    scm = xor_noise_scm(endogenous_noise=True)
+    assert counterfactual_oracle(scm, {2: 1}, {3: 1}, {}, {}, {}, {0: 0}) == 1.0
+    # do(N=-1) once answered 1.0, the value of do(N=1).
+    with pytest.raises(ModelError, match="state -1 out of range for 'N'"):
+        counterfactual_oracle(scm, {2: -1}, {3: 1}, {}, {}, {}, {0: 0})
+    with pytest.raises(ModelError, match="treatments overlap outcomes"):
+        counterfactual_oracle(scm, {2: 0}, {2: 1}, {}, {}, {}, {0: 0})
+    # An unknown unit id once raised a raw KeyError.
+    with pytest.raises(ModelError, match="unknown unit variable id 9"):
+        counterfactual_oracle(scm, {}, {3: 1}, {}, {}, {}, {9: 0})
+
+
+def test_oracle_refuses_out_of_range_unit_states():
+    # U=-1 once answered 0.8, the value of U=1; U=2 raised a raw IndexError.
+    scm = xor_noise_scm(endogenous_noise=False)
+    assert counterfactual_oracle(scm, {}, {2: 1}, {}, {}, {}, {0: 1}) == 0.8
+    for state in (-1, 2):
+        with pytest.raises(ModelError, match=f"state {state} out of range for 'U'"):
+            counterfactual_oracle(scm, {}, {2: 1}, {}, {}, {}, {0: state})
+
+
 def test_empty_treatments_reduce_to_observational():
     scm = small_scm(5, lo=5, hi=7)
     y_vid = scm.endogenous()[-1]
