@@ -1,12 +1,16 @@
 """Variable elimination engines for MAP, Reverse-MAP and posterior queries.
 
 MAP maximizes the joint Pr(u, e); Reverse-MAP maximizes the conditional
-Pr(e1 | u, e2). The Reverse-MAP engine runs two sum-elimination passes over
-the same order (one with evidence e1 and e2, one with e2 alone), divides the
-corresponding surviving factors pairwise, and maximizes the target variables
-out of the quotients. Dividing pairwise is sound because both passes create
-factors with identical scopes at every step: evidence indicator factors never
-enlarge a created scope.
+Pr(e1 | u, e2) = Pr(u, e1, e2) / Pr(u, e2). The Reverse-MAP engine runs two
+sum-elimination passes: one with evidence e1 and e2 over the query order, and
+one with e2 alone over the same order restricted to the ancestral closure of
+the targets and e2, since every other variable is barren for Pr(u, e2). It
+divides each pass-2 survivor into a pass-1 survivor whose scope covers it,
+and maximizes the target variables out of the quotients. A cover always
+exists: the pass-2 factors are a subset of the pass-1 factors (evidence
+indicators never enlarge a scope), eliminated in the same relative order, so
+every pass-2 cluster lies inside the pass-1 cluster of the same variable and
+every created pass-2 scope inside a pass-1 one.
 
 All engines share one core: ``_query_order`` (id and disjointness checks
 and order), ``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass,
@@ -23,11 +27,13 @@ Darwiche 2009 ch. 6). The default order is constrained minfill on the moral
 graph of the closure alone, and a sum pass pools only the CPTs of its order's
 variables. A caller order may cover any ancestrally closed set of variables
 that contains the targets and evidence; the whole model always qualifies,
-and then the passes, values and traces are those of the unpruned model.
+and then the e1+e2 pass and the trace are those of the unpruned model. The
+e2 pass is restricted to its own closure whatever the order.
 
-Targets with Pr(u, e2) = 0 receive the value 0 through the 0/0 = 0 division
-convention and are reported as excluded; they can never win the maximization
-unless every target is excluded, which raises InconsistentEvidenceError.
+Targets with Pr(u, e2) = 0 receive the value 0, because the division writes
+0 wherever its divisor is 0, and are reported as excluded; they can never win
+the maximization unless every target is excluded, which raises
+InconsistentEvidenceError.
 Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so one
 more sum elimination, over the targets and on the survivors' 0/1 masks as
 integer factors (int64, or Python integers once the target grid reaches
@@ -45,7 +51,7 @@ import numpy as np
 
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
 from .elimination import EliminationOrder, ancestral_closure, minfill_order, moral_subgraph
-from .model import ModelError, Scm, _check_state, evidence_to_lambdas
+from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
@@ -226,20 +232,20 @@ def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> Elim
 def _query_order(
     scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Mapping[int, int]
 ) -> EliminationOrder:
-    """Refuse overlapping target and evidence sets, ids that are not in the
-    model and evidence states out of range, then return an order constrained
-    on the targets: the default order over the ancestral closure of the
-    targets and evidence, or the caller's one, which must cover an
-    ancestrally closed set containing them."""
+    """Refuse ids that are not the model's (a float or a bool is not one),
+    overlapping target and evidence sets and evidence states out of range,
+    then return an order constrained on the targets: the default order over
+    the ancestral closure of the targets and evidence, or the caller's one,
+    which must cover an ancestrally closed set containing them."""
     targets = frozenset(targets)
+    unknown = {vid for vids in (targets, *evidence) for vid in vids if not _known_id(scm, vid)}
+    if unknown:
+        raise ModelError(f"unknown variable ids {sorted(unknown, key=repr)} in the query")
     seen = set(targets)
     for e in map(set, evidence):
         if seen & e:
             raise ModelError("targets and evidence sets must be pairwise disjoint")
         seen |= e
-    unknown = seen.difference(scm.parents)
-    if unknown:
-        raise ModelError(f"unknown variable ids {sorted(unknown, key=repr)} in the query")
     for vid, state in (item for e in evidence for item in e.items()):
         _check_state(scm.var(vid), state)
     if order is None:
@@ -273,9 +279,16 @@ def _two_pass(
     order: EliminationOrder,
     trace: list[TraceStep] | None = None,
 ) -> tuple[list[TaggedFactor], list[TaggedFactor]]:
-    """The Reverse-MAP sum passes over one order: under e1+e2 (traced),
-    then under e2 alone."""
-    return _sum_pass(scm, {**e1, **e2}, order, trace), _sum_pass(scm, e2, order)
+    """The Reverse-MAP sum passes: under e1+e2 over the query order
+    (traced), then under e2 alone over the same order restricted to the
+    ancestral closure of the targets and e2, where Pr(u, e2) lives; every
+    other variable is barren for it. The restriction keeps the relative order
+    and the constrained suffix."""
+    closure = ancestral_closure(scm, [*order.suffix, *e2])
+    order2 = EliminationOrder(
+        tuple(v for v in order.sequence if v in closure), order.constrained_suffix
+    )
+    return _sum_pass(scm, {**e1, **e2}, order, trace), _sum_pass(scm, e2, order2)
 
 
 def _product(pool: Iterable[TaggedFactor]) -> Factor:
@@ -321,15 +334,29 @@ def map_ve(
 def _paired_division(
     pool1: Sequence[TaggedFactor], pool2: Sequence[TaggedFactor]
 ) -> list[TaggedFactor]:
-    by_tag = {tf.tag: tf.factor for tf in pool2}
-    if len(by_tag) != len(pool2) or {tf.tag for tf in pool1} != set(by_tag):
-        raise AssertionError("elimination passes produced unpaired factors")
-    out = []
-    for tag, f1 in ((tf.tag, tf.factor) for tf in pool1):
-        f2 = by_tag[tag]
-        assert f1.same_scope(f2), "corresponding factors must share a scope"
-        out.append(TaggedFactor(tag, f1.divide(f2)))
-    return out
+    """Divide each pass-2 survivor into the pass-1 survivor with the smallest
+    tag whose scope covers it, broadcast over that scope, with 0 wherever the
+    divisor is 0. The quotients keep the pass-1 order and tags.
+
+    A positive numerator over a zero divisor is legal here: the zero of
+    Pr(u, e2) may sit in another pass-1 survivor than the chosen one, so this
+    does not go through ``Factor.divide``."""
+    by_tag = sorted(pool1, key=lambda tf: tf.tag)
+    tables = {tf.tag: tf.factor.values for tf in pool1}
+    for divisor in (tf.factor for tf in pool2):
+        cover = next(
+            (tf for tf in by_tag if set(divisor.vids) <= set(tf.factor.vids)), None
+        )
+        if cover is None:
+            raise AssertionError(f"no pass-1 survivor covers the scope {divisor.vids}")
+        den = divisor._expand(cover.factor.vids)
+        tables[cover.tag] = np.divide(
+            tables[cover.tag], den, out=np.zeros(cover.factor.cards), where=den > 0
+        )
+    return [
+        TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, tables[tf.tag]))
+        for tf in pool1
+    ]
 
 
 def rmap_ve(
@@ -342,8 +369,11 @@ def rmap_ve(
 ) -> QueryResult:
     """Reverse-MAP by variable elimination: max_u Pr(e1 | u, e2).
 
-    Two sum passes over the same order (evidence e1+e2, then e2 alone) are
-    divided pairwise and the targets maximized out of the quotients.
+    A sum pass under e1+e2 over the query order and one under e2 alone over
+    that order restricted to the ancestral closure of the targets and e2;
+    each pass-2 survivor is divided into a pass-1 survivor that covers its
+    scope, and the targets are maximized out of the quotients, which keep
+    the pass-1 tags, so the trace shows the pass-1 sum steps and max steps.
     """
     order = _query_order(scm, targets, order, e1, e2)
     trace: list[TraceStep] | None = [] if want_trace else None

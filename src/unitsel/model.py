@@ -274,11 +274,22 @@ def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:
     return p
 
 
+def _is_index(value, size: int) -> bool:
+    """Whether ``value`` is an integer (a bool is not) in ``range(size)``."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return is_int and 0 <= value < size
+
+
+def _known_id(scm: Scm, vid) -> bool:
+    """Whether ``vid`` is a variable id of ``scm``. A float or a bool that
+    equals an id is not one, although it finds that id in a dict."""
+    return _is_index(vid, scm.n)
+
+
 def _check_state(var: Variable, state) -> None:
     """Refuse with ModelError a ``state`` that is not an integer (a bool is
     not) in ``range(var.cardinality)``."""
-    is_int = isinstance(state, (int, np.integer)) and not isinstance(state, bool)
-    if not (is_int and 0 <= state < var.cardinality):
+    if not _is_index(state, var.cardinality):
         raise ModelError(f"state {state} out of range for {var.name!r}")
 
 

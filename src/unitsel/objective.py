@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable, multiply_all
-from .model import ModelError, Scm, json_number, validate
+from .model import ModelError, Scm, _known_id, json_number, validate
 from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
                      counterfactual_term_profile)
 
@@ -94,7 +94,7 @@ def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveRepor
     if weights and abs(sum(weights) - 1.0) > WEIGHT_TOL:
         violations.append(f"term weights sum to {sum(weights)!r}, expected 1")
     for vid in sorted(set(objective.unit_ids)):
-        if not 0 <= vid < scm.n:
+        if not _known_id(scm, vid):
             violations.append(f"unknown unit variable id {vid}")
             continue
         if objective.unit_ids.count(vid) > 1:

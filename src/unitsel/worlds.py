@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable
-from .model import ModelError, Scm, _check_state, validate
+from .model import ModelError, Scm, _check_state, _known_id, validate
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def mutilate(scm: Scm, interventions: Mapping[int, int]) -> Scm:
     parents = dict(scm.parents)
     tables = dict(scm.tables)
     for vid, state in interventions.items():
-        if vid not in scm.parents:
+        if not _known_id(scm, vid):
             raise ModelError(f"unknown variable id {vid} in the interventions")
         v = scm.var(vid)
         _check_state(v, state)
@@ -161,11 +161,12 @@ def _term_violations(
     violations = []
     overlap = (set(x) | set(v)) & (set(y) | set(w))
     if overlap:
-        names = ", ".join(scm.var(i).name for i in sorted(overlap) if 0 <= i < scm.n)
+        known = sorted(i for i in overlap if _known_id(scm, i))
+        names = ", ".join(scm.var(i).name for i in known)
         violations.append(f"treatments overlap outcomes ({names})")
     for role, inst in (("x", x), ("y", y), ("v", v), ("w", w), ("e", e)):
         for vid, state in inst.items():
-            if not 0 <= vid < scm.n:
+            if not _known_id(scm, vid):
                 violations.append(f"unknown variable id {vid} in {role}")
                 continue
             var = scm.var(vid)

@@ -22,9 +22,10 @@ from unitsel import (
     rmap_ve,
     unit_select,
 )
-from unitsel import fixture_path
+from unitsel import fixture_path, inference, parse_dimacs
 from unitsel.inference import (
     TaggedFactor,
+    _paired_division,
     cpt_pool,
     eliminate,
     format_trace,
@@ -34,9 +35,10 @@ from unitsel.inference import (
 from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
 from unitsel.factor import Factor
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
-from unitsel.objective import evaluate_L_brute
+from unitsel.objective import build_objective_model, evaluate_L_brute
+from unitsel.reductions import compile_formula, sat_via_rmap
 from unitsel.worlds import enumerate_instantiations
-from corpus import random_instance, reference_eliminate, small_scm
+from corpus import random_cnf, random_instance, reference_eliminate, small_scm
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +338,25 @@ def test_queries_refuse_unknown_ids(two_node):
         joint_mass(two_node, {0: 0, 2: 1})
 
 
+def test_queries_refuse_non_integer_ids(two_node):
+    # A float id equal to a model id once raised a raw TypeError from
+    # Scm.var, and posterior read the evidence id True as variable 1.
+    for rmap in (rmap_ve, rmap_table, brute_rmap):
+        with pytest.raises(ModelError, match=r"unknown variable ids \[0\.0\]"):
+            rmap(two_node, [0.0], {1: 0}, {})
+        with pytest.raises(ModelError, match=r"unknown variable ids \[1\.0\]"):
+            rmap(two_node, [0], {}, {1.0: 0})
+    for query in (map_ve, brute_map, posterior):
+        with pytest.raises(ModelError, match=r"unknown variable ids \[1\.0\]"):
+            query(two_node, [0], {1.0: 0})
+        with pytest.raises(ModelError, match=r"unknown variable ids \[True\]"):
+            query(two_node, [0], {True: 0})
+    # numpy integers are ids.
+    assert map_ve(two_node, [np.int64(0)], {np.int64(1): 0}).value == map_ve(
+        two_node, [0], {1: 0}
+    ).value
+
+
 def test_queries_refuse_out_of_range_evidence_states(two_node):
     # These once raised a raw IndexError (1.5) or FactorError (5, -1) from
     # the evidence indicator, and a bool state matched every state.
@@ -617,3 +638,133 @@ def test_queries_build_no_validated_factor(monkeypatch):
     assert rmap_ve(scm, units, e1, e2).value > 0
     assert posterior(scm, units, e2).total() == pytest.approx(1.0)
     unit_select(scm, L, method="ve")
+
+
+# -- the e2 pass on its own closure -------------------------------------------
+
+
+def _record_sum_passes(monkeypatch) -> list[tuple[set[int], tuple[int, ...]]]:
+    """Record, for every sum pass, the ids of its pooled CPTs and its order."""
+    passes = []
+
+    def recording(op, pool, order, *args, **kwargs):
+        if op == "sum":
+            passes.append(({tf.tag[1] for tf in pool if tf.tag[0] == "cpt"}, tuple(order)))
+        return eliminate(op, pool, order, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "eliminate", recording)
+    return passes
+
+
+def _assert_e2_pass_on_its_closure(passes, scm, targets, e2) -> set[int]:
+    """The second sum pass covers the ancestral closure of the targets and
+    e2 alone, in the first pass's relative order; returns the first pass's
+    variables."""
+    (vars1, order1), (vars2, order2) = passes[:2]
+    closure = ancestral_closure(scm, [*targets, *e2])
+    assert vars2 == closure
+    assert order2 == tuple(v for v in order1 if v in closure)
+    return vars1
+
+
+def test_e2_pass_of_a_sat_circuit_covers_the_targets_alone(monkeypatch):
+    # e2 is empty and the targets are roots: the e2 pass pools their CPTs
+    # and eliminates nothing, where it once summed the whole circuit out.
+    formula = parse_dimacs(random_cnf(4))
+    scm, _ = compile_formula(formula)
+    targets = {scm.by_name(name).id for name in formula.variables}
+    passes = _record_sum_passes(monkeypatch)
+    sat_via_rmap(formula)
+    vars1 = _assert_e2_pass_on_its_closure(passes, scm, targets, {})
+    assert passes[1] == (targets, ())
+    assert len(vars1) > len(targets)
+
+
+def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
+    smaller = 0
+    for seed in range(10):
+        scm, _, L = random_instance(seed)
+        om = build_objective_model(scm, L)
+        if not om.e2:
+            continue
+        passes = _record_sum_passes(monkeypatch)
+        try:
+            unit_select(scm, L)
+        except InconsistentEvidenceError:
+            pass
+        vars1 = _assert_e2_pass_on_its_closure(passes, om.model, om.unit_om_ids, om.e2)
+        smaller += len(passes[1][0]) < len(vars1)
+    assert smaller > 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_e2_pass_restricts_a_whole_model_caller_order(monkeypatch, seed):
+    scm = small_scm(seed + 1200)
+    rng = np.random.default_rng([98, seed])
+    vids = [v.id for v in scm.variables]
+    rng.shuffle(vids)
+    targets, e1, e2 = sorted(vids[:2]), {vids[2]: 0}, {vids[3]: 1}
+    whole = minfill_order(moral_graph(scm), constrained_suffix=targets)
+    passes = _record_sum_passes(monkeypatch)
+    try:
+        rmap_ve(scm, targets, e1, e2, order=whole)
+    except InconsistentEvidenceError:
+        pass
+    assert _assert_e2_pass_on_its_closure(passes, scm, targets, e2) == set(range(scm.n))
+    assert passes[0][1] == whole.prefix
+
+
+@pytest.mark.parametrize("whole_order", [False, True])
+def test_rmap_with_e2_agrees_with_brute(whole_order):
+    # Each e2-pass survivor is divided into a covering e1+e2 survivor; values,
+    # tables and excluded counts stay those of enumeration.
+    with_excluded = 0
+    for seed in range(60):
+        scm = small_scm(seed + 1100)
+        rng = np.random.default_rng([97, seed])
+        vids = [v.id for v in scm.variables]
+        rng.shuffle(vids)
+        targets = sorted(vids[:2])
+        e1 = {vids[2]: int(rng.integers(0, 2))}
+        e2 = {v: int(rng.integers(0, 2)) for v in vids[3 : 3 + int(rng.integers(1, 3))]}
+        order = minfill_order(moral_graph(scm), constrained_suffix=targets) if whole_order else None
+        try:
+            br = brute_rmap(scm, targets, e1, e2)
+        except InconsistentEvidenceError:
+            with pytest.raises(InconsistentEvidenceError):
+                rmap_ve(scm, targets, e1, e2, order=order)
+            continue
+        vr = rmap_ve(scm, targets, e1, e2, order=order)
+        assert abs(vr.value - br.value) <= 1e-12
+        assert vr.excluded == br.excluded
+        with_excluded += vr.excluded > 0
+        table = rmap_table(scm, targets, e1, e2, order=order)
+        assert abs(table[vr.instantiation] - br.value) <= 1e-12
+        for u in enumerate_instantiations(scm, targets):
+            m2 = joint_mass(scm, {**e2, **u})
+            expected = joint_mass(scm, {**e1, **e2, **u}) / m2 if m2 > 0 else 0.0
+            assert abs(table[u] - expected) <= 1e-12
+    assert with_excluded > 0
+
+
+def test_paired_division_divides_into_the_first_covering_survivor():
+    def tagged(tag, vids, values):
+        values = np.asarray(values, dtype=float)
+        return TaggedFactor(tag, Factor(vids, values.shape, values))
+
+    pool1 = [
+        tagged(("step", 5), (0,), [0.5, 0.5]),
+        tagged(("cpt", 0), (0, 1), [[0.2, 0.3], [0.4, 0.1]]),
+    ]
+    pool2 = [tagged(("step", 2), (0,), [0.0, 0.25]), tagged(("lam", 1), (1,), [0.5, 1.0])]
+    out = _paired_division(pool1, pool2)
+    # Pass-1 order and tags; both divisors go to ("cpt", 0), the smallest
+    # covering tag. The zero divisor under 0.2 and 0.3 gives 0, not an error.
+    assert [tf.tag for tf in out] == [("step", 5), ("cpt", 0)]
+    assert out[0].factor.equal_table(pool1[0].factor)
+    assert out[1].factor.vids == (0, 1)
+    np.testing.assert_array_equal(
+        out[1].factor.values, [[0.0, 0.0], [0.4 / 0.25 / 0.5, 0.1 / 0.25 / 1.0]]
+    )
+    with pytest.raises(AssertionError, match="no pass-1 survivor covers"):
+        _paired_division(pool1, [tagged(("step", 3), (2,), [1.0, 1.0])])

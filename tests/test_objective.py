@@ -355,3 +355,13 @@ def test_objective_json_roundtrip():
     doc = b'{"units":["U"],"terms":[{"weight":1.0,"y":{"Y":"0"}}]}'
     L2 = load_objective(scm, doc)
     assert L2.terms[0].y == {3: 0} and not L2.terms[0].x
+
+
+def test_validate_refuses_non_integer_ids():
+    # A float id equal to a model id once raised a raw TypeError from Scm.var.
+    scm = xor_scm()
+    L = ObjectiveFunction((0.0,), (ObjectiveTerm(1.0, y={3.0: 0}),))
+    assert validate_objective(scm, L).violations == [
+        "unknown unit variable id 0.0",
+        "term 1: unknown variable id 3.0 in y",
+    ]

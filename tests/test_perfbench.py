@@ -56,3 +56,20 @@ def test_every_traced_layer_function_resolves():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def test_committed_bench_records_name_declared_workloads_and_metrics():
+    # The BENCH_*.json files carry the performance trend across changes; a
+    # record that names a workload or an end-to-end metric the benchmark does
+    # not declare can no longer be read against the others.
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"change", "command", "protocol", "workloads"} <= set(record), path.name
+        assert set(record["workloads"]) <= workloads, path.name
+        for name, entry in record["workloads"].items():
+            for field in ("parent", "change", "parent_quartiles", "change_wins"):
+                assert set(entry.get(field, {})) <= metrics, (path.name, name, field)

@@ -118,11 +118,24 @@ def test_counterfactual_query_refuses_unknown_ids_and_states():
 
 
 def test_mutilate_refuses_unknown_ids():
-    # Id 7 once raised a raw IndexError, and -1 returned the model unmutilated.
+    # Id 7 once raised a raw IndexError, -1 returned the model unmutilated,
+    # and 1.0 raised a raw TypeError.
     scm = chain_scm()
-    for vid in (7, -1):
+    for vid in (7, -1, 1.0, True):
         with pytest.raises(ModelError, match=f"unknown variable id {vid}"):
             mutilate(scm, {vid: 0})
+
+
+def test_counterfactual_query_refuses_non_integer_ids():
+    # A float id equal to a model id once passed the id check and raised a
+    # raw TypeError from Scm.var.
+    scm = chain_scm()
+    with pytest.raises(ModelError, match="unknown variable id 2.0 in y"):
+        counterfactual_query(scm, {}, {2.0: 0}, {}, {}, {})
+    with pytest.raises(ModelError, match="unknown variable id 1.0 in x"):
+        counterfactual_query(scm, {1.0: 0}, {1: 1}, {}, {}, {})
+    with pytest.raises(ModelError, match="unknown variable id True in e"):
+        counterfactual_query(scm, {}, {2: 0}, {}, {}, {True: 0})
 
 
 def xor_noise_scm(endogenous_noise: bool):
