@@ -8,14 +8,21 @@ over such orders is the U-constrained treewidth.
 
 ``minfill_order`` works on bitsets: each node is replaced by its rank in
 sorted-id order, and a node's adjacency is a Python int with one bit per
-neighbor rank, so a fill count is a few ``int.bit_count`` calls. Each node's
-fill count is computed once and cached. Eliminating ``v`` changes the counts
-of ``v``'s neighbors, which are recomputed, and of the nodes adjacent to both
-ends of a new fill edge, whose counts drop by the fill edges added among
-their neighbors (Koller & Friedman 2009, ch. 9; Darwiche 2009, ch. 9). The
-next node comes from a lazy min-heap keyed on (in suffix, fill, rank): every
-free node goes before the constrained suffix, and since ranks follow ids, a
-fill tie goes to the smallest id, exactly as a scan of all live nodes would.
+neighbor rank. A node's fill count is C(deg, 2) - tri, where tri counts the
+edges among its neighbors, and tri is kept up to date rather than recounted
+(Koller & Friedman 2009, ch. 9). Adding the fill edge (a, b) adds to tri(a)
+and tri(b) one edge per common neighbor c of a and b, and to each such c the
+edge (a, b) itself; removing ``v`` takes from each neighbor its edge to ``v``
+and v's edges to the other neighbors, which by then form a clique. Only the
+nodes whose counts moved are re-keyed. The next node comes from a lazy
+min-heap keyed on (in suffix, fill, rank): every free node goes before the
+constrained suffix, and since ranks follow ids, a fill tie goes to the
+smallest id, exactly as a scan of all live nodes would.
+
+``simulate_elimination`` ranks the nodes by their place in the order, so the
+neighbors left when a node goes are the set bits of its adjacency above its
+own rank. Its fill edges are one bitwise or into the first of those
+neighbors to go, whose own elimination passes them on.
 """
 
 from __future__ import annotations
@@ -24,9 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .model import ModelError, Scm
 
@@ -77,14 +82,6 @@ class UGraph:
                 self.adj[a].add(b)
                 self.adj[b].add(a)
         return cluster
-
-    def fill_count(self, v: int) -> int:
-        """Number of fill edges eliminating ``v`` would add."""
-        ns = self.adj[v]
-        missing = 0
-        for a in ns:
-            missing += len(ns - self.adj[a]) - 1  # a is never adjacent to itself
-        return missing // 2
 
     def connected(self) -> bool:
         if not self.adj:
@@ -183,36 +180,43 @@ def ancestral_closure(scm: Scm, vids: Iterable[int]) -> frozenset[int]:
     return frozenset(closure)
 
 
+def _rank_bitsets(g: UGraph, nodes: Sequence[int]) -> list[int]:
+    """The adjacency of ``g`` as one int per node of ``nodes``, with bit r
+    set for a neighbor at position r of ``nodes``."""
+    bit = dict(zip(nodes, (1 << r for r in range(len(nodes)))))
+    # The bits are distinct, so their sum is their union.
+    return [sum(map(bit.__getitem__, g.adj[v])) for v in nodes]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def simulate_elimination(g: UGraph, order: EliminationOrder | Sequence[int]) -> ClusterReport:
     """Eliminate per the order, collecting clusters and the width."""
     seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
     if len(seq) != len(g.adj) or set(seq) != g.nodes:
         raise ModelError("order must cover exactly the graph nodes")
-    work = g.copy()
-    clusters = tuple(work.eliminate(v) for v in seq)
+    # Ranks follow the order, so the neighbors left when v goes are the bits
+    # of adj[v] above v; lower bits are eliminated nodes and are never read.
+    # The fill among them need only reach the first of them to go, whose own
+    # elimination passes the rest on (symbolic factorization; George & Liu
+    # 1981, ch. 5).
+    adj = _rank_bitsets(g, seq)
+    clusters = []
+    for v in range(len(adj)):
+        later = adj[v] & -(2 << v)
+        if later:
+            adj[(later & -later).bit_length() - 1] |= later
+        clusters.append(frozenset(map(seq.__getitem__, _bits(later | 1 << v))))
     width = max((len(c) for c in clusters), default=0) - 1
-    return ClusterReport(clusters, width)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _missing(adj: list[int], ns: int) -> int:
-    """Non-adjacent pairs among the nodes of bitset ``ns``."""
-    # The bit walk of _bits, inlined: this loop is most of minfill's time.
-    twice_edges = 0
-    rest = ns
-    while rest:
-        low = rest & -rest
-        twice_edges += (adj[low.bit_length() - 1] & ns).bit_count()
-        rest ^= low
-    d = ns.bit_count()
-    return d * (d - 1) // 2 - twice_edges // 2
+    return ClusterReport(tuple(clusters), width)
 
 
 def minfill_order(
@@ -223,9 +227,15 @@ def minfill_order(
     nodes are eligible while any remain, then the U nodes."""
     suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
     nodes = sorted(g.adj)
-    rank = {v: r for r, v in enumerate(nodes)}
-    adj = [sum(1 << rank[b] for b in g.adj[v]) for v in nodes]
-    fill: list[int | None] = [_missing(adj, ns) for ns in adj]
+    adj = _rank_bitsets(g, nodes)
+    # tri[r]: edges among the neighbors of r, so fill = C(deg, 2) - tri.
+    tri = [
+        sum(map(int.bit_count, map(ns.__and__, map(adj.__getitem__, _bits(ns))))) // 2
+        for ns in adj
+    ]
+    fill: list[int | None] = [
+        d * (d - 1) // 2 - t for d, t in zip((ns.bit_count() for ns in adj), tri)
+    ]
     # Heap entries (in suffix, fill, rank) put every free node before the
     # suffix; an entry is stale once its fill is not fill[rank] (None once
     # the node is eliminated).
@@ -240,40 +250,39 @@ def minfill_order(
         seq.append(nodes[v])
         fill[v] = None
         ns = adj[v]
-        members = list(_bits(ns))
+        bit = 1 << v
+        members = _bits(ns)
+        touched = ns
         if f:
-            # Outside ns, a node's fill drops by the missing pairs among its
-            # neighbors in ns, which eliminating v fills; only nodes with two
-            # or more neighbors in ns can have one.
-            closed = ns | (1 << v)
-            once = twice = 0
             for a in members:
-                out = adj[a] & ~closed
-                twice |= once & out
-                once |= out
-            for x in _bits(twice):
-                drop = _missing(adj, adj[x] & ns)
-                if drop:
-                    fill[x] -= drop
-                    heapq.heappush(heap, (in_suffix[x], fill[x], x))
+                # Each fill edge (a, b) closes a triangle with every common
+                # neighbor of a and b, v among them.
+                for b in _bits(ns & ~adj[a] & -(2 << a)):
+                    common = adj[a] & adj[b]
+                    k = common.bit_count()
+                    tri[a] += k
+                    tri[b] += k
+                    common ^= bit
+                    touched |= common
+                    while common:  # the bit walk of _bits, inlined
+                        low = common & -common
+                        tri[low.bit_length() - 1] += 1
+                        common ^= low
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        # ns is a clique now, so each member loses v and v's edges to the
+        # other members.
+        lost = len(members) - 1
         for a in members:
-            adj[a] = (adj[a] | ns) & ~(1 << a | 1 << v)
-        for a in members:
-            new = _missing(adj, adj[a])
-            if new != fill[a]:
-                fill[a] = new
-                heapq.heappush(heap, (in_suffix[a], new, a))
+            adj[a] ^= bit
+            tri[a] -= lost
+        for x in _bits(touched):
+            d = adj[x].bit_count()
+            new = d * (d - 1) // 2 - tri[x]
+            if new != fill[x]:
+                fill[x] = new
+                heapq.heappush(heap, (in_suffix[x], new, x))
     return EliminationOrder(tuple(seq), suffix)
-
-
-def random_constrained_order(
-    g: UGraph, constrained_suffix: Iterable[int], rng: np.random.Generator
-) -> EliminationOrder:
-    suffix = sorted(constrained_suffix)
-    rest = sorted(g.nodes - set(suffix))
-    rng.shuffle(rest)
-    rng.shuffle(suffix)
-    return EliminationOrder(tuple(rest) + tuple(suffix), frozenset(suffix))
 
 
 # -- order lifting -------------------------------------------------------------

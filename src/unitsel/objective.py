@@ -67,7 +67,12 @@ class ObjectiveFunction:
     terms: tuple[ObjectiveTerm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_ids", tuple(sorted(self.unit_ids)))
+        unit_ids = tuple(self.unit_ids)
+        try:
+            unit_ids = tuple(sorted(unit_ids))
+        except TypeError:
+            pass  # ids that do not compare are unknown; validation reports them
+        object.__setattr__(self, "unit_ids", unit_ids)
         object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
@@ -93,11 +98,16 @@ def validate_objective(scm: Scm, objective: ObjectiveFunction) -> ObjectiveRepor
         violations.append("term weights must be finite and non-negative")
     if weights and abs(sum(weights) - 1.0) > WEIGHT_TOL:
         violations.append(f"term weights sum to {sum(weights)!r}, expected 1")
-    for vid in sorted(set(objective.unit_ids)):
-        if not _known_id(scm, vid):
-            violations.append(f"unknown unit variable id {vid}")
-            continue
-        if objective.unit_ids.count(vid) > 1:
+    # Each id is checked before it is compared with another, which an unknown
+    # id (a string, a tuple) may not support: the unknown ids are reported
+    # first, then the rules on the known ones, each in the order given.
+    known = [vid for vid in objective.unit_ids if _known_id(scm, vid)]
+    violations += (
+        f"unknown unit variable id {vid}"
+        for vid in objective.unit_ids if not _known_id(scm, vid)
+    )
+    for vid in dict.fromkeys(known):
+        if known.count(vid) > 1:
             violations.append(f"unit variable {scm.var(vid).name!r} is repeated")
         if not scm.is_root(vid):
             violations.append(f"unit variable {scm.var(vid).name!r} is not exogenous")

@@ -258,12 +258,13 @@ def counterfactual_term_profile(
     ascending unit ids). ``defined`` is False where Pr(e, u) = 0, in which
     case the value entry is 0. Requires a functional SCM.
     """
-    unit_ids = tuple(sorted(unit_ids))
-    for vid in unit_ids:
-        if vid not in scm.parents:
+    unit_ids = tuple(unit_ids)
+    for vid in unit_ids:  # before sorting, which an unknown id may break
+        if not _known_id(scm, vid):
             raise ModelError(f"unknown unit variable id {vid}")
         if not scm.is_root(vid):
             raise ModelError(f"unit variable {scm.var(vid).name!r} must be a root")
+    unit_ids = tuple(sorted(unit_ids))
     roots = tuple(sorted(scm.roots))
     shape = tuple(scm.var(r).cardinality for r in roots)
     grids = _root_grids(scm, roots)
@@ -323,10 +324,12 @@ def counterfactual_oracle(
 
 def _profile_at(scm: Scm, profile: tuple, u: Mapping[int, int]) -> float | None:
     """The entry at unit ``u`` of a ``(values, defined)`` profile whose axes
-    follow the ascending ids of ``u``; None where it is undefined. A state
-    out of its unit's range is refused with ModelError, so that a negative
-    one never reads another unit's entry."""
+    follow the ascending ids of ``u``; None where it is undefined. An
+    unknown unit id, or a state out of its unit's range, is refused with
+    ModelError, so that a negative one never reads another unit's entry."""
     for vid, state in u.items():
+        if not _known_id(scm, vid):
+            raise ModelError(f"unknown unit variable id {vid}")
         _check_state(scm.var(vid), state)
     idx = tuple(u[vid] for vid in sorted(u))
     values, defined = profile

@@ -88,9 +88,18 @@ def random_ugraph(seed: int, lo: int = 5, hi: int = 12, p: float = 0.35) -> UGra
     return g
 
 
+def fill_count(g: UGraph, v: int) -> int:
+    """Number of fill edges eliminating ``v`` from ``g`` would add."""
+    ns = g.adj[v]
+    missing = 0
+    for a in ns:
+        missing += len(ns - g.adj[a]) - 1  # a is never adjacent to itself
+    return missing // 2
+
+
 def reference_minfill_order(g: UGraph, constrained_suffix=None) -> EliminationOrder:
     """The set-based greedy minfill loop: every step scans every eligible
-    live node with ``UGraph.fill_count`` (ties: smallest id)."""
+    live node with ``fill_count`` (ties: smallest id)."""
     suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
     work = g.copy()
     seq: list[int] = []
@@ -98,10 +107,21 @@ def reference_minfill_order(g: UGraph, constrained_suffix=None) -> EliminationOr
         pool = work.nodes - suffix if suffix else work.nodes
         if not pool:
             pool = work.nodes
-        best = min(pool, key=lambda v: (work.fill_count(v), v))
+        best = min(pool, key=lambda v: (fill_count(work, v), v))
         seq.append(best)
         work.eliminate(best)
     return EliminationOrder(tuple(seq), suffix)
+
+
+def random_constrained_order(
+    g: UGraph, constrained_suffix, rng: np.random.Generator
+) -> EliminationOrder:
+    """A uniformly shuffled order with ``constrained_suffix`` last."""
+    suffix = sorted(constrained_suffix)
+    rest = sorted(g.nodes - set(suffix))
+    rng.shuffle(rest)
+    rng.shuffle(suffix)
+    return EliminationOrder(tuple(rest) + tuple(suffix), frozenset(suffix))
 
 
 def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:

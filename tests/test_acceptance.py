@@ -43,7 +43,6 @@ from unitsel.elimination import (
     append_root_order,
     lift_order_constrained,
     lift_order_unconstrained,
-    random_constrained_order,
 )
 from unitsel.inference import joint_mass
 from unitsel.objective import evaluate_L_brute
@@ -56,7 +55,7 @@ from unitsel.reductions import (
     truth_table,
 )
 from unitsel.worlds import enumerate_instantiations, n_world_model
-from corpus import random_cnf, random_instance
+from corpus import random_cnf, random_constrained_order, random_instance
 
 CORPUS_SIZE = 200
 

@@ -134,6 +134,11 @@ def test_width_five_node(capsys, five_node):
     assert "width: 2" in out
 
 
+def test_width_with_units_prints_pinned_clusters(capsys, five_node):
+    assert main(["width", "--model", str(five_node), "--units", "A,B"]) == 0
+    assert capsys.readouterr().out == "width: 2\nclusters: BCD CE ABC AB B\n"
+
+
 def test_width_tight_family(capsys, tmp_path):
     model = tmp_path / "tight.json"
     objective = tmp_path / "tight_objective.json"

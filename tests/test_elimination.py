@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unitsel import (
+    ClusterReport,
     EliminationOrder,
     ModelError,
     UGraph,
@@ -42,7 +43,9 @@ from unitsel.elimination import (
 )
 from unitsel.objective import ObjectiveFunction, ObjectiveTerm
 from corpus import (
+    fill_count,
     random_cnf,
+    random_constrained_order,
     random_dag_scm,
     random_ugraph,
     reference_clusters,
@@ -125,6 +128,31 @@ def test_simulation_rejects_repeated_node():
         simulate_elimination(g, [3, 7, 7])
 
 
+def test_simulation_matches_reference_under_random_orders():
+    # Random orders fill far more than minfill's, and the ids are neither
+    # contiguous nor in elimination order.
+    assert simulate_elimination(UGraph(), ()) == ClusterReport((), -1)
+    sizes = set()
+    for seed in range(150):
+        rng = np.random.default_rng([314, seed])
+        g = _relabelled_ugraph(seed, rng)
+        before = {v: set(ns) for v, ns in g.adj.items()}
+        nodes = sorted(g.nodes)
+        if seed % 2:
+            suffix = {v for v in nodes if rng.random() < 0.4}
+            order = random_constrained_order(g, suffix, rng)
+            seq = order.sequence
+        else:
+            seq = tuple(int(v) for v in rng.permutation(np.array(nodes, dtype=np.int64)))
+            order = seq
+        want = reference_clusters(g, seq)
+        report = simulate_elimination(g, order)
+        assert report == ClusterReport(tuple(want), max(map(len, want), default=0) - 1)
+        assert g.adj == before  # the caller's graph is left as it was
+        sizes.add(len(nodes))
+    assert 0 in sizes and max(sizes) >= 20
+
+
 def test_minfill_tree_is_width_one():
     g = UGraph(nodes=range(7), edges=[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     order = minfill_order(g)
@@ -133,7 +161,7 @@ def test_minfill_tree_is_width_one():
     # every elimination in a tree adds no fill edge under minfill
     work = g.copy()
     for v in order.sequence:
-        assert work.fill_count(v) == 0
+        assert fill_count(work, v) == 0
         work.eliminate(v)
 
 
@@ -186,14 +214,19 @@ def _record_minfill_calls(monkeypatch, module):
     return calls
 
 
+def _relabelled_ugraph(seed, rng):
+    """A random graph (possibly empty) on non-contiguous ids whose order
+    differs from the generator's labels."""
+    base = random_ugraph(seed, lo=0, hi=24, p=float(rng.uniform(0.1, 0.7)))
+    ids = rng.choice(10_000, len(base.nodes), replace=False)
+    labels = {v: int(x) for v, x in zip(sorted(base.nodes), ids)}
+    return UGraph(labels.values(), [(labels[a], labels[b]) for a in base.adj for b in base.adj[a]])
+
+
 def test_minfill_matches_reference_on_relabelled_random_graphs():
     for seed in range(240):
         rng = np.random.default_rng([313, seed])
-        base = random_ugraph(seed, lo=0, hi=24, p=float(rng.uniform(0.1, 0.7)))
-        # Non-contiguous ids whose order differs from the generator's labels.
-        ids = rng.choice(10_000, len(base.nodes), replace=False)
-        labels = {v: int(x) for v, x in zip(sorted(base.nodes), ids)}
-        g = UGraph(labels.values(), [(labels[a], labels[b]) for a in base.adj for b in base.adj[a]])
+        g = _relabelled_ugraph(seed, rng)
         nodes = sorted(g.nodes)
         kind = seed % 4
         if kind == 0:

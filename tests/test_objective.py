@@ -119,6 +119,38 @@ def test_evaluate_L_brute_refuses_out_of_range_unit_states():
             evaluate_L_brute(scm, L, {0: state})
 
 
+def test_evaluate_L_brute_refuses_non_integer_unit_ids():
+    # A float unit id equal to a model id once raised a raw TypeError from
+    # Scm.var, after the whole profile was computed.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={4: 0}),))
+    assert evaluate_L_brute(scm, L, {0: 0}) == 0.0
+    with pytest.raises(ModelError, match="unknown unit variable id 0.0"):
+        evaluate_L_brute(scm, L, {0.0: 0})
+
+
+def test_validate_reports_incomparable_unit_ids_as_unknown():
+    # Units ("a", 0) once raised TypeError: '<' not supported, from sorting
+    # the ids before any was checked.
+    scm = xor_scm()
+    term = ObjectiveTerm(1.0, y={3: 0})
+    L = ObjectiveFunction(("a", 0), (term,))
+    assert L.unit_ids == ("a", 0)
+    assert validate_objective(scm, L).violations == ["unknown unit variable id a"]
+    L = ObjectiveFunction((2, "a", 0, (9,), 0), (term,))
+    assert validate_objective(scm, L).violations == [
+        "unknown unit variable id a",
+        "unknown unit variable id (9,)",
+        "unit variable 'X' is not exogenous",
+        "unit variable 'U' is repeated",
+    ]
+    with pytest.raises(ModelError, match="unknown unit variable id a"):
+        unit_select(scm, L)
+    # Comparable ids are still kept sorted.
+    assert ObjectiveFunction((1, 0), (term,)).unit_ids == (0, 1)
+
+
 def test_unit_select_checks_the_objective_once(monkeypatch):
     calls = []
     check = unitsel.objective.validate_objective

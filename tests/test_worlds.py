@@ -9,6 +9,8 @@ from unitsel import (
     ModelError,
     counterfactual_oracle,
     counterfactual_query,
+    fixture_path,
+    load_model,
     make_scm,
     mutilate,
     n_world_model,
@@ -164,6 +166,19 @@ def test_oracle_refuses_ill_posed_terms_and_units():
     # An unknown unit id once raised a raw KeyError.
     with pytest.raises(ModelError, match="unknown unit variable id 9"):
         counterfactual_oracle(scm, {}, {3: 1}, {}, {}, {}, {9: 0})
+
+
+def test_oracle_refuses_non_integer_unit_ids():
+    # A float unit id equal to a model id once raised a raw TypeError from
+    # Scm.var, and the term profile accepted it silently.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    assert counterfactual_oracle(scm, {}, {4: 0}, {}, {}, {}, {0: 0}) == 0.0
+    for u in ({0.0: 0}, {True: 0}, {"a": 0, 0: 0}):
+        with pytest.raises(ModelError, match="unknown unit variable id"):
+            counterfactual_oracle(scm, {}, {4: 0}, {}, {}, {}, u)
+        with pytest.raises(ModelError, match="unknown unit variable id"):
+            counterfactual_term_profile(scm, {}, {4: 0}, {}, {}, {}, u)
 
 
 def test_oracle_refuses_out_of_range_unit_states():
