@@ -19,6 +19,12 @@ min-heap keyed on (in suffix, fill, rank): every free node goes before the
 constrained suffix, and since ranks follow ids, a fill tie goes to the
 smallest id, exactly as a scan of all live nodes would.
 
+``mindegree_order`` is greedy min-degree (Koller & Friedman 2009, ch. 9) on
+the same bitsets and heap, keyed on (in suffix, degree, rank): eliminating a
+node joins its neighbors into a clique, so only their degrees move. It
+orders the default query closures of ``inference``; minfill stays for the
+width analysis.
+
 ``simulate_elimination`` ranks the nodes by their place in the order, so the
 neighbors left when a node goes are the set bits of its adjacency above its
 own rank. Its fill edges are one bitwise or into the first of those
@@ -59,9 +65,6 @@ class UGraph:
             return
         self.adj.setdefault(a, set()).add(b)
         self.adj.setdefault(b, set()).add(a)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adj.get(a, ())
 
     def neighbors(self, v: int) -> set[int]:
         return self.adj[v]
@@ -282,6 +285,40 @@ def minfill_order(
             if new != fill[x]:
                 fill[x] = new
                 heapq.heappush(heap, (in_suffix[x], new, x))
+    return EliminationOrder(tuple(seq), suffix)
+
+
+def mindegree_order(
+    g: UGraph, constrained_suffix: Iterable[int] | None = None
+) -> EliminationOrder:
+    """Greedy min-degree: repeatedly eliminate the eligible node with the
+    fewest neighbors (ties: smallest id). With a constrained suffix, non-U
+    nodes are eligible while any remain, then the U nodes."""
+    suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
+    nodes = sorted(g.adj)
+    adj = _rank_bitsets(g, nodes)
+    deg: list[int | None] = [ns.bit_count() for ns in adj]
+    # The heap and its stale entries work as in minfill_order, keyed on
+    # (in suffix, degree, rank).
+    in_suffix = [bool(suffix) and v in suffix for v in nodes]
+    heap = [(s, d, r) for r, (s, d) in enumerate(zip(in_suffix, deg))]
+    heapq.heapify(heap)
+    seq: list[int] = []
+    for _ in nodes:
+        _, d, v = heapq.heappop(heap)
+        while deg[v] != d:
+            _, d, v = heapq.heappop(heap)
+        seq.append(nodes[v])
+        deg[v] = None
+        ns = adj[v]
+        # Only the neighbors' degrees move: each joins the clique on ns and
+        # loses v.
+        for a in _bits(ns):
+            adj[a] = (adj[a] | ns) ^ (1 << a | 1 << v)
+            new = adj[a].bit_count()
+            if new != deg[a]:
+                deg[a] = new
+                heapq.heappush(heap, (in_suffix[a], new, a))
     return EliminationOrder(tuple(seq), suffix)
 
 

@@ -169,11 +169,6 @@ class Factor:
         return cls((), (), np.asarray(value, dtype=np.float64))
 
     @classmethod
-    def ones(cls, vids: Iterable[int], cards: Iterable[int]) -> "Factor":
-        cards = tuple(cards)
-        return cls(vids, cards, np.ones(cards))
-
-    @classmethod
     def indicator(cls, vid: int, card: int, state: int) -> "Factor":
         """The 0/1 evidence factor that is 1 exactly at ``state``."""
         if not 0 <= state < card:
@@ -296,21 +291,6 @@ class Factor:
             arg.reshape(kept_cards),
         )
         return Factor._trusted(kept_vids, kept_cards, best.reshape(kept_cards)), table
-
-    def divide(self, other: "Factor") -> "Factor":
-        """Pointwise quotient over equal scopes with the 0/0 = 0 convention."""
-        if not self.same_scope(other):
-            raise FactorError(
-                f"division needs equal scopes, got {self.vids} vs {other.vids}"
-            )
-        num, den = self.values, other.values
-        bad = (den == 0) & (num > 0)
-        if np.any(bad):
-            raise FactorError(
-                "division undefined: positive numerator over zero denominator"
-            )
-        out = np.divide(num, den, out=np.zeros(self.cards), where=den > 0)
-        return Factor._trusted(self.vids, self.cards, out)
 
     def reduce(self, evidence: Mapping[int, int]) -> "Factor":
         """Zero every entry inconsistent with ``evidence``; scope unchanged."""

@@ -23,12 +23,13 @@ mention its variable, never the whole pool.
 Every query is pruned to the ancestral closure of its targets and evidence.
 A variable outside it is barren: no evidence and no target lies at or below
 it, so summing it out of its CPT gives 1 (barren-node removal; Shachter 1986,
-Darwiche 2009 ch. 6). The default order is constrained minfill on the moral
-graph of the closure alone, and a sum pass pools only the CPTs of its order's
-variables. A caller order may cover any ancestrally closed set of variables
-that contains the targets and evidence; the whole model always qualifies,
-and then the e1+e2 pass and the trace are those of the unpruned model. The
-e2 pass is restricted to its own closure whatever the order.
+Darwiche 2009 ch. 6). The default order is constrained min-degree (Koller &
+Friedman 2009, ch. 9) on the moral graph of the closure alone, and a sum pass
+pools only the CPTs of its order's variables. A caller order may cover any
+ancestrally closed set of variables that contains the targets and evidence;
+the whole model always qualifies, and then the e1+e2 pass and the trace are
+those of the unpruned model. The e2 pass is restricted to its own closure
+whatever the order.
 
 Targets with Pr(u, e2) = 0 receive the value 0, because the division writes
 0 wherever its divisor is 0, and are reported as excluded; they can never win
@@ -50,10 +51,15 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
-from .elimination import EliminationOrder, ancestral_closure, minfill_order, moral_subgraph
+from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
+
+_FUSED_MIN_CELLS = 2048
+"""Cluster cells from which a sum step contracts its last factor into the
+sum (``_sum_step``); below it einsum's per-call planning costs more than the
+product it saves."""
 
 Tag = tuple
 """Factor provenance: ("cpt", vid), ("lam", vid), ("step", i) or ("unit", vid)."""
@@ -129,6 +135,13 @@ def eliminate(
     names the traced factors and gives the cardinality of a variable that no
     factor mentions.
 
+    A sum step over two or more float64 factors whose cluster has at least
+    ``_FUSED_MIN_CELLS`` cells and fewer than 52 variables fuses its last
+    multiply into the sum (``_sum_step``), so the cluster's full product is
+    never built; its values may differ from multiply-then-sum ones in the
+    last bits, and its trace row is the same. Max steps and integer count
+    passes always multiply, then reduce.
+
     The factors wait in buckets (Dechter 1999): each in the bucket of its
     first variable in the order, or among the survivors when the order has
     none of its variables. The pool's factors are placed first, in pool
@@ -161,11 +174,11 @@ def eliminate(
             # integer factor, so an integer count stays exact.
             ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
             mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
-        product = multiply_all(tf.factor for tf in mention)
-        cluster = product.vids
         if op == "sum":
-            created = product.sum_out({vid})
+            created, cluster = _sum_step([tf.factor for tf in mention], vid)
         else:
+            product = multiply_all(tf.factor for tf in mention)
+            cluster = product.vids
             created, table = product.max_out({vid})
             max_tables.append(table)
         tag = ("step", step)
@@ -185,6 +198,40 @@ def eliminate(
             )
         place(TaggedFactor(tag, created))
     return survivors, max_tables
+
+
+def _sum_step(factors: list[Factor], vid: int) -> tuple[Factor, tuple[int, ...]]:
+    """Sum ``vid`` out of the product of ``factors``; returns the created
+    factor and the cluster, the union of their scopes.
+
+    A fused step (gated as ``eliminate`` says) multiplies all factors but the
+    last, and ``np.einsum`` sums over ``vid`` the product of that head and the
+    last factor, with the cluster relabelled 0..k-1 (numpy accepts labels
+    below 52). ``optimize=True`` lets it hand the contraction to BLAS; without
+    it the contraction is a slow generic loop. Every other step multiplies
+    all its factors and sums with the row kernel of ``Factor.sum_out``."""
+    cards: dict[int, int] = {}
+    for f in factors:
+        cards.update(zip(f.vids, f.cards))
+    if (
+        len(factors) < 2
+        or len(cards) >= 52
+        or math.prod(cards.values()) < _FUSED_MIN_CELLS
+        or any(f.values.dtype != np.float64 for f in factors)
+    ):
+        product = multiply_all(factors)
+        return product.sum_out({vid}), product.vids
+    cluster = tuple(sorted(cards))
+    label = {v: i for i, v in enumerate(cluster)}
+    kept = tuple(v for v in cluster if v != vid)
+    head, last = multiply_all(factors[:-1]), factors[-1]
+    table = np.einsum(
+        head.values, [label[v] for v in head.vids],
+        last.values, [label[v] for v in last.vids],
+        [label[v] for v in kept],
+        optimize=True,
+    )
+    return Factor._trusted(kept, tuple(cards[v] for v in kept), np.asarray(table)), cluster
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:
@@ -219,12 +266,12 @@ def _recover_instantiation(tables: list[MaximizerTable]) -> Instantiation:
 
 
 def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> EliminationOrder:
-    """Constrained minfill order over the moral graph of the ancestrally
+    """Constrained min-degree order over the moral graph of the ancestrally
     closed set ``vids``, with the target block re-sorted to descending id, so
     reverse-order argmax recovery breaks ties toward the lexicographically
     smallest instantiation in declaration order."""
     targets = set(targets)
-    base = minfill_order(moral_subgraph(scm, vids), constrained_suffix=targets)
+    base = mindegree_order(moral_subgraph(scm, vids), constrained_suffix=targets)
     suffix = tuple(sorted(targets, reverse=True))
     return EliminationOrder(base.prefix + suffix, frozenset(targets))
 
@@ -339,8 +386,7 @@ def _paired_division(
     divisor is 0. The quotients keep the pass-1 order and tags.
 
     A positive numerator over a zero divisor is legal here: the zero of
-    Pr(u, e2) may sit in another pass-1 survivor than the chosen one, so this
-    does not go through ``Factor.divide``."""
+    Pr(u, e2) may sit in another pass-1 survivor than the chosen one."""
     by_tag = sorted(pool1, key=lambda tf: tf.tag)
     tables = {tf.tag: tf.factor.values for tf in pool1}
     for divisor in (tf.factor for tf in pool2):

@@ -323,7 +323,7 @@ def evaluate_L_brute(
     invalid objective is refused with ModelError."""
     if set(u) != set(objective.unit_ids):
         raise ModelError("u must assign exactly the unit variables")
-    return _profile_at(scm, evaluate_L_profile(scm, objective), u)
+    return _profile_at(scm, lambda: evaluate_L_profile(scm, objective), u)
 
 
 # -- size accounting -------------------------------------------------------------

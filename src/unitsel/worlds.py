@@ -264,6 +264,9 @@ def counterfactual_term_profile(
             raise ModelError(f"unknown unit variable id {vid}")
         if not scm.is_root(vid):
             raise ModelError(f"unit variable {scm.var(vid).name!r} must be a root")
+    if len(set(unit_ids)) != len(unit_ids):
+        # One axis per id: a repeat would silently share one.
+        raise ModelError(f"repeated unit variable ids in {list(unit_ids)}")
     unit_ids = tuple(sorted(unit_ids))
     roots = tuple(sorted(scm.roots))
     shape = tuple(scm.var(r).cardinality for r in roots)
@@ -319,20 +322,26 @@ def counterfactual_oracle(
     violations = _term_violations(scm, x, y, v, w, e)
     if violations:
         raise ModelError("ill-posed counterfactual term: " + "; ".join(violations))
-    return _profile_at(scm, counterfactual_term_profile(scm, x, y, v, w, e, u), u)
+    return _profile_at(
+        scm, lambda: counterfactual_term_profile(scm, x, y, v, w, e, u), u
+    )
 
 
-def _profile_at(scm: Scm, profile: tuple, u: Mapping[int, int]) -> float | None:
-    """The entry at unit ``u`` of a ``(values, defined)`` profile whose axes
-    follow the ascending ids of ``u``; None where it is undefined. An
-    unknown unit id, or a state out of its unit's range, is refused with
-    ModelError, so that a negative one never reads another unit's entry."""
+def _profile_at(
+    scm: Scm, profile: Callable[[], tuple[np.ndarray, np.ndarray]], u: Mapping[int, int]
+) -> float | None:
+    """The entry at unit ``u`` of the ``(values, defined)`` profile that
+    ``profile()`` builds, whose axes follow the ascending ids of ``u``; None
+    where it is undefined. An unknown unit id, or a state out of its unit's
+    range, is refused with ModelError before the profile is built, so that a
+    refused unit costs no enumeration and a negative state never reads
+    another unit's entry."""
     for vid, state in u.items():
         if not _known_id(scm, vid):
             raise ModelError(f"unknown unit variable id {vid}")
         _check_state(scm.var(vid), state)
     idx = tuple(u[vid] for vid in sorted(u))
-    values, defined = profile
+    values, defined = profile()
     return float(values[idx]) if defined[idx] else None
 
 

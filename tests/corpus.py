@@ -9,7 +9,7 @@ import numpy as np
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph
-from unitsel.factor import Factor, multiply_all
+from unitsel.factor import Factor, FactorError, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 
 
@@ -124,6 +124,22 @@ def random_constrained_order(
     return EliminationOrder(tuple(rest) + tuple(suffix), frozenset(suffix))
 
 
+def reference_mindegree_order(g: UGraph, constrained_suffix=None) -> EliminationOrder:
+    """The set-based greedy min-degree loop: every step scans every eligible
+    live node for its degree (ties: smallest id)."""
+    suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
+    work = g.copy()
+    seq: list[int] = []
+    while work.nodes:
+        pool = work.nodes - suffix if suffix else work.nodes
+        if not pool:
+            pool = work.nodes
+        best = min(pool, key=lambda v: (len(work.adj[v]), v))
+        seq.append(best)
+        work.eliminate(best)
+    return EliminationOrder(tuple(seq), suffix)
+
+
 def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:
     """Clusters of eliminating ``seq`` from a plain dict of neighbor sets."""
     adj = {v: set(ns) for v, ns in g.adj.items()}
@@ -184,3 +200,14 @@ def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
             trace.append(TraceStep(step, vid, used, created_label, product.vids))
         pool = rest + [TaggedFactor(tag, created)]
     return pool, max_tables
+
+
+def divide(num: Factor, den: Factor) -> Factor:
+    """Pointwise quotient over equal scopes with the 0/0 = 0 convention; a
+    positive numerator over a zero denominator is refused."""
+    if not num.same_scope(den):
+        raise FactorError(f"division needs equal scopes, got {num.vids} vs {den.vids}")
+    if np.any((den.values == 0) & (num.values > 0)):
+        raise FactorError("division undefined: positive numerator over zero denominator")
+    out = np.divide(num.values, den.values, out=np.zeros(num.cards), where=den.values > 0)
+    return Factor._trusted(num.vids, num.cards, out)

@@ -23,8 +23,7 @@ from unitsel import (
     treewidth_exact_enum,
 )
 import unitsel.bench as bench_module
-import unitsel.inference as inference_module
-from unitsel import fixture_path, parse_dimacs, sat_via_rmap, unit_select
+from unitsel import fixture_path, parse_dimacs
 from unitsel.bench import (
     GenConfig,
     _pick_units,
@@ -36,12 +35,17 @@ from unitsel.bench import (
     tight_family_order,
 )
 from unitsel.elimination import (
+    ancestral_closure,
     eliminate_all,
     format_order_file,
+    mindegree_order,
+    moral_subgraph,
     parse_order_file,
     skeleton,
 )
+from unitsel.inference import default_order
 from unitsel.objective import ObjectiveFunction, ObjectiveTerm
+from unitsel.reductions import compile_formula
 from corpus import (
     fill_count,
     random_cnf,
@@ -49,6 +53,7 @@ from corpus import (
     random_dag_scm,
     random_ugraph,
     reference_clusters,
+    reference_mindegree_order,
     reference_minfill_order,
 )
 
@@ -70,8 +75,8 @@ def test_moral_graph_v_structure():
         {"A": [.5, .5], "B": [.5, .5], "C": [1, 0, 0, 1, 0, 1, 1, 0]},
     )
     g = moral_graph(scm)
-    assert g.has_edge(0, 1)  # common parents married
-    assert g.has_edge(0, 2) and g.has_edge(1, 2)
+    assert 1 in g.neighbors(0)  # common parents married
+    assert 2 in g.neighbors(0) and 2 in g.neighbors(1)
 
 
 def test_moral_graph_chain():
@@ -81,7 +86,7 @@ def test_moral_graph_chain():
         {"A": [.5, .5], "B": [1, 0, 0, 1], "C": [1, 0, 0, 1]},
     )
     g = moral_graph(scm)
-    assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+    assert 1 in g.neighbors(0) and 2 in g.neighbors(1) and 2 not in g.neighbors(0)
 
 
 def test_moral_graph_five_node(five_node):
@@ -249,10 +254,11 @@ def test_minfill_matches_reference_on_width_table_graphs(monkeypatch):
         _assert_matches_reference(g, suffix)
 
 
-def test_minfill_matches_reference_on_query_closures(monkeypatch):
-    # The ancestral closures that default_order hands to minfill, from unit
-    # selection on random SCMs and from SAT through Reverse-MAP.
-    calls = _record_minfill_calls(monkeypatch, inference_module)
+def _query_closures():
+    """(model, targets, closure) of the queries that default_order orders:
+    unit selection on random SCMs, and SAT through Reverse-MAP. The closure
+    is the ancestral closure of the targets and evidence."""
+    closures = []
     for seed in range(12):
         rng = np.random.default_rng([29, seed])
         ur = (0.4, 1.0)[seed % 2]
@@ -261,12 +267,62 @@ def test_minfill_matches_reference_on_query_closures(monkeypatch):
         endo = scm.endogenous()
         y = int(rng.choice([v for v in endo if not scm.children[v]]))
         x = int(rng.choice([v for v in endo if v != y]))
-        unit_select(scm, gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units))
+        om = build_objective_model(
+            scm, gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
+        )
+        closures.append((om.model, om.unit_om_ids, [*om.unit_om_ids, *om.e1, *om.e2]))
     for seed in range(8):
-        sat_via_rmap(parse_dimacs(random_cnf(seed, max_vars=10, ratio=(1.5, 4.3)[seed % 2])))
-    assert len(calls) == 20
-    for g, suffix in calls:
-        _assert_matches_reference(g, suffix)
+        formula = parse_dimacs(random_cnf(seed, max_vars=10, ratio=(1.5, 4.3)[seed % 2]))
+        scm, sentinel = compile_formula(formula)
+        targets = [scm.by_name(name).id for name in formula.variables]
+        closures.append((scm, targets, [*targets, sentinel]))
+    return [
+        (scm, frozenset(targets), ancestral_closure(scm, query))
+        for scm, targets, query in closures
+    ]
+
+
+def test_minfill_matches_reference_on_query_closures():
+    for scm, targets, closure in _query_closures():
+        _assert_matches_reference(moral_subgraph(scm, closure), targets)
+
+
+def _assert_mindegree_matches_reference(g, suffix):
+    got = mindegree_order(g, constrained_suffix=suffix)
+    want = reference_mindegree_order(g, suffix)
+    assert got.sequence == want.sequence
+    assert got.constrained_suffix == want.constrained_suffix
+
+
+def test_mindegree_matches_reference_on_relabelled_random_graphs():
+    for seed in range(240):
+        rng = np.random.default_rng([317, seed])
+        g = _relabelled_ugraph(seed, rng)
+        suffix = (None, set(), set(g.nodes), {v for v in g.nodes if rng.random() < 0.4})[seed % 4]
+        _assert_mindegree_matches_reference(g, suffix)
+
+
+def test_mindegree_matches_reference_on_query_closures():
+    # default_order is min-degree on the closure, with the targets last in
+    # descending id order.
+    for scm, targets, closure in _query_closures():
+        g = moral_subgraph(scm, closure)
+        _assert_mindegree_matches_reference(g, targets)
+        want = reference_mindegree_order(g, targets).prefix + tuple(sorted(targets, reverse=True))
+        assert default_order(scm, targets, closure).sequence == want
+
+
+def test_mindegree_edge_cases():
+    assert mindegree_order(UGraph()) == EliminationOrder(())
+    assert mindegree_order(UGraph(), constrained_suffix=set()).constrained_suffix == frozenset()
+    # A star: the leaves go smallest id first, until the hub ties the last.
+    g = UGraph(nodes=[5, 2, 9, 4], edges=[(5, 2), (5, 9), (5, 4)])
+    assert mindegree_order(g).sequence == (2, 4, 5, 9)
+    order = mindegree_order(g, constrained_suffix=[2, 2])
+    assert order.sequence == (4, 9, 5, 2) and order.constrained_suffix == frozenset({2})
+    for outside in ([7], [2, 7]):
+        with pytest.raises(ModelError):
+            mindegree_order(g, constrained_suffix=outside)
 
 
 def test_elimination_order_validation():
@@ -446,7 +502,7 @@ def test_reduced_graph_adjacency_iff_avoiding_path(seed):
         return False
 
     for x in units:
-        assert reduced.has_edge(x, h) == path_avoiding(x)
+        assert (h in reduced.neighbors(x)) == path_avoiding(x)
 
 
 @pytest.mark.parametrize("seed", range(20))

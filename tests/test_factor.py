@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitsel.factor import Factor, FactorError, Variable
+from corpus import divide
 
 # The two-node example tables: prior {u1: 0.2, u2: 0.8} and the joint
 # obtained by multiplying with the conditional {0.6, 0.4, 0.3, 0.7}.
@@ -50,7 +51,7 @@ def test_multiply_prior_by_conditional():
 
 def test_multiply_identity_and_absorbing():
     f = Factor((0, 1), (2, 2), JOINT)
-    assert f.multiply(Factor.ones((0, 1), (2, 2))).equal_table(f)
+    assert f.multiply(Factor((0, 1), (2, 2), np.ones(4))).equal_table(f)
     zeros = Factor((0, 1), (2, 2), np.zeros(4))
     assert f.multiply(zeros).equal_table(zeros)
 
@@ -109,19 +110,19 @@ def test_maximizer_reconstruction_exact():
 def test_divide_examples():
     f = Factor((0,), (2,), [0.12, 0.24])
     g = Factor((0,), (2,), [0.2, 0.8])
-    q = f.divide(g)
+    q = divide(f, g)
     assert np.allclose(q.flat, [0.6, 0.3], rtol=1e-12)
     h = Factor((0,), (2,), [0.3, 0.4])
-    assert h.divide(h).allclose(Factor.ones((0,), (2,)), rtol=1e-12)
+    assert divide(h, h).allclose(Factor((0,), (2,), np.ones(2)), rtol=1e-12)
     zero = Factor((0,), (1,), [0.0])
-    assert zero.divide(zero).flat[0] == 0.0
+    assert divide(zero, zero).flat[0] == 0.0
 
 
 def test_divide_errors():
     with pytest.raises(FactorError):
-        Factor((0,), (2,), [1, 1]).divide(Factor((1,), (2,), [1, 1]))
+        divide(Factor((0,), (2,), [1, 1]), Factor((1,), (2,), [1, 1]))
     with pytest.raises(FactorError):
-        Factor((0,), (2,), [1, 1]).divide(Factor((0,), (2,), [1, 0]))
+        divide(Factor((0,), (2,), [1, 1]), Factor((0,), (2,), [1, 0]))
 
 
 def test_reduce_zeroing():
@@ -140,7 +141,7 @@ def test_operation_results_are_read_only():
     results = [
         f.multiply(g), Factor.scalar(2.0).multiply(Factor.scalar(3.0)),
         f.sum_out({0}), f.sum_out({0, 1}), f.max_out({1})[0], f.max_out({0, 1})[0],
-        f.divide(f), f.reduce({1: 0}), f.scale(2.0), Factor.scalar(2.0).scale(3.0),
+        divide(f, f), f.reduce({1: 0}), f.scale(2.0), Factor.scalar(2.0).scale(3.0),
     ]
     for r in results:
         assert isinstance(r.values, np.ndarray) and r.values.shape == r.cards
@@ -219,7 +220,7 @@ def test_max_out_distributes_over_disjoint_products(f, g):
 @given(factors())
 def test_divide_multiply_roundtrip(f):
     g = Factor(f.vids, f.cards, np.full(f.cards, 0.75))
-    back = f.divide(g).multiply(g)
+    back = divide(f, g).multiply(g)
     assert np.allclose(back.values, f.values, rtol=1e-12)
 
 

@@ -180,6 +180,57 @@ def test_bucket_eliminate_matches_pool_scan_on_query_passes(seed):
         assert np.array_equal(g.flat_argmax, w.flat_argmax)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_sum_steps_match_row_kernels(monkeypatch, seed):
+    # Float sum steps whose clusters reach _FUSED_MIN_CELLS contract their
+    # last factor with einsum; tags, scopes, trace rows and survivor order
+    # are those of the multiply-then-sum loop and the tables agree to 1e-12.
+    # An int64 or object count pass over the same clusters never fuses and
+    # stays integer and exact.
+    rng = np.random.default_rng([99, seed])
+    n = 14
+    cards = [3 if i == 0 else 2 for i in range(n)]
+    scm = make_scm(
+        [(f"V{i}", [str(s) for s in range(c)]) for i, c in enumerate(cards)],
+        {f"V{i}": [] for i in range(n)},
+        {f"V{i}": np.full(c, 1.0 / c) for i, c in enumerate(cards)},
+    )
+    fused = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: fused.append(1) or einsum(*a, **k))
+    scopes = [
+        tuple(sorted(int(v) for v in rng.choice(n, size=int(rng.integers(4, 7)), replace=False)))
+        for _ in range(12)
+    ]
+    order = [int(v) for v in rng.permutation(n)[:-2]]
+    for dtype in (np.float64, np.int64, object):
+        pool = []
+        for j, vids in enumerate(scopes):
+            shape = tuple(cards[v] for v in vids)
+            values = rng.random(shape) if dtype is np.float64 else rng.integers(0, 4, shape)
+            pool.append(TaggedFactor(("cpt", j), Factor._trusted(vids, shape, values.astype(dtype))))
+        fused.clear()
+        got_trace, want_trace = [], []
+        got, _ = eliminate("sum", pool, order, scm, trace=got_trace)
+        want, _ = reference_eliminate("sum", pool, order, scm, trace=want_trace)
+        assert got_trace == want_trace
+        assert [tf.tag for tf in got] == [tf.tag for tf in want]
+        for g, w in zip(got, want):
+            assert g.factor.same_scope(w.factor)
+            assert g.factor.values.dtype == w.factor.values.dtype == np.dtype(dtype)
+            if dtype is np.float64:
+                assert g.factor.allclose(w.factor, rtol=1e-12)
+            else:
+                assert g.factor.equal_table(w.factor)
+        large = sum(
+            len(step.used) >= 2
+            and math.prod(cards[v] for v in step.cluster) >= inference._FUSED_MIN_CELLS
+            for step in got_trace
+        )
+        assert large > 0
+        assert len(fused) == (large if dtype is np.float64 else 0)
+
+
 def test_map_two_node(two_node):
     result = map_ve(two_node, [0], {1: 0})
     assert result.instantiation == {0: 1}  # u2

@@ -130,6 +130,23 @@ def test_evaluate_L_brute_refuses_non_integer_unit_ids():
         evaluate_L_brute(scm, L, {0.0: 0})
 
 
+def test_evaluate_L_brute_refuses_a_unit_before_enumerating(monkeypatch):
+    # A refused unit once cost a whole evaluate_L_profile enumeration.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={4: 0}),))
+    profiles = []
+    profile = unitsel.objective.evaluate_L_profile
+    monkeypatch.setattr(
+        unitsel.objective, "evaluate_L_profile", lambda *a: profiles.append(a) or profile(*a)
+    )
+    for u, message in (({0.0: 0}, "unknown unit variable id"), ({0: 2}, "out of range")):
+        with pytest.raises(ModelError, match=message):
+            evaluate_L_brute(scm, L, u)
+    assert profiles == []
+    assert evaluate_L_brute(scm, L, {0: 0}) == 0.0 and len(profiles) == 1
+
+
 def test_validate_reports_incomparable_unit_ids_as_unknown():
     # Units ("a", 0) once raised TypeError: '<' not supported, from sorting
     # the ids before any was checked.

@@ -181,6 +181,17 @@ def test_oracle_refuses_non_integer_unit_ids():
             counterfactual_term_profile(scm, {}, {4: 0}, {}, {}, {}, u)
 
 
+def test_term_profile_refuses_repeated_unit_ids():
+    # Units [0, 0] once gave arrays of shape (2,): one axis for two ids.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    values, defined = counterfactual_term_profile(scm, {}, {4: 0}, {}, {}, {}, [0])
+    assert values.shape == defined.shape == (2,)
+    for units in ([0, 0], [0, 0, 0]):
+        with pytest.raises(ModelError, match="repeated unit variable ids"):
+            counterfactual_term_profile(scm, {}, {4: 0}, {}, {}, {}, units)
+
+
 def test_oracle_refuses_out_of_range_unit_states():
     # U=-1 once answered 0.8, the value of U=1; U=2 raised a raw IndexError.
     scm = xor_noise_scm(endogenous_noise=False)
