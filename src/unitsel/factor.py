@@ -9,13 +9,22 @@ Because all scopes are kept sorted, two factors can be broadcast against each
 other with plain reshapes (no transposes), which keeps multiply/divide exact
 and cheap.
 
-``sum_out`` and ``max_out`` combine rows: the eliminated axes move to the
-front, and each joint state of the eliminated variables (C order) selects one
-row shaped like the kept scope. A max keeps a running maximum over the rows,
-and a sum adds them in state order, so every numpy operation spans a whole
-row. A reduction along the eliminated axis would instead run one inner loop
-per kept cell, and the eliminated variable is usually last or nearly last in
-a sorted scope, which makes those loops 2 or 4 cells long. A sum takes its
+Every product of factors and every sum or max reduction runs through the
+module helpers, which work on bare tables: ``union_scope`` gives the sorted
+union of some factors' scopes, ``product`` reshapes each of their tables to
+that cluster (size-1 axes for missing variables) and multiplies them left to
+right, and ``sum_axis``/``max_axis`` reduce one axis of a table.
+``Factor.multiply``, ``multiply_all``, ``Factor.sum_out`` and
+``Factor.max_out`` call them, and so does each step of
+``unitsel.inference.eliminate`` on its bucket's tables, so a step builds no
+factor but the one it creates.
+
+A reduction views the table as (before, states, after) and combines its
+state slices: a max keeps a running maximum over the slices, and a sum adds
+them in state order, so every numpy operation spans a whole slice. A
+reduction along the eliminated axis would instead run one inner loop per kept
+cell, and the eliminated variable is usually last or nearly last in a sorted
+scope, which makes those loops 2 or 4 cells long. ``sum_out`` takes its
 variables one at a time, so summing many variables out adds in a tree, as
 pairwise summation does, instead of running one Python step per joint state.
 Adding in state order gives the bits of ``ndarray.sum`` over one variable
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,7 +97,8 @@ def unravel(vids: tuple[int, ...], cards: tuple[int, ...], flat: int) -> Instant
 
 @dataclass(frozen=True)
 class MaximizerTable:
-    """Argmax bookkeeping produced by :meth:`Factor.max_out`.
+    """Argmax bookkeeping produced by :meth:`Factor.max_out` and by each step
+    of a max elimination.
 
     For every cell of the reduced factor, records one maximizing joint state
     of the eliminated variables: the lexicographically smallest one, reading
@@ -215,54 +225,35 @@ class Factor:
     def _expand(self, union_vids: tuple[int, ...]) -> np.ndarray:
         # Both scopes are ascending, so a reshape (size-1 axes for missing
         # variables) aligns the tables without any transpose.
-        mine = dict(zip(self.vids, self.cards))
-        return self.values.reshape([mine.get(vid, 1) for vid in union_vids])
+        vids = self.vids
+        if vids == union_vids:
+            return self.values
+        return self.values.reshape(
+            [self.cards[vids.index(vid)] if vid in vids else 1 for vid in union_vids]
+        )
 
     def multiply(self, other: "Factor") -> "Factor":
-        cards = dict(zip(self.vids, self.cards))
-        for vid, card in zip(other.vids, other.cards):
-            if cards.setdefault(vid, card) != card:
-                raise FactorError(
-                    f"variable {vid} has cardinality {cards[vid]} vs {card}"
-                )
-        union_vids = tuple(sorted(cards))
-        union_cards = tuple(cards[v] for v in union_vids)
-        # asarray: numpy returns a 0-d product as a scalar.
-        out = np.asarray(self._expand(union_vids) * other._expand(union_vids))
-        return Factor._trusted(union_vids, union_cards, out)
+        vids, cards = union_scope((self, other))
+        return Factor._trusted(vids, cards, product((self, other), vids))
 
     def _require(self, vids: set[int], op: str) -> None:
         missing = vids - set(self.vids)
         if missing:
             raise FactorError(f"cannot {op} out {sorted(missing)}: not in scope {self.vids}")
 
-    def _rows(self, vids: set[int]):
-        """The kept scope (vids, cards) and the table's rows: one array per
-        joint state of the eliminated variables (ascending id, C order), each
-        shaped like the kept scope (a 1-cell axis when nothing is kept). One
-        eliminated variable gives strided views of the table; several give
-        views when their axes merge, and a copy otherwise."""
-        elim, kept = [], []
-        for axis, vid in enumerate(self.vids):
-            (elim if vid in vids else kept).append(axis)
-        kept_vids = tuple([self.vids[i] for i in kept])
-        kept_cards = tuple([self.cards[i] for i in kept])
-        rows = self.values.transpose(elim + kept).reshape((-1,) + (kept_cards or (1,)))
-        return kept_vids, kept_cards, rows
-
     def sum_out(self, vids: Iterable[int]) -> "Factor":
         """Sum ``vids`` out, one variable at a time in ascending id order,
-        adding each variable's rows in state order."""
+        adding each variable's slices in state order."""
         vids = set(vids)
+        if not vids:
+            return self
         self._require(vids, "sum")
-        factor = self
+        kept, cards, table = list(self.vids), list(self.cards), self.values
         for vid in sorted(vids):
-            kept_vids, kept_cards, rows = factor._rows({vid})
-            total = rows[0]
-            for state in range(1, len(rows)):
-                total = total + rows[state]
-            factor = Factor._trusted(kept_vids, kept_cards, total.reshape(kept_cards))
-        return factor
+            axis = kept.index(vid)
+            table = sum_axis(table, axis)
+            del kept[axis], cards[axis]
+        return Factor._trusted(tuple(kept), tuple(cards), table)
 
     def max_out(self, vids: Iterable[int]) -> tuple["Factor", MaximizerTable]:
         vids = set(vids)
@@ -272,25 +263,22 @@ class Factor:
             )
             return self, table
         self._require(vids, "max")
-        kept_vids, kept_cards, rows = self._rows(vids)
-        elim = [(v, c) for v, c in zip(self.vids, self.cards) if v in vids]
-        # A row replaces the recorded maximizer only where it is strictly
-        # larger, so each cell keeps its first maximizing row in C order: the
-        # lexicographically smallest maximizing joint state.
-        best = rows[0]
-        arg = np.zeros(best.shape, dtype=np.int64)
-        for state in range(1, len(rows)):
-            row = rows[state]
-            np.copyto(arg, state, where=row > best)
-            best = np.maximum(best, row)
+        elim = [axis for axis, vid in enumerate(self.vids) if vid in vids]
+        kept = [axis for axis, vid in enumerate(self.vids) if vid not in vids]
+        kept_vids = tuple([self.vids[i] for i in kept])
+        kept_cards = tuple([self.cards[i] for i in kept])
+        # One axis over the joint states of the eliminated variables (C order),
+        # so the first maximizing state is the lexicographically smallest.
+        joint = self.values.transpose(elim + kept).reshape((-1,) + kept_cards)
+        best, arg = max_axis(joint, 0)
         table = MaximizerTable(
             kept_vids,
             kept_cards,
-            tuple(v for v, _ in elim),
-            tuple(c for _, c in elim),
-            arg.reshape(kept_cards),
+            tuple([self.vids[i] for i in elim]),
+            tuple([self.cards[i] for i in elim]),
+            arg,
         )
-        return Factor._trusted(kept_vids, kept_cards, best.reshape(kept_cards)), table
+        return Factor._trusted(kept_vids, kept_cards, best), table
 
     def reduce(self, evidence: Mapping[int, int]) -> "Factor":
         """Zero every entry inconsistent with ``evidence``; scope unchanged."""
@@ -313,10 +301,68 @@ class Factor:
 
 
 def multiply_all(factors: Iterable[Factor]) -> Factor:
-    # Start from the first factor: a scalar 1 gives the same product bit for
-    # bit, at the cost of one more multiply.
     factors = list(factors)
-    result = factors[0] if factors else Factor.scalar(1.0)
+    if not factors:
+        return Factor.scalar(1.0)
+    vids, cards = union_scope(factors)
+    return Factor._trusted(vids, cards, product(factors, vids))
+
+
+# -- kernels on bare tables ----------------------------------------------------
+
+
+def union_scope(factors: Sequence[Factor]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted union of the factors' scopes (their cluster) and its
+    cardinalities; a variable with two cardinalities is refused."""
+    if len(factors) == 1:
+        return factors[0].vids, factors[0].cards
+    cards: dict[int, int] = {}
+    for f in factors:
+        for vid, card in zip(f.vids, f.cards):
+            if cards.setdefault(vid, card) != card:
+                raise FactorError(f"variable {vid} has cardinality {cards[vid]} vs {card}")
+    cluster = tuple(sorted(cards))
+    return cluster, tuple([cards[vid] for vid in cluster])
+
+
+def product(factors: Sequence[Factor], cluster: tuple[int, ...]) -> np.ndarray:
+    """The product of the factors' tables over ``cluster``, their
+    ``union_scope``: each table is reshaped to the cluster and multiplied
+    into the product of the ones before it, left to right."""
+    table = factors[0]._expand(cluster)
     for f in factors[1:]:
-        result = result.multiply(f)
-    return result
+        table = table * f._expand(cluster)
+    # asarray: numpy returns a 0-d product as a scalar.
+    return np.asarray(table)
+
+
+def _slices(table: np.ndarray, axis: int) -> np.ndarray:
+    """``table`` as (before, states, after): a view when the table is
+    C-contiguous, so each state slice ``[:, s]`` is a strided view."""
+    shape = table.shape
+    return table.reshape(math.prod(shape[:axis]), shape[axis], -1)
+
+
+def sum_axis(table: np.ndarray, axis: int) -> np.ndarray:
+    """Sum ``axis`` out of ``table``, adding its state slices in state order."""
+    rows = _slices(table, axis)
+    total = rows[:, 0]
+    for state in range(1, rows.shape[1]):
+        total = total + rows[:, state]
+    return total.reshape(table.shape[:axis] + table.shape[axis + 1:])
+
+
+def max_axis(table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``axis`` out of ``table``; returns the maximum and, per kept
+    cell, the first state that reaches it."""
+    rows = _slices(table, axis)
+    best = rows[:, 0]
+    arg = np.zeros(best.shape, dtype=np.int64)
+    # A slice replaces the recorded maximizer only where it is strictly
+    # larger, so each cell keeps its first maximizing state.
+    for state in range(1, rows.shape[1]):
+        row = rows[:, state]
+        np.copyto(arg, state, where=row > best)
+        best = np.maximum(best, row)
+    kept = table.shape[:axis] + table.shape[axis + 1:]
+    return best.reshape(kept), arg.reshape(kept)

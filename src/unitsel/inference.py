@@ -50,7 +50,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .factor import Factor, Instantiation, MaximizerTable, multiply_all, unravel
+from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_all, product,
+                     sum_axis, union_scope, unravel)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import build_objective_model, evaluate_L_profile
@@ -135,8 +136,13 @@ def eliminate(
     names the traced factors and gives the cardinality of a variable that no
     factor mentions.
 
-    A sum step over two or more float64 factors whose cluster has at least
-    ``_FUSED_MIN_CELLS`` cells and fewer than 52 variables fuses its last
+    Each step multiplies its bucket's bare tables into the cluster's product
+    and reduces the variable's axis out of it (``product``, ``sum_axis`` and
+    ``max_axis`` of :mod:`unitsel.factor`, the kernels of ``Factor.sum_out``
+    and ``Factor.max_out``), so only the created factor and, for max, its
+    maximizer table become objects. A sum step over two or more float64
+    factors whose cluster has at least ``_FUSED_MIN_CELLS`` cells and fewer
+    than 52 variables, and which no single factor spans, fuses its last
     multiply into the sum (``_sum_step``), so the cluster's full product is
     never built; its values may differ from multiply-then-sum ones in the
     last bits, and its trace row is the same. Max steps and integer count
@@ -156,10 +162,11 @@ def eliminate(
         position.setdefault(vid, i)
     buckets: dict[int, list[TaggedFactor]] = {}
     survivors: list[TaggedFactor] = []
+    outside = len(order)  # the position of a variable the order lacks
 
     def place(tf: TaggedFactor) -> None:
-        first = min((position[v] for v in tf.factor.vids if v in position), default=None)
-        (survivors if first is None else buckets.setdefault(first, [])).append(tf)
+        first = min([position.get(v, outside) for v in tf.factor.vids], default=outside)
+        (survivors if first == outside else buckets.setdefault(first, [])).append(tf)
 
     for tf in pool:
         place(tf)
@@ -174,13 +181,16 @@ def eliminate(
             # integer factor, so an integer count stays exact.
             ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
             mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
+        factors = [tf.factor for tf in mention]
         if op == "sum":
-            created, cluster = _sum_step([tf.factor for tf in mention], vid)
+            created, cluster = _sum_step(factors, vid)
         else:
-            product = multiply_all(tf.factor for tf in mention)
-            cluster = product.vids
-            created, table = product.max_out({vid})
-            max_tables.append(table)
+            cluster, cards = union_scope(factors)
+            axis = cluster.index(vid)
+            best, arg = max_axis(product(factors, cluster), axis)
+            kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
+            created = Factor._trusted(kept, kept_cards, best)
+            max_tables.append(MaximizerTable(kept, kept_cards, (vid,), (cards[axis],), arg))
         tag = ("step", step)
         if trace is not None:
             used = tuple(
@@ -208,30 +218,30 @@ def _sum_step(factors: list[Factor], vid: int) -> tuple[Factor, tuple[int, ...]]
     last, and ``np.einsum`` sums over ``vid`` the product of that head and the
     last factor, with the cluster relabelled 0..k-1 (numpy accepts labels
     below 52). ``optimize=True`` lets it hand the contraction to BLAS; without
-    it the contraction is a slow generic loop. Every other step multiplies
-    all its factors and sums with the row kernel of ``Factor.sum_out``."""
-    cards: dict[int, int] = {}
-    for f in factors:
-        cards.update(zip(f.vids, f.cards))
+    it the contraction is a slow generic loop. Every other step builds the
+    cluster's product and sums ``vid`` out of it with ``sum_axis``; when one
+    factor spans the cluster, that product is no larger than the factor, so
+    contracting would save nothing."""
+    cluster, cards = union_scope(factors)
+    axis = cluster.index(vid)
+    kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
     if (
         len(factors) < 2
-        or len(cards) >= 52
-        or math.prod(cards.values()) < _FUSED_MIN_CELLS
-        or any(f.values.dtype != np.float64 for f in factors)
+        or len(cluster) >= 52
+        or math.prod(cards) < _FUSED_MIN_CELLS
+        or any(len(f.vids) == len(cluster) or f.values.dtype != np.float64 for f in factors)
     ):
-        product = multiply_all(factors)
-        return product.sum_out({vid}), product.vids
-    cluster = tuple(sorted(cards))
-    label = {v: i for i, v in enumerate(cluster)}
-    kept = tuple(v for v in cluster if v != vid)
-    head, last = multiply_all(factors[:-1]), factors[-1]
-    table = np.einsum(
-        head.values, [label[v] for v in head.vids],
-        last.values, [label[v] for v in last.vids],
-        [label[v] for v in kept],
-        optimize=True,
-    )
-    return Factor._trusted(kept, tuple(cards[v] for v in kept), np.asarray(table)), cluster
+        table = sum_axis(product(factors, cluster), axis)
+    else:
+        head = factors[:-1]
+        head_vids = union_scope(head)[0]
+        table = np.asarray(np.einsum(
+            product(head, head_vids), [cluster.index(v) for v in head_vids],
+            factors[-1].values, [cluster.index(v) for v in factors[-1].vids],
+            [i for i in range(len(cluster)) if i != axis],
+            optimize=True,
+        ))
+    return Factor._trusted(kept, kept_cards, table), cluster
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:

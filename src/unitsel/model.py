@@ -101,6 +101,7 @@ class Scm:
         )
         self._factors: dict[int, Factor] = {}
         self._topo: tuple[int, ...] | None = None
+        self._validation: ValidationReport | None = None
 
     # -- lookups --------------------------------------------------------------
 
@@ -139,14 +140,15 @@ class Scm:
 
     def cpt_factor(self, vid: int) -> Factor:
         """The node's CPT as a canonical sorted-scope factor."""
-        if vid not in self._factors:
+        factor = self._factors.get(vid)
+        if factor is None:
             scope = self.parents[vid] + (vid,)
-            order = sorted(range(len(scope)), key=lambda i: scope[i])
-            sorted_scope = tuple(scope[i] for i in order)
-            table = self.tables[vid].transpose(order)
-            cards = tuple(self.var(v).cardinality for v in sorted_scope)
-            self._factors[vid] = Factor._trusted(sorted_scope, cards, np.ascontiguousarray(table))
-        return self._factors[vid]
+            order = sorted(range(len(scope)), key=scope.__getitem__)
+            # The transposed table's shape is the sorted scope's cardinalities.
+            table = np.ascontiguousarray(self.tables[vid].transpose(order))
+            factor = Factor._trusted(tuple([scope[i] for i in order]), table.shape, table)
+            self._factors[vid] = factor
+        return factor
 
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
@@ -233,8 +235,18 @@ def validate(scm: Scm) -> ValidationReport:
 
     Violations are collected, not raised: a model passing all checks is a
     legal SCM; one passing all but the functional check is a legal Bayesian
-    network.
+    network. The checks run once per model, whose parents and tables never
+    change after construction; each call returns its own copy of the report.
     """
+    if scm._validation is None:
+        scm._validation = _check(scm)
+    report = scm._validation
+    return ValidationReport(
+        report.acyclic, report.normalized, dict(report.functional_status), list(report.violations)
+    )
+
+
+def _check(scm: Scm) -> ValidationReport:
     violations: list[str] = []
     acyclic = scm.is_acyclic()
     if not acyclic:

@@ -180,29 +180,69 @@ def test_bucket_eliminate_matches_pool_scan_on_query_passes(seed):
         assert np.array_equal(g.flat_argmax, w.flat_argmax)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_fused_sum_steps_match_row_kernels(monkeypatch, seed):
-    # Float sum steps whose clusters reach _FUSED_MIN_CELLS contract their
-    # last factor with einsum; tags, scopes, trace rows and survivor order
-    # are those of the multiply-then-sum loop and the tables agree to 1e-12.
-    # An int64 or object count pass over the same clusters never fuses and
-    # stays integer and exact.
+def _label_scope_size(label: str) -> int:
+    """The number of variables in a traced factor label such as
+    ``f_V1(V1,V2)`` (the names in these tests are longer than one letter)."""
+    names = label[label.index("(") + 1:-1]
+    return len(names.split(",")) if names else 0
+
+
+def _count_einsum(monkeypatch) -> list:
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(1) or einsum(*a, **k))
+    return calls
+
+
+def _flat_scm(cards):
+    """A model of independent variables V0, V1, ... that names the factors of
+    a hand-built pool and gives the cardinalities."""
+    return make_scm(
+        [(f"V{i}", [str(s) for s in range(c)]) for i, c in enumerate(cards)],
+        {f"V{i}": [] for i in range(len(cards))},
+        {f"V{i}": np.full(c, 1.0 / c) for i, c in enumerate(cards)},
+    )
+
+
+def _fused_case(seed):
+    """A 14-variable model, 12 random scopes of 4-6 variables and an order
+    of 12 variables: large enough for clusters of 2,048 cells and more."""
     rng = np.random.default_rng([99, seed])
     n = 14
     cards = [3 if i == 0 else 2 for i in range(n)]
-    scm = make_scm(
-        [(f"V{i}", [str(s) for s in range(c)]) for i, c in enumerate(cards)],
-        {f"V{i}": [] for i in range(n)},
-        {f"V{i}": np.full(c, 1.0 / c) for i, c in enumerate(cards)},
-    )
-    fused = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: fused.append(1) or einsum(*a, **k))
     scopes = [
         tuple(sorted(int(v) for v in rng.choice(n, size=int(rng.integers(4, 7)), replace=False)))
         for _ in range(12)
     ]
     order = [int(v) for v in rng.permutation(n)[:-2]]
+    return rng, cards, _flat_scm(cards), scopes, order
+
+
+def _large_steps(trace, cards):
+    """The traced steps over two or more factors whose cluster has at least
+    _FUSED_MIN_CELLS cells, and those of them that one factor spans."""
+    large = [
+        step for step in trace
+        if len(step.used) >= 2
+        and math.prod(cards[v] for v in step.cluster) >= inference._FUSED_MIN_CELLS
+    ]
+    spanned = [
+        step for step in large
+        if any(_label_scope_size(label) == len(step.cluster) for label in step.used)
+    ]
+    return large, spanned
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_sum_steps_match_row_kernels(monkeypatch, seed):
+    # A float sum step contracts its last factor with einsum exactly when it
+    # has two or more factors, a cluster of at least _FUSED_MIN_CELLS cells
+    # and no factor that spans the cluster; tags, scopes, trace rows and
+    # survivor order are those of the multiply-then-sum loop and the tables
+    # agree to 1e-12. An int64 or object count pass over the same clusters
+    # never fuses and stays integer and exact.
+    rng, cards, scm, scopes, order = _fused_case(seed)
+    fused = _count_einsum(monkeypatch)
     for dtype in (np.float64, np.int64, object):
         pool = []
         for j, vids in enumerate(scopes):
@@ -222,13 +262,113 @@ def test_fused_sum_steps_match_row_kernels(monkeypatch, seed):
                 assert g.factor.allclose(w.factor, rtol=1e-12)
             else:
                 assert g.factor.equal_table(w.factor)
-        large = sum(
-            len(step.used) >= 2
-            and math.prod(cards[v] for v in step.cluster) >= inference._FUSED_MIN_CELLS
-            for step in got_trace
-        )
-        assert large > 0
-        assert len(fused) == (large if dtype is np.float64 else 0)
+        large, spanned = _large_steps(got_trace, cards)
+        assert len(large) > len(spanned)
+        assert len(fused) == (len(large) - len(spanned) if dtype is np.float64 else 0)
+
+
+def test_fused_cases_hold_large_steps_that_a_factor_spans():
+    # The cases above exercise both sides of the gate: steps that contract,
+    # and large steps that one factor spans, which must not.
+    spanned = 0
+    for seed in range(8):
+        _, cards, scm, scopes, order = _fused_case(seed)
+        pool = [
+            TaggedFactor(("cpt", j), Factor._trusted(vids, shape, np.ones(shape)))
+            for j, vids in enumerate(scopes)
+            for shape in [tuple(cards[v] for v in vids)]
+        ]
+        trace = []
+        eliminate("sum", pool, order, scm, trace=trace)
+        spanned += len(_large_steps(trace, cards)[1])
+    assert spanned > 0
+
+
+def test_sum_step_that_a_factor_spans_multiplies_then_sums(monkeypatch):
+    # A factor over the whole 4,096-cell cluster makes its product no larger
+    # than itself, so the step skips einsum and gives the bits of the
+    # multiply-then-sum loop.
+    rng = np.random.default_rng(98)
+    cards = [2] * 12
+    scm = _flat_scm(cards)
+    fused = _count_einsum(monkeypatch)
+    pool = [
+        TaggedFactor(("cpt", 0), Factor._trusted((1, 4, 7), (2, 2, 2), rng.random((2, 2, 2)))),
+        TaggedFactor(("cpt", 1), Factor._trusted(tuple(range(12)), (2,) * 12, rng.random((2,) * 12))),
+        TaggedFactor(("cpt", 2), Factor._trusted((4, 11), (2, 2), rng.random((2, 2)))),
+    ]
+    for order in ([4], [4, 0, 11]):
+        got, _ = eliminate("sum", pool, order, scm)
+        want, _ = reference_eliminate("sum", pool, order, scm)
+        assert [tf.tag for tf in got] == [tf.tag for tf in want]
+        assert all(g.factor.equal_table(w.factor) for g, w in zip(got, want))
+    assert fused == []
+
+
+def _small_integer_pool(rng, cards, dtype, size=8):
+    """Factors over 1-4 random variables with entries 0-2 (ties are common),
+    as float64, int64 or Python integers beyond 2^63."""
+    pool = []
+    for j in range(size):
+        k = int(rng.integers(1, 5))
+        vids = tuple(sorted(int(v) for v in rng.choice(len(cards), size=k, replace=False)))
+        shape = tuple(cards[v] for v in vids)
+        values = rng.integers(0, 3, size=shape)
+        if dtype is object:
+            values = np.vectorize(lambda x: 2**70 * x, otypes=[object])(values)
+        pool.append(TaggedFactor(("cpt", j), Factor._trusted(vids, shape, values.astype(dtype))))
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_max_and_integer_passes_match_pool_scan_exactly(seed):
+    # Max steps on tie-heavy float tables keep the first maximizing state, as
+    # the pool-scan loop does; int64 and object sum passes stay exact.
+    rng = np.random.default_rng([97, seed])
+    cards = [int(c) for c in rng.integers(1, 4, size=9)]
+    scm = _flat_scm(cards)
+    order = [int(v) for v in rng.permutation(len(cards))]
+    pool = _small_integer_pool(rng, cards, np.float64)
+    got, got_tables = eliminate("max", pool, order, scm)
+    want, want_tables = reference_eliminate("max", pool, order, scm)
+    assert [tf.tag for tf in got] == [tf.tag for tf in want]
+    assert all(g.factor.equal_table(w.factor) for g, w in zip(got, want))
+    assert len(got_tables) == len(want_tables) == len(order)
+    for g, w in zip(got_tables, want_tables):
+        assert (g.kept_vids, g.kept_cards) == (w.kept_vids, w.kept_cards)
+        assert (g.elim_vids, g.elim_cards) == (w.elim_vids, w.elim_cards)
+        assert np.array_equal(g.flat_argmax, w.flat_argmax)
+    for dtype in (np.int64, object):
+        pool = _small_integer_pool(rng, cards, dtype)
+        got, _ = eliminate("sum", pool, order, scm)
+        want, _ = reference_eliminate("sum", pool, order, scm)
+        assert [tf.tag for tf in got] == [tf.tag for tf in want]
+        for g, w in zip(got, want):
+            assert g.factor.values.dtype == w.factor.values.dtype
+            assert g.factor.equal_table(w.factor)
+
+
+def test_factor_reductions_and_elimination_steps_share_one_kernel():
+    # Factor.sum_out/max_out of a product and a sum or max step over the
+    # same factors run the same kernels, so their tables match bit for bit
+    # (random floats, where another summation order would show).
+    rng = np.random.default_rng(96)
+    cards = [2, 3, 2, 4, 2]
+    scm = _flat_scm(cards)
+    scopes = [(0, 2, 3), (1, 2), (2,), (2, 3, 4)]
+    factors = [Factor._trusted(v, tuple(cards[i] for i in v), rng.random([cards[i] for i in v]))
+               for v in scopes]
+    pool = [TaggedFactor(("cpt", j), f) for j, f in enumerate(factors)]
+    joint = factors[0].multiply(factors[1]).multiply(factors[2]).multiply(factors[3])
+    [(_, summed)], _ = eliminate("sum", pool, [2], scm)
+    assert summed.equal_table(joint.sum_out({2}))
+    [(_, best)], [table] = eliminate("max", pool, [2], scm)
+    want_best, want_table = joint.max_out({2})
+    assert best.equal_table(want_best)
+    assert (table.kept_vids, table.kept_cards, table.elim_vids, table.elim_cards) == (
+        want_table.kept_vids, want_table.kept_cards, want_table.elim_vids, want_table.elim_cards
+    )
+    assert np.array_equal(table.flat_argmax, want_table.flat_argmax)
 
 
 def test_map_two_node(two_node):

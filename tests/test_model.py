@@ -48,6 +48,25 @@ def test_cycle_reported():
     assert any("cyclic" in v for v in report.violations)
 
 
+def test_validation_runs_once_per_model(monkeypatch, two_node):
+    # load_model validates, and a later validate of the same model (as
+    # build_objective_model makes) reuses that report; each caller gets its
+    # own copy, so editing one leaves the next unchanged.
+    from unitsel import model
+
+    checks = []
+    check = model._check
+    monkeypatch.setattr(model, "_check", lambda scm: checks.append(scm) or check(scm))
+    scm = load_model(two_node, allow_nonfunctional=True)
+    first = validate(scm)
+    first.violations.append("edited")
+    first.functional_status.clear()
+    second = validate(scm)
+    assert len(checks) == 1
+    assert second.violations == ["internal variable 'V' has a non-functional CPT"]
+    assert second.functional_status == {1: False} and not second.functional
+
+
 def test_normalization_violation_reported():
     scm = make_scm(
         [("A", ["0", "1"])],
