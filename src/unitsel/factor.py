@@ -14,10 +14,11 @@ module helpers, which work on bare tables: ``union_scope`` gives the sorted
 union of some factors' scopes, ``product`` reshapes each of their tables to
 that cluster (size-1 axes for missing variables) and multiplies them left to
 right, and ``sum_axis``/``max_axis`` reduce one axis of a table.
-``Factor.multiply``, ``multiply_all``, ``Factor.sum_out`` and
-``Factor.max_out`` call them, and so does each step of
-``unitsel.inference.eliminate`` on its bucket's tables, so a step builds no
-factor but the one it creates.
+``multiply_all``, ``Factor.sum_out`` and ``Factor.max_out`` call them, and
+so does ``unitsel.inference._step``, each step of ``eliminate``, on its
+bucket's tables, so a step builds no factor but the one it creates.
+``multiply_all`` is the one product of whole factors; evidence enters a
+product as 0/1 ``Factor.indicator`` factors.
 
 A reduction views the table as (before, states, after) and combines its
 state slices: a max keeps a running maximum over the slices, and a sum adds
@@ -88,6 +89,13 @@ class Variable:
             ) from None
 
 
+def _is_index(value, size: int) -> bool:
+    """Whether ``value`` is an integer (a bool is not) in ``range(size)``:
+    the one rule for a state index, and for a variable id of a model."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return is_int and 0 <= value < size
+
+
 def unravel(vids: tuple[int, ...], cards: tuple[int, ...], flat: int) -> Instantiation:
     """The instantiation at C-order index ``flat`` of the grid over ``vids``
     (ascending ids, last varying fastest)."""
@@ -111,10 +119,6 @@ class MaximizerTable:
     elim_vids: tuple[int, ...]
     elim_cards: tuple[int, ...]
     flat_argmax: np.ndarray  # shape kept_cards; flat index over the elim grid
-
-    @property
-    def empty(self) -> bool:
-        return not self.elim_vids
 
     def lookup(self, fixed: Mapping[int, int]) -> Instantiation:
         """Return the recorded argmax of the eliminated variables for the
@@ -181,8 +185,8 @@ class Factor:
     @classmethod
     def indicator(cls, vid: int, card: int, state: int) -> "Factor":
         """The 0/1 evidence factor that is 1 exactly at ``state``."""
-        if not 0 <= state < card:
-            raise FactorError(f"state {state} out of range for cardinality {card}")
+        if not _is_index(state, card):
+            raise FactorError(f"state {state!r} out of range for cardinality {card}")
         table = np.zeros(card)
         table[state] = 1.0
         return cls._trusted((vid,), (card,), table)
@@ -199,6 +203,9 @@ class Factor:
             idx = tuple(inst[v] for v in self.vids)
         except KeyError as missing:
             raise FactorError(f"instantiation missing variable {missing}") from None
+        for vid, state, card in zip(self.vids, idx, self.cards):
+            if not _is_index(state, card):
+                raise FactorError(f"state {state!r} out of range for variable {vid}")
         return float(self.values[idx])
 
     def total(self) -> float:
@@ -231,10 +238,6 @@ class Factor:
         return self.values.reshape(
             [self.cards[vids.index(vid)] if vid in vids else 1 for vid in union_vids]
         )
-
-    def multiply(self, other: "Factor") -> "Factor":
-        vids, cards = union_scope((self, other))
-        return Factor._trusted(vids, cards, product((self, other), vids))
 
     def _require(self, vids: set[int], op: str) -> None:
         missing = vids - set(self.vids)
@@ -279,22 +282,6 @@ class Factor:
             arg,
         )
         return Factor._trusted(kept_vids, kept_cards, best), table
-
-    def reduce(self, evidence: Mapping[int, int]) -> "Factor":
-        """Zero every entry inconsistent with ``evidence``; scope unchanged."""
-        relevant = [(v, evidence[v]) for v in self.vids if v in evidence]
-        if not relevant:
-            return self
-        out = self.values
-        for vid, state in relevant:
-            axis = self.vids.index(vid)
-            card = self.cards[axis]
-            if not 0 <= state < card:
-                raise FactorError(f"state {state} out of range for variable {vid}")
-            shape = [1] * len(self.cards)
-            shape[axis] = card
-            out = out * (np.arange(card) == state).reshape(shape)
-        return Factor._trusted(self.vids, self.cards, out)
 
     def scale(self, c: float) -> "Factor":
         return Factor._trusted(self.vids, self.cards, np.asarray(self.values * c))

@@ -59,7 +59,7 @@ from .worlds import enumerate_instantiations
 
 _FUSED_MIN_CELLS = 2048
 """Cluster cells from which a sum step contracts its last factor into the
-sum (``_sum_step``); below it einsum's per-call planning costs more than the
+sum (``_step``); below it einsum's per-call planning costs more than the
 product it saves."""
 
 Tag = tuple
@@ -137,16 +137,16 @@ def eliminate(
     factor mentions.
 
     Each step multiplies its bucket's bare tables into the cluster's product
-    and reduces the variable's axis out of it (``product``, ``sum_axis`` and
-    ``max_axis`` of :mod:`unitsel.factor`, the kernels of ``Factor.sum_out``
-    and ``Factor.max_out``), so only the created factor and, for max, its
-    maximizer table become objects. A sum step over two or more float64
+    and reduces the variable's axis out of it in ``_step`` (``product``,
+    ``sum_axis`` and ``max_axis`` of :mod:`unitsel.factor`, the kernels of
+    ``Factor.sum_out`` and ``Factor.max_out``), so only the created factor
+    and, for max, its maximizer table become objects. A sum step over float64
     factors whose cluster has at least ``_FUSED_MIN_CELLS`` cells and fewer
     than 52 variables, and which no single factor spans, fuses its last
-    multiply into the sum (``_sum_step``), so the cluster's full product is
-    never built; its values may differ from multiply-then-sum ones in the
-    last bits, and its trace row is the same. Max steps and integer count
-    passes always multiply, then reduce.
+    multiply into the sum, so the cluster's full product is never built; its
+    values may differ from multiply-then-sum ones in the last bits, and its
+    trace row is the same. Max steps and integer count passes always
+    multiply, then reduce.
 
     The factors wait in buckets (Dechter 1999): each in the bucket of its
     first variable in the order, or among the survivors when the order has
@@ -181,16 +181,9 @@ def eliminate(
             # integer factor, so an integer count stays exact.
             ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
             mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
-        factors = [tf.factor for tf in mention]
-        if op == "sum":
-            created, cluster = _sum_step(factors, vid)
-        else:
-            cluster, cards = union_scope(factors)
-            axis = cluster.index(vid)
-            best, arg = max_axis(product(factors, cluster), axis)
-            kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
-            created = Factor._trusted(kept, kept_cards, best)
-            max_tables.append(MaximizerTable(kept, kept_cards, (vid,), (cards[axis],), arg))
+        created, cluster, table = _step(op, [tf.factor for tf in mention], vid)
+        if table is not None:
+            max_tables.append(table)
         tag = ("step", step)
         if trace is not None:
             used = tuple(
@@ -210,24 +203,31 @@ def eliminate(
     return survivors, max_tables
 
 
-def _sum_step(factors: list[Factor], vid: int) -> tuple[Factor, tuple[int, ...]]:
-    """Sum ``vid`` out of the product of ``factors``; returns the created
-    factor and the cluster, the union of their scopes.
+def _step(
+    op: str, factors: list[Factor], vid: int
+) -> tuple[Factor, tuple[int, ...], MaximizerTable | None]:
+    """Sum or maximize ``vid`` out of the product of ``factors``; returns the
+    created factor, the cluster (the union of their scopes) and, for max, the
+    step's maximizer table.
 
-    A fused step (gated as ``eliminate`` says) multiplies all factors but the
-    last, and ``np.einsum`` sums over ``vid`` the product of that head and the
-    last factor, with the cluster relabelled 0..k-1 (numpy accepts labels
+    A fused sum step (gated as ``eliminate`` says) multiplies all factors but
+    the last, and ``np.einsum`` sums over ``vid`` the product of that head and
+    the last factor, with the cluster relabelled 0..k-1 (numpy accepts labels
     below 52). ``optimize=True`` lets it hand the contraction to BLAS; without
     it the contraction is a slow generic loop. Every other step builds the
-    cluster's product and sums ``vid`` out of it with ``sum_axis``; when one
-    factor spans the cluster, that product is no larger than the factor, so
-    contracting would save nothing."""
+    cluster's product and reduces ``vid`` out of it with ``sum_axis`` or
+    ``max_axis``; when one factor spans the cluster (always, for a single
+    factor), that product is no larger than the factor, so contracting would
+    save nothing."""
     cluster, cards = union_scope(factors)
     axis = cluster.index(vid)
     kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
+    if op == "max":
+        best, arg = max_axis(product(factors, cluster), axis)
+        return (Factor._trusted(kept, kept_cards, best), cluster,
+                MaximizerTable(kept, kept_cards, (vid,), (cards[axis],), arg))
     if (
-        len(factors) < 2
-        or len(cluster) >= 52
+        len(cluster) >= 52
         or math.prod(cards) < _FUSED_MIN_CELLS
         or any(len(f.vids) == len(cluster) or f.values.dtype != np.float64 for f in factors)
     ):
@@ -241,7 +241,7 @@ def _sum_step(factors: list[Factor], vid: int) -> tuple[Factor, tuple[int, ...]]
             [i for i in range(len(cluster)) if i != axis],
             optimize=True,
         ))
-    return Factor._trusted(kept, kept_cards, table), cluster
+    return Factor._trusted(kept, kept_cards, table), cluster, None
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:
@@ -496,8 +496,11 @@ def posterior(
 
 
 def query_prob(scm: Scm, event: Mapping[int, int], given: Mapping[int, int]) -> float:
-    """Pr(event | given) for instantiations (a posterior cell)."""
+    """Pr(event | given) for instantiations (a posterior cell). An event
+    state out of range is refused with ModelError, as an evidence one is."""
     post = posterior(scm, set(event), given)
+    for vid, state in event.items():
+        _check_state(scm.var(vid), state)
     return post[event]
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .factor import Factor, FactorError, Instantiation, Variable
+from .factor import Factor, FactorError, Instantiation, Variable, _is_index
 
 ROW_SUM_TOL = 1e-9
 FUNCTIONAL_TOL = 1e-12
@@ -275,21 +275,16 @@ def _check(scm: Scm) -> ValidationReport:
 
 
 def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:
-    """Probability of a full instantiation: one CPT entry per node."""
+    """Probability of a full instantiation: one CPT entry per node. A missing
+    variable or a state out of range is refused with ModelError."""
+    for v in scm.variables:
+        if v.id not in full:
+            raise ModelError(f"instantiation missing variable id {v.id}")
+        _check_state(v, full[v.id])
     p = 1.0
     for v in scm.variables:
-        try:
-            idx = tuple(full[q] for q in scm.parents[v.id]) + (full[v.id],)
-        except KeyError as missing:
-            raise ModelError(f"instantiation missing variable id {missing}") from None
-        p *= float(scm.tables[v.id][idx])
+        p *= float(scm.tables[v.id][tuple(full[q] for q in scm.parents[v.id]) + (full[v.id],)])
     return p
-
-
-def _is_index(value, size: int) -> bool:
-    """Whether ``value`` is an integer (a bool is not) in ``range(size)``."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return is_int and 0 <= value < size
 
 
 def _known_id(scm: Scm, vid) -> bool:

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable, multiply_all
-from .model import ModelError, Scm, _known_id, json_number, validate
+from .model import ModelError, Scm, _known_id, evidence_to_lambdas, json_number, validate
 from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
                      counterfactual_term_profile)
 
@@ -279,10 +279,13 @@ def _bn_term_profile(
             if event.setdefault(vid, state) != state:
                 conflict = True
     others = [v for v in joint.vids if v not in unit_ids]
-    den = joint.reduce(term.e).sum_out(others)
-    num = den.scale(0.0) if conflict else joint.reduce(event).sum_out(others)
-    defined = den.values > 0
-    values = np.divide(num.values, den.values, out=np.zeros_like(num.values), where=defined)
+    den = multiply_all([joint, *evidence_to_lambdas(scm, term.e)]).sum_out(others).values
+    if conflict:
+        num = np.zeros_like(den)
+    else:
+        num = multiply_all([joint, *evidence_to_lambdas(scm, event)]).sum_out(others).values
+    defined = den > 0
+    values = np.divide(num, den, out=np.zeros_like(num), where=defined)
     return values, defined
 
 

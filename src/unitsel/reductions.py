@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .factor import Variable
+from .factor import Variable, _is_index
 from .inference import brute_rmap, rmap_ve
 from .model import ModelError, Scm
 
@@ -296,13 +296,17 @@ def compile_formula(formula: Formula) -> tuple[Scm, int]:
 def emajsat_ratio(formula: Formula, u: Mapping[str, int]) -> Fraction:
     """card({v : uv satisfies the formula}) / card(v-space), exactly.
 
-    ``u`` must assign every variable of the existential block; the counting
-    block is enumerated (refused above EMAJSAT_MAX_V variables).
+    ``u`` must assign 0 or 1 (an integer, not a bool) to every variable of
+    the existential block; the counting block is enumerated (refused above
+    EMAJSAT_MAX_V variables).
     """
     if formula.u_vars is None:
         raise ModelError("formula has no (u, v) partition")
     if set(u) != set(formula.u_vars):
         raise ModelError("u must assign exactly the existential variables")
+    bad = {name: value for name, value in u.items() if not _is_index(value, 2)}
+    if bad:
+        raise ModelError(f"u values must be 0 or 1, got {bad}")
     v_vars = tuple(formula.v_vars)
     if len(v_vars) > EMAJSAT_MAX_V:
         raise ModelError(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitsel.factor import Factor, FactorError, Variable
+from unitsel.factor import Factor, FactorError, Variable, multiply_all
 from corpus import divide
 
 # The two-node example tables: prior {u1: 0.2, u2: 0.8} and the joint
@@ -32,6 +32,16 @@ def test_factor_layout_last_variable_fastest():
     assert list(f.flat) == list(range(6))
 
 
+def test_lookup_refuses_bad_states():
+    # A state of -1 once read the last state's cell, the cardinality raised a
+    # raw IndexError and True read state 1.
+    f = Factor((0, 1), (2, 3), range(6))
+    for state in (-1, 3, True, 1.0):
+        with pytest.raises(FactorError, match="out of range for variable 1"):
+            f[{0: 0, 1: state}]
+    assert f[{0: np.int64(1), 1: np.int64(2)}] == 5.0
+
+
 def test_factor_structural_errors():
     with pytest.raises(FactorError):
         Factor((1, 0), (2, 2), [1, 2, 3, 4])  # unsorted scope
@@ -44,21 +54,21 @@ def test_factor_structural_errors():
 
 
 def test_multiply_prior_by_conditional():
-    joint = PRIOR.multiply(COND)
+    joint = multiply_all([PRIOR, COND])
     assert joint.vids == (0, 1)
     assert np.allclose(joint.flat, JOINT, rtol=1e-12)
 
 
 def test_multiply_identity_and_absorbing():
     f = Factor((0, 1), (2, 2), JOINT)
-    assert f.multiply(Factor((0, 1), (2, 2), np.ones(4))).equal_table(f)
+    assert multiply_all([f, Factor((0, 1), (2, 2), np.ones(4))]).equal_table(f)
     zeros = Factor((0, 1), (2, 2), np.zeros(4))
-    assert f.multiply(zeros).equal_table(zeros)
+    assert multiply_all([f, zeros]).equal_table(zeros)
 
 
 def test_multiply_cardinality_clash():
     with pytest.raises(FactorError):
-        Factor((0,), (2,), [1, 1]).multiply(Factor((0,), (3,), [1, 1, 1]))
+        multiply_all([Factor((0,), (2,), [1, 1]), Factor((0,), (3,), [1, 1, 1])])
 
 
 def test_sum_out_marginal():
@@ -68,7 +78,7 @@ def test_sum_out_marginal():
     assert np.allclose(marg.flat, [0.36, 0.64], rtol=1e-12)
     assert joint.sum_out(set()) is joint
     # full-scope sum of a normalized conditional row
-    row = COND.reduce({0: 0}).sum_out({0, 1})
+    row = multiply_all([COND, Factor.indicator(0, 2, 0)]).sum_out({0, 1})
     assert row.vids == ()
     assert math.isclose(row.total(), 1.0, rel_tol=1e-12)
 
@@ -91,7 +101,7 @@ def test_max_out_joint():
 def test_max_out_empty_and_constant():
     f = Factor((0,), (2,), [0.5, 0.5])
     same, table = f.max_out(set())
-    assert same is f and table.empty
+    assert same is f and not table.elim_vids
     best, table = f.max_out({0})
     assert best.vids == () and best.total() == 0.5
     assert table.lookup({}) == {0: 0}  # tie broken toward the first state
@@ -125,23 +135,27 @@ def test_divide_errors():
         divide(Factor((0,), (2,), [1, 1]), Factor((0,), (2,), [1, 0]))
 
 
-def test_reduce_zeroing():
+def test_indicator_product_zeroing():
+    # Evidence enters a product as 0/1 indicators: entries that disagree
+    # with it become 0, the scope stays the same, and no indicator leaves the
+    # table as it was.
     joint = Factor((0, 1), (2, 2), JOINT)
-    red = joint.reduce({1: 0})
+    red = multiply_all([joint, Factor.indicator(1, 2, 0)])
     assert red.vids == (0, 1)
     assert np.allclose(red.flat, [0.12, 0.0, 0.24, 0.0], rtol=1e-12)
-    assert joint.reduce({}) is joint
+    assert multiply_all([joint]).equal_table(joint)
     zeros = Factor((0, 1), (2, 2), np.zeros(4))
-    assert zeros.reduce({0: 1}).equal_table(zeros)
+    assert multiply_all([zeros, Factor.indicator(0, 2, 1)]).equal_table(zeros)
 
 
 def test_operation_results_are_read_only():
     f = Factor((0, 1), (2, 2), JOINT)
     g = Factor((1,), (2,), [0.0, 5.0])
     results = [
-        f.multiply(g), Factor.scalar(2.0).multiply(Factor.scalar(3.0)),
+        multiply_all([f, g]), multiply_all([Factor.scalar(2.0), Factor.scalar(3.0)]),
         f.sum_out({0}), f.sum_out({0, 1}), f.max_out({1})[0], f.max_out({0, 1})[0],
-        divide(f, f), f.reduce({1: 0}), f.scale(2.0), Factor.scalar(2.0).scale(3.0),
+        divide(f, f), multiply_all([f, Factor.indicator(1, 2, 0)]), f.scale(2.0),
+        Factor.scalar(2.0).scale(3.0),
     ]
     for r in results:
         assert isinstance(r.values, np.ndarray) and r.values.shape == r.cards
@@ -152,8 +166,9 @@ def test_operation_results_are_read_only():
 def test_indicator():
     lam = Factor.indicator(3, 2, 1)
     assert lam.vids == (3,) and list(lam.flat) == [0.0, 1.0]
-    with pytest.raises(FactorError):
-        Factor.indicator(3, 2, 5)
+    for state in (5, -1, True):
+        with pytest.raises(FactorError):
+            Factor.indicator(3, 2, state)
 
 
 # -- properties (dyadic values keep float products exact) ---------------------
@@ -181,14 +196,14 @@ def factors(draw, max_vars=3):
 @settings(max_examples=60, deadline=None)
 @given(factors(), factors())
 def test_multiply_commutative(f, g):
-    assert f.multiply(g).equal_table(g.multiply(f))
+    assert multiply_all([f, g]).equal_table(multiply_all([g, f]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(factors(max_vars=2), factors(max_vars=2), factors(max_vars=2))
 def test_multiply_associative(f, g, h):
-    left = f.multiply(g).multiply(h)
-    right = f.multiply(g.multiply(h))
+    left = multiply_all([multiply_all([f, g]), h])
+    right = multiply_all([f, multiply_all([g, h])])
     assert left.equal_table(right)
 
 
@@ -199,8 +214,8 @@ def test_sum_out_distributes_over_disjoint_products(f, g):
     if not outside:
         return
     v = {outside[0]}
-    lhs = f.multiply(g).sum_out(v)
-    rhs = f.sum_out(v).multiply(g)
+    lhs = multiply_all([f, g]).sum_out(v)
+    rhs = multiply_all([f.sum_out(v), g])
     assert lhs.equal_table(rhs)
 
 
@@ -211,8 +226,8 @@ def test_max_out_distributes_over_disjoint_products(f, g):
     if not outside:
         return
     v = {outside[0]}
-    lhs, _ = f.multiply(g).max_out(v)
-    rhs = f.max_out(v)[0].multiply(g)
+    lhs, _ = multiply_all([f, g]).max_out(v)
+    rhs = multiply_all([f.max_out(v)[0], g])
     assert lhs.equal_table(rhs)
 
 
@@ -220,7 +235,7 @@ def test_max_out_distributes_over_disjoint_products(f, g):
 @given(factors())
 def test_divide_multiply_roundtrip(f):
     g = Factor(f.vids, f.cards, np.full(f.cards, 0.75))
-    back = divide(f, g).multiply(g)
+    back = multiply_all([divide(f, g), g])
     assert np.allclose(back.values, f.values, rtol=1e-12)
 
 

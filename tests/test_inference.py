@@ -18,6 +18,7 @@ from unitsel import (
     make_scm,
     map_ve,
     posterior,
+    query_prob,
     rmap_table,
     rmap_ve,
     unit_select,
@@ -33,7 +34,7 @@ from unitsel.inference import (
     lambda_pool,
 )
 from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
-from unitsel.factor import Factor
+from unitsel.factor import Factor, FactorError, multiply_all
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import build_objective_model, evaluate_L_brute
 from unitsel.reductions import compile_formula, sat_via_rmap
@@ -359,7 +360,7 @@ def test_factor_reductions_and_elimination_steps_share_one_kernel():
     factors = [Factor._trusted(v, tuple(cards[i] for i in v), rng.random([cards[i] for i in v]))
                for v in scopes]
     pool = [TaggedFactor(("cpt", j), f) for j, f in enumerate(factors)]
-    joint = factors[0].multiply(factors[1]).multiply(factors[2]).multiply(factors[3])
+    joint = multiply_all(factors)
     [(_, summed)], _ = eliminate("sum", pool, [2], scm)
     assert summed.equal_table(joint.sum_out({2}))
     [(_, best)], [table] = eliminate("max", pool, [2], scm)
@@ -563,6 +564,18 @@ def test_queries_refuse_out_of_range_evidence_states(two_node):
                 query(two_node, [0], {1: state})
         with pytest.raises(ModelError, match=message):
             joint_mass(two_node, {0: 0, 1: state})
+
+
+def test_query_prob_and_posterior_cells_refuse_bad_states(five_node):
+    # A state of -1 once read the last state's cell (0.3 here, Pr(E = 1)),
+    # the cardinality raised a raw IndexError and True a raw TypeError.
+    assert math.isclose(query_prob(five_node, {4: 1}, {}), 0.3, rel_tol=1e-12)
+    marginal = posterior(five_node, {4}, {})
+    for state in (-1, 2, True):
+        with pytest.raises(ModelError, match=f"state {state} out of range for 'E'"):
+            query_prob(five_node, {4: state}, {})
+        with pytest.raises(FactorError, match=f"state {state} out of range for variable 4"):
+            marginal[{4: state}]
 
 
 def test_posterior_two_node(two_node):

@@ -19,6 +19,7 @@ from unitsel import (
     validate,
 )
 from unitsel import fixture_path
+from unitsel.factor import multiply_all
 from corpus import small_scm
 
 
@@ -97,13 +98,28 @@ def test_joint_prob_zero_mass_root():
     assert joint_prob(scm, {0: 1, 1: 1}) == 0.0
 
 
+def test_joint_prob_refuses_bad_states():
+    # A state of -1 once read the last state's entry (0.7 here, the mass with
+    # A = 1), the cardinality raised a raw IndexError and True a raw
+    # TypeError.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    full = {0: 1, 1: 1, 2: 0, 3: 1, 4: 0}
+    assert joint_prob(scm, full) == 0.7
+    for state in (-1, 2, True):
+        with pytest.raises(ModelError, match=f"state {state} out of range for 'A'"):
+            joint_prob(scm, {**full, 0: state})
+    with pytest.raises(ModelError, match="missing variable id 4"):
+        joint_prob(scm, {0: 1, 1: 1, 2: 0, 3: 1})
+
+
 def test_lambda_factors(two_node):
     scm = load_model(two_node, allow_nonfunctional=True)
     lams = evidence_to_lambdas(scm, {1: 0})
     assert len(lams) == 1 and list(lams[0].flat) == [1.0, 0.0]
     assert evidence_to_lambdas(scm, {}) == []
     two = evidence_to_lambdas(scm, {0: 1, 1: 0})
-    product = two[0].multiply(two[1])
+    product = multiply_all(two)
     assert list(product.flat) == [0.0, 0.0, 1.0, 0.0]
 
 

@@ -1,5 +1,6 @@
 """Objective functions and the objective-model reduction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from unitsel import (
     evaluate_L_brute,
     evaluate_L_profile,
     fixture_path,
+    joint_prob,
     load_model,
     load_objective,
     make_scm,
@@ -21,6 +23,7 @@ from unitsel import (
     query_prob,
     save_objective,
     unit_select,
+    validate,
     validate_objective,
 )
 import unitsel.objective
@@ -278,6 +281,64 @@ def test_nonfunctional_base_allowed_only_without_treatments():
     )
     with pytest.raises(ModelError):
         build_objective_model(bn, with_treatment)
+
+
+def _random_bn(rng):
+    """A non-functional 5-node network of 2- and 3-state variables whose
+    first two nodes are roots; about a quarter of the CPT entries are 0, so
+    some units and some evidence carry no mass."""
+    cards = [int(c) for c in rng.integers(2, 4, size=5)]
+    names = [f"N{i}" for i in range(5)]
+    parents = {names[i]: [names[j] for j in range(i) if i >= 2 and rng.random() < 0.6]
+               for i in range(5)}
+    tables = {}
+    for i, name in enumerate(names):
+        shape = [cards[names.index(q)] for q in parents[name]] + [cards[i]]
+        rows = (rng.random(shape) * (rng.random(shape) > 0.25)).reshape(-1, cards[i])
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+        tables[name] = (rows / rows.sum(axis=1, keepdims=True)).ravel()
+    states = [[str(s) for s in range(c)] for c in cards]
+    return make_scm(list(zip(names, states)), parents, tables), cards
+
+
+def test_bn_term_profile_matches_enumeration():
+    # The full-joint oracle of treatment-free terms on plain Bayesian
+    # networks, against sums of joint_prob over every full instantiation:
+    # each term carries evidence, some outcomes conflict with it, and some
+    # units have zero conditioning mass.
+    conflicts = undefined = 0
+    for seed in range(30):
+        rng = np.random.default_rng([59, seed])
+        scm, cards = _random_bn(rng)
+        assert not validate(scm).functional
+        units = (0, 1)
+        joints = {full: joint_prob(scm, dict(enumerate(full)))
+                  for full in itertools.product(*map(range, cards))}
+        for _ in range(3):
+            e_vids, y_vid, w_vid = rng.choice([2, 3, 4], size=3, replace=False)
+            e = {int(e_vids): int(rng.integers(cards[e_vids]))}
+            y = {int(y_vid): int(rng.integers(cards[y_vid]))}
+            w = {int(w_vid): int(rng.integers(cards[w_vid]))}
+            if rng.random() < 0.4:
+                # w names the evidence variable with another state.
+                w = {int(e_vids): (e[int(e_vids)] + 1) % cards[e_vids]}
+            term = ObjectiveTerm(1.0, y=y, w=w, e=e)
+            values, defined = unitsel.objective._bn_term_profile(scm, term, units)
+            conflict = w.keys() & e.keys() and w != {k: e[k] for k in w}
+            for u in itertools.product(range(cards[0]), range(cards[1])):
+                matching = [(full, p) for full, p in joints.items() if full[:2] == u
+                            and all(full[v] == s for v, s in e.items())]
+                den = sum(p for _, p in matching)
+                num = 0.0 if conflict else sum(
+                    p for full, p in matching
+                    if all(full[v] == s for v, s in {**y, **w}.items())
+                )
+                assert defined[u] == (den > 0)
+                want = num / den if den > 0 else 0.0
+                assert math.isclose(values[u], want, rel_tol=1e-12, abs_tol=1e-15)
+            conflicts += bool(conflict)
+            undefined += int(np.count_nonzero(~defined))
+    assert conflicts > 0 and undefined > 0
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -142,6 +142,16 @@ def test_emajsat_ratio_guards():
         emajsat_ratio(plain, {"u1": 1})
 
 
+def test_emajsat_ratio_refuses_values_other_than_0_or_1():
+    # On (x1 or x2), {x1: 2} and {x1: -1} once counted as x1 = 1 (ratio 1).
+    f = Formula(Or(Var("x1"), Var("x2")), ("x1", "x2"), ("x1",), ("x2",))
+    assert emajsat_ratio(f, {"x1": 0}) == Fraction(1, 2)
+    assert emajsat_ratio(f, {"x1": 1}) == Fraction(1)
+    for value in (2, -1, True, 0.5):
+        with pytest.raises(ModelError, match="0 or 1"):
+            emajsat_ratio(f, {"x1": value})
+
+
 def test_emajsat_matches_circuit_conditional():
     from unitsel import query_prob
 
