@@ -13,9 +13,11 @@ canonical sorted-scope factor layout.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,16 +37,24 @@ class Scm:
 
     Construction checks structure (known ids, table shapes) and that every
     CPT entry is finite and non-negative, however the model was built, so the
-    CPT factors can skip those checks. Semantic legality (acyclicity, row
-    normalization, functional internal CPTs) is reported by :func:`validate`
-    so that deliberately broken models can be built in tests.
+    CPT factors can skip those checks. The parent lists are checked in one
+    pass over all of them, and the entries in one test over all tables; the
+    variables are walked one by one only to name the first that fails.
+
+    A table that is already a read-only, C-contiguous float64 array of its
+    CPT's shape (such as a table of another ``Scm``, which derived models pass
+    on) is shared, not copied: the model takes it as frozen. Every other table
+    is copied once into a read-only array, so a caller who later writes to
+    the array passed in leaves the model unchanged. Semantic legality
+    (acyclicity, row normalization, functional internal CPTs) is reported by
+    :func:`validate` so that deliberately broken models can be built in tests.
     """
 
     def __init__(
         self,
         variables: Sequence[Variable],
         parents: Mapping[int, Sequence[int]],
-        tables: Mapping[int, np.ndarray],
+        tables: Mapping[int, np.ndarray | Sequence[float]],
     ) -> None:
         self.variables: tuple[Variable, ...] = tuple(variables)
         ids = [v.id for v in self.variables]
@@ -54,48 +64,32 @@ class Scm:
         if len(set(names)) != len(names):
             raise ModelError("variable names must be unique")
         self._by_name = {v.name: v for v in self.variables}
+        self.parents: dict[int, tuple[int, ...]] = _parent_lists(self.variables, parents)
 
-        self.parents: dict[int, tuple[int, ...]] = {}
-        for v in self.variables:
-            if v.id not in parents:
-                raise ModelError(f"no parent list for variable {v.name!r}")
-            ps = tuple(int(p) for p in parents[v.id])
-            if len(set(ps)) != len(ps):
-                raise ModelError(f"duplicate parent for variable {v.name!r}")
-            for p in ps:
-                if not 0 <= p < len(self.variables):
-                    raise ModelError(f"unknown parent id {p} for variable {v.name!r}")
-            if v.id in ps:
-                raise ModelError(f"variable {v.name!r} lists itself as parent")
-            self.parents[v.id] = ps
-
+        cards = [v.cardinality for v in self.variables]
         self.tables: dict[int, np.ndarray] = {}
         for v in self.variables:
-            if v.id not in tables:
-                raise ModelError(f"no CPT for variable {v.name!r}")
-            shape = tuple(self.variables[p].cardinality for p in self.parents[v.id])
-            shape += (v.cardinality,)
-            size = math.prod(shape)
-            arr = np.asarray(tables[v.id], dtype=np.float64)
-            if arr.size != size:
-                raise ModelError(
-                    f"CPT for variable {v.name!r} has {arr.size} entries, expected {size}"
-                )
-            arr = arr.reshape(shape).copy()
-            arr.flags.writeable = False
-            self.tables[v.id] = arr
+            try:
+                table = tables[v.id]
+            except KeyError:
+                raise ModelError(f"no CPT for variable {v.name!r}") from None
+            shape = tuple([cards[p] for p in self.parents[v.id]]) + (v.cardinality,)
+            if not _frozen(table, shape):
+                table = _table_copy(v, table, shape)
+            self.tables[v.id] = table
         # One test over every entry; NaN fails both comparisons.
-        entries = np.concatenate([t.reshape(-1) for t in self.tables.values()] or [[]])
+        entries = np.concatenate(list(self.tables.values()) or [[]], axis=None)
         if not np.all((entries >= 0) & (entries < math.inf)):
             v, x = next((v, x) for v in self.variables
                         for x in self.tables[v.id].flat if not 0 <= x < math.inf)
             raise ModelError(f"CPT of {v.name!r}: entry {float(x)!r} is negative, infinite or NaN")
 
+        # Children are appended in ascending id order, so each list is sorted.
         kids: dict[int, list[int]] = {v.id: [] for v in self.variables}
-        for v in self.variables:
-            for p in self.parents[v.id]:
-                kids[p].append(v.id)
-        self.children = {vid: tuple(sorted(c)) for vid, c in kids.items()}
+        for vid, ps in self.parents.items():
+            for p in ps:
+                kids[p].append(vid)
+        self.children = {vid: tuple(c) for vid, c in kids.items()}
         self.roots: tuple[int, ...] = tuple(
             v.id for v in self.variables if not self.parents[v.id]
         )
@@ -153,16 +147,15 @@ class Scm:
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
             indeg = {v.id: len(self.parents[v.id]) for v in self.variables}
-            ready = sorted(vid for vid, d in indeg.items() if d == 0)
+            ready = list(self.roots)  # ascending ids: already a heap
             order: list[int] = []
             while ready:
-                vid = ready.pop(0)
+                vid = heapq.heappop(ready)
                 order.append(vid)
                 for c in self.children[vid]:
                     indeg[c] -= 1
                     if indeg[c] == 0:
-                        ready.append(c)
-                ready.sort()
+                        heapq.heappush(ready, c)
             if len(order) != self.n:
                 raise ModelError("parent relation is cyclic")
             self._topo = tuple(order)
@@ -180,8 +173,7 @@ class Scm:
         return int(sum(t.size for t in self.tables.values()))
 
     def node_functional(self, vid: int) -> bool:
-        t = self.tables[vid]
-        return bool(np.all(np.minimum(np.abs(t), np.abs(t - 1.0)) <= FUNCTIONAL_TOL))
+        return _functional(self.tables[vid])
 
     def structural_map(self, vid: int) -> np.ndarray:
         """For a functional node, the implied state per parent row (argmax)."""
@@ -206,6 +198,72 @@ class Scm:
                 row = tuple(full[p] for p in self.parents[vid])
                 full[vid] = int(self.structural_map(vid)[row])
         return full
+
+
+def _parent_lists(
+    variables: tuple[Variable, ...], parents: Mapping[int, Sequence[int]]
+) -> dict[int, tuple[int, ...]]:
+    """Each variable's parent ids as a tuple of ints. One pass tests every
+    list at once; only when it fails are the variables walked in order, so
+    the error names the first bad one."""
+    n = len(variables)
+    # Each list is read once, up to the first variable without one.
+    lists: dict[int, tuple] = {}
+    for v in variables:
+        try:
+            lists[v.id] = tuple(parents[v.id])
+        except (KeyError, TypeError):
+            break
+    else:
+        flat = list(chain.from_iterable(lists.values()))
+        # Plain ints in range, no list with a repeat, none holding its own id.
+        if (set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n)
+                and sum(map(len, map(set, lists.values()))) == len(flat)
+                and not any(map(tuple.__contains__, lists.values(), lists))):
+            return lists
+    out: dict[int, tuple[int, ...]] = {}
+    for v in variables:
+        if v.id not in lists:
+            raise ModelError(f"no parent list for variable {v.name!r}")
+        ps = lists[v.id]
+        try:
+            duplicate = len(set(ps)) != len(ps)
+        except TypeError:  # an unhashable entry, refused as an id below
+            duplicate = False
+        if duplicate:
+            raise ModelError(f"duplicate parent for variable {v.name!r}")
+        for p in ps:
+            if not _is_index(p, n):
+                text = int(p) if isinstance(p, np.integer) else repr(p)
+                raise ModelError(f"unknown parent id {text} for variable {v.name!r}")
+        if v.id in ps:
+            raise ModelError(f"variable {v.name!r} lists itself as parent")
+        out[v.id] = tuple(int(p) for p in ps)
+    return out
+
+
+def _frozen(table, shape: tuple[int, ...]) -> bool:
+    """Whether ``table`` is a C-contiguous float64 array of ``shape`` that
+    neither it nor the array owning its memory lets anyone write."""
+    if type(table) is not np.ndarray:
+        return False
+    base = table.base
+    return (table.shape == shape and table.dtype == np.float64 and table.flags.c_contiguous
+            and not table.flags.writeable
+            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable))
+
+
+def _table_copy(v: Variable, table, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 copy of ``table`` in ``shape``."""
+    try:
+        arr = np.array(table, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"CPT for variable {v.name!r} is not an array of numbers") from None
+    size = math.prod(shape)
+    if arr.size != size:
+        raise ModelError(f"CPT for variable {v.name!r} has {arr.size} entries, expected {size}")
+    arr.flags.writeable = False
+    return arr.reshape(shape)
 
 
 @dataclass
@@ -247,31 +305,50 @@ def validate(scm: Scm) -> ValidationReport:
 
 
 def _check(scm: Scm) -> ValidationReport:
+    """One row-sum test per cardinality and one functional test over every
+    internal CPT. Only a failing test walks the variables, so the violations
+    name each bad variable in declaration order."""
     violations: list[str] = []
     acyclic = scm.is_acyclic()
     if not acyclic:
         violations.append("parent relation is cyclic")
 
-    normalized = True
+    by_card: dict[int, list[np.ndarray]] = {}
     for v in scm.variables:
-        rows = scm.tables[v.id].reshape(-1, v.cardinality)
-        bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            normalized = False
-            violations.append(
-                f"CPT rows of {v.name!r} do not sum to 1 "
-                f"(first bad row index {int(np.argmax(bad))})"
-            )
+        by_card.setdefault(v.cardinality, []).append(scm.tables[v.id])
+    normalized = not any(
+        np.any(_bad_rows(np.concatenate(group, axis=None), card))
+        for card, group in by_card.items()
+    )
+    if not normalized:
+        for v in scm.variables:
+            bad = _bad_rows(scm.tables[v.id], v.cardinality)
+            if np.any(bad):
+                violations.append(
+                    f"CPT rows of {v.name!r} do not sum to 1 "
+                    f"(first bad row index {int(np.argmax(bad))})"
+                )
 
-    functional_status: dict[int, bool] = {}
-    for vid in scm.endogenous():
-        ok = scm.node_functional(vid)
-        functional_status[vid] = ok
-        if not ok:
-            violations.append(
-                f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
-            )
+    endo = scm.endogenous()
+    if _functional(np.concatenate([scm.tables[vid] for vid in endo] or [[]], axis=None)):
+        functional_status = dict.fromkeys(endo, True)
+    else:
+        functional_status = {vid: scm.node_functional(vid) for vid in endo}
+        violations.extend(
+            f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
+            for vid, ok in functional_status.items() if not ok
+        )
     return ValidationReport(acyclic, normalized, functional_status, violations)
+
+
+def _bad_rows(table: np.ndarray, cardinality: int) -> np.ndarray:
+    """Which rows of ``cardinality`` entries do not sum to 1."""
+    return np.abs(table.reshape(-1, cardinality).sum(axis=1) - 1.0) > ROW_SUM_TOL
+
+
+def _functional(entries: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1."""
+    return bool(np.all(np.minimum(np.abs(entries), np.abs(entries - 1.0)) <= FUNCTIONAL_TOL))
 
 
 def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:
@@ -366,7 +443,7 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
             entry = {}
         name, states = entry.get("name"), entry.get("states")
         if not (isinstance(name, str) and isinstance(states, list)
-                and all(isinstance(state, str) for state in states)):
+                and set(map(type, states)) <= {str}):
             raise ModelError(
                 f"bad variable entry at position {i}: needs a string 'name' and "
                 "a list of string 'states'"
@@ -387,15 +464,15 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         vid = resolve(name, "parents")
         if not isinstance(plist, list):
             raise ModelError(f"parents of {name!r} must be a list of names")
-        parents[vid] = tuple(resolve(p, f"parents of {name!r}") for p in plist)
+        context = f"parents of {name!r}"
+        parents[vid] = tuple([resolve(p, context) for p in plist])
 
     tables: dict[int, np.ndarray] = {}
     for name, flat in doc["cpts"].items():
         vid = resolve(name, "cpts")
         if not isinstance(flat, list):
             raise ModelError(f"CPT of {name!r} must be a list of numbers")
-        context = f"CPT of {name!r}: entry"
-        tables[vid] = np.array([json_number(x, context) for x in flat])
+        tables[vid] = _cpt_array(flat, f"CPT of {name!r}: entry")
 
     scm = Scm(variables, parents, tables)
 
@@ -407,12 +484,25 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
     return scm
 
 
+def _cpt_array(flat: list, context: str) -> np.ndarray:
+    """A document's CPT list as a float64 array. A list of JSON ints and
+    floats converts in one call; any other list goes through
+    :func:`json_number`, which names the first entry that is not a number."""
+    if set(map(type, flat)) <= {int, float}:
+        try:
+            return np.array(flat, dtype=np.float64)
+        except OverflowError:  # an int beyond float range, named below
+            pass
+    return np.array([json_number(x, context) for x in flat])
+
+
 def make_scm(
     names_states: Sequence[tuple[str, Sequence[str]]],
     parents_by_name: Mapping[str, Sequence[str]],
     tables_by_name: Mapping[str, np.ndarray | Sequence[float]],
 ) -> Scm:
-    """Convenience constructor from name-keyed pieces (tests and demos)."""
+    """Convenience constructor from name-keyed pieces (tests and demos); the
+    tables go to :class:`Scm` as given."""
     variables = [
         Variable(i, name, len(states), tuple(states))
         for i, (name, states) in enumerate(names_states)
@@ -421,5 +511,5 @@ def make_scm(
     parents = {
         ids[name]: tuple(ids[p] for p in ps) for name, ps in parents_by_name.items()
     }
-    tables = {ids[name]: np.asarray(t, dtype=np.float64) for name, t in tables_by_name.items()}
+    tables = {ids[name]: t for name, t in tables_by_name.items()}
     return Scm(variables, parents, tables)

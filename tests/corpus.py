@@ -11,6 +11,7 @@ from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph
 from unitsel.factor import Factor, FactorError, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
+from unitsel.model import FUNCTIONAL_TOL, ROW_SUM_TOL, ValidationReport
 
 
 def small_scm(seed: int, lo: int = 5, hi: int = 10) -> Scm:
@@ -211,3 +212,51 @@ def divide(num: Factor, den: Factor) -> Factor:
         raise FactorError("division undefined: positive numerator over zero denominator")
     out = np.divide(num.values, den.values, out=np.zeros(num.cards), where=den.values > 0)
     return Factor._trusted(num.vids, num.cards, out)
+
+
+def reference_topological_order(scm: Scm) -> tuple[int, ...] | None:
+    """Kahn's loop on a re-sorted ready list (smallest id first); None when
+    the parent relation is cyclic."""
+    indeg = {v.id: len(scm.parents[v.id]) for v in scm.variables}
+    ready = sorted(vid for vid, d in indeg.items() if d == 0)
+    order: list[int] = []
+    while ready:
+        vid = ready.pop(0)
+        order.append(vid)
+        for c in scm.children[vid]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        ready.sort()
+    return tuple(order) if len(order) == scm.n else None
+
+
+def reference_check(scm: Scm) -> ValidationReport:
+    """The per-variable validation loop: one row-sum test per variable, then
+    one functional test per internal variable."""
+    violations: list[str] = []
+    acyclic = reference_topological_order(scm) is not None
+    if not acyclic:
+        violations.append("parent relation is cyclic")
+
+    normalized = True
+    for v in scm.variables:
+        rows = scm.tables[v.id].reshape(-1, v.cardinality)
+        bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL
+        if np.any(bad):
+            normalized = False
+            violations.append(
+                f"CPT rows of {v.name!r} do not sum to 1 "
+                f"(first bad row index {int(np.argmax(bad))})"
+            )
+
+    functional_status: dict[int, bool] = {}
+    for vid in scm.endogenous():
+        t = scm.tables[vid]
+        ok = bool(np.all(np.minimum(np.abs(t), np.abs(t - 1.0)) <= FUNCTIONAL_TOL))
+        functional_status[vid] = ok
+        if not ok:
+            violations.append(
+                f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
+            )
+    return ValidationReport(acyclic, normalized, functional_status, violations)

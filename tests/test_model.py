@@ -18,9 +18,10 @@ from unitsel import (
     save_model,
     validate,
 )
-from unitsel import fixture_path
+from unitsel import build_objective_model, fixture_path, mutilate, n_world_model
+from unitsel.bench import gen_benefit_objective
 from unitsel.factor import multiply_all
-from corpus import small_scm
+from corpus import reference_check, reference_topological_order, small_scm
 
 
 @pytest.fixture()
@@ -301,3 +302,162 @@ def test_functional_models_have_unique_world_per_root_state(seed):
         prior = math.prod(float(scm.tables[r][root_inst[r]]) for r in roots)
         assert math.isclose(p, prior, rel_tol=1e-12)
         assert full == scm.forward_eval(root_inst)
+
+
+A = Variable(0, "A", 2, ("0", "1"))
+B = Variable(1, "B", 2, ("0", "1"))
+PRIOR, IDENTITY = [0.5, 0.5], [1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "variables, parents, tables, message",
+    [
+        ([B], {1: ()}, {1: PRIOR}, "variable ids must be dense 0..n-1 in declaration order"),
+        ([A, B], {0: ()}, {0: PRIOR, 1: IDENTITY}, "no parent list for variable 'B'"),
+        ([A, B], {0: (), 1: (0, 0)}, {0: PRIOR, 1: IDENTITY}, "duplicate parent for variable 'B'"),
+        ([A, B], {0: (), 1: (5,)}, {0: PRIOR, 1: IDENTITY}, "unknown parent id 5 for variable 'B'"),
+        ([A, B], {0: (), 1: (-1,)}, {0: PRIOR, 1: IDENTITY},
+         "unknown parent id -1 for variable 'B'"),
+        ([A, B], {0: (), 1: (np.int64(2),)}, {0: PRIOR, 1: IDENTITY},
+         "unknown parent id 2 for variable 'B'"),
+        ([A, B], {0: (), 1: (1,)}, {0: PRIOR, 1: IDENTITY}, "variable 'B' lists itself as parent"),
+        ([A, B], {0: (), 1: (0,)}, {0: PRIOR}, "no CPT for variable 'B'"),
+        ([A, B], {0: (), 1: (0,)}, {0: PRIOR, 1: [1.0, 0.0, 1.0]},
+         "CPT for variable 'B' has 3 entries, expected 4"),
+    ],
+)
+def test_scm_refusal_messages(variables, parents, tables, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        Scm(variables, parents, tables)
+
+
+@pytest.mark.parametrize(
+    "parents, tables, violations",
+    [
+        ({0: (1,), 1: (0,)}, {0: IDENTITY, 1: IDENTITY}, ["parent relation is cyclic"]),
+        ({0: (), 1: (0,)}, {0: [0.5, 0.4], 1: [1.0, 0.0, 0.0, 0.9]},
+         ["CPT rows of 'A' do not sum to 1 (first bad row index 0)",
+          "CPT rows of 'B' do not sum to 1 (first bad row index 1)",
+          "internal variable 'B' has a non-functional CPT"]),
+        ({0: (), 1: (0,)}, {0: PRIOR, 1: [1.0, 0.0, 0.25, 0.75]},
+         ["internal variable 'B' has a non-functional CPT"]),
+        ({0: (), 1: (0,)}, {0: PRIOR, 1: IDENTITY}, []),
+    ],
+)
+def test_validation_messages(parents, tables, violations):
+    assert validate(Scm([A, B], parents, tables)).violations == violations
+
+
+@pytest.mark.parametrize("pid, text", [(0.7, "0.7"), ("0", "'0'"), (True, "True"), (0.0, "0.0")])
+def test_scm_refuses_parent_ids_that_are_not_integers(pid, text):
+    # int() once read 0.7, "0" and 0.0 as parent 0, and True as id 1, which
+    # then "listed itself as parent".
+    message = f"unknown parent id {text} for variable 'B'"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        Scm([A, B], {0: (), 1: (pid,)}, {0: PRIOR, 1: IDENTITY})
+
+
+def test_scm_reads_numpy_integer_parent_ids_as_ints():
+    # Each parent list is read once, so an iterator keeps its ids.
+    scm = Scm([A, B], {0: iter([]), 1: iter([np.int64(0)])}, {0: PRIOR, 1: IDENTITY})
+    assert scm.parents == {0: (), 1: (0,)} and type(scm.parents[1][0]) is int
+
+
+@pytest.mark.parametrize(
+    "parents, table, message",
+    [
+        ({0: (), 1: (0,)}, [[1.0, 0.0], [0.0]], "CPT for variable 'B' is not an array of numbers"),
+        ({0: (), 1: (0,)}, ["a", "b", "c", "d"], "CPT for variable 'B' is not an array of numbers"),
+        ({0: (), 1: None}, IDENTITY, "no parent list for variable 'B'"),
+    ],
+)
+def test_scm_refuses_bad_tables_and_parent_lists_with_model_error(parents, table, message):
+    # Each once escaped as numpy's ValueError ("setting an array element with
+    # a sequence", "could not convert string to float") or a TypeError.
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        Scm([A, B], parents, {0: PRIOR, 1: table})
+    if parents[1] is not None:
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            make_scm([("A", ["0", "1"]), ("B", ["0", "1"])], {"A": [], "B": ["A"]},
+                     {"A": PRIOR, "B": table})
+
+
+def random_check_model(seed: int) -> Scm:
+    """A model that may break every validation rule: cardinalities 1-9 (rows
+    of 8 or more states take numpy's pairwise sum), parents drawn from every
+    other variable (so cycles occur), rows off 1 by a little or a lot, and
+    non-functional internal CPTs."""
+    rng = np.random.default_rng([5923, seed])
+    n = int(rng.integers(1, 8))
+    cards = [int(c) for c in rng.integers(1, 10, size=n)]
+    variables = [Variable(i, f"V{i}", c, tuple(map(str, range(c)))) for i, c in enumerate(cards)]
+    parents, tables = {}, {}
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        k = int(rng.integers(0, min(2, len(others)) + 1))
+        parents[i] = tuple(int(j) for j in rng.choice(others, size=k, replace=False))
+        rows, c = math.prod(cards[p] for p in parents[i]), cards[i]
+        if rng.random() < 0.7:
+            table = np.zeros((rows, c))
+            table[np.arange(rows), rng.integers(0, c, size=rows)] = 1.0
+        else:
+            table = rng.uniform(0.0, 1.0, size=(rows, c))
+            table /= table.sum(axis=1, keepdims=True)
+        if rng.random() < 0.25:
+            bump = float(rng.choice([1e-13, 5e-10, 2e-9, 1e-3, 0.5]))
+            table[rng.integers(0, rows), rng.integers(0, c)] += bump
+        tables[i] = table
+    return Scm(variables, parents, tables)
+
+
+def test_validate_matches_the_per_variable_reference():
+    seen = set()
+    for seed in range(400):
+        scm = random_check_model(seed)
+        report, expected = validate(scm), reference_check(scm)
+        assert report.acyclic == expected.acyclic, seed
+        assert report.normalized == expected.normalized, seed
+        assert list(report.functional_status.items()) == list(expected.functional_status.items())
+        assert report.violations == expected.violations, seed
+        if report.acyclic:
+            assert scm.topological_order() == reference_topological_order(scm), seed
+        seen.add((report.acyclic, report.normalized, report.functional))
+    # The corpus reaches every combination of the three checks.
+    assert len(seen) == 8
+
+
+def test_scm_copies_writable_tables_and_shares_frozen_ones():
+    prior, cpt = np.array([0.25, 0.75]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    scm = Scm([A, B], {0: (), 1: (0,)}, {0: prior, 1: cpt})
+    prior[:] = cpt[:] = 7.0
+    assert scm.tables[0].tolist() == [0.25, 0.75]
+    assert scm.tables[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert not any(t.flags.writeable for t in scm.tables.values())
+    # A read-only view of a writable array is copied too.
+    view = prior.view()
+    view.flags.writeable = False
+    again = Scm([A, B], {0: (), 1: (0,)}, {0: view, 1: scm.tables[1]})
+    prior[:] = 0.5
+    assert again.tables[0].tolist() == [7.0, 7.0]
+    assert again.tables[1] is scm.tables[1]
+
+
+def test_derived_models_share_the_base_tables():
+    scm = small_scm(3)
+    endo = scm.endogenous()
+    objective = gen_benefit_objective(scm, endo[0], endo[-1], (0.4, 0.3, 0.2, 0.1),
+                                      units=scm.roots[:1])
+    om = build_objective_model(scm, objective)
+    for b, vid in zip(om.unit_base_ids, om.unit_om_ids):
+        assert om.model.tables[vid] is scm.tables[b]
+    for component in om.components:
+        for b, vid in component.roots.items():
+            assert om.model.tables[vid] is scm.tables[b]
+        for b, copies in component.endo.items():
+            # World 1 is never mutilated, and no outcome there takes H.
+            assert 1 not in copies or om.model.tables[copies[1]] is scm.tables[b]
+    twin, worlds = n_world_model(scm, scm.roots, 2)
+    for b, copies in worlds.copies.items():
+        assert all(twin.tables[vid] is scm.tables[b] for vid in copies)
+    cut = mutilate(scm, {endo[0]: 1})
+    assert all(cut.tables[v] is scm.tables[v] for v in range(scm.n) if v != endo[0])
