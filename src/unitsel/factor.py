@@ -14,23 +14,21 @@ module helpers, which work on bare tables: ``union_scope`` gives the sorted
 union of some factors' scopes, ``product`` reshapes each of their tables to
 that cluster (size-1 axes for missing variables) and multiplies them left to
 right, and ``sum_axis``/``max_axis`` reduce one axis of a table.
-``multiply_all``, ``Factor.sum_out`` and ``Factor.max_out`` call them, and
-so does ``unitsel.inference._step``, each step of ``eliminate``, on its
-bucket's tables, so a step builds no factor but the one it creates.
 ``multiply_all`` is the one product of whole factors; evidence enters a
-product as 0/1 ``Factor.indicator`` factors.
+product as 0/1 ``Factor.indicator`` factors. A factor has no reduction of
+its own: the reductions run in the steps of ``unitsel.inference.eliminate``,
+each on its bucket's tables and over one variable, so a step builds no factor
+but the one it creates, and a max step records a :class:`MaximizerTable` for
+that one variable.
 
 A reduction views the table as (before, states, after) and combines its
 state slices: a max keeps a running maximum over the slices, and a sum adds
 them in state order, so every numpy operation spans a whole slice. A
 reduction along the eliminated axis would instead run one inner loop per kept
 cell, and the eliminated variable is usually last or nearly last in a sorted
-scope, which makes those loops 2 or 4 cells long. ``sum_out`` takes its
-variables one at a time, so summing many variables out adds in a tree, as
-pairwise summation does, instead of running one Python step per joint state.
-Adding in state order gives the bits of ``ndarray.sum`` over one variable
-with fewer than 8 states; from 8 states on, numpy may sum pairwise, and the
-two can differ in the last place.
+scope, which makes those loops 2 or 4 cells long. Adding in state order gives
+the bits of ``ndarray.sum`` over one variable with fewer than 8 states; from
+8 states on, numpy may sum pairwise, and the two can differ in the last place.
 
 Tables are validated once, where they enter the package. CPT tables enter
 through :class:`~unitsel.model.Scm`, which checks every entry once, so
@@ -96,40 +94,24 @@ def _is_index(value, size: int) -> bool:
     return is_int and 0 <= value < size
 
 
-def unravel(vids: tuple[int, ...], cards: tuple[int, ...], flat: int) -> Instantiation:
-    """The instantiation at C-order index ``flat`` of the grid over ``vids``
-    (ascending ids, last varying fastest)."""
-    states = np.unravel_index(flat, cards) if cards else ()
-    return {v: int(s) for v, s in zip(vids, states)}
-
-
 @dataclass(frozen=True)
 class MaximizerTable:
-    """Argmax bookkeeping produced by :meth:`Factor.max_out` and by each step
-    of a max elimination.
-
-    For every cell of the reduced factor, records one maximizing joint state
-    of the eliminated variables: the lexicographically smallest one, reading
-    eliminated variables in ascending id order (smallest state index first,
-    then the next variable id, and so on).
-    """
+    """The argmax bookkeeping of one max step of an elimination: for every
+    cell of the created factor, over ``kept_vids``, the first state of the
+    eliminated variable ``vid`` that reaches the maximum."""
 
     kept_vids: tuple[int, ...]
-    kept_cards: tuple[int, ...]
-    elim_vids: tuple[int, ...]
-    elim_cards: tuple[int, ...]
-    flat_argmax: np.ndarray  # shape kept_cards; flat index over the elim grid
+    vid: int
+    argmax: np.ndarray  # one state of ``vid`` per cell of the kept scope
 
     def lookup(self, fixed: Mapping[int, int]) -> Instantiation:
-        """Return the recorded argmax of the eliminated variables for the
-        reduced-scope cell selected by ``fixed`` (must cover ``kept_vids``)."""
-        if not self.elim_vids:
-            return {}
+        """Return the recorded maximizing state of ``vid`` for the kept-scope
+        cell selected by ``fixed`` (must cover ``kept_vids``)."""
         try:
             idx = tuple(fixed[v] for v in self.kept_vids)
         except KeyError as missing:
             raise FactorError(f"maximizer lookup missing variable {missing}") from None
-        return unravel(self.elim_vids, self.elim_cards, int(self.flat_argmax[idx]))
+        return {self.vid: int(self.argmax[idx])}
 
 
 class Factor:
@@ -238,50 +220,6 @@ class Factor:
         return self.values.reshape(
             [self.cards[vids.index(vid)] if vid in vids else 1 for vid in union_vids]
         )
-
-    def _require(self, vids: set[int], op: str) -> None:
-        missing = vids - set(self.vids)
-        if missing:
-            raise FactorError(f"cannot {op} out {sorted(missing)}: not in scope {self.vids}")
-
-    def sum_out(self, vids: Iterable[int]) -> "Factor":
-        """Sum ``vids`` out, one variable at a time in ascending id order,
-        adding each variable's slices in state order."""
-        vids = set(vids)
-        if not vids:
-            return self
-        self._require(vids, "sum")
-        kept, cards, table = list(self.vids), list(self.cards), self.values
-        for vid in sorted(vids):
-            axis = kept.index(vid)
-            table = sum_axis(table, axis)
-            del kept[axis], cards[axis]
-        return Factor._trusted(tuple(kept), tuple(cards), table)
-
-    def max_out(self, vids: Iterable[int]) -> tuple["Factor", MaximizerTable]:
-        vids = set(vids)
-        if not vids:
-            table = MaximizerTable(
-                self.vids, self.cards, (), (), np.zeros(self.cards, dtype=np.int64)
-            )
-            return self, table
-        self._require(vids, "max")
-        elim = [axis for axis, vid in enumerate(self.vids) if vid in vids]
-        kept = [axis for axis, vid in enumerate(self.vids) if vid not in vids]
-        kept_vids = tuple([self.vids[i] for i in kept])
-        kept_cards = tuple([self.cards[i] for i in kept])
-        # One axis over the joint states of the eliminated variables (C order),
-        # so the first maximizing state is the lexicographically smallest.
-        joint = self.values.transpose(elim + kept).reshape((-1,) + kept_cards)
-        best, arg = max_axis(joint, 0)
-        table = MaximizerTable(
-            kept_vids,
-            kept_cards,
-            tuple([self.vids[i] for i in elim]),
-            tuple([self.cards[i] for i in elim]),
-            arg,
-        )
-        return Factor._trusted(kept_vids, kept_cards, best), table
 
     def scale(self, c: float) -> "Factor":
         return Factor._trusted(self.vids, self.cards, np.asarray(self.values * c))

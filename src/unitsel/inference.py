@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_all, product,
-                     sum_axis, union_scope, unravel)
+                     sum_axis, union_scope)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import build_objective_model, evaluate_L_profile
@@ -131,29 +131,31 @@ def eliminate(
 
     At each step, all factors mentioning the variable are multiplied, the
     operation is applied over that variable, and the result (tagged with the
-    step index) replaces them. Returns the surviving pool and, for max, the
-    per-step maximizer tables needed for instantiation recovery. ``scm``
-    names the traced factors and gives the cardinality of a variable that no
-    factor mentions.
+    step index) replaces them. Returns the surviving pool and, for max, one
+    maximizer table per step, which records the step's variable and is
+    needed for instantiation recovery. ``scm`` names the traced factors and
+    gives the cardinality of a variable that no factor mentions.
 
     Each step multiplies its bucket's bare tables into the cluster's product
     and reduces the variable's axis out of it in ``_step`` (``product``,
-    ``sum_axis`` and ``max_axis`` of :mod:`unitsel.factor`, the kernels of
-    ``Factor.sum_out`` and ``Factor.max_out``), so only the created factor
-    and, for max, its maximizer table become objects. A sum step over float64
-    factors whose cluster has at least ``_FUSED_MIN_CELLS`` cells and fewer
-    than 52 variables, and which no single factor spans, fuses its last
-    multiply into the sum, so the cluster's full product is never built; its
-    values may differ from multiply-then-sum ones in the last bits, and its
-    trace row is the same. Max steps and integer count passes always
-    multiply, then reduce.
+    ``sum_axis`` and ``max_axis`` of :mod:`unitsel.factor`, the package's
+    only reductions), so only the created factor and, for max, its maximizer
+    table become objects. A sum step over float64 factors whose cluster has
+    at least ``_FUSED_MIN_CELLS`` cells and fewer than 52 variables, and
+    which no single factor spans, fuses its last multiply into the sum, so
+    the cluster's full product is never built; its values may differ from
+    multiply-then-sum ones in the last bits, and its trace row is the same.
+    Max steps and integer count passes always multiply, then reduce.
 
     The factors wait in buckets (Dechter 1999): each in the bucket of its
     first variable in the order, or among the survivors when the order has
     none of its variables. The pool's factors are placed first, in pool
     order, and each created factor after them, so every bucket and the
     survivors list their factors in pool order followed by creation order,
-    the order in which a scan of the whole pool would meet them.
+    the order in which a scan of the whole pool would meet them. A pool in
+    tag order (as the query passes build it, CPTs, then indicators, then
+    earlier steps) thus leaves its survivors in tag order, since each step's
+    tag is larger than every tag before it.
     """
     if op not in ("sum", "max"):
         raise ValueError(f"unknown elimination op {op!r}")
@@ -208,7 +210,8 @@ def _step(
 ) -> tuple[Factor, tuple[int, ...], MaximizerTable | None]:
     """Sum or maximize ``vid`` out of the product of ``factors``; returns the
     created factor, the cluster (the union of their scopes) and, for max, the
-    step's maximizer table.
+    step's maximizer table: the first maximizing state of ``vid`` per cell of
+    the created factor.
 
     A fused sum step (gated as ``eliminate`` says) multiplies all factors but
     the last, and ``np.einsum`` sums over ``vid`` the product of that head and
@@ -224,8 +227,7 @@ def _step(
     kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
     if op == "max":
         best, arg = max_axis(product(factors, cluster), axis)
-        return (Factor._trusted(kept, kept_cards, best), cluster,
-                MaximizerTable(kept, kept_cards, (vid,), (cards[axis],), arg))
+        return Factor._trusted(kept, kept_cards, best), cluster, MaximizerTable(kept, vid, arg)
     if (
         len(cluster) >= 52
         or math.prod(cards) < _FUSED_MIN_CELLS
@@ -349,13 +351,15 @@ def _two_pass(
 
 
 def _product(pool: Iterable[TaggedFactor]) -> Factor:
-    """Multiply the surviving factors in tag order."""
-    return multiply_all(tf.factor for tf in sorted(pool, key=lambda t: t.tag))
+    """Multiply the surviving factors in pool order, which is tag order for
+    the survivors of a query pass (``eliminate``)."""
+    return multiply_all(tf.factor for tf in pool)
 
 
 def _scalar_value(pool: Iterable[TaggedFactor]) -> float:
+    """The product of the scalar survivors, in pool order (tag order)."""
     value = 1.0
-    for tf in sorted(pool, key=lambda t: t.tag):
+    for tf in pool:
         assert tf.factor.vids == (), "non-scalar factor survived elimination"
         value *= float(tf.factor.values)
     return value
@@ -391,27 +395,26 @@ def map_ve(
 def _paired_division(
     pool1: Sequence[TaggedFactor], pool2: Sequence[TaggedFactor]
 ) -> list[TaggedFactor]:
-    """Divide each pass-2 survivor into the pass-1 survivor with the smallest
-    tag whose scope covers it, broadcast over that scope, with 0 wherever the
-    divisor is 0. The quotients keep the pass-1 order and tags.
+    """Divide each pass-2 survivor into the first pass-1 survivor whose scope
+    covers it, broadcast over that scope, with 0 wherever the divisor is 0.
+    The pass-1 survivors come in tag order, so the first cover has the
+    smallest tag. The quotients keep the pass-1 order and tags.
 
     A positive numerator over a zero divisor is legal here: the zero of
     Pr(u, e2) may sit in another pass-1 survivor than the chosen one."""
-    by_tag = sorted(pool1, key=lambda tf: tf.tag)
-    tables = {tf.tag: tf.factor.values for tf in pool1}
+    tables = [tf.factor.values for tf in pool1]
     for divisor in (tf.factor for tf in pool2):
-        cover = next(
-            (tf for tf in by_tag if set(divisor.vids) <= set(tf.factor.vids)), None
+        i = next(
+            (i for i, tf in enumerate(pool1) if set(divisor.vids) <= set(tf.factor.vids)), None
         )
-        if cover is None:
+        if i is None:
             raise AssertionError(f"no pass-1 survivor covers the scope {divisor.vids}")
-        den = divisor._expand(cover.factor.vids)
-        tables[cover.tag] = np.divide(
-            tables[cover.tag], den, out=np.zeros(cover.factor.cards), where=den > 0
-        )
+        cover = pool1[i].factor
+        den = divisor._expand(cover.vids)
+        tables[i] = np.divide(tables[i], den, out=np.zeros(cover.cards), where=den > 0)
     return [
-        TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, tables[tf.tag]))
-        for tf in pool1
+        TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, table))
+        for tf, table in zip(pool1, tables)
     ]
 
 
@@ -593,7 +596,7 @@ def unit_select(
         masked = np.where(defined, values, -1.0)
         flat = int(masked.argmax())  # first max in C order = smallest unit
         cards = tuple(scm.var(v).cardinality for v in objective.unit_ids)
-        inst = unravel(objective.unit_ids, cards, flat)
+        inst = {v: int(s) for v, s in zip(objective.unit_ids, np.unravel_index(flat, cards))}
         excluded = int(defined.size - np.count_nonzero(defined))
         return QueryResult(float(values.flat[flat]), inst, excluded=excluded)
     raise ValueError(f"unknown method {method!r}")

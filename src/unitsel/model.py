@@ -452,24 +452,10 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
             variables.append(Variable(i, name, len(states), tuple(states)))
         except FactorError as err:
             raise ModelError(str(err)) from None
-    by_name = {v.name: v for v in variables}
-
-    def resolve(name, context: str) -> int:
-        if not isinstance(name, str) or name not in by_name:
-            raise ModelError(f"unknown variable {name!r} referenced by {context}")
-        return by_name[name].id
-
-    parents: dict[int, tuple[int, ...]] = {}
-    for name, plist in doc["parents"].items():
-        vid = resolve(name, "parents")
-        if not isinstance(plist, list):
-            raise ModelError(f"parents of {name!r} must be a list of names")
-        context = f"parents of {name!r}"
-        parents[vid] = tuple([resolve(p, context) for p in plist])
-
+    parents, cpts = _by_id(variables, doc["parents"], doc["cpts"])
     tables: dict[int, np.ndarray] = {}
-    for name, flat in doc["cpts"].items():
-        vid = resolve(name, "cpts")
+    for vid, flat in cpts.items():
+        name = variables[vid].name
         if not isinstance(flat, list):
             raise ModelError(f"CPT of {name!r} must be a list of numbers")
         tables[vid] = _cpt_array(flat, f"CPT of {name!r}: entry")
@@ -496,20 +482,40 @@ def _cpt_array(flat: list, context: str) -> np.ndarray:
     return np.array([json_number(x, context) for x in flat])
 
 
+def _by_id(
+    variables: Sequence[Variable], parents_by_name: Mapping, tables_by_name: Mapping
+) -> tuple[dict[int, tuple[int, ...]], dict]:
+    """The name-keyed parent lists and tables keyed by variable id, with
+    every name resolved to its id. A name that is not a variable's, or a
+    parent list that is not a list (or tuple) of names, is refused with
+    ModelError."""
+    ids = {v.name: v.id for v in variables}
+
+    def resolve(name, context: str) -> int:
+        if not isinstance(name, str) or name not in ids:
+            raise ModelError(f"unknown variable {name!r} referenced by {context}")
+        return ids[name]
+
+    parents: dict[int, tuple[int, ...]] = {}
+    for name, plist in parents_by_name.items():
+        vid = resolve(name, "parents")
+        if not isinstance(plist, (list, tuple)):
+            raise ModelError(f"parents of {name!r} must be a list of names")
+        context = f"parents of {name!r}"
+        parents[vid] = tuple([resolve(p, context) for p in plist])
+    return parents, {resolve(name, "cpts"): t for name, t in tables_by_name.items()}
+
+
 def make_scm(
     names_states: Sequence[tuple[str, Sequence[str]]],
     parents_by_name: Mapping[str, Sequence[str]],
     tables_by_name: Mapping[str, np.ndarray | Sequence[float]],
 ) -> Scm:
-    """Convenience constructor from name-keyed pieces (tests and demos); the
-    tables go to :class:`Scm` as given."""
+    """Convenience constructor from name-keyed pieces (tests and demos). The
+    names resolve as in :func:`load_model`; the tables go to :class:`Scm` as
+    given."""
     variables = [
         Variable(i, name, len(states), tuple(states))
         for i, (name, states) in enumerate(names_states)
     ]
-    ids = {v.name: v.id for v in variables}
-    parents = {
-        ids[name]: tuple(ids[p] for p in ps) for name, ps in parents_by_name.items()
-    }
-    tables = {ids[name]: t for name, t in tables_by_name.items()}
-    return Scm(variables, parents, tables)
+    return Scm(variables, *_by_id(variables, parents_by_name, tables_by_name))

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import Instantiation, Variable, multiply_all
+from .factor import Instantiation, Variable, multiply_all, sum_axis
 from .model import ModelError, Scm, _known_id, evidence_to_lambdas, json_number, validate
 from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
                      counterfactual_term_profile)
@@ -265,7 +265,9 @@ def _bn_term_profile(
     scm: Scm, term: ObjectiveTerm, unit_ids: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observational term profile Pr(y, w | e, u) for treatment-free terms on
-    a general Bayesian network, via the full joint factor."""
+    a general Bayesian network, via the full joint factor. The joint's scope
+    is every variable, so after ``i`` sums the axis of ``vid`` is ``vid - i``:
+    the non-units are summed out one at a time in ascending id order."""
     if term.x or term.v:
         raise ModelError("treatment-free evaluation requested for a term with treatments")
     space = math.prod(v.cardinality for v in scm.variables)
@@ -279,11 +281,15 @@ def _bn_term_profile(
             if event.setdefault(vid, state) != state:
                 conflict = True
     others = [v for v in joint.vids if v not in unit_ids]
-    den = multiply_all([joint, *evidence_to_lambdas(scm, term.e)]).sum_out(others).values
-    if conflict:
-        num = np.zeros_like(den)
-    else:
-        num = multiply_all([joint, *evidence_to_lambdas(scm, event)]).sum_out(others).values
+
+    def unit_marginal(evidence: Mapping[int, int]) -> np.ndarray:
+        table = multiply_all([joint, *evidence_to_lambdas(scm, evidence)]).values
+        for i, vid in enumerate(others):
+            table = sum_axis(table, vid - i)
+        return table
+
+    den = unit_marginal(term.e)
+    num = np.zeros_like(den) if conflict else unit_marginal(event)
     defined = den > 0
     values = np.divide(num, den, out=np.zeros_like(num), where=defined)
     return values, defined

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .factor import Variable, _is_index
-from .inference import brute_rmap, rmap_ve
+from .inference import rmap_ve
 from .model import ModelError, Scm
 
 EMAJSAT_MAX_V = 20
@@ -323,22 +323,16 @@ def emajsat_ratio(formula: Formula, u: Mapping[str, int]) -> Fraction:
     return Fraction(count, 2 ** len(v_vars))
 
 
-def sat_via_rmap(
-    formula: Formula, method: str = "ve"
-) -> tuple[bool, dict[str, int] | None]:
+def sat_via_rmap(formula: Formula) -> tuple[bool, dict[str, int] | None]:
     """Satisfiability via Reverse-MAP on the compiled circuit.
 
     All variables are targets; e1 sets the sentinel to 1 and e2 is empty.
     The optimum is positive iff the formula is satisfiable, in which case the
     maximizing unit is a satisfying assignment (returned as {name: 0/1}).
-    ``method`` is "ve" (:func:`rmap_ve`) or "brute" (:func:`brute_rmap`).
     """
-    if method not in ("ve", "brute"):
-        raise ValueError(f"unknown method {method!r}")
     scm, sentinel = compile_formula(formula)
     targets = [scm.by_name(name).id for name in formula.variables]
-    run = rmap_ve if method == "ve" else brute_rmap
-    result = run(scm, targets, {sentinel: 1}, {})
+    result = rmap_ve(scm, targets, {sentinel: 1}, {})
     if result.value == 0.0:
         return False, None
     witness = {

@@ -9,7 +9,7 @@ import numpy as np
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph
-from unitsel.factor import Factor, FactorError, multiply_all
+from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 from unitsel.model import FUNCTIONAL_TOL, ROW_SUM_TOL, ValidationReport
 
@@ -175,7 +175,10 @@ def random_cnf(seed: int, max_vars: int = 12, ratio: float = 1.5) -> str:
 def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
     """The pool-scan elimination loop: every step scans the whole pool for
     the factors that mention its variable, and appends the created factor
-    after the rest."""
+    after the rest. A step reduces the product with numpy's ``sum`` or
+    ``argmax`` over the variable's axis (``argmax`` keeps the first maximum),
+    not with the engine's kernels; over at most 7 states numpy adds them in
+    state order, so a float sum has the engine's bits."""
     pool = list(pool)
     max_tables = []
     for i, vid in enumerate(order):
@@ -186,11 +189,17 @@ def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
             ones = np.ones(scm.var(vid).cardinality, dtype=np.int64)
             mention = [TaggedFactor(("unit", vid), Factor._trusted((vid,), ones.shape, ones))]
         product = multiply_all(tf.factor for tf in mention)
+        axis = product.vids.index(vid)
+        kept = product.vids[:axis] + product.vids[axis + 1:]
+        values = product.values
         if op == "sum":
-            created = product.sum_out({vid})
+            # asarray: numpy returns a full sum as a scalar.
+            reduced = np.asarray(values.sum(axis=axis), dtype=values.dtype)
         else:
-            created, table = product.max_out({vid})
-            max_tables.append(table)
+            arg = values.argmax(axis=axis)
+            reduced = np.take_along_axis(values, np.expand_dims(arg, axis), axis).squeeze(axis)
+            max_tables.append(MaximizerTable(kept, vid, arg))
+        created = Factor._trusted(kept, reduced.shape, reduced)
         tag = ("step", step)
         if trace is not None:
             used = tuple(

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitsel.factor import Factor, FactorError, Variable, multiply_all
+from unitsel import make_scm
+from unitsel.factor import (Factor, FactorError, MaximizerTable, Variable, max_axis,
+                            multiply_all, sum_axis)
+from unitsel.inference import TaggedFactor, eliminate
 from corpus import divide
 
 # The two-node example tables: prior {u1: 0.2, u2: 0.8} and the joint
@@ -71,50 +74,77 @@ def test_multiply_cardinality_clash():
         multiply_all([Factor((0,), (2,), [1, 1]), Factor((0,), (3,), [1, 1, 1])])
 
 
-def test_sum_out_marginal():
+def _sum_steps(f, elim):
+    """Sum ``elim`` out of ``f`` with ``sum_axis``, one variable at a time in
+    ascending id order; returns the table and its scope."""
+    table, kept = f.values, f.vids
+    for vid in sorted(elim):
+        axis = kept.index(vid)
+        table, kept = sum_axis(table, axis), kept[:axis] + kept[axis + 1:]
+    return table, kept
+
+
+def _max_steps(f, elim):
+    """Maximize ``elim`` out of ``f`` with ``max_axis``, one variable at a
+    time in descending id order, as the max steps of a query do; returns the
+    table, its scope and one maximizer table per step."""
+    table, kept, steps = f.values, f.vids, []
+    for vid in sorted(elim, reverse=True):
+        axis = kept.index(vid)
+        table, arg = max_axis(table, axis)
+        kept = kept[:axis] + kept[axis + 1:]
+        steps.append(MaximizerTable(kept, vid, arg))
+    return table, kept, steps
+
+
+def _recover(steps, fixed):
+    """The maximizing states of the stepped variables, recovered in reverse
+    under the kept cell ``fixed``."""
+    fixed = dict(fixed)
+    for step in reversed(steps):
+        fixed.update(step.lookup(fixed))
+    return fixed
+
+
+def test_sum_axis_marginal():
     joint = Factor((0, 1), (2, 2), JOINT)
-    marg = joint.sum_out({0})
-    assert marg.vids == (1,)
-    assert np.allclose(marg.flat, [0.36, 0.64], rtol=1e-12)
-    assert joint.sum_out(set()) is joint
+    marg = sum_axis(joint.values, 0)
+    assert marg.shape == (2,)
+    assert np.allclose(marg, [0.36, 0.64], rtol=1e-12)
     # full-scope sum of a normalized conditional row
-    row = multiply_all([COND, Factor.indicator(0, 2, 0)]).sum_out({0, 1})
-    assert row.vids == ()
-    assert math.isclose(row.total(), 1.0, rel_tol=1e-12)
+    row, kept = _sum_steps(multiply_all([COND, Factor.indicator(0, 2, 0)]), {0, 1})
+    assert kept == () and row.shape == ()
+    assert math.isclose(float(row), 1.0, rel_tol=1e-12)
 
 
-def test_sum_out_missing_variable():
-    with pytest.raises(FactorError):
-        PRIOR.sum_out({5})
-
-
-def test_max_out_joint():
+def test_max_axis_joint():
     joint = Factor((0, 1), (2, 2), JOINT)
-    best, table = joint.max_out({0})
-    assert best.vids == (1,)
-    assert np.allclose(best.flat, [0.24, 0.56], rtol=1e-12)
+    best, arg = max_axis(joint.values, 0)
+    assert np.allclose(best, [0.24, 0.56], rtol=1e-12)
     # maximizer is u2 (state 1) in both reduced cells
+    table = MaximizerTable((1,), 0, arg)
     assert table.lookup({1: 0}) == {0: 1}
     assert table.lookup({1: 1}) == {0: 1}
+    with pytest.raises(FactorError, match="maximizer lookup missing variable 1"):
+        table.lookup({0: 0})
 
 
-def test_max_out_empty_and_constant():
-    f = Factor((0,), (2,), [0.5, 0.5])
-    same, table = f.max_out(set())
-    assert same is f and not table.elim_vids
-    best, table = f.max_out({0})
-    assert best.vids == () and best.total() == 0.5
-    assert table.lookup({}) == {0: 0}  # tie broken toward the first state
+def test_max_axis_constant():
+    best, arg = max_axis(np.array([0.5, 0.5]), 0)
+    assert best.shape == () and best == 0.5
+    # tie broken toward the first state
+    assert MaximizerTable((), 0, arg).lookup({}) == {0: 0}
 
 
 def test_maximizer_reconstruction_exact():
     rng = np.random.default_rng(7)
     f = Factor((0, 1, 2), (2, 3, 2), rng.uniform(size=12))
-    best, table = f.max_out({0, 2})
+    best, kept, steps = _max_steps(f, {0, 2})
+    assert kept == (1,)
     for b in range(3):
-        fixed = {1: b}
-        arg = table.lookup(fixed)
-        assert f[{**fixed, **arg}] == best[fixed]
+        arg = _recover(steps, {1: b})
+        assert set(arg) == {0, 1, 2}
+        assert f[arg] == best[b]
 
 
 def test_divide_examples():
@@ -153,10 +183,16 @@ def test_operation_results_are_read_only():
     g = Factor((1,), (2,), [0.0, 5.0])
     results = [
         multiply_all([f, g]), multiply_all([Factor.scalar(2.0), Factor.scalar(3.0)]),
-        f.sum_out({0}), f.sum_out({0, 1}), f.max_out({1})[0], f.max_out({0, 1})[0],
         divide(f, f), multiply_all([f, Factor.indicator(1, 2, 0)]), f.scale(2.0),
         Factor.scalar(2.0).scale(3.0),
     ]
+    # The factors that sum and max steps create.
+    scm = make_scm([("A", ["0", "1"]), ("B", ["0", "1"])], {"A": [], "B": []},
+                   {"A": [0.5, 0.5], "B": [0.5, 0.5]})
+    pool = [TaggedFactor(("cpt", 0), f), TaggedFactor(("cpt", 1), g)]
+    for op in ("sum", "max"):
+        results += [tf.factor for tf in eliminate(op, pool, [1], scm)[0]]
+        results += [tf.factor for tf in eliminate(op, pool, [1, 0], scm)[0]]
     for r in results:
         assert isinstance(r.values, np.ndarray) and r.values.shape == r.cards
         with pytest.raises(ValueError):
@@ -207,27 +243,31 @@ def test_multiply_associative(f, g, h):
     assert left.equal_table(right)
 
 
+def _as_factor(table, kept):
+    return Factor._trusted(kept, table.shape, table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factors(), factors())
-def test_sum_out_distributes_over_disjoint_products(f, g):
+def test_sum_axis_distributes_over_disjoint_products(f, g):
     outside = [v for v in f.vids if v not in g.vids]
     if not outside:
         return
     v = {outside[0]}
-    lhs = multiply_all([f, g]).sum_out(v)
-    rhs = multiply_all([f.sum_out(v), g])
+    lhs = _as_factor(*_sum_steps(multiply_all([f, g]), v))
+    rhs = multiply_all([_as_factor(*_sum_steps(f, v)), g])
     assert lhs.equal_table(rhs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(factors(), factors())
-def test_max_out_distributes_over_disjoint_products(f, g):
+def test_max_axis_distributes_over_disjoint_products(f, g):
     outside = [v for v in f.vids if v not in g.vids]
     if not outside:
         return
     v = {outside[0]}
-    lhs, _ = multiply_all([f, g]).max_out(v)
-    rhs = multiply_all([f.max_out(v)[0], g])
+    lhs = _as_factor(*_max_steps(multiply_all([f, g]), v)[:2])
+    rhs = multiply_all([_as_factor(*_max_steps(f, v)[:2]), g])
     assert lhs.equal_table(rhs)
 
 
@@ -241,24 +281,26 @@ def test_divide_multiply_roundtrip(f):
 
 @settings(max_examples=60, deadline=None)
 @given(factors())
-def test_max_out_reconstruction_property(f):
+def test_maximizer_reconstruction_property(f):
     if not f.vids:
         return
-    best, table = f.max_out(set(f.vids))
-    arg = table.lookup({})
-    assert f[arg] == best.total()
+    best, kept, steps = _max_steps(f, f.vids)
+    assert kept == ()
+    assert f[_recover(steps, {})] == float(best)
 
 
-# -- kernels against the numpy reductions they replaced -----------------------
+# -- kernels against numpy's reductions -------------------------------------------
 
 
-def _old_sum_out(f, vids):
+def _numpy_sum(f, vids):
     axes = tuple(i for i, v in enumerate(f.vids) if v in vids)
     kept = tuple(c for v, c in zip(f.vids, f.cards) if v not in vids)
     return f.values.sum(axis=axes, keepdims=True).reshape(kept)
 
 
-def _old_max_out(f, vids):
+def _numpy_joint_max(f, vids):
+    """The maximum over the joint states of ``vids`` and, per kept cell, the
+    C-order index of the first joint state that reaches it."""
     elim = tuple(i for i, v in enumerate(f.vids) if v in vids)
     kept = tuple(i for i, v in enumerate(f.vids) if v not in vids)
     kept_cards = tuple(f.cards[i] for i in kept)
@@ -270,10 +312,10 @@ def _old_max_out(f, vids):
 
 @st.composite
 def kernel_cases(draw):
-    """A table over 0-4 variables of 1-9 states, as float64 (random or with
-    many ties), int64 or object (Python integers beyond 2^63), and a subset
-    of its scope to eliminate."""
-    cards = tuple(draw(st.lists(st.integers(1, 9), max_size=4)))
+    """A table over 1-4 variables of 1-9 states, as float64 (random or with
+    many ties), int64 or object (Python integers beyond 2^63), and a
+    non-empty subset of its scope to eliminate."""
+    cards = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
     while math.prod(cards) > 2000:
         cards = cards[:-1]
     vids = tuple(sorted(draw(st.lists(st.integers(0, 20), min_size=len(cards),
@@ -291,7 +333,7 @@ def kernel_cases(draw):
     else:
         values = np.array([2**70 + int(x) for x in rng.integers(0, 3, size=n)], dtype=object)
     f = Factor._trusted(vids, cards, values.reshape(cards))
-    elim = set(draw(st.lists(st.sampled_from(vids), unique=True))) if vids else set()
+    elim = set(draw(st.lists(st.sampled_from(vids), min_size=1, unique=True)))
     return f, elim, kind
 
 
@@ -300,29 +342,35 @@ def kernel_cases(draw):
 def test_kernels_match_numpy_reductions(case):
     f, elim, kind = case
     kept = tuple(v for v in f.vids if v not in elim)
-    summed = f.sum_out(elim)
-    best, table = f.max_out(elim)
-    assert summed.vids == best.vids == table.kept_vids == kept
-    assert summed.values.dtype == best.values.dtype == f.values.dtype
-    if not elim:
-        assert summed is f and best is f and not table.flat_argmax.any()
-        return
-    old_sum = _old_sum_out(f, elim)
-    assert summed.values.shape == old_sum.shape
+    kept_cards = tuple(c for v, c in zip(f.vids, f.cards) if v not in elim)
+    summed, sum_kept = _sum_steps(f, elim)
+    best, max_kept, steps = _max_steps(f, elim)
+    assert sum_kept == max_kept == kept
+    assert summed.shape == best.shape == kept_cards
+    assert summed.dtype == best.dtype == f.values.dtype
+    old_sum = _numpy_sum(f, elim)
     # Sums of integers, and of quarters, are exact in any order. A float sum
     # over one variable with fewer than 8 states adds in the same order as
     # numpy; otherwise numpy may add pairwise, which bounds the difference by
     # twice the summation error of its addends.
-    addends = math.prod(f.cards) // math.prod(summed.cards)
+    addends = math.prod(f.cards) // math.prod(kept_cards)
     if kind != "float" or (len(elim) == 1 and addends < 8):
-        assert np.array_equal(summed.values, old_sum)
+        assert np.array_equal(summed, old_sum)
     else:
         rtol = 2 * addends * np.finfo(np.float64).eps
-        assert np.allclose(summed.values, old_sum, rtol=rtol, atol=0.0)
-    old_best, old_arg = _old_max_out(f, elim)
-    assert np.array_equal(best.values, old_best)
-    assert np.array_equal(table.flat_argmax, old_arg)
-    assert table.flat_argmax.shape == summed.cards
+        assert np.allclose(summed, old_sum, rtol=rtol, atol=0.0)
+    old_best, old_arg = _numpy_joint_max(f, elim)
+    assert np.array_equal(best, old_best)
+    # Max steps in descending id order, recovered in reverse, give every
+    # kept cell the first maximizing joint state in C order.
+    states = dict(zip(kept, np.indices(kept_cards)))
+    for step in reversed(steps):
+        assert step.argmax.shape == tuple(c for v, c in zip(f.vids, f.cards)
+                                          if v in step.kept_vids)
+        states[step.vid] = step.argmax[tuple(states[v] for v in step.kept_vids)]
+    grid = tuple(c for v, c in zip(f.vids, f.cards) if v in elim)
+    for vid, want in zip(sorted(elim), np.unravel_index(old_arg, grid)):
+        assert np.array_equal(np.broadcast_to(states[vid], kept_cards), want)
 
 
 def test_sum_over_many_variables_adds_in_a_tree():
@@ -332,7 +380,7 @@ def test_sum_over_many_variables_adds_in_a_tree():
     values = np.random.default_rng(7).random((2,) * 16)
     f = Factor(range(16), (2,) * 16, values)
     exact = math.fsum(values.ravel())
-    assert abs(f.sum_out(range(16)).total() - exact) <= 16 * np.finfo(float).eps * exact
-    half = f.sum_out(range(1, 16)).values
+    assert abs(float(_sum_steps(f, range(16))[0]) - exact) <= 16 * np.finfo(float).eps * exact
+    half = _sum_steps(f, range(1, 16))[0]
     assert np.allclose(half, [math.fsum(values[s].ravel()) for s in (0, 1)],
                        rtol=15 * np.finfo(float).eps, atol=0.0)

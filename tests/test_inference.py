@@ -34,7 +34,7 @@ from unitsel.inference import (
     lambda_pool,
 )
 from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
-from unitsel.factor import Factor, FactorError, multiply_all
+from unitsel.factor import Factor, FactorError, max_axis, multiply_all, sum_axis
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import build_objective_model, evaluate_L_brute
 from unitsel.reductions import compile_formula, sat_via_rmap
@@ -152,8 +152,8 @@ def test_bucket_eliminate_matches_pool_scan(seed):
         assert got_trace == want_trace
         assert len(got[1]) == len(want[1])
         for g, w in zip(got[1], want[1]):
-            assert (g.kept_vids, g.elim_vids) == (w.kept_vids, w.elim_vids)
-            assert np.array_equal(g.flat_argmax, w.flat_argmax)
+            assert (g.kept_vids, g.vid) == (w.kept_vids, w.vid)
+            assert np.array_equal(g.argmax, w.argmax)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -178,7 +178,7 @@ def test_bucket_eliminate_matches_pool_scan_on_query_passes(seed):
         tf.factor.values.item() for tf in want_max[0]
     ]
     for g, w in zip(got_max[1], want_max[1]):
-        assert np.array_equal(g.flat_argmax, w.flat_argmax)
+        assert np.array_equal(g.argmax, w.argmax)
 
 
 def _label_scope_size(label: str) -> int:
@@ -336,9 +336,8 @@ def test_max_and_integer_passes_match_pool_scan_exactly(seed):
     assert all(g.factor.equal_table(w.factor) for g, w in zip(got, want))
     assert len(got_tables) == len(want_tables) == len(order)
     for g, w in zip(got_tables, want_tables):
-        assert (g.kept_vids, g.kept_cards) == (w.kept_vids, w.kept_cards)
-        assert (g.elim_vids, g.elim_cards) == (w.elim_vids, w.elim_cards)
-        assert np.array_equal(g.flat_argmax, w.flat_argmax)
+        assert (g.kept_vids, g.vid) == (w.kept_vids, w.vid)
+        assert g.argmax.dtype == w.argmax.dtype and np.array_equal(g.argmax, w.argmax)
     for dtype in (np.int64, object):
         pool = _small_integer_pool(rng, cards, dtype)
         got, _ = eliminate("sum", pool, order, scm)
@@ -350,9 +349,9 @@ def test_max_and_integer_passes_match_pool_scan_exactly(seed):
 
 
 def test_factor_reductions_and_elimination_steps_share_one_kernel():
-    # Factor.sum_out/max_out of a product and a sum or max step over the
-    # same factors run the same kernels, so their tables match bit for bit
-    # (random floats, where another summation order would show).
+    # A sum or max step reduces the product of its factors with sum_axis or
+    # max_axis, so its tables match those kernels bit for bit (random
+    # floats, where another summation order would show).
     rng = np.random.default_rng(96)
     cards = [2, 3, 2, 4, 2]
     scm = _flat_scm(cards)
@@ -362,14 +361,13 @@ def test_factor_reductions_and_elimination_steps_share_one_kernel():
     pool = [TaggedFactor(("cpt", j), f) for j, f in enumerate(factors)]
     joint = multiply_all(factors)
     [(_, summed)], _ = eliminate("sum", pool, [2], scm)
-    assert summed.equal_table(joint.sum_out({2}))
+    assert summed.vids == (0, 1, 3, 4)
+    assert np.array_equal(summed.values, sum_axis(joint.values, 2))
     [(_, best)], [table] = eliminate("max", pool, [2], scm)
-    want_best, want_table = joint.max_out({2})
-    assert best.equal_table(want_best)
-    assert (table.kept_vids, table.kept_cards, table.elim_vids, table.elim_cards) == (
-        want_table.kept_vids, want_table.kept_cards, want_table.elim_vids, want_table.elim_cards
-    )
-    assert np.array_equal(table.flat_argmax, want_table.flat_argmax)
+    want_best, want_arg = max_axis(joint.values, 2)
+    assert best.vids == table.kept_vids == (0, 1, 3, 4) and table.vid == 2
+    assert np.array_equal(best.values, want_best)
+    assert np.array_equal(table.argmax, want_arg)
 
 
 def test_map_two_node(two_node):
@@ -956,19 +954,49 @@ def test_paired_division_divides_into_the_first_covering_survivor():
         values = np.asarray(values, dtype=float)
         return TaggedFactor(tag, Factor(vids, values.shape, values))
 
+    # Survivors of a pass come in tag order, as eliminate leaves them.
     pool1 = [
-        tagged(("step", 5), (0,), [0.5, 0.5]),
         tagged(("cpt", 0), (0, 1), [[0.2, 0.3], [0.4, 0.1]]),
+        tagged(("step", 5), (0,), [0.5, 0.5]),
     ]
     pool2 = [tagged(("step", 2), (0,), [0.0, 0.25]), tagged(("lam", 1), (1,), [0.5, 1.0])]
     out = _paired_division(pool1, pool2)
-    # Pass-1 order and tags; both divisors go to ("cpt", 0), the smallest
-    # covering tag. The zero divisor under 0.2 and 0.3 gives 0, not an error.
-    assert [tf.tag for tf in out] == [("step", 5), ("cpt", 0)]
-    assert out[0].factor.equal_table(pool1[0].factor)
-    assert out[1].factor.vids == (0, 1)
+    # Pass-1 order and tags; both divisors go to ("cpt", 0), the first
+    # covering survivor. The zero divisor under 0.2 and 0.3 gives 0, not an
+    # error.
+    assert [tf.tag for tf in out] == [("cpt", 0), ("step", 5)]
+    assert out[1].factor.equal_table(pool1[1].factor)
+    assert out[0].factor.vids == (0, 1)
     np.testing.assert_array_equal(
-        out[1].factor.values, [[0.0, 0.0], [0.4 / 0.25 / 0.5, 0.1 / 0.25 / 1.0]]
+        out[0].factor.values, [[0.0, 0.0], [0.4 / 0.25 / 0.5, 0.1 / 0.25 / 1.0]]
     )
     with pytest.raises(AssertionError, match="no pass-1 survivor covers"):
         _paired_division(pool1, [tagged(("step", 3), (2,), [1.0, 1.0])])
+
+
+def test_float_passes_leave_survivors_in_tag_order(monkeypatch):
+    # _product, _scalar_value and _paired_division take a float pass's
+    # survivors in the order eliminate leaves them, which is tag order. The
+    # integer mask passes are not checked: an integer product and a
+    # maximizer table do not depend on the order of their factors.
+    tags: list[list] = []
+
+    def recording(op, pool, order, scm, *args, **kwargs):
+        survivors, tables = eliminate(op, pool, order, scm, *args, **kwargs)
+        if any(tf.factor.values.dtype == np.float64 for tf in pool):
+            tags.append([tf.tag for tf in survivors])
+        return survivors, tables
+
+    monkeypatch.setattr(inference, "eliminate", recording)
+    for seed in range(60):
+        scm, _, L = random_instance(seed)
+        om = build_objective_model(scm, L)
+        evidence = {**om.e1, **om.e2}
+        map_ve(om.model, om.unit_om_ids, evidence)
+        joint_mass(om.model, evidence)
+        try:
+            rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2)
+        except InconsistentEvidenceError:
+            pass
+    assert len(tags) > 200 and any(len(t) > 1 for t in tags)
+    assert all(t == sorted(t) for t in tags)

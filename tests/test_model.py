@@ -1,6 +1,7 @@
 """SCM structure, validation, joint semantics and the JSON format."""
 
 import itertools
+import json
 import math
 import re
 
@@ -203,6 +204,25 @@ def test_load_model_refuses_malformed_shapes(doc, message):
     # These once raised AttributeError or TypeError, or read "01" as two states.
     with pytest.raises(ModelError, match=message):
         load_model(doc, allow_nonfunctional=True)
+
+
+@pytest.mark.parametrize(
+    "parents, tables, message",
+    [
+        ({"A": [], "B": None}, {}, "parents of 'B' must be a list of names"),
+        ({"A": [], "B": ["Z"]}, {}, "unknown variable 'Z' referenced by parents of 'B'"),
+        ({"A": [], "B": ["A"]}, {"C": [1.0]}, "unknown variable 'C' referenced by cpts"),
+    ],
+)
+def test_make_scm_resolves_names_as_load_model_does(parents, tables, message):
+    # Each once escaped make_scm as a raw TypeError or KeyError.
+    tables = {"A": [0.5, 0.5], "B": [1.0, 0.0, 0.0, 1.0], **tables}
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        make_scm([("A", ["0", "1"]), ("B", ["0", "1"])], parents, tables)
+    doc = {"variables": [{"name": n, "states": ["0", "1"]} for n in "AB"],
+           "parents": parents, "cpts": tables}
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        load_model(json.dumps(doc))
 
 
 @pytest.mark.parametrize("cpt", ["[1.5, -0.5]", "[NaN, NaN]", "[Infinity, -Infinity]"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from unitsel import ModelError, posterior, validate
+from unitsel import ModelError, brute_rmap, posterior, validate
 from unitsel.reductions import (
     And,
     Formula,
@@ -178,17 +178,17 @@ def test_sat_via_rmap_witness_satisfies():
     for seed in range(6):
         f = parse_dimacs(random_cnf(seed + 60, max_vars=7))
         expected = bool(truth_table(f).any())
-        for method in ("ve", "brute"):
-            ok, witness = sat_via_rmap(f, method=method)
-            assert ok == expected
-            if ok:
-                assert evaluate(f.root, witness)
-
-
-def test_sat_via_rmap_refuses_unknown_method():
-    # A typo once ran brute_rmap silently.
-    with pytest.raises(ValueError, match="unknown method 'typo'"):
-        sat_via_rmap(parse_dimacs("p cnf 2 1\n1 2 0\n"), method="typo")
+        ok, witness = sat_via_rmap(f)
+        assert ok == expected
+        if ok:
+            assert evaluate(f.root, witness)
+        # The brute-force oracle on the compiled circuit agrees.
+        scm, sentinel = compile_formula(f)
+        targets = [scm.by_name(name).id for name in f.variables]
+        brute = brute_rmap(scm, targets, {sentinel: 1}, {})
+        assert (brute.value > 0.0) == expected
+        if expected:
+            assert evaluate(f.root, {scm.var(v).name: s for v, s in brute.instantiation.items()})
 
 
 def test_sentinel_conditional_is_zero_one():
