@@ -50,6 +50,7 @@ from .elimination import (
     lift_order_unconstrained,
     minfill_order,
     moral_graph,
+    order_width,
     simulate_elimination,
     treewidth_exact,
     treewidth_exact_enum,

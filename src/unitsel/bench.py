@@ -28,7 +28,7 @@ from .elimination import (
     lift_order_constrained,
     minfill_order,
     moral_graph,
-    simulate_elimination,
+    order_width,
 )
 from .worlds import twin_model
 
@@ -253,18 +253,16 @@ def run_width_trial(cfg: GenConfig, trial: int) -> dict:
 
     g = moral_graph(scm)
     base_order = minfill_order(g, constrained_suffix=units)
-    w = simulate_elimination(g, base_order).width
+    w = order_width(g, base_order)
     g1 = moral_graph(om.model)
-    w1 = simulate_elimination(
-        g1, minfill_order(g1, constrained_suffix=om.unit_om_ids)
-    ).width
+    w1 = order_width(g1, minfill_order(g1, constrained_suffix=om.unit_om_ids))
     g2 = moral_graph(twin)
-    w2 = len(units) + simulate_elimination(g2, minfill_order(g2)).width
+    w2 = len(units) + order_width(g2, minfill_order(g2))
 
     lifted = lift_order_constrained(
         base_order, om.duplicates(), om.h_id, units
     )
-    lifted_width = simulate_elimination(g1, lifted).width
+    lifted_width = order_width(g1, lifted)
     counts = (scm.n, om.model.n, twin.n, len(roots), w, w1, w2)
     return {**dict(zip(_COUNTS, counts)), "lifted_ok": lifted_width <= 2 * w + 2}
 

@@ -27,6 +27,7 @@ from .elimination import (
     lift_order_unconstrained,
     minfill_order,
     moral_graph,
+    order_width,
     parse_order_file,
     simulate_elimination,
     treewidth_exact_enum,
@@ -86,6 +87,8 @@ def parse_assignments(scm: Scm, text: str | None) -> Instantiation:
             raise ModelError(f"bad assignment {chunk!r}, expected name=state")
         name, state = chunk.split("=", 1)
         v = scm.by_name(name.strip())
+        if v.id in out:
+            raise ModelError(f"evidence variable {v.name!r} is repeated")
         out[v.id] = v.state_index(state.strip())
     return out
 
@@ -157,7 +160,7 @@ def cmd_rmap(args: argparse.Namespace) -> int:
 
 def _report_lifted(heading: str, graph, order: EliminationOrder, bound: int, label: str) -> bool:
     """Print a lifted order's width and its check against a proven bound."""
-    width = simulate_elimination(graph, order).width
+    width = order_width(graph, order)
     ok = width <= bound
     print(f"{heading}: {width}")
     print(f"bound={label} observed<=bound {'PASS' if ok else 'FAIL'}")
@@ -169,6 +172,9 @@ def cmd_width(args: argparse.Namespace) -> int:
     unit_ids: list[int] = []
     if args.units:
         unit_ids = [scm.by_name(n.strip()).id for n in args.units.split(",") if n.strip()]
+        for i, vid in enumerate(unit_ids):
+            if vid in unit_ids[:i]:
+                raise ModelError(f"unit variable {scm.var(vid).name!r} is repeated")
     g = moral_graph(scm)
     suffix = set(unit_ids) if unit_ids else None
     if args.order == "minfill":

@@ -25,10 +25,16 @@ node joins its neighbors into a clique, so only their degrees move. It
 orders the default query closures of ``inference``; minfill stays for the
 width analysis.
 
-``simulate_elimination`` ranks the nodes by their place in the order, so the
+The elimination walk ranks the nodes by their place in the order, so the
 neighbors left when a node goes are the set bits of its adjacency above its
 own rank. Its fill edges are one bitwise or into the first of those
-neighbors to go, whose own elimination passes them on.
+neighbors to go, whose own elimination passes them on. The walk yields one
+bitset of later neighbors per node, and it has two readers:
+``order_width`` counts their bits, the width being the largest count, and
+builds no set; ``simulate_elimination`` turns each into its cluster, the
+node and those neighbors, as a ``frozenset``. Callers that need only the
+width (the width table, the lifted-width checks, the enumeration oracle)
+use ``order_width``.
 """
 
 from __future__ import annotations
@@ -162,12 +168,20 @@ def moral_subgraph(scm: Scm, vids: Iterable[int]) -> UGraph:
     """The moral graph of the families of ``vids``: for an ancestrally closed
     set, the moral graph of the submodel it induces."""
     vids = sorted(vids)
-    g = UGraph(nodes=vids)
+    adj: dict[int, set[int]] = {vid: set() for vid in vids}
+    parents = scm.parents
     for vid in vids:
-        family = list(scm.parents[vid]) + [vid]
-        for i, a in enumerate(family):
-            for b in family[i + 1:]:
-                g.add_edge(a, b)
+        if parents[vid]:
+            # Each family member joins the whole family (a root's family is
+            # the root alone, with no edge); a parent outside ``vids``
+            # becomes a node here. The self-loops go below.
+            family = (*parents[vid], vid)
+            for a in family:
+                adj.setdefault(a, set()).update(family)
+    for v, ns in adj.items():
+        ns.discard(v)
+    g = UGraph()
+    g.adj = adj
     return g
 
 
@@ -201,25 +215,42 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def simulate_elimination(g: UGraph, order: EliminationOrder | Sequence[int]) -> ClusterReport:
-    """Eliminate per the order, collecting clusters and the width."""
+def _elimination_walk(
+    g: UGraph, order: EliminationOrder | Sequence[int]
+) -> tuple[tuple[int, ...], list[int]]:
+    """The order as a tuple, and for each of its nodes the bitset, over
+    ranks in the order, of the neighbors still there when the node goes."""
     seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
-    if len(seq) != len(g.adj) or set(seq) != g.nodes:
+    if len(seq) != len(g.adj) or set(seq) != g.adj.keys():
         raise ModelError("order must cover exactly the graph nodes")
     # Ranks follow the order, so the neighbors left when v goes are the bits
     # of adj[v] above v; lower bits are eliminated nodes and are never read.
     # The fill among them need only reach the first of them to go, whose own
     # elimination passes the rest on (symbolic factorization; George & Liu
-    # 1981, ch. 5).
+    # 1981, ch. 5). adj[v] is read last at v's own turn, so it is overwritten
+    # with the later neighbors.
     adj = _rank_bitsets(g, seq)
-    clusters = []
     for v in range(len(adj)):
         later = adj[v] & -(2 << v)
         if later:
             adj[(later & -later).bit_length() - 1] |= later
-        clusters.append(frozenset(map(seq.__getitem__, _bits(later | 1 << v))))
-    width = max((len(c) for c in clusters), default=0) - 1
-    return ClusterReport(tuple(clusters), width)
+        adj[v] = later
+    return seq, adj
+
+
+def order_width(g: UGraph, order: EliminationOrder | Sequence[int]) -> int:
+    """The width of eliminating ``g`` per the order (-1 for an empty graph),
+    without building the clusters."""
+    return max(map(int.bit_count, _elimination_walk(g, order)[1]), default=-1)
+
+
+def simulate_elimination(g: UGraph, order: EliminationOrder | Sequence[int]) -> ClusterReport:
+    """Eliminate per the order, collecting clusters and the width."""
+    seq, later = _elimination_walk(g, order)
+    clusters = tuple(
+        frozenset(map(seq.__getitem__, _bits(ns | 1 << v))) for v, ns in enumerate(later)
+    )
+    return ClusterReport(clusters, max(map(int.bit_count, later), default=-1))
 
 
 def minfill_order(
@@ -232,10 +263,17 @@ def minfill_order(
     nodes = sorted(g.adj)
     adj = _rank_bitsets(g, nodes)
     # tri[r]: edges among the neighbors of r, so fill = C(deg, 2) - tri.
-    tri = [
-        sum(map(int.bit_count, map(ns.__and__, map(adj.__getitem__, _bits(ns))))) // 2
-        for ns in adj
-    ]
+    # The bit walks of _bits are inlined in this function: low is the lowest
+    # set bit of what is left to walk, and its rank is low.bit_length() - 1.
+    tri = []
+    for ns in adj:
+        t = 0
+        rest = ns
+        while rest:
+            low = rest & -rest
+            t += (ns & adj[low.bit_length() - 1]).bit_count()
+            rest ^= low
+        tri.append(t // 2)
     fill: list[int | None] = [
         d * (d - 1) // 2 - t for d, t in zip((ns.bit_count() for ns in adj), tri)
     ]
@@ -254,37 +292,51 @@ def minfill_order(
         fill[v] = None
         ns = adj[v]
         bit = 1 << v
-        members = _bits(ns)
         touched = ns
         if f:
-            for a in members:
+            rest = ns
+            while rest:
+                low_a = rest & -rest
+                rest ^= low_a
+                a = low_a.bit_length() - 1
                 # Each fill edge (a, b) closes a triangle with every common
                 # neighbor of a and b, v among them.
-                for b in _bits(ns & ~adj[a] & -(2 << a)):
+                missing = ns & ~adj[a] & -(2 << a)
+                while missing:
+                    low_b = missing & -missing
+                    missing ^= low_b
+                    b = low_b.bit_length() - 1
                     common = adj[a] & adj[b]
                     k = common.bit_count()
                     tri[a] += k
                     tri[b] += k
                     common ^= bit
                     touched |= common
-                    while common:  # the bit walk of _bits, inlined
+                    while common:
                         low = common & -common
                         tri[low.bit_length() - 1] += 1
                         common ^= low
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
+                    adj[a] |= low_b
+                    adj[b] |= low_a
         # ns is a clique now, so each member loses v and v's edges to the
         # other members.
-        lost = len(members) - 1
-        for a in members:
+        lost = ns.bit_count() - 1
+        rest = ns
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
             adj[a] ^= bit
             tri[a] -= lost
-        for x in _bits(touched):
+            rest ^= low
+        while touched:
+            low = touched & -touched
+            x = low.bit_length() - 1
             d = adj[x].bit_count()
             new = d * (d - 1) // 2 - tri[x]
             if new != fill[x]:
                 fill[x] = new
                 heapq.heappush(heap, (in_suffix[x], new, x))
+            touched ^= low
     return EliminationOrder(tuple(seq), suffix)
 
 
@@ -433,7 +485,7 @@ def treewidth_exact_enum(
     for head in itertools.permutations(rest):
         for tail in itertools.permutations(suffix) if suffix else [()]:
             seq = head + tail
-            width = simulate_elimination(g, seq).width
+            width = order_width(g, seq)
             if best is None or width < best[0]:
                 best = (width, seq)
     assert best is not None

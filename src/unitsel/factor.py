@@ -78,6 +78,16 @@ class Variable:
         if len(set(self.state_names)) != self.cardinality:
             raise FactorError(f"variable {self.name!r}: duplicate state names")
 
+    def _renamed(self, id: int, name: str) -> "Variable":
+        """This variable under a new id and name. Its states were checked
+        when it was built, so the copy skips ``__post_init__``; the new id
+        must be >= 0."""
+        copy = object.__new__(Variable)
+        copy.__dict__.update(
+            id=id, name=name, cardinality=self.cardinality, state_names=self.state_names
+        )
+        return copy
+
     def state_index(self, state: str) -> int:
         try:
             return self.state_names.index(state)

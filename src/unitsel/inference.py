@@ -403,10 +403,9 @@ def _paired_division(
     A positive numerator over a zero divisor is legal here: the zero of
     Pr(u, e2) may sit in another pass-1 survivor than the chosen one."""
     tables = [tf.factor.values for tf in pool1]
+    scopes = [set(tf.factor.vids) for tf in pool1]
     for divisor in (tf.factor for tf in pool2):
-        i = next(
-            (i for i, tf in enumerate(pool1) if set(divisor.vids) <= set(tf.factor.vids)), None
-        )
+        i = next((i for i, scope in enumerate(scopes) if scope.issuperset(divisor.vids)), None)
         if i is None:
             raise AssertionError(f"no pass-1 survivor covers the scope {divisor.vids}")
         cover = pool1[i].factor

@@ -108,7 +108,7 @@ def _copy_world(
     for b in base_ids:
         v = scm.var(b)
         copy[b] = len(variables)
-        variables.append(Variable(len(variables), name(v.name), v.cardinality, v.state_names))
+        variables.append(v._renamed(len(variables), name(v.name)))
     for b, vid in copy.items():
         parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
         tables[vid] = scm.tables[b]

@@ -154,6 +154,19 @@ def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:
     return clusters
 
 
+def reference_moral_subgraph(scm: Scm, vids) -> UGraph:
+    """The moral graph of the families of ``vids``, one ``add_edge`` per pair
+    of family members."""
+    vids = sorted(vids)
+    g = UGraph(nodes=vids)
+    for vid in vids:
+        family = list(scm.parents[vid]) + [vid]
+        for i, a in enumerate(family):
+            for b in family[i + 1:]:
+                g.add_edge(a, b)
+    return g
+
+
 def random_dag_scm(seed: int, lo: int = 5, hi: int = 12) -> Scm:
     """Random functional SCM (alias kept for the graph-property tests)."""
     return small_scm(seed, lo, hi)

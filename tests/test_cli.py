@@ -250,6 +250,23 @@ def test_repeated_unit_is_refused(capsys, tmp_path):
         assert capsys.readouterr().err == "error: invalid objective: unit variable 'X1' is repeated\n"
 
 
+def test_repeated_evidence_and_unit_names_are_refused(capsys, five_node):
+    # A repeated evidence name once kept only its last state, and a repeated
+    # --units name was counted twice in the max(3w+3,|U|) bound; both exited 0.
+    model = ["--model", str(five_node)]
+    for args, name in (
+        (["map", *model, "--targets", "A,B", "--e", "E=e0,E=e1"], "evidence variable 'E'"),
+        (["map", *model, "--targets", "A", "--e", "E=e0, E=e0"], "evidence variable 'E'"),
+        (["rmap", *model, "--targets", "A,B", "--e2", "D=d0,D=d1"], "evidence variable 'D'"),
+        (["rmap", *model, "--targets", "A", "--e1", "D=d1,E=e0,D=d1"], "evidence variable 'D'"),
+        (["width", *model, "--units", "A,A"], "unit variable 'A'"),
+        (["width", *model, "--units", "A, B,A", "--lifted", "2"], "unit variable 'A'"),
+    ):
+        capsys.readouterr()
+        assert main(args) == 1, args
+        assert capsys.readouterr().err == f"error: {name} is repeated\n", args
+
+
 def test_compile_cnf_model_json_is_stable(capsys, tmp_path):
     # Gates take ids and s1, s2, ... names in post-order of the AST.
     dimacs = tmp_path / "f.cnf"

@@ -18,11 +18,13 @@ from unitsel import (
     minfill_order,
     moral_graph,
     n_world_model,
+    order_width,
     simulate_elimination,
     treewidth_exact,
     treewidth_exact_enum,
 )
 import unitsel.bench as bench_module
+import unitsel.elimination as elimination_module
 from unitsel import fixture_path, parse_dimacs
 from unitsel.bench import (
     GenConfig,
@@ -51,10 +53,12 @@ from corpus import (
     random_cnf,
     random_constrained_order,
     random_dag_scm,
+    random_instance,
     random_ugraph,
     reference_clusters,
     reference_mindegree_order,
     reference_minfill_order,
+    reference_moral_subgraph,
 )
 
 
@@ -114,29 +118,33 @@ def test_simulation_isolated_node_and_clique():
     g = UGraph(nodes=[0, 1, 2, 3])
     report = simulate_elimination(g, [0, 1, 2, 3])
     assert report.width == 0 and all(len(c) == 1 for c in report.clusters)
+    assert order_width(g, [3, 0, 2, 1]) == 0
     k = UGraph(nodes=range(4), edges=[(a, b) for a in range(4) for b in range(a + 1, 4)])
     for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
-        assert simulate_elimination(k, order).width == 3
+        assert simulate_elimination(k, order).width == order_width(k, order) == 3
 
 
 def test_simulation_requires_full_cover(five_node):
-    with pytest.raises(ModelError):
-        simulate_elimination(moral_graph(five_node), [0, 1])
+    for measure in (simulate_elimination, order_width):
+        with pytest.raises(ModelError):
+            measure(moral_graph(five_node), [0, 1])
 
 
 def test_simulation_rejects_repeated_node():
     # A repeat used to pass the cover check and raise a bare KeyError.
     g = UGraph(nodes=[3, 7, 11], edges=[(3, 7), (7, 11)])
-    with pytest.raises(ModelError, match="cover exactly"):
-        simulate_elimination(g, [3, 7, 7, 11])
-    with pytest.raises(ModelError, match="cover exactly"):
-        simulate_elimination(g, [3, 7, 7])
+    for measure in (simulate_elimination, order_width):
+        with pytest.raises(ModelError, match="cover exactly"):
+            measure(g, [3, 7, 7, 11])
+        with pytest.raises(ModelError, match="cover exactly"):
+            measure(g, [3, 7, 7])
 
 
 def test_simulation_matches_reference_under_random_orders():
     # Random orders fill far more than minfill's, and the ids are neither
     # contiguous nor in elimination order.
     assert simulate_elimination(UGraph(), ()) == ClusterReport((), -1)
+    assert order_width(UGraph(), ()) == -1
     sizes = set()
     for seed in range(150):
         rng = np.random.default_rng([314, seed])
@@ -153,9 +161,42 @@ def test_simulation_matches_reference_under_random_orders():
         want = reference_clusters(g, seq)
         report = simulate_elimination(g, order)
         assert report == ClusterReport(tuple(want), max(map(len, want), default=0) - 1)
+        assert order_width(g, order) == report.width
         assert g.adj == before  # the caller's graph is left as it was
         sizes.add(len(nodes))
     assert 0 in sizes and max(sizes) >= 20
+
+
+def test_moral_subgraph_matches_pairwise_reference():
+    # Whole models, ancestral closures and id sets that leave out parents of
+    # their members; such a parent is still a node of the subgraph.
+    scms = [random_dag_scm(seed, 3, 16) for seed in range(40)]
+    scms += [build_objective_model(*random_instance(seed)[::2]).model for seed in range(20)]
+    open_sets = 0
+    for seed, scm in enumerate(scms):
+        rng = np.random.default_rng([316, seed])
+        picked = [v for v in range(scm.n) if rng.random() < 0.4]
+        for vids in (range(scm.n), picked, ancestral_closure(scm, picked)):
+            got = moral_subgraph(scm, vids)
+            want = reference_moral_subgraph(scm, vids)
+            assert got.adj == want.adj
+            assert list(got.adj) == list(want.adj)
+            open_sets += got.nodes != set(vids)
+    assert open_sets >= 10
+
+
+def test_width_trials_build_no_clusters(monkeypatch):
+    # The width table reads widths only, so it must not pay for a cluster
+    # set per eliminated node.
+    cfg = GenConfig(node_count=12, seed=5, unit_ratio=0.6, trials=2)
+    want = [bench_module.run_width_trial(cfg, t) for t in range(cfg.trials)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the width table built clusters")
+
+    monkeypatch.setattr(elimination_module, "simulate_elimination", refuse)
+    monkeypatch.setattr(bench_module, "simulate_elimination", refuse, raising=False)
+    assert [bench_module.run_width_trial(cfg, t) for t in range(cfg.trials)] == want
 
 
 def test_minfill_tree_is_width_one():

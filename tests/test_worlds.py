@@ -1,5 +1,6 @@
 """Twin/triplet construction, mutilation and the counterfactual reduction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from unitsel import (
     twin_model,
     validate,
 )
+from unitsel.factor import Variable
 from unitsel.inference import InconsistentEvidenceError
 from unitsel.worlds import counterfactual_term_profile, enumerate_instantiations
 from corpus import small_scm
@@ -54,6 +56,19 @@ def test_n_world_count_formula():
     one, _ = n_world_model(scm, scm.roots, 1)
     assert one.n == scm.n
     assert [v.name for v in one.variables][-len(scm.endogenous()):]
+
+
+def test_world_copies_equal_checked_variables():
+    # Copies skip Variable's checks; they must still equal, and hash as, the
+    # variables Variable(...) builds from their fields.
+    for seed in range(10):
+        scm = small_scm(seed)
+        for model in (twin_model(scm)[0], triplet_model(scm)[0]):
+            for v in model.variables:
+                built = Variable(v.id, v.name, v.cardinality, v.state_names)
+                assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    v.name = "changed"
 
 
 def test_n_world_shared_must_be_roots():
