@@ -93,6 +93,15 @@ def parse_assignments(scm: Scm, text: str | None) -> Instantiation:
     return out
 
 
+def _names(scm: Scm, text: str, role: str) -> list[int]:
+    """The ids of comma-separated variable names; a repeated one is refused."""
+    ids = [scm.by_name(n.strip()).id for n in text.split(",") if n.strip()]
+    for i, vid in enumerate(ids):
+        if vid in ids[:i]:
+            raise ModelError(f"{role} variable {scm.var(vid).name!r} is repeated")
+    return ids
+
+
 def _format_inst(scm: Scm, inst: Mapping[int, int]) -> str:
     return ",".join(f"{n}={s}" for n, s in scm.names_of(inst).items()) or "(empty)"
 
@@ -129,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
-    targets = [scm.by_name(n.strip()).id for n in args.targets.split(",") if n.strip()]
+    targets = _names(scm, args.targets, "target")
     evidence = parse_assignments(scm, args.e)
     order = _load_order(args.order, scm) if args.order else None
     result = map_ve(scm, targets, evidence, order=order, want_trace=args.trace)
@@ -142,7 +151,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_rmap(args: argparse.Namespace) -> int:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
-    targets = [scm.by_name(n.strip()).id for n in args.targets.split(",") if n.strip()]
+    targets = _names(scm, args.targets, "target")
     e1 = parse_assignments(scm, args.e1)
     e2 = parse_assignments(scm, args.e2)
     order = _load_order(args.order, scm) if args.order else None
@@ -169,12 +178,7 @@ def _report_lifted(heading: str, graph, order: EliminationOrder, bound: int, lab
 
 def cmd_width(args: argparse.Namespace) -> int:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
-    unit_ids: list[int] = []
-    if args.units:
-        unit_ids = [scm.by_name(n.strip()).id for n in args.units.split(",") if n.strip()]
-        for i, vid in enumerate(unit_ids):
-            if vid in unit_ids[:i]:
-                raise ModelError(f"unit variable {scm.var(vid).name!r} is repeated")
+    unit_ids = _names(scm, args.units or "", "unit")
     g = moral_graph(scm)
     suffix = set(unit_ids) if unit_ids else None
     if args.order == "minfill":

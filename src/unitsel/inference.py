@@ -12,10 +12,11 @@ indicators never enlarge a scope), eliminated in the same relative order, so
 every pass-2 cluster lies inside the pass-1 cluster of the same variable and
 every created pass-2 scope inside a pass-1 one.
 
-All engines share one core: ``_query_order`` (id and disjointness checks
-and order), ``_sum_pass`` (one sum pass) and ``_two_pass`` (the e1+e2 pass,
-then the e2 pass); each entry point adds only its own max pass, count or
-normalization.
+All engines share one core: ``_query_order`` (id and disjointness checks,
+and an order ending in ``_target_block``, the targets in descending id),
+``_sum_pass`` (one sum pass), ``_two_pass`` (the e1+e2 pass, then the e2
+pass) and ``_max_pass`` (the max pass and its tie rule at value 0); each
+entry point adds only its own count or normalization.
 Every pass is one call of ``eliminate``, which keeps its factors in buckets
 (bucket elimination; Dechter 1999), so a step touches only the factors that
 mention its variable, never the whole pool.
@@ -39,7 +40,7 @@ Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so one
 more sum elimination, over the targets and on the survivors' 0/1 masks as
 integer factors (int64, or Python integers once the target grid reaches
 2^63), counts the consistent targets exactly and at width cost. The same masks
-break a tie at value zero.
+break a tie at value zero (``_max_pass``).
 """
 
 from __future__ import annotations
@@ -277,15 +278,19 @@ def _recover_instantiation(tables: list[MaximizerTable]) -> Instantiation:
     return fixed
 
 
+def _target_block(prefix: Iterable[int], targets: frozenset[int]) -> EliminationOrder:
+    """``prefix`` followed by the targets in descending id, so reverse-order
+    argmax recovery breaks ties toward the lexicographically smallest
+    instantiation in declaration order, whatever produced the prefix."""
+    return EliminationOrder(tuple(prefix) + tuple(sorted(targets, reverse=True)), targets)
+
+
 def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> EliminationOrder:
     """Constrained min-degree order over the moral graph of the ancestrally
-    closed set ``vids``, with the target block re-sorted to descending id, so
-    reverse-order argmax recovery breaks ties toward the lexicographically
-    smallest instantiation in declaration order."""
-    targets = set(targets)
+    closed set ``vids``, ending in the target block of ``_target_block``."""
+    targets = frozenset(targets)
     base = mindegree_order(moral_subgraph(scm, vids), constrained_suffix=targets)
-    suffix = tuple(sorted(targets, reverse=True))
-    return EliminationOrder(base.prefix + suffix, frozenset(targets))
+    return _target_block(base.prefix, targets)
 
 
 def _query_order(
@@ -293,9 +298,9 @@ def _query_order(
 ) -> EliminationOrder:
     """Refuse ids that are not the model's (a float or a bool is not one),
     overlapping target and evidence sets and evidence states out of range,
-    then return an order constrained on the targets: the default order over
-    the ancestral closure of the targets and evidence, or the caller's one,
-    which must cover an ancestrally closed set containing them."""
+    then return the default order over the ancestral closure of the targets
+    and evidence, or the caller's one (an ancestrally closed set containing
+    them, ending in the targets), either ending in ``_target_block``."""
     targets = frozenset(targets)
     unknown = {vid for vids in (targets, *evidence) for vid in vids if not _known_id(scm, vid)}
     if unknown:
@@ -316,7 +321,7 @@ def _query_order(
             "elimination order must cover an ancestrally closed set of model "
             "variables containing the targets and evidence"
         )
-    return EliminationOrder(order.sequence, targets)
+    return _target_block(EliminationOrder(order.sequence, targets).prefix, targets)
 
 
 def _sum_pass(
@@ -365,6 +370,22 @@ def _scalar_value(pool: Iterable[TaggedFactor]) -> float:
     return value
 
 
+def _max_pass(
+    scm: Scm, pool: Sequence[TaggedFactor], ties: Sequence[TaggedFactor],
+    order: EliminationOrder, trace: list[TraceStep] | None,
+) -> tuple[float, Instantiation]:
+    """The value and argmax of the target block's max pass (traced after the
+    prefix). Ties go to the smallest unit only where the maximum is positive,
+    so at value 0 the argmax comes from an untraced max pass over ``ties``:
+    none for MAP (the implicit all-ones factors give the all-zero unit), the
+    masks of Pr(u, e2) > 0 for Reverse-MAP (brute_rmap skips excluded units)."""
+    pool, tables = eliminate("max", pool, order.suffix, scm, len(order.prefix), trace)
+    value = _scalar_value(pool)
+    if value == 0.0:
+        tables = eliminate("max", ties, order.suffix, scm=scm)[1]
+    return value, _recover_instantiation(tables)
+
+
 def map_ve(
     scm: Scm,
     targets: Iterable[int],
@@ -381,15 +402,7 @@ def map_ve(
     order = _query_order(scm, targets, order, evidence)
     trace: list[TraceStep] | None = [] if want_trace else None
     pool = _sum_pass(scm, evidence, order, trace)
-    pool, tables = eliminate(
-        "max", pool, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
-    )
-    value = _scalar_value(pool)
-    if value == 0.0:
-        # Every unit ties at zero, and a max pass breaks a tie toward the
-        # smallest unit only when the maximum is positive.
-        return QueryResult(value, {v: 0 for v in reversed(order.suffix)}, trace)
-    return QueryResult(value, _recover_instantiation(tables), trace)
+    return QueryResult(*_max_pass(scm, pool, [], order, trace), trace)
 
 
 def _paired_division(
@@ -449,23 +462,8 @@ def rmap_ve(
         raise InconsistentEvidenceError(
             "evidence e2 is inconsistent with every target instantiation"
         )
-    excluded = grid - consistent
-
-    quotients = _paired_division(pool1, pool2)
-    pool, tables = eliminate(
-        "max", quotients, order.suffix, step_base=len(order.prefix), trace=trace, scm=scm
-    )
-    value = _scalar_value(pool)
-    if value == 0.0:
-        # Everything ties at zero, including excluded units, and a tie at zero
-        # need not go to the smallest unit. Return the lexicographically
-        # smallest unit with Pr(u, e2) > 0 (the brute-force tie rule skips
-        # excluded units the same way): the first maximizer of the product of
-        # the masks, whose maximum is 1, recovered from a max pass in
-        # descending-id order whatever the caller's order.
-        descending = sorted(order.suffix, reverse=True)
-        tables = eliminate("max", masks, descending, scm=scm)[1]
-    return QueryResult(value, _recover_instantiation(tables), trace, excluded)
+    value, inst = _max_pass(scm, _paired_division(pool1, pool2), masks, order, trace)
+    return QueryResult(value, inst, trace, excluded=grid - consistent)
 
 
 def rmap_table(
@@ -499,11 +497,11 @@ def posterior(
 
 def query_prob(scm: Scm, event: Mapping[int, int], given: Mapping[int, int]) -> float:
     """Pr(event | given) for instantiations (a posterior cell). An event
-    state out of range is refused with ModelError, as an evidence one is."""
-    post = posterior(scm, set(event), given)
+    state out of range is refused with ModelError before any elimination."""
     for vid, state in event.items():
-        _check_state(scm.var(vid), state)
-    return post[event]
+        if _known_id(scm, vid):
+            _check_state(scm.var(vid), state)
+    return posterior(scm, set(event), given)[event]
 
 
 # -- brute-force oracles -------------------------------------------------------

@@ -230,6 +230,8 @@ OR_TABLE = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]
 )  # gate = min(1, left + right): the saturating reading of the sum rule
 IDENTITY_TABLE = np.array([[1.0, 0.0], [0.0, 1.0]])  # and/or of a node with itself
+for _gate_table in (NOT_TABLE, AND_TABLE, OR_TABLE, IDENTITY_TABLE):
+    _gate_table.flags.writeable = False  # read-only, so every circuit shares it
 
 
 def compile_formula(formula: Formula) -> tuple[Scm, int]:

@@ -48,7 +48,7 @@ def test_solve_two_node(capsys, two_node, observe_v1_objective):
     assert "excluded: 0" in out
 
 
-def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objective):
+def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objective, tmp_path):
     outputs = []
     for method in ("ve", "brute"):
         code = main([
@@ -62,6 +62,25 @@ def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objectiv
     assert doc["unit"] == {"U": "u1"}
     assert abs(doc["value"] - 0.6) < 1e-12
     assert doc["excluded"] == 0
+
+    # Y = A xor B: the units (0, 1) and (1, 0) tie. An order file listing the
+    # unit block as A, B once made --method ve answer A=1,B=0.
+    xor = tmp_path / "xor.json"
+    xor.write_text(
+        '{"variables":[{"name":"A","states":["0","1"]},{"name":"B","states":["0","1"]},'
+        '{"name":"Y","states":["0","1"]}],"parents":{"A":[],"B":[],"Y":["A","B"]},'
+        '"cpts":{"A":[0.5,0.5],"B":[0.5,0.5],"Y":[1,0,0,1,0,1,1,0]}}'
+    )
+    objective = tmp_path / "xor_objective.json"
+    objective.write_text('{"units":["A","B"],"terms":[{"weight":1.0,"y":{"Y":"1"}}]}')
+    order = tmp_path / "xor_order.txt"
+    order.write_text("#constrained: A,B\n[Y^1]\nH\nA\nB\n")
+    outputs = []
+    for extra in (["--method", "ve", "--order", str(order)], ["--method", "brute"]):
+        assert main(["solve", "--model", str(xor), "--objective", str(objective),
+                     *extra, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == '{"unit":{"A":"0","B":"1"},"value":1.0,"excluded":0}\n'
 
 
 def test_solve_missing_model_exits_1(capsys, observe_v1_objective):
@@ -251,14 +270,17 @@ def test_repeated_unit_is_refused(capsys, tmp_path):
 
 
 def test_repeated_evidence_and_unit_names_are_refused(capsys, five_node):
-    # A repeated evidence name once kept only its last state, and a repeated
-    # --units name was counted twice in the max(3w+3,|U|) bound; both exited 0.
+    # A repeated evidence name once kept only its last state, a repeated
+    # --units name was counted twice in the max(3w+3,|U|) bound, and a
+    # repeated --targets name was dropped; all exited 0.
     model = ["--model", str(five_node)]
     for args, name in (
         (["map", *model, "--targets", "A,B", "--e", "E=e0,E=e1"], "evidence variable 'E'"),
         (["map", *model, "--targets", "A", "--e", "E=e0, E=e0"], "evidence variable 'E'"),
         (["rmap", *model, "--targets", "A,B", "--e2", "D=d0,D=d1"], "evidence variable 'D'"),
         (["rmap", *model, "--targets", "A", "--e1", "D=d1,E=e0,D=d1"], "evidence variable 'D'"),
+        (["map", *model, "--targets", "A,A", "--e", "E=e0"], "target variable 'A'"),
+        (["rmap", *model, "--targets", "A, B,A", "--e1", "E=e0"], "target variable 'A'"),
         (["width", *model, "--units", "A,A"], "unit variable 'A'"),
         (["width", *model, "--units", "A, B,A", "--lifted", "2"], "unit variable 'A'"),
     ):

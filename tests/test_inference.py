@@ -11,6 +11,8 @@ from unitsel import (
     EliminationOrder,
     InconsistentEvidenceError,
     ModelError,
+    ObjectiveFunction,
+    ObjectiveTerm,
     brute_map,
     brute_rmap,
     joint_prob,
@@ -400,10 +402,13 @@ def test_map_inconsistent_evidence_gives_zero(two_node):
         {"U0": [], "U1": [], "X": ["U0", "U1"], "Y": []},
         {"U0": [0.5, 0.5], "U1": [0.5, 0.5], "X": xor, "Y": [1.0, 0.0]},
     )
-    result = map_ve(two_units, [0, 1], {2: 1, 3: 1})
     brute = brute_map(two_units, [0, 1], {2: 1, 3: 1})
-    assert (result.value, result.instantiation) == (0.0, {0: 0, 1: 0})
-    assert (result.value, result.instantiation) == (brute.value, brute.instantiation)
+    # An ascending caller block is maximized out in descending id all the same.
+    for order in (None, EliminationOrder((3, 2, 0, 1), frozenset({0, 1}))):
+        result = map_ve(two_units, [0, 1], {2: 1, 3: 1}, order=order, want_trace=True)
+        assert (result.value, result.instantiation) == (0.0, {0: 0, 1: 0})
+        assert (result.value, result.instantiation) == (brute.value, brute.instantiation)
+        assert [step.var for step in result.trace[-2:]] == [1, 0]
 
 
 def test_rmap_empty_e1_value_one(two_node):
@@ -460,12 +465,38 @@ def test_rmap_zero_optimum_takes_smallest_consistent_unit():
         (two_units, [0, 1], {3: 1}, {2: 1}, ascending, {0: 0, 1: 1}, 2),
     ]
     for scm, targets, e1, e2, order, unit, excluded in cases:
-        res = rmap_ve(scm, targets, e1, e2, order=order)
+        res = rmap_ve(scm, targets, e1, e2, order=order, want_trace=True)
         brute = brute_rmap(scm, targets, e1, e2)
         assert (res.value, res.instantiation, res.excluded) == (0.0, unit, excluded)
         assert (res.value, res.instantiation, res.excluded) == (
             brute.value, brute.instantiation, brute.excluded,
         )
+        # The max steps run over the targets in descending id.
+        assert [step.var for step in res.trace[-len(targets):]] == sorted(targets, reverse=True)
+
+
+def test_caller_orders_break_ties_as_the_default_order():
+    # Y = A xor B over uniform roots: (0, 1) and (1, 0) tie. A caller block
+    # listed as A, B once recovered (1, 0) in map_ve, rmap_ve and unit_select.
+    xor = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=float)
+    scm = make_scm(
+        [("A", "01"), ("B", "01"), ("Y", "01")],
+        {"A": [], "B": [], "Y": ["A", "B"]},
+        {"A": [0.5, 0.5], "B": [0.5, 0.5], "Y": xor},
+    )
+    objective = ObjectiveFunction((0, 1), (ObjectiveTerm(1.0, y={2: 1}),))
+    om = build_objective_model(scm, objective)
+    assert om.unit_om_ids == (0, 1) and len(om.model.variables) == 4
+    want = {0: 0, 1: 1}
+    assert brute_map(scm, [0, 1], {2: 1}).instantiation == want
+    assert brute_rmap(scm, [0, 1], {2: 1}, {}).instantiation == want
+    assert unit_select(scm, objective, method="brute").instantiation == want
+    for block in (None, (0, 1), (1, 0)):
+        order = None if block is None else EliminationOrder((2, *block), frozenset(block))
+        om_order = None if block is None else EliminationOrder((2, 3, *block), frozenset(block))
+        assert map_ve(scm, [0, 1], {2: 1}, order=order).instantiation == want, block
+        assert rmap_ve(scm, [0, 1], {2: 1}, {}, order=order).instantiation == want, block
+        assert unit_select(scm, objective, order=om_order).instantiation == want, block
 
 
 def _disjoint_units(k: int, card: int):
@@ -564,7 +595,7 @@ def test_queries_refuse_out_of_range_evidence_states(two_node):
             joint_mass(two_node, {0: 0, 1: state})
 
 
-def test_query_prob_and_posterior_cells_refuse_bad_states(five_node):
+def test_query_prob_and_posterior_cells_refuse_bad_states(five_node, monkeypatch):
     # A state of -1 once read the last state's cell (0.3 here, Pr(E = 1)),
     # the cardinality raised a raw IndexError and True a raw TypeError.
     assert math.isclose(query_prob(five_node, {4: 1}, {}), 0.3, rel_tol=1e-12)
@@ -574,6 +605,14 @@ def test_query_prob_and_posterior_cells_refuse_bad_states(five_node):
             query_prob(five_node, {4: state}, {})
         with pytest.raises(FactorError, match=f"state {state} out of range for variable 4"):
             marginal[{4: state}]
+
+    # The event's states are refused before any sum pass runs.
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("eliminate ran for a refused event")
+
+    monkeypatch.setattr(inference, "eliminate", no_elimination)
+    with pytest.raises(ModelError, match="state 2 out of range for 'E'"):
+        query_prob(five_node, {4: 2}, {})
 
 
 def test_posterior_two_node(two_node):

@@ -7,6 +7,7 @@ import pytest
 
 from unitsel import ModelError, brute_rmap, posterior, validate
 from unitsel.reductions import (
+    AND_TABLE,
     And,
     Formula,
     Not,
@@ -92,6 +93,19 @@ def test_compiled_circuits_are_functional_and_linear():
         assert report.is_valid_scm
         assert scm.n == len(f.variables) + gate_count(f.root)
         assert not scm.children[sentinel]  # single leaf
+
+
+def test_compiled_circuits_share_read_only_gate_tables():
+    # Writable gate tables were copied into every circuit, and a write to one
+    # changed every circuit compiled after it.
+    sentinel_tables = []
+    for text in ("p cnf 2 2\n1 2 0\n-1 2 0\n", "p cnf 3 2\n1 -3 0\n2 0\n"):
+        scm, sentinel = compile_formula(parse_dimacs(text))  # the root is an AND
+        sentinel_tables.append(scm.tables[sentinel])
+    assert sentinel_tables[0] is sentinel_tables[1]
+    assert np.array_equal(sentinel_tables[0], AND_TABLE)
+    with pytest.raises(ValueError):
+        AND_TABLE[0, 0, 0] = 0.0
 
 
 def test_repeated_literal_clause():
