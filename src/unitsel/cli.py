@@ -4,6 +4,11 @@ Subcommands: solve, map, rmap, width, build-objective-model, compile-cnf,
 gen, bench. Results go to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 input/validation error, 2 inconsistent evidence (including a
 Reverse-MAP or solve optimum of exactly zero), 3 internal invariant breach.
+
+An order file (``--order``) is read only by ``_load_order``. Its optional
+``#constrained:`` header must name exactly the targets (map, rmap, as
+``inference._query_order`` checks for every caller), the objective's units
+(solve, ``--method ve`` only) or ``--units`` (width).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .elimination import (
     minfill_order,
     moral_graph,
     order_width,
-    parse_order_file,
     simulate_elimination,
     treewidth_exact_enum,
 )
@@ -107,7 +111,20 @@ def _format_inst(scm: Scm, inst: Mapping[int, int]) -> str:
 
 
 def _load_order(path: str, scm: Scm) -> EliminationOrder:
-    return parse_order_file(_read(path).decode("utf-8"), scm)
+    """An order file: one variable name per line, blank and other ``#`` lines
+    skipped, and at most one ``#constrained:`` header, read by ``_names``,
+    which becomes the order's constrained suffix."""
+    suffix: frozenset[int] | None = None
+    seq: list[int] = []
+    for raw in _read(path).decode("utf-8").splitlines():
+        line = raw.strip()
+        if line.startswith("#constrained:"):
+            if suffix is not None:
+                raise ModelError("order file has more than one #constrained: header")
+            suffix = frozenset(_names(scm, line.split(":", 1)[1], "constrained"))
+        elif line and not line.startswith("#"):
+            seq.append(scm.by_name(line).id)
+    return EliminationOrder(tuple(seq), suffix)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -115,8 +132,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     objective = load_objective(scm, _read(args.objective))
     order = None
     if args.order:
-        # The order names objective-model variables (the model being solved);
-        # unit_select builds the same model again.
+        # Only ve orders anything. The order names objective-model variables
+        # (the model being solved); unit_select builds the same model again.
+        if args.method != "ve":
+            raise ModelError("an elimination order applies to method 've' only")
         order = _load_order(args.order, build_objective_model(scm, objective).model)
     result = unit_select(scm, objective, method=args.method, order=order)
     if args.json:
@@ -167,35 +186,26 @@ def cmd_rmap(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_lifted(heading: str, graph, order: EliminationOrder, bound: int, label: str) -> bool:
-    """Print a lifted order's width and its check against a proven bound."""
-    width = order_width(graph, order)
-    ok = width <= bound
-    print(f"{heading}: {width}")
-    print(f"bound={label} observed<=bound {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 def cmd_width(args: argparse.Namespace) -> int:
+    # Everything is computed before the first line is printed, so a refused
+    # input leaves stdout empty.
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     unit_ids = _names(scm, args.units or "", "unit")
     g = moral_graph(scm)
-    suffix = set(unit_ids) if unit_ids else None
+    suffix = frozenset(unit_ids) if unit_ids else None
     if args.order == "minfill":
         order = minfill_order(g, constrained_suffix=suffix)
     elif args.order == "exhaustive":
         _, order = treewidth_exact_enum(g, constrained_suffix=suffix)
     else:
         order = _load_order(args.order, scm)
+        if suffix is not None:
+            if order.constrained_suffix not in (None, suffix):
+                raise ModelError("the order file's #constrained: header must name exactly the --units")
+            order = EliminationOrder(order.sequence, suffix)
     report = simulate_elimination(g, order)
-    print(f"width: {report.width}")
-    names = [_scope_names(sorted(c, key=lambda v: scm.var(v).name), scm) for c in report.clusters]
-    print("clusters: " + " ".join(names))
-
-    if args.lifted is None and not args.objective:
-        return EXIT_OK
-
     w = report.width
+    checks = []  # (heading, lifted width, proven bound, bound label)
     if args.objective:
         objective = load_objective(scm, _read(args.objective))
         om = build_objective_model(scm, objective)
@@ -203,7 +213,7 @@ def cmd_width(args: argparse.Namespace) -> int:
         go = moral_graph(om.model)
         lifted = lift_order_unconstrained(order, dup, om.h_id)
         bound = 3 * om.n_components * (w + 1)
-        all_ok = _report_lifted("lifted unconstrained width", go, lifted, bound, "3n(w+1)")
+        checks.append(("lifted unconstrained width", order_width(go, lifted), bound, "3n(w+1)"))
         if unit_ids:
             lifted = lift_order_constrained(order, dup, om.h_id, unit_ids)
             outcome_vars = {vid for t in objective.terms for vid in (*t.y, *t.w)}
@@ -214,8 +224,8 @@ def cmd_width(args: argparse.Namespace) -> int:
                 bound, label = 3 * w + 3, "3w+3"
             else:
                 bound, label = max(3 * w + 3, len(unit_ids)), "max(3w+3,|U|)"
-            all_ok &= _report_lifted("lifted constrained width", go, lifted, bound, label)
-    else:
+            checks.append(("lifted constrained width", order_width(go, lifted), bound, label))
+    elif args.lifted is not None:
         k = args.lifted
         shared = unit_ids if unit_ids else list(scm.roots)
         nw, wm = n_world_model(scm, shared, k)
@@ -225,12 +235,18 @@ def cmd_width(args: argparse.Namespace) -> int:
         if unit_ids:
             lifted = lift_order_constrained(order, dedup, None, unit_ids)
             heading = f"lifted constrained width ({k}-world)"
-            all_ok = _report_lifted(heading, gn, lifted, w, "w")
+            checks.append((heading, order_width(gn, lifted), w, "w"))
         else:
             lifted = lift_order_unconstrained(order, dedup, None)
             heading = f"lifted unconstrained width ({k}-world)"
-            all_ok = _report_lifted(heading, gn, lifted, k * (w + 1) - 1, "n(w+1)-1")
-    if not all_ok:
+            checks.append((heading, order_width(gn, lifted), k * (w + 1) - 1, "n(w+1)-1"))
+    print(f"width: {w}")
+    names = [_scope_names(sorted(c, key=lambda v: scm.var(v).name), scm) for c in report.clusters]
+    print("clusters: " + " ".join(names))
+    for heading, width, bound, label in checks:
+        print(f"{heading}: {width}")
+        print(f"bound={label} observed<=bound {'PASS' if width <= bound else 'FAIL'}")
+    if any(width > bound for _, width, bound, _ in checks):
         print("a proven width bound was violated", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
@@ -323,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--objective", required=True)
     p.add_argument("--method", choices=("ve", "brute"), default="ve")
-    p.add_argument("--order", help="elimination order file")
+    p.add_argument("--order", help="elimination order file (--method ve only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 

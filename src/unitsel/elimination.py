@@ -63,17 +63,11 @@ class UGraph:
     def nodes(self) -> set[int]:
         return set(self.adj)
 
-    def add_node(self, v: int) -> None:
-        self.adj.setdefault(v, set())
-
     def add_edge(self, a: int, b: int) -> None:
         if a == b:
             return
         self.adj.setdefault(a, set()).add(b)
         self.adj.setdefault(b, set()).add(a)
-
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
 
     def copy(self) -> "UGraph":
         g = UGraph()
@@ -553,36 +547,3 @@ def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) 
     else:
         size2 = 0
     return max(size1, size2) - 1
-
-
-# -- order files ---------------------------------------------------------------
-
-
-def format_order_file(order: EliminationOrder, scm: Scm) -> str:
-    """Plain text: one variable name per line, with an optional
-    ``#constrained:`` header naming the unit variables."""
-    lines = []
-    if order.constrained_suffix:
-        names = ",".join(
-            scm.var(v).name for v in sorted(order.constrained_suffix)
-        )
-        lines.append(f"#constrained: {names}")
-    lines.extend(scm.var(v).name for v in order.sequence)
-    return "\n".join(lines) + "\n"
-
-
-def parse_order_file(text: str, scm: Scm) -> EliminationOrder:
-    suffix: frozenset[int] | None = None
-    seq: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#constrained:"):
-            names = [s.strip() for s in line.split(":", 1)[1].split(",") if s.strip()]
-            suffix = frozenset(scm.by_name(n).id for n in names)
-            continue
-        if line.startswith("#"):
-            continue
-        seq.append(scm.by_name(line).id)
-    return EliminationOrder(tuple(seq), suffix)

@@ -206,19 +206,6 @@ class Factor:
     def __repr__(self) -> str:
         return f"Factor(scope={self.vids}, cards={self.cards})"
 
-    # -- comparisons ----------------------------------------------------------
-
-    def same_scope(self, other: "Factor") -> bool:
-        return self.vids == other.vids and self.cards == other.cards
-
-    def equal_table(self, other: "Factor") -> bool:
-        return self.same_scope(other) and bool(np.array_equal(self.values, other.values))
-
-    def allclose(self, other: "Factor", rtol: float = 1e-9, atol: float = 0.0) -> bool:
-        return self.same_scope(other) and bool(
-            np.allclose(self.values, other.values, rtol=rtol, atol=atol)
-        )
-
     # -- operations -----------------------------------------------------------
 
     def _expand(self, union_vids: tuple[int, ...]) -> np.ndarray:

@@ -300,7 +300,8 @@ def _query_order(
     overlapping target and evidence sets and evidence states out of range,
     then return the default order over the ancestral closure of the targets
     and evidence, or the caller's one (an ancestrally closed set containing
-    them, ending in the targets), either ending in ``_target_block``."""
+    them, ending in the targets, and constrained on the targets or on
+    nothing), either ending in ``_target_block``."""
     targets = frozenset(targets)
     unknown = {vid for vids in (targets, *evidence) for vid in vids if not _known_id(scm, vid)}
     if unknown:
@@ -314,6 +315,8 @@ def _query_order(
         _check_state(scm.var(vid), state)
     if order is None:
         return default_order(scm, targets, ancestral_closure(scm, seen))
+    if order.constrained_suffix is not None and order.constrained_suffix != targets:
+        raise ModelError("elimination order is constrained on variables other than the targets")
     covered = set(order.sequence)
     closed = covered <= scm.parents.keys() and ancestral_closure(scm, covered) == covered
     if not (closed and seen <= covered):
@@ -573,8 +576,9 @@ def unit_select(
     ``order`` names variables of ``build_objective_model(scm, objective)``
     (the build is deterministic) and must cover an ancestrally closed set of
     them that contains the units and the evidence, such as the whole
-    objective model; by default only that closure is ordered. An invalid
-    objective is refused with ModelError by the build or the evaluation.
+    objective model; by default only that closure is ordered. An order with
+    ``method="brute"``, which orders nothing, is refused with ModelError, and
+    so is an invalid objective, by the build or the evaluation.
     """
     if method == "ve":
         om = build_objective_model(scm, objective)
@@ -585,6 +589,8 @@ def unit_select(
         }
         return QueryResult(result.value, inst, excluded=result.excluded)
     if method == "brute":
+        if order is not None:
+            raise ModelError("an elimination order applies to method 've' only")
         values, defined = evaluate_L_profile(scm, objective)
         if not defined.any():
             raise InconsistentEvidenceError(

@@ -179,26 +179,6 @@ class Scm:
         """For a functional node, the implied state per parent row (argmax)."""
         return np.argmax(self.tables[vid], axis=-1)
 
-    def forward_eval(
-        self, root_inst: Mapping[int, int], interventions: Mapping[int, int] | None = None
-    ) -> Instantiation:
-        """Evaluate all structural equations given a full root instantiation.
-
-        Intervened variables are clamped to their intervention value and their
-        equations ignored. Requires functional internal CPTs.
-        """
-        interventions = interventions or {}
-        full: Instantiation = {}
-        for vid in self.topological_order():
-            if vid in interventions:
-                full[vid] = interventions[vid]
-            elif self.is_root(vid):
-                full[vid] = root_inst[vid]
-            else:
-                row = tuple(full[p] for p in self.parents[vid])
-                full[vid] = int(self.structural_map(vid)[row])
-        return full
-
 
 def _parent_lists(
     variables: tuple[Variable, ...], parents: Mapping[int, Sequence[int]]

@@ -346,10 +346,6 @@ class SizeStats:
     parameters: int
     nodes_formula: int
 
-    @property
-    def matches_formula(self) -> bool:
-        return self.nodes == self.nodes_formula
-
 
 def model_size_stats(om: ObjectiveModel) -> SizeStats:
     """Node/parameter counts; nodes are checked against the closed form

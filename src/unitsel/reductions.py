@@ -105,11 +105,6 @@ def collect_names(node: Node) -> set[str]:
     return {n.name for n in _postorder(node) if isinstance(n, Var)}
 
 
-def gate_count(node: Node) -> int:
-    """Number of connective nodes (compiled gate nodes) in the AST."""
-    return sum(not isinstance(n, Var) for n in _postorder(node))
-
-
 def evaluate(node: Node, assignment: Mapping[str, int]) -> bool:
     """The formula's value under a {name: 0/1} assignment of its variables."""
     return bool(vector_evaluate(node, {name: np.bool_(v) for name, v in assignment.items()}))

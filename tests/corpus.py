@@ -12,6 +12,7 @@ from unitsel.elimination import EliminationOrder, UGraph
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 from unitsel.model import FUNCTIONAL_TOL, ROW_SUM_TOL, ValidationReport
+from unitsel.reductions import Node, Var, _postorder
 
 
 def small_scm(seed: int, lo: int = 5, hi: int = 10) -> Scm:
@@ -228,7 +229,7 @@ def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
 def divide(num: Factor, den: Factor) -> Factor:
     """Pointwise quotient over equal scopes with the 0/0 = 0 convention; a
     positive numerator over a zero denominator is refused."""
-    if not num.same_scope(den):
+    if (num.vids, num.cards) != (den.vids, den.cards):
         raise FactorError(f"division needs equal scopes, got {num.vids} vs {den.vids}")
     if np.any((den.values == 0) & (num.values > 0)):
         raise FactorError("division undefined: positive numerator over zero denominator")
@@ -282,3 +283,21 @@ def reference_check(scm: Scm) -> ValidationReport:
                 f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
             )
     return ValidationReport(acyclic, normalized, functional_status, violations)
+
+
+def forward_eval(scm: Scm, root_inst) -> dict[int, int]:
+    """Evaluate all structural equations given a full root instantiation.
+    Requires functional internal CPTs."""
+    full: dict[int, int] = {}
+    for vid in scm.topological_order():
+        if scm.is_root(vid):
+            full[vid] = root_inst[vid]
+        else:
+            row = tuple(full[p] for p in scm.parents[vid])
+            full[vid] = int(scm.structural_map(vid)[row])
+    return full
+
+
+def gate_count(node: Node) -> int:
+    """Number of connective nodes (compiled gate nodes) in the AST."""
+    return sum(not isinstance(n, Var) for n in _postorder(node))

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from unitsel import cli, fixture_path, load_model, rmap_ve
 from unitsel.cli import main
+from unitsel.elimination import EliminationOrder
 from unitsel.inference import format_trace
-from unitsel.reductions import gate_count, parse_dimacs
+from unitsel.reductions import parse_dimacs
+from corpus import gate_count
 
 
 @pytest.fixture()
@@ -37,6 +39,25 @@ def observe_v1_objective(tmp_path):
     return path
 
 
+@pytest.fixture()
+def xor(tmp_path):
+    # Y = A xor B.
+    path = tmp_path / "xor.json"
+    path.write_text(
+        '{"variables":[{"name":"A","states":["0","1"]},{"name":"B","states":["0","1"]},'
+        '{"name":"Y","states":["0","1"]}],"parents":{"A":[],"B":[],"Y":["A","B"]},'
+        '"cpts":{"A":[0.5,0.5],"B":[0.5,0.5],"Y":[1,0,0,1,0,1,1,0]}}'
+    )
+    return path
+
+
+@pytest.fixture()
+def xor_objective(tmp_path):
+    path = tmp_path / "xor_objective.json"
+    path.write_text('{"units":["A","B"],"terms":[{"weight":1.0,"y":{"Y":"1"}}]}')
+    return path
+
+
 def test_solve_two_node(capsys, two_node, observe_v1_objective):
     code = main([
         "solve", "--model", str(two_node), "--objective", str(observe_v1_objective),
@@ -48,7 +69,8 @@ def test_solve_two_node(capsys, two_node, observe_v1_objective):
     assert "excluded: 0" in out
 
 
-def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objective, tmp_path):
+def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objective, xor, xor_objective,
+                                           tmp_path):
     outputs = []
     for method in ("ve", "brute"):
         code = main([
@@ -65,19 +87,11 @@ def test_solve_json_and_method_equivalence(capsys, two_node, observe_v1_objectiv
 
     # Y = A xor B: the units (0, 1) and (1, 0) tie. An order file listing the
     # unit block as A, B once made --method ve answer A=1,B=0.
-    xor = tmp_path / "xor.json"
-    xor.write_text(
-        '{"variables":[{"name":"A","states":["0","1"]},{"name":"B","states":["0","1"]},'
-        '{"name":"Y","states":["0","1"]}],"parents":{"A":[],"B":[],"Y":["A","B"]},'
-        '"cpts":{"A":[0.5,0.5],"B":[0.5,0.5],"Y":[1,0,0,1,0,1,1,0]}}'
-    )
-    objective = tmp_path / "xor_objective.json"
-    objective.write_text('{"units":["A","B"],"terms":[{"weight":1.0,"y":{"Y":"1"}}]}')
     order = tmp_path / "xor_order.txt"
     order.write_text("#constrained: A,B\n[Y^1]\nH\nA\nB\n")
     outputs = []
     for extra in (["--method", "ve", "--order", str(order)], ["--method", "brute"]):
-        assert main(["solve", "--model", str(xor), "--objective", str(objective),
+        assert main(["solve", "--model", str(xor), "--objective", str(xor_objective),
                      *extra, "--json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == '{"unit":{"A":"0","B":"1"},"value":1.0,"excluded":0}\n'
@@ -131,6 +145,73 @@ def test_trace_prints_worked_clusters(capsys, five_node, tmp_path):
     out = capsys.readouterr().out
     for cluster in ("CE", "BCD", "ABC", "AB"):
         assert cluster in out
+
+
+def test_order_file_reader(capsys, five_node, tmp_path):
+    # One name per line; blank lines and other # lines are skipped; the
+    # header, when present, is the order's constrained suffix.
+    scm = load_model(five_node.read_bytes())
+    ids = {v.name: v.id for v in scm.variables}
+    seq = tuple(ids[n] for n in "EDCBA")
+    order = tmp_path / "order.txt"
+    order.write_text("#constrained: A,B\nE\n\n# a comment\n D \nC\nB\nA\n")
+    assert cli._load_order(str(order), scm) == EliminationOrder(seq, frozenset({ids["A"], ids["B"]}))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("E\nD\nC\nB\nA\n")
+    assert cli._load_order(str(plain), scm) == EliminationOrder(seq)
+    assert cli._load_order(str(plain), scm).constrained_suffix is None
+    # Either file drives a query to the same answer and trace.
+    outputs = []
+    for path in (order, plain):
+        assert main(["map", "--model", str(five_node), "--targets", "A,B", "--e", "E=e0",
+                     "--order", str(path), "--trace"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_order_file_header_must_name_the_query_variables(capsys, xor, xor_objective, tmp_path):
+    # A header naming other variables than the targets (map, rmap) or the
+    # objective's units (solve) once answered as if it named them, exit 0.
+    order = tmp_path / "order.txt"
+    refused = "error: elimination order is constrained on variables other than the targets\n"
+    for text, args in (
+        ("#constrained: B\nY\nA\nB\n", ["map", "--targets", "A,B", "--e", "Y=1"]),
+        ("#constrained: B\nY\nA\nB\n", ["rmap", "--targets", "A,B", "--e1", "Y=1"]),
+        ("#constrained: A,B\nY\nA\nB\n", ["map", "--targets", "B", "--e", "Y=1"]),
+        ("#constrained: A\n[Y^1]\nH\nB\nA\n", ["solve", "--objective", str(xor_objective)]),
+    ):
+        order.write_text(text)
+        capsys.readouterr()
+        assert main([*args, "--model", str(xor), "--order", str(order)]) == 1, args
+        assert capsys.readouterr() == ("", refused), args
+
+
+def test_order_file_header_repeats_are_refused(capsys, xor, tmp_path):
+    # A repeated header name was refused as "must occupy the tail", and with
+    # two header lines the last one silently won.
+    order = tmp_path / "order.txt"
+    query = ["map", "--model", str(xor), "--targets", "A,B", "--e", "Y=1", "--order", str(order)]
+    for text, err in (
+        ("#constrained: A,A\nY\nA\nB\n", "constrained variable 'A' is repeated"),
+        ("#constrained: A\n#constrained: A,B\nY\nA\nB\n", "order file has more than one #constrained: header"),
+        ("#constrained: A,B\nY\nA\n#constrained: A,B\nB\n", "order file has more than one #constrained: header"),
+    ):
+        order.write_text(text)
+        capsys.readouterr()
+        assert main(query) == 1, text
+        assert capsys.readouterr() == ("", f"error: {err}\n"), text
+
+
+def test_solve_brute_refuses_an_order(capsys, xor, xor_objective, tmp_path):
+    # brute orders nothing: it once built the objective model to parse the
+    # file, then ignored it and exited 0, whatever the header said.
+    order = tmp_path / "order.txt"
+    for text in ("#constrained: A,B\n[Y^1]\nH\nA\nB\n", "#constrained: B\nY\nA\nB\n"):
+        order.write_text(text)
+        capsys.readouterr()
+        assert main(["solve", "--model", str(xor), "--objective", str(xor_objective),
+                     "--method", "brute", "--order", str(order)]) == 1
+        assert capsys.readouterr() == ("", "error: an elimination order applies to method 've' only\n")
 
 
 def test_rmap_trace_prints_the_api_trace(capsys, five_node):
@@ -201,6 +282,46 @@ def test_width_lifted_nworld(capsys, five_node):
     out = capsys.readouterr().out
     assert code == 0
     assert "bound=w observed<=bound PASS" in out
+
+
+def test_width_order_file_contract(capsys, five_node, tmp_path):
+    # Without --units the header is the suffix; with --units the header, if
+    # any, must name them and the file must end in them.
+    order = tmp_path / "order.txt"
+    model = ["width", "--model", str(five_node), "--order", str(order)]
+    outputs = []
+    for text, units in (("#constrained: A\nE\nD\nC\nB\nA\n", []),
+                        ("#constrained: A\nE\nD\nC\nB\nA\n", ["--units", "A"]),
+                        ("E\nD\nC\nB\nA\n", ["--units", "A"])):
+        order.write_text(text)
+        assert main([*model, *units, "--lifted", "2"]) == 0, (text, units)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[2] != outputs[0]
+    assert outputs[1].splitlines()[-2:] == ["lifted constrained width (2-world): 2",
+                                            "bound=w observed<=bound PASS"]
+
+
+def test_width_refusals_leave_stdout_empty(capsys, five_node, tmp_path):
+    # width once printed its width and clusters before these refusals.
+    order = tmp_path / "order.txt"
+    order.write_text("E\nD\nC\nA\nB\n")
+    header = tmp_path / "header.txt"
+    header.write_text("#constrained: B\nE\nD\nC\nA\nB\n")
+    model = ["width", "--model", str(five_node)]
+    for args, err in (
+        (["--units", "A", "--lifted", "0"], "world count must be >= 1, got 0"),
+        (["--units", "A", "--order", str(order)], "constrained variables must occupy the tail of the order"),
+        (["--units", "A", "--order", str(order), "--lifted", "2"],
+         "constrained variables must occupy the tail of the order"),
+        (["--units", "A,B", "--order", str(header)],
+         "the order file's #constrained: header must name exactly the --units"),
+        (["--objective", str(tmp_path / "missing.json")], None),
+    ):
+        capsys.readouterr()
+        assert main([*model, *args]) == 1, args
+        out, got = capsys.readouterr()
+        assert out == "", args
+        assert err is None or got == f"error: {err}\n", args
 
 
 def test_compile_cnf_then_rmap_contradiction_exits_2(capsys, tmp_path):

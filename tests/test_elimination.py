@@ -39,10 +39,8 @@ from unitsel.bench import (
 from unitsel.elimination import (
     ancestral_closure,
     eliminate_all,
-    format_order_file,
     mindegree_order,
     moral_subgraph,
-    parse_order_file,
     skeleton,
 )
 from unitsel.inference import default_order
@@ -79,8 +77,8 @@ def test_moral_graph_v_structure():
         {"A": [.5, .5], "B": [.5, .5], "C": [1, 0, 0, 1, 0, 1, 1, 0]},
     )
     g = moral_graph(scm)
-    assert 1 in g.neighbors(0)  # common parents married
-    assert 2 in g.neighbors(0) and 2 in g.neighbors(1)
+    assert 1 in g.adj[0]  # common parents married
+    assert 2 in g.adj[0] and 2 in g.adj[1]
 
 
 def test_moral_graph_chain():
@@ -90,7 +88,7 @@ def test_moral_graph_chain():
         {"A": [.5, .5], "B": [1, 0, 0, 1], "C": [1, 0, 0, 1]},
     )
     g = moral_graph(scm)
-    assert 1 in g.neighbors(0) and 2 in g.neighbors(1) and 2 not in g.neighbors(0)
+    assert 1 in g.adj[0] and 2 in g.adj[1] and 2 not in g.adj[0]
 
 
 def test_moral_graph_five_node(five_node):
@@ -99,7 +97,7 @@ def test_moral_graph_five_node(five_node):
     expected = {("A", "B"), ("A", "C"), ("B", "C"), ("B", "D"), ("C", "D"), ("C", "E")}
     edges = {
         tuple(sorted((five_node.var(a).name, five_node.var(b).name)))
-        for a in g.nodes for b in g.neighbors(a) if a < b
+        for a in g.nodes for b in g.adj[a] if a < b
     }
     assert edges == expected
 
@@ -471,7 +469,7 @@ def _moral_with_added_root(scm, children):
     ``children`` (computed directly on the graph)."""
     g = moral_graph(scm)
     h = max(g.nodes) + 1
-    g.add_node(h)
+    g.adj[h] = set()
     for z in children:
         g.add_edge(h, z)
         for p in scm.parents[z]:
@@ -536,14 +534,14 @@ def test_reduced_graph_adjacency_iff_avoiding_path(seed):
             a = stack.pop()
             if a == h:
                 return True
-            for b in g.neighbors(a):
+            for b in g.adj[a]:
                 if b in allowed and b not in seen:
                     seen.add(b)
                     stack.append(b)
         return False
 
     for x in units:
-        assert (h in reduced.neighbors(x)) == path_avoiding(x)
+        assert (h in reduced.adj[x]) == path_avoiding(x)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -556,7 +554,7 @@ def test_width_invariant_under_relabeling(seed):
     relabel = dict(zip(nodes, perm))
     g2 = UGraph(nodes=perm)
     for a in nodes:
-        for b in g.neighbors(a):
+        for b in g.adj[a]:
             g2.add_edge(relabel[a], relabel[b])
     order = list(nodes)
     rng.shuffle(order)
@@ -631,23 +629,6 @@ def test_is_external_requires_connected_and_roots():
     )
     with pytest.raises(ModelError):
         is_external(chain, (1,))
-
-
-# -- order files ----------------------------------------------------------------------
-
-
-def test_order_file_roundtrip(five_node):
-    ids = {v.name: v.id for v in five_node.variables}
-    order = EliminationOrder(
-        tuple(ids[n] for n in "EDCBA"), frozenset({ids["A"], ids["B"]})
-    )
-    text = format_order_file(order, five_node)
-    assert text.splitlines()[0] == "#constrained: A,B"
-    back = parse_order_file(text, five_node)
-    assert back == order
-    plain = format_order_file(EliminationOrder(tuple(ids[n] for n in "ABCDE")), five_node)
-    assert "#" not in plain
-    assert parse_order_file(plain, five_node).constrained_suffix is None
 
 
 def test_tight_family_order_width(five_node):

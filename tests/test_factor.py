@@ -64,9 +64,11 @@ def test_multiply_prior_by_conditional():
 
 def test_multiply_identity_and_absorbing():
     f = Factor((0, 1), (2, 2), JOINT)
-    assert multiply_all([f, Factor((0, 1), (2, 2), np.ones(4))]).equal_table(f)
+    one = multiply_all([f, Factor((0, 1), (2, 2), np.ones(4))])
+    assert (one.vids, one.cards, one.values.tolist()) == (f.vids, f.cards, f.values.tolist())
     zeros = Factor((0, 1), (2, 2), np.zeros(4))
-    assert multiply_all([f, zeros]).equal_table(zeros)
+    zero = multiply_all([f, zeros])
+    assert (zero.vids, zero.cards, zero.values.tolist()) == (zeros.vids, zeros.cards, zeros.values.tolist())
 
 
 def test_multiply_cardinality_clash():
@@ -153,7 +155,8 @@ def test_divide_examples():
     q = divide(f, g)
     assert np.allclose(q.flat, [0.6, 0.3], rtol=1e-12)
     h = Factor((0,), (2,), [0.3, 0.4])
-    assert divide(h, h).allclose(Factor((0,), (2,), np.ones(2)), rtol=1e-12)
+    q = divide(h, h)
+    assert (q.vids, q.cards) == ((0,), (2,)) and np.allclose(q.values, np.ones(2), rtol=1e-12, atol=0.0)
     zero = Factor((0,), (1,), [0.0])
     assert divide(zero, zero).flat[0] == 0.0
 
@@ -173,9 +176,11 @@ def test_indicator_product_zeroing():
     red = multiply_all([joint, Factor.indicator(1, 2, 0)])
     assert red.vids == (0, 1)
     assert np.allclose(red.flat, [0.12, 0.0, 0.24, 0.0], rtol=1e-12)
-    assert multiply_all([joint]).equal_table(joint)
+    same = multiply_all([joint])
+    assert (same.vids, same.cards, same.values.tolist()) == (joint.vids, joint.cards, joint.values.tolist())
     zeros = Factor((0, 1), (2, 2), np.zeros(4))
-    assert multiply_all([zeros, Factor.indicator(0, 2, 1)]).equal_table(zeros)
+    zero = multiply_all([zeros, Factor.indicator(0, 2, 1)])
+    assert (zero.vids, zero.cards, zero.values.tolist()) == (zeros.vids, zeros.cards, zeros.values.tolist())
 
 
 def test_operation_results_are_read_only():
@@ -232,7 +237,8 @@ def factors(draw, max_vars=3):
 @settings(max_examples=60, deadline=None)
 @given(factors(), factors())
 def test_multiply_commutative(f, g):
-    assert multiply_all([f, g]).equal_table(multiply_all([g, f]))
+    fg, gf = multiply_all([f, g]), multiply_all([g, f])
+    assert (fg.vids, fg.cards, fg.values.tolist()) == (gf.vids, gf.cards, gf.values.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +246,7 @@ def test_multiply_commutative(f, g):
 def test_multiply_associative(f, g, h):
     left = multiply_all([multiply_all([f, g]), h])
     right = multiply_all([f, multiply_all([g, h])])
-    assert left.equal_table(right)
+    assert (left.vids, left.cards, left.values.tolist()) == (right.vids, right.cards, right.values.tolist())
 
 
 def _as_factor(table, kept):
@@ -256,7 +262,7 @@ def test_sum_axis_distributes_over_disjoint_products(f, g):
     v = {outside[0]}
     lhs = _as_factor(*_sum_steps(multiply_all([f, g]), v))
     rhs = multiply_all([_as_factor(*_sum_steps(f, v)), g])
-    assert lhs.equal_table(rhs)
+    assert (lhs.vids, lhs.cards, lhs.values.tolist()) == (rhs.vids, rhs.cards, rhs.values.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,7 +274,7 @@ def test_max_axis_distributes_over_disjoint_products(f, g):
     v = {outside[0]}
     lhs = _as_factor(*_max_steps(multiply_all([f, g]), v)[:2])
     rhs = multiply_all([_as_factor(*_max_steps(f, v)[:2]), g])
-    assert lhs.equal_table(rhs)
+    assert (lhs.vids, lhs.cards, lhs.values.tolist()) == (rhs.vids, rhs.cards, rhs.values.tolist())
 
 
 @settings(max_examples=60, deadline=None)

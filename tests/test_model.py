@@ -22,7 +22,7 @@ from unitsel import (
 from unitsel import build_objective_model, fixture_path, mutilate, n_world_model
 from unitsel.bench import gen_benefit_objective
 from unitsel.factor import multiply_all
-from corpus import reference_check, reference_topological_order, small_scm
+from corpus import forward_eval, reference_check, reference_topological_order, small_scm
 
 
 @pytest.fixture()
@@ -321,7 +321,7 @@ def test_functional_models_have_unique_world_per_root_state(seed):
         full, p = support[0]
         prior = math.prod(float(scm.tables[r][root_inst[r]]) for r in roots)
         assert math.isclose(p, prior, rel_tol=1e-12)
-        assert full == scm.forward_eval(root_inst)
+        assert full == forward_eval(scm, root_inst)
 
 
 A = Variable(0, "A", 2, ("0", "1"))

@@ -423,11 +423,11 @@ def test_model_size_stats_formulas():
     stats = model_size_stats(om)
     # 4 twin components: 4 * (2*2 + 1) + |U| + 1 = 20 + 2 = 22
     assert stats.nodes == 22
-    assert stats.matches_formula
+    assert stats.nodes == stats.nodes_formula
     om_full = build_objective_model(scm, L, drop_worlds=False)
     stats_full = model_size_stats(om_full)
     assert stats_full.nodes == 4 * (3 * 2 + 1) + 1 + 1
-    assert stats_full.matches_formula
+    assert stats_full.nodes == stats_full.nodes_formula
     assert stats.parameters == om.model.size_parameters()
 
 

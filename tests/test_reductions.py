@@ -17,13 +17,12 @@ from unitsel.reductions import (
     compile_formula,
     emajsat_ratio,
     evaluate,
-    gate_count,
     parse_dimacs,
     sat_via_rmap,
     truth_table,
 )
 from unitsel.worlds import enumerate_instantiations
-from corpus import random_cnf
+from corpus import forward_eval, gate_count, random_cnf
 
 
 def test_parse_single_literal():
@@ -121,7 +120,7 @@ def test_circuit_sentinel_matches_ast_evaluation_exhaustively():
     scm, sentinel = compile_formula(f)
     roots = [scm.by_name(name).id for name in f.variables]
     for u in enumerate_instantiations(scm, roots):
-        implied = scm.forward_eval(u)
+        implied = forward_eval(scm, u)
         expected = evaluate(f.root, {f.variables[i]: u[r] for i, r in enumerate(roots)})
         assert implied[sentinel] == int(expected)
 
