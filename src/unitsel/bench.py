@@ -22,6 +22,7 @@ from .objective import (
     ObjectiveFunction,
     ObjectiveTerm,
     build_objective_model,
+    lifted_width_bound,
 )
 from .elimination import (
     EliminationOrder,
@@ -220,7 +221,7 @@ class WidthRow:
     mean_w: float
     mean_w1: float
     mean_w2: float
-    lifted_bound_ok: bool  # lifted constrained width <= 2w + 2 in every trial
+    lifted_bound_ok: bool  # lifted constrained width <= lifted_width_bound in every trial
 
 
 # The per-trial counts, averaged into the WidthRow fields mean_<count>.
@@ -264,7 +265,8 @@ def run_width_trial(cfg: GenConfig, trial: int) -> dict:
     )
     lifted_width = order_width(g1, lifted)
     counts = (scm.n, om.model.n, twin.n, len(roots), w, w1, w2)
-    return {**dict(zip(_COUNTS, counts)), "lifted_ok": lifted_width <= 2 * w + 2}
+    bound = lifted_width_bound(objective, w, len(units))[0]
+    return {**dict(zip(_COUNTS, counts)), "lifted_ok": lifted_width <= bound}
 
 
 def run_width_table(cfgs: Sequence[GenConfig]) -> list[WidthRow]:

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: solve, map, rmap, width, build-objective-model, compile-cnf,
-gen, bench. Results go to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 input/validation error, 2 inconsistent evidence (including a
-Reverse-MAP or solve optimum of exactly zero), 3 internal invariant breach.
+gen, bench. Results go to stdout, diagnostics to stderr. A command prints
+its result and raises on a refused outcome; only ``main`` maps an outcome to
+an exit code: 0 success (and ``--help``), 1 usage or input/validation error,
+2 inconsistent evidence (including a solve, MAP or Reverse-MAP optimum of
+exactly zero, raised after the result is printed), 3 internal invariant
+breach (a violated proven width bound).
 
 An order file (``--order``) is read only by ``_load_order``. Its optional
 ``#constrained:`` header must name exactly the targets (map, rmap, as
@@ -15,17 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Mapping, Sequence
 
 from .factor import Instantiation
-from .model import ModelError, Scm, json_number, load_model, save_model
-from .objective import (
-    build_objective_model,
-    load_objective,
-    save_objective,
-)
+from .model import ModelError, Scm, json_number, load_json, load_model, save_model
+from .objective import build_objective_model, lifted_width_bound, load_objective, save_objective
 from .elimination import (
     EliminationOrder,
     lift_order_constrained,
@@ -38,6 +36,7 @@ from .elimination import (
 )
 from .inference import (
     InconsistentEvidenceError,
+    QueryResult,
     _scope_names,
     format_trace,
     map_ve,
@@ -59,10 +58,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONSISTENT = 2
 EXIT_INTERNAL = 3
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("UNITSEL_SEED", "0"))
 
 
 def _read(path: str) -> bytes:
@@ -127,7 +122,13 @@ def _load_order(path: str, scm: Scm) -> EliminationOrder:
     return EliminationOrder(tuple(seq), suffix)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _refuse_zero(value: float, what: str) -> None:
+    """An optimum of exactly zero means the evidence is inconsistent."""
+    if value == 0.0:
+        raise InconsistentEvidenceError(f"{what} is zero: evidence inconsistent")
+
+
+def cmd_solve(args: argparse.Namespace) -> None:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     objective = load_objective(scm, _read(args.objective))
     order = None
@@ -149,44 +150,41 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"unit: {_format_inst(scm, result.instantiation)}")
         print(f"value: {result.value!r}")
         print(f"excluded: {result.excluded}")
-    if result.value == 0.0:
-        print("objective value is zero: evidence inconsistent", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    _refuse_zero(result.value, "objective value")
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def _report(scm: Scm, result: QueryResult, what: str) -> None:
+    """Print a map or rmap result: its trace if any, the value, the
+    instantiation and the excluded count if any; then refuse a zero optimum."""
+    if result.trace is not None:
+        print(format_trace(result.trace, scm))
+    print(f"value: {result.value!r}")
+    print(f"instantiation: {_format_inst(scm, result.instantiation)}")
+    if result.excluded is not None:
+        print(f"excluded: {result.excluded}")
+    _refuse_zero(result.value, what)
+
+
+def cmd_map(args: argparse.Namespace) -> None:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     targets = _names(scm, args.targets, "target")
     evidence = parse_assignments(scm, args.e)
     order = _load_order(args.order, scm) if args.order else None
     result = map_ve(scm, targets, evidence, order=order, want_trace=args.trace)
-    if args.trace:
-        print(format_trace(result.trace, scm))
-    print(f"value: {result.value!r}")
-    print(f"instantiation: {_format_inst(scm, result.instantiation)}")
-    return EXIT_OK
+    _report(scm, result, "MAP optimum")
 
 
-def cmd_rmap(args: argparse.Namespace) -> int:
+def cmd_rmap(args: argparse.Namespace) -> None:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     targets = _names(scm, args.targets, "target")
     e1 = parse_assignments(scm, args.e1)
     e2 = parse_assignments(scm, args.e2)
     order = _load_order(args.order, scm) if args.order else None
     result = rmap_ve(scm, targets, e1, e2, order=order, want_trace=args.trace)
-    if args.trace:
-        print(format_trace(result.trace, scm))
-    print(f"value: {result.value!r}")
-    print(f"instantiation: {_format_inst(scm, result.instantiation)}")
-    print(f"excluded: {result.excluded}")
-    if result.value == 0.0:
-        print("Reverse-MAP optimum is zero: evidence inconsistent", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    _report(scm, result, "Reverse-MAP optimum")
 
 
-def cmd_width(args: argparse.Namespace) -> int:
+def cmd_width(args: argparse.Namespace) -> None:
     # Everything is computed before the first line is printed, so a refused
     # input leaves stdout empty.
     scm = load_model(_read(args.model), allow_nonfunctional=True)
@@ -216,14 +214,7 @@ def cmd_width(args: argparse.Namespace) -> int:
         checks.append(("lifted unconstrained width", order_width(go, lifted), bound, "3n(w+1)"))
         if unit_ids:
             lifted = lift_order_constrained(order, dup, om.h_id, unit_ids)
-            outcome_vars = {vid for t in objective.terms for vid in (*t.y, *t.w)}
-            twin = all(not t.e for t in objective.terms)
-            if twin and len(outcome_vars) == 1:
-                bound, label = 2 * w + 2, "2w+2"
-            elif len(outcome_vars) == 1:
-                bound, label = 3 * w + 3, "3w+3"
-            else:
-                bound, label = max(3 * w + 3, len(unit_ids)), "max(3w+3,|U|)"
+            bound, label = lifted_width_bound(objective, w, len(unit_ids))
             checks.append(("lifted constrained width", order_width(go, lifted), bound, label))
     elif args.lifted is not None:
         k = args.lifted
@@ -247,12 +238,10 @@ def cmd_width(args: argparse.Namespace) -> int:
         print(f"{heading}: {width}")
         print(f"bound={label} observed<=bound {'PASS' if width <= bound else 'FAIL'}")
     if any(width > bound for _, width, bound, _ in checks):
-        print("a proven width bound was violated", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        raise AssertionError("a proven width bound was violated")
 
 
-def cmd_build_objective_model(args: argparse.Namespace) -> int:
+def cmd_build_objective_model(args: argparse.Namespace) -> None:
     scm = load_model(_read(args.model), allow_nonfunctional=True)
     objective = load_objective(scm, _read(args.objective))
     om = build_objective_model(scm, objective)
@@ -262,30 +251,26 @@ def cmd_build_objective_model(args: argparse.Namespace) -> int:
         f"e1: {_format_inst(om.model, om.e1)} e2: {_format_inst(om.model, om.e2)}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def cmd_compile_cnf(args: argparse.Namespace) -> int:
+def cmd_compile_cnf(args: argparse.Namespace) -> None:
     formula = parse_dimacs(_read(args.dimacs).decode("utf-8"))
     scm, sentinel = compile_formula(formula)
     _write(args.out, save_model(scm))
     print(f"sentinel: {scm.var(sentinel).name}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> None:
     if args.kind == "random":
-        cfg = GenConfig(
-            node_count=args.n, seed=args.seed, max_parents=args.max_parents
-        )
-        scm = gen_random_scm(cfg)
-        _write(args.out, save_model(scm))
+        if args.objective_out:
+            raise ModelError("--objective-out applies to --kind tight only")
+        cfg = GenConfig(node_count=args.n, seed=args.seed, max_parents=args.max_parents)
+        _write(args.out, save_model(gen_random_scm(cfg)))
     else:
         scm, units, objective = gen_tight_family(args.n)
         _write(args.out, save_model(scm))
         if args.objective_out:
             _write(args.objective_out, save_objective(scm, objective))
-    return EXIT_OK
 
 
 def _bench_configs(doc, seed: int, trials: int) -> list[GenConfig]:
@@ -314,18 +299,15 @@ def _bench_configs(doc, seed: int, trials: int) -> list[GenConfig]:
     return cfgs
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> None:
     if args.config == "default":
         cfgs = default_bench_configs(args.seed, trials=args.trials)
     else:
-        doc = json.loads(_read(args.config).decode("utf-8"))
-        cfgs = _bench_configs(doc, args.seed, args.trials)
+        cfgs = _bench_configs(load_json(_read(args.config), "bench config"), args.seed, args.trials)
     rows = run_width_table(cfgs)
     _write(args.out, width_table_csv(rows).encode("utf-8"))
     if not all(r.lifted_bound_ok for r in rows):
-        print("lifted-order width bound violated", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        raise AssertionError("lifted-order width bound violated")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--units", help="comma-separated unit variable names")
     p.add_argument("--order", default="minfill", help="minfill|exhaustive|<file>")
-    p.add_argument("--lifted", type=int, help="lift to an n-world model")
-    p.add_argument("--objective", help="lift to this objective's model instead")
+    lift = p.add_mutually_exclusive_group()
+    lift.add_argument("--lifted", type=int, help="lift to an n-world model")
+    lift.add_argument("--objective", help="lift to this objective's model instead")
     p.set_defaults(func=cmd_width)
 
     p = sub.add_parser("build-objective-model", help="emit the objective model JSON")
@@ -382,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate benchmark instances")
     p.add_argument("--kind", choices=("random", "tight"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-parents", type=int, default=GenConfig.max_parents)
     p.add_argument("--out")
-    p.add_argument("--objective-out")
+    p.add_argument("--objective-out", help="the tight family's objective (--kind tight only)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="run the width-table experiment")
     p.add_argument("--config", default="default", help="default|<json file>")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=GenConfig.trials)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
@@ -398,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has printed the help or the usage error
+        return EXIT_OK if stop.code == 0 else EXIT_INPUT
+    try:
+        args.func(args)
     except InconsistentEvidenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -416,6 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as err:
         print(f"internal invariant breach: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -395,6 +395,15 @@ def json_number(value, context: str) -> float:
         raise ModelError(f"{context} {value!r} is out of range") from None
 
 
+def load_json(data: bytes | str, what: str) -> object:
+    """The JSON value of a UTF-8 document. Undecodable bytes, malformed JSON
+    and nesting too deep for the parser are refused with ModelError."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise ModelError(f"malformed {what} document: {err}") from None
+
+
 def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
     """Parse the JSON model document and reject illegal models.
 
@@ -402,12 +411,7 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
     non-functional internal CPTs fail unless ``allow_nonfunctional`` is set
     (used for plain Bayesian networks in tests and examples).
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise ModelError(f"malformed model document: {err}") from None
+    doc = load_json(data, "model")
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     for key, kind, word in (("variables", list, "an array"), ("parents", dict, "an object"),

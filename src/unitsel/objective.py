@@ -30,7 +30,8 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Instantiation, Variable, multiply_all, sum_axis
-from .model import ModelError, Scm, _known_id, evidence_to_lambdas, json_number, validate
+from .model import (ModelError, Scm, _known_id, evidence_to_lambdas, json_number, load_json,
+                    validate)
 from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
                      counterfactual_term_profile)
 
@@ -365,6 +366,19 @@ def model_size_stats(om: ObjectiveModel) -> SizeStats:
     )
 
 
+def lifted_width_bound(objective: ObjectiveFunction, w: int, n_units: int) -> tuple[int, str]:
+    """The proven bound, and its label, on the constrained width of an order of
+    width ``w`` lifted to the objective model: 2w+2 for a twin-built objective
+    (no evidence) with one outcome variable, 3w+3 for one outcome variable,
+    else max(3w+3, |U|) with |U| = ``n_units``."""
+    outcome_vars = {vid for t in objective.terms for vid in (*t.y, *t.w)}
+    if len(outcome_vars) != 1:
+        return max(3 * w + 3, n_units), "max(3w+3,|U|)"
+    if all(not t.e for t in objective.terms):
+        return 2 * w + 2, "2w+2"
+    return 3 * w + 3, "3w+3"
+
+
 # -- on-disk format ---------------------------------------------------------------
 
 
@@ -385,12 +399,7 @@ def save_objective(scm: Scm, objective: ObjectiveFunction) -> bytes:
 
 
 def load_objective(scm: Scm, data: bytes | str) -> ObjectiveFunction:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise ModelError(f"malformed objective document: {err}") from None
+    doc = load_json(data, "objective")
     if not isinstance(doc, dict) or "units" not in doc or "terms" not in doc:
         raise ModelError("objective document needs 'units' and 'terms'")
     if not (isinstance(doc["units"], list) and all(isinstance(n, str) for n in doc["units"])):

@@ -5,17 +5,23 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitsel import cli, fixture_path, load_model, rmap_ve
-from unitsel.cli import main
+import unitsel.bench
+from unitsel import ModelError, cli, fixture_path, load_model, rmap_ve
+from unitsel.cli import main, parse_assignments
 from unitsel.elimination import EliminationOrder
 from unitsel.inference import format_trace
 from unitsel.reductions import parse_dimacs
 from corpus import gate_count
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -55,6 +61,17 @@ def xor(tmp_path):
 def xor_objective(tmp_path):
     path = tmp_path / "xor_objective.json"
     path.write_text('{"units":["A","B"],"terms":[{"weight":1.0,"y":{"Y":"1"}}]}')
+    return path
+
+
+@pytest.fixture()
+def benefit_objective(tmp_path):
+    # Two benefit terms over treatment C and outcome E of five_node, no evidence.
+    path = tmp_path / "benefit_objective.json"
+    path.write_text(json.dumps({"units": ["A"], "terms": [
+        {"weight": 0.5, "x": {"C": "c0"}, "y": {"E": "e0"}, "v": {"C": "c1"}, "w": {"E": "e1"}},
+        {"weight": 0.5, "x": {"C": "c0"}, "y": {"E": "e1"}, "v": {"C": "c1"}, "w": {"E": "e0"}},
+    ]}))
     return path
 
 
@@ -121,6 +138,44 @@ def test_rmap_rejects_overlapping_sets(capsys, two_node):
         "--e1", "V=v1", "--e2", "V=v2",
     ])
     assert code == 1
+
+
+def test_parse_assignments(five_node):
+    scm = load_model(five_node.read_bytes())
+    assert parse_assignments(scm, "A=a0,,B=b1, ") == {0: 0, 1: 1}
+    with pytest.raises(ModelError, match="^bad assignment 'A', expected name=state$"):
+        parse_assignments(scm, "A")
+
+
+def test_map_zero_optimum_exits_2(capsys, five_node):
+    # B = A and C = not A, so B=b0,C=c0 has probability zero; map once
+    # printed its value 0.0 and exited 0.
+    code = main(["map", "--model", str(five_node), "--targets", "A", "--e", "B=b0,C=c0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "value: 0.0\ninstantiation: A=a0\n"
+    assert captured.err == "error: MAP optimum is zero: evidence inconsistent\n"
+
+
+def _unitsel(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "unitsel", *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_process_exit_codes():
+    # The codes reach the process through sys.exit(main()). A usage error once
+    # exited 2, the code for inconsistent evidence.
+    proc = _unitsel("map", "--targets", "A")
+    assert proc.returncode == 1
+    assert "the following arguments are required: --model" in proc.stderr
+    proc = _unitsel("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: unitsel")
+    proc = _unitsel("map", "--model", fixture_path("five_node.json"), "--targets", "A",
+                    "--e", "B=b0,C=c0")
+    assert proc.returncode == 2
+    assert "value: 0.0\n" in proc.stdout
+    assert "error: MAP optimum is zero" in proc.stderr
 
 
 def test_memory_error_exits_1_without_traceback(capsys, two_node, monkeypatch):
@@ -273,6 +328,45 @@ def test_width_objective_with_evidence_and_one_outcome(capsys, five_node, tmp_pa
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "lifted constrained width: 3", "bound=3w+3 observed<=bound PASS",
     ]
+
+
+def test_width_twin_objective_with_one_outcome(capsys, five_node, benefit_objective):
+    code = main(["width", "--model", str(five_node), "--units", "A", "--objective", str(benefit_objective)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "bound=2w+2 observed<=bound PASS"
+
+
+def test_violated_width_bounds_exit_3(capsys, five_node, benefit_objective, monkeypatch):
+    # A bound of -1 stands in for a proven bound that fails; the result is
+    # printed before main reports the breach.
+    monkeypatch.setattr(cli, "lifted_width_bound", lambda objective, w, n_units: (-1, "-1"))
+    code = main(["width", "--model", str(five_node), "--units", "A", "--objective", str(benefit_objective)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.splitlines()[-1] == "bound=-1 observed<=bound FAIL"
+    assert err == "internal invariant breach: a proven width bound was violated\n"
+    monkeypatch.setattr(unitsel.bench, "lifted_width_bound", lambda objective, w, n_units: (-1, "-1"))
+    assert main(["bench", "--config", "default", "--trials", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("n,n2,R,ur,n1,w,w1,w2\n")
+    assert err == "internal invariant breach: lifted-order width bound violated\n"
+
+
+def test_ignored_flag_combinations_are_refused(capsys, five_node, benefit_objective, tmp_path):
+    # width once ignored --lifted beside --objective, and gen --kind random
+    # wrote no objective; both exited 0.
+    code = main(["width", "--model", str(five_node), "--units", "A",
+                 "--objective", str(benefit_objective), "--lifted", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "argument --lifted: not allowed with argument --objective" in err
+    model, objective = tmp_path / "gen.json", tmp_path / "gen_objective.json"
+    code = main(["gen", "--kind", "random", "--n", "4", "--out", str(model),
+                 "--objective-out", str(objective)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: --objective-out applies to --kind tight only\n"
+    assert not model.exists() and not objective.exists()
 
 
 def test_width_lifted_nworld(capsys, five_node):
@@ -736,16 +830,6 @@ def test_bench_deterministic_bytes(capsys, tmp_path):
     assert outs[0].decode().splitlines()[0] == "n,n2,R,ur,n1,w,w1,w2"
 
 
-def test_env_seed_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("UNITSEL_SEED", "5")
-    a = tmp_path / "a.json"
-    assert main(["gen", "--kind", "random", "--n", "6", "--out", str(a)]) == 0
-    monkeypatch.delenv("UNITSEL_SEED")
-    b = tmp_path / "b.json"
-    assert main(["gen", "--kind", "random", "--n", "6", "--seed", "5", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 @pytest.mark.parametrize("prior", ["[1.5, -0.5]", "[NaN, NaN]"])
 def test_non_probability_prior_is_refused_on_load(capsys, two_node, observe_v1_objective, tmp_path, prior):
     # width and build-objective-model once exited 0 on these priors.
@@ -774,6 +858,21 @@ def test_bench_refuses_malformed_configs(capsys, tmp_path, config):
 def test_bench_refuses_zero_trials(capsys):
     assert main(["bench", "--trials", "0"]) == 1
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [b"\xff", b"[1,", b"[" * 100_000],
+                         ids=["undecodable", "malformed", "too-deep"])
+def test_unreadable_json_documents_exit_1(capsys, two_node, tmp_path, data):
+    # Undecodable bytes and malformed bench configs once gave a bare decoder
+    # message, and deep nesting a raw RecursionError traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    for args, what in ((["width", "--model", str(bad)], "model"),
+                       (["solve", "--model", str(two_node), "--objective", str(bad)], "objective"),
+                       (["bench", "--config", str(bad)], "bench config")):
+        assert main(args) == 1, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed {what} document: "), args
 
 
 _bench_entries = st.fixed_dictionaries(

@@ -438,6 +438,13 @@ def test_lift_requires_matching_suffix():
         lift_order_constrained(base, om.duplicates(), om.h_id, [ids["A"]])
 
 
+def test_lift_requires_shared_unit_copies():
+    scm, om, base, ids = worked_example()
+    split = {**om.duplicates(), ids["U"]: (om.unit_om_ids[0], om.h_id)}
+    with pytest.raises(ModelError, match="^unit variables must be shared in the lifted model$"):
+        lift_order_constrained(base, split, om.h_id, [ids["U"]])
+
+
 def test_append_root_order():
     order = EliminationOrder((0, 1, 2))
     assert append_root_order(order, 9).sequence == (0, 1, 2, 9)

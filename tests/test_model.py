@@ -207,6 +207,38 @@ def test_load_model_refuses_malformed_shapes(doc, message):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"variables": [', "Expecting value"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["undecodable", "malformed", "too-deep"],
+)
+def test_load_model_refuses_unreadable_json(data, message):
+    # Undecodable bytes once raised UnicodeDecodeError, and deep nesting a raw
+    # RecursionError.
+    with pytest.raises(ModelError, match=f"^malformed model document: {message}"):
+        load_model(data)
+
+
+def test_load_model_refuses_invalid_documents(two_node):
+    doc = json.loads(two_node)
+    doc["parents"]["U"] = ["V"]
+    doc["cpts"] = {"U": [1, 0, 0, 1], "V": [1, 0, 0, 1]}
+    with pytest.raises(ModelError, match="^parent relation is cyclic$"):
+        load_model(json.dumps(doc), allow_nonfunctional=True)
+    doc = json.loads(two_node)
+    doc["cpts"]["U"] = [0.5, 0.6]
+    with pytest.raises(ModelError, match=r"^CPT rows of 'U' do not sum to 1 \(first bad row index 0\);"):
+        load_model(json.dumps(doc), allow_nonfunctional=True)
+    doc = json.loads(two_node)
+    del doc["cpts"]
+    with pytest.raises(ModelError, match="^model document missing 'cpts'$"):
+        load_model(json.dumps(doc), allow_nonfunctional=True)
+
+
+@pytest.mark.parametrize(
     "parents, tables, message",
     [
         ({"A": [], "B": None}, {}, "parents of 'B' must be a list of names"),

@@ -203,6 +203,47 @@ def test_load_objective_refuses_malformed_documents():
             load_objective(scm, doc)
 
 
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"units":["U"],', "Expecting property name"),
+        (b'{"units":' + b"[" * 100_000 + b'],"terms":[]}', "maximum recursion depth exceeded"),
+    ],
+    ids=["undecodable", "malformed", "too-deep"],
+)
+def test_load_objective_refuses_unreadable_json(data, message):
+    # Undecodable bytes once raised UnicodeDecodeError, and deeply nested
+    # units a raw RecursionError.
+    with pytest.raises(ModelError, match=f"^malformed objective document: {message}"):
+        load_objective(xor_scm(), data)
+
+
+def test_build_objective_model_refuses_an_unfit_base():
+    # U -> X -> Y with a noisy X: a Bayesian network, but not functional.
+    names = [("U", ["0", "1"]), ("X", ["0", "1"]), ("Y", ["0", "1"])]
+    parents = {"U": [], "X": ["U"], "Y": ["X"]}
+    noisy = make_scm(names, parents, {"U": [0.5, 0.5], "X": [0.3, 0.7, 0.6, 0.4], "Y": [1, 0, 0, 1]})
+    observe = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={2: 1}),))
+    intervene = ObjectiveFunction((0,), (ObjectiveTerm(1.0, x={1: 0}, y={2: 1}),))
+    build_objective_model(noisy, observe)
+    with pytest.raises(ModelError, match="^objective has interventions: the base model must be functional$"):
+        build_objective_model(noisy, intervene)
+    unnormalized = make_scm(names, parents, {"U": [0.5, 0.6], "X": [1, 0, 0, 1], "Y": [1, 0, 0, 1]})
+    with pytest.raises(ModelError, match="^base model is not a valid Bayesian network$"):
+        build_objective_model(unnormalized, observe)
+
+
+def test_objective_without_terms_and_partial_units_are_refused():
+    scm = xor_scm()
+    report = validate_objective(scm, ObjectiveFunction((0,), ()))
+    assert not report.ok and "objective has no terms" in report.violations
+    objective = ObjectiveFunction((0, 1), (ObjectiveTerm(1.0, y={3: 1}),))
+    with pytest.raises(ModelError, match="^u must assign exactly the unit variables$"):
+        evaluate_L_brute(scm, objective, {0: 0})
+
+
 def test_outcome_cpt_rewrite_rows():
     # theta(z|p) = 0.7 on a binary outcome: rows become (p,h_i): 0.7/0.3 and
     # (p, hbar_i): 1.0/0.0 on the term's state.

@@ -52,6 +52,8 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("1 0\n")
     with pytest.raises(ModelError, match="terminated"):
         parse_dimacs("p cnf 1 1\n1\n")
+    with pytest.raises(ModelError, match="^line 2: empty clause$"):
+        parse_dimacs("p cnf 1 1\n0\n")
     with pytest.raises(ModelError):
         parse_dimacs("p cnf 1 0\n")
     # Only ASCII decimal integers: Python's int() would read x10 and x1 here.
