@@ -206,6 +206,11 @@ def cmd_width(args: argparse.Namespace) -> None:
     checks = []  # (heading, lifted width, proven bound, bound label)
     if args.objective:
         objective = load_objective(scm, _read(args.objective))
+        if unit_ids and set(unit_ids) != set(objective.unit_ids):
+            # The constrained bound is proven for an order constrained on the
+            # objective's own units only.
+            names = ",".join(scm.var(v).name for v in objective.unit_ids)
+            raise ModelError(f"--units must name exactly the objective's units ({names})")
         om = build_objective_model(scm, objective)
         dup = om.duplicates()
         go = moral_graph(om.model)

@@ -43,7 +43,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .model import ModelError, Scm
 
@@ -179,15 +179,20 @@ def moral_subgraph(scm: Scm, vids: Iterable[int]) -> UGraph:
     return g
 
 
-def ancestral_closure(scm: Scm, vids: Iterable[int]) -> frozenset[int]:
-    """The variables ``vids`` together with all their ancestors."""
+def ancestral_closure(
+    scm: Scm, vids: Iterable[int], cut: Container[int] = ()
+) -> frozenset[int]:
+    """The variables ``vids`` together with all their ancestors. The walk
+    does not go above a variable in ``cut``: the closure is that of the model
+    mutilated at ``cut``."""
     closure: set[int] = set()
     stack = list(vids)
     while stack:
         vid = stack.pop()
         if vid not in closure:
             closure.add(vid)
-            stack.extend(scm.parents[vid])
+            if vid not in cut:
+                stack.extend(scm.parents[vid])
     return frozenset(closure)
 
 

@@ -572,16 +572,19 @@ def unit_select(
     ``method="ve"`` builds the objective model and runs Reverse-MAP on it;
     ``method="brute"`` evaluates L(u) for every unit by enumeration. Both
     return the instantiation over the base unit variables. Units whose
-    conditioning mass vanishes are excluded and counted. A caller-supplied
-    ``order`` names variables of ``build_objective_model(scm, objective)``
-    (the build is deterministic) and must cover an ancestrally closed set of
-    them that contains the units and the evidence, such as the whole
-    objective model; by default only that closure is ordered. An order with
+    conditioning mass vanishes are excluded and counted. Without an order,
+    ``method="ve"`` builds only the query closure of the objective model
+    (``build_objective_model(..., query_closure=True)``), whose default
+    order, values and ties are those of the full model. A caller-supplied
+    ``order`` names variables of the full ``build_objective_model(scm,
+    objective)`` (the build is deterministic), which is then built, and must
+    cover an ancestrally closed set of them that contains the units and the
+    evidence, such as the whole objective model. An order with
     ``method="brute"``, which orders nothing, is refused with ModelError, and
     so is an invalid objective, by the build or the evaluation.
     """
     if method == "ve":
-        om = build_objective_model(scm, objective)
+        om = build_objective_model(scm, objective, query_closure=order is None)
         result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
         inst = {
             base: result.instantiation[om_id]

@@ -11,13 +11,27 @@ Then L(u) = Pr'(e1 | e2, u) with e1 the outcome assignments and e2 the
 treatment, intervened-value and per-term evidence assignments. The build
 copies the units, then makes one pass per term: it copies the term's non-unit
 roots and retained worlds (with the routine that builds
-:func:`~unitsel.worlds.n_world_model`), mutilates the treatment copies, makes
-H the last parent of each outcome copy and records the term's e1/e2 entries.
-H is appended last, so its id is the number of copies.
+:func:`~unitsel.worlds.n_world_model`), mutilating the treatment copies as
+they are made, and records the term's e1/e2 entries. H is appended last, so
+its id is the number of copies, and becomes the last parent of each outcome
+copy.
 
 Per-term worlds are dropped when unused: world 1 iff the term has no
 evidence, world 2 iff it has no world-2 treatment and no outcome there,
 world 3 symmetrically. A term without evidence therefore only needs a twin.
+
+The full model is what ``build-objective-model`` writes, what a caller order
+names and what the width bounds and size formula speak of. A query without
+a caller order needs only the ancestral closure of the units, e1 and e2,
+since every other copy is barren for it (Shachter 1986), so
+:func:`~unitsel.inference.unit_select` builds only that closure
+(``query_closure=True``). The same builder works it out on the base model
+before any copy is made: world 1 keeps the ancestors of the evidence, worlds
+2 and 3 the ancestors of their outcomes and treatments with the walk stopped
+at the mutilated treatments, a term's non-unit roots are kept when a kept
+copy descends from them, every unit is kept, and H is kept when some outcome
+copy is. Every copy's name is still drawn in the full build's order, so the
+kept copies carry their full-model names and relative id order.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .elimination import ancestral_closure
 from .factor import Instantiation, Variable, multiply_all, sum_axis
 from .model import (ModelError, Scm, _known_id, evidence_to_lambdas, json_number, load_json,
                     validate)
@@ -127,7 +142,8 @@ def _check_objective(scm: Scm, objective: ObjectiveFunction) -> None:
 
 @dataclass(frozen=True)
 class ComponentMap:
-    """Where one term's copies live inside the objective model."""
+    """Where one term's copies live inside the objective model (in a
+    query-closure build, only the worlds and copies that were built)."""
 
     worlds: tuple[int, ...]
     endo: dict[int, dict[int, int]]  # base endo id -> {world: model id}
@@ -139,7 +155,7 @@ class ObjectiveModel:
     """The joined, mutilated, mixture-augmented model plus its query."""
 
     model: Scm
-    h_id: int
+    h_id: int | None
     e1: Instantiation
     e2: Instantiation
     unit_base_ids: tuple[int, ...]
@@ -170,13 +186,27 @@ class ObjectiveModel:
 
 
 def build_objective_model(
-    scm: Scm, objective: ObjectiveFunction, drop_worlds: bool = True
+    scm: Scm,
+    objective: ObjectiveFunction,
+    drop_worlds: bool = True,
+    *,
+    query_closure: bool = False,
 ) -> ObjectiveModel:
     """Construct the objective model and its Reverse-MAP evidence pair.
 
     With ``drop_worlds`` (the default) each component keeps only the worlds
     its term uses; pass False to keep full triplets for every component.
     The base model must be functional unless every term is treatment-free.
+
+    With ``query_closure`` only the ancestral closure of the units, e1 and
+    e2 is built, which is all that a query without a caller order solves;
+    every other copy is barren for it. Each copy keeps the name it has in
+    the full model, and the copies keep their relative id order, so default
+    orders, CPT pools and traces are those of the full model's closure. Ids
+    and sizes then differ from the full model's, so a caller order, the
+    width bounds and :func:`model_size_stats` need the full model (the
+    default). Each ``ComponentMap`` lists only the copies that exist, and H
+    exists only when some term has an outcome (``h_id`` is None otherwise).
     """
     _check_objective(scm, objective)
     needs_functional = any(t.x or t.v for t in objective.terms)
@@ -193,8 +223,6 @@ def build_objective_model(
     endo = scm.endogenous()
     n = objective.n
     term_worlds = [t.retained_worlds() if drop_worlds else (1, 2, 3) for t in objective.terms]
-    # H comes after every copy, so its id is the number of copies.
-    h_id = len(units) + sum(len(nonunit_roots) + len(w) * len(endo) for w in term_worlds)
 
     variables: list[Variable] = []
     parents: dict[int, tuple[int, ...]] = {}
@@ -211,40 +239,54 @@ def build_objective_model(
     components: list[ComponentMap] = []
     e1: Instantiation = {}
     e2: Instantiation = {}
+    mixed: list[tuple[int, int]] = []  # (outcome copy, its term's mixture state)
     for i, (term, worlds) in enumerate(zip(objective.terms, term_worlds)):
         tag = f"^{i + 1}"
+        # World 1 carries the evidence; worlds 2/3 are mutilated at x and v.
+        cuts = {1: {}, 2: term.x, 3: term.v}
+        keep: dict[int, frozenset[int] | None] = dict.fromkeys(worlds)
+        keep_roots = None
+        if query_closure:
+            starts = {1: term.e, 2: {**term.x, **term.y}, 3: {**term.v, **term.w}}
+            keep = {w: ancestral_closure(scm, starts[w], cuts[w]) for w in worlds}
+            keep_roots = frozenset().union(*keep.values())
         roots_om = _copy_world(scm, nonunit_roots, lambda name: fresh(name + tag),
-                               variables, parents, tables, {})
+                               variables, parents, tables, {}, keep_roots)
         shared = {**unit_om, **roots_om}
         world_om = {
             world: _copy_world(scm, endo, lambda name: fresh(bracket_name(name + tag, world)),
-                               variables, parents, tables, shared)
+                               variables, parents, tables, shared, keep[world], cuts[world])
             for world in worlds
         }
-        # Mutilate world 2 at x and world 3 at v. Each outcome copy gets H as
-        # its last parent: rows for the other mixture states clamp it to the
-        # term's target state.
         for world, treatment, outcome in ((2, term.x, term.y), (3, term.v, term.w)):
-            for b, state in treatment.items():
-                vid = world_om[world][b]
-                parents[vid] = ()
-                tables[vid] = _point_mass(scm.var(b).cardinality, state)
-                e2[vid] = state
+            e2.update((world_om[world][b], state) for b, state in treatment.items())
             for b, state in outcome.items():
-                vid = world_om[world][b]
-                point = _point_mass(scm.var(b).cardinality, state)
-                rows = np.tile(point, tables[vid].shape[:-1] + (n, 1))
-                rows[..., i, :] = tables[vid]
-                parents[vid] += (h_id,)
-                tables[vid] = rows
-                e1[vid] = state
+                e1[world_om[world][b]] = state
+                mixed.append((world_om[world][b], i))
         e2.update((world_om[1][b], state) for b, state in term.e.items())
-        endo_om = {b: {world: world_om[world][b] for world in worlds} for b in endo}
-        components.append(ComponentMap(worlds, endo_om, roots_om))
+        endo_om = {b: {w: world_om[w][b] for w in worlds if b in world_om[w]} for b in endo}
+        components.append(ComponentMap(
+            tuple(w for w in worlds if world_om[w]),
+            {b: copies for b, copies in endo_om.items() if copies},
+            roots_om,
+        ))
 
-    variables.append(Variable(h_id, fresh("H"), n, tuple(f"h{i}" for i in range(1, n + 1))))
-    parents[h_id] = ()
-    tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
+    # H comes after every copy, so its id is the number of copies. Each
+    # outcome copy gets H as its last parent: rows for the other mixture
+    # states clamp it to the term's target state.
+    h_id: int | None = None
+    if mixed or not query_closure:
+        h_id = len(variables)
+        variables.append(Variable(h_id, fresh("H"), n, tuple(f"h{i}" for i in range(1, n + 1))))
+        parents[h_id] = ()
+        tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
+    for vid, i in mixed:
+        table = tables[vid]
+        rows = np.empty(table.shape[:-1] + (n, table.shape[-1]))
+        rows[...] = _point_mass(table.shape[-1], e1[vid])
+        rows[..., i, :] = table
+        parents[vid] += (h_id,)
+        tables[vid] = rows
 
     return ObjectiveModel(
         model=Scm(variables, parents, tables),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
@@ -96,22 +96,35 @@ def _copy_world(
     parents: dict[int, tuple[int, ...]],
     tables: dict[int, np.ndarray],
     shared: Mapping[int, int],
+    keep: Container[int] | None = None,
+    cut: Mapping[int, int] | None = None,
 ) -> dict[int, int]:
     """Append one world's copies of ``base_ids`` to a model under construction.
 
     Copies take the next free ids in ``base_ids`` order, named by ``name``,
     and keep their base CPTs. A copy's parents are the ``shared`` copies
-    (base id -> model id) or else this world's own copies. Returns the
-    world's base id -> copy id map.
+    (base id -> model id) or else this world's own copies. The world is
+    mutilated at ``cut`` (base id -> state): such a copy has no parents and a
+    point mass on its state. With ``keep``, only the base ids in it are
+    copied, but ``name`` still sees every name, so each copy is named as in
+    the full world; a kept copy's parents must be kept or shared, or the
+    copy must be cut. Returns the world's base id -> copy id map.
     """
+    cut = cut or {}
     copy: dict[int, int] = {}
     for b in base_ids:
         v = scm.var(b)
-        copy[b] = len(variables)
-        variables.append(v._renamed(len(variables), name(v.name)))
+        copy_name = name(v.name)
+        if keep is None or b in keep:
+            copy[b] = len(variables)
+            variables.append(v._renamed(len(variables), copy_name))
     for b, vid in copy.items():
-        parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
-        tables[vid] = scm.tables[b]
+        if b in cut:
+            parents[vid] = ()
+            tables[vid] = _point_mass(scm.var(b).cardinality, cut[b])
+        else:
+            parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
+            tables[vid] = scm.tables[b]
     return copy
 
 

@@ -336,6 +336,28 @@ def test_width_twin_objective_with_one_outcome(capsys, five_node, benefit_object
     assert capsys.readouterr().out.splitlines()[-1] == "bound=2w+2 observed<=bound PASS"
 
 
+def test_width_refuses_units_other_than_the_objectives(capsys, tmp_path):
+    # The constrained bound holds for the objective's own units; with other
+    # --units its premise failed and width reported a false breach (exit 3).
+    model = tmp_path / "m.json"
+    assert main(["gen", "--kind", "random", "--n", "8", "--seed", "3", "--out", str(model)]) == 0
+    objective = tmp_path / "L.json"
+    objective.write_text(json.dumps({"units": ["X1", "R1", "R2"], "terms": [
+        {"weight": 0.5, "x": {"X2": "0"}, "y": {"X8": "1"}, "v": {"X2": "1"}, "w": {"X8": "0"}},
+        {"weight": 0.5, "x": {"X2": "0"}, "y": {"X7": "1"}, "e": {"X4": "1"}},
+    ]}))
+    width = ["width", "--model", str(model), "--objective", str(objective)]
+    for units in ("R1", "R2,R1", "X1,R1,R2,X2"):
+        capsys.readouterr()
+        assert main([*width, "--units", units]) == 1, units
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --units must name exactly the objective's units (X1,R1,R2)\n"
+    for units in (["--units", "X1,R1,R2"], ["--units", "R2,X1,R1"], []):
+        assert main([*width, *units]) == 0, units
+        assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+
+
 def test_violated_width_bounds_exit_3(capsys, five_node, benefit_objective, monkeypatch):
     # A bound of -1 stands in for a proven bound that fails; the result is
     # printed before main reports the breach.

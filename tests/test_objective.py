@@ -27,8 +27,9 @@ from unitsel import (
     validate_objective,
 )
 import unitsel.objective
-from unitsel.bench import gen_benefit_objective
-from unitsel.inference import InconsistentEvidenceError
+from unitsel.bench import GenConfig, gen_benefit_objective, gen_random_scm
+from unitsel.elimination import ancestral_closure
+from unitsel.inference import InconsistentEvidenceError, format_trace, rmap_ve
 from unitsel.worlds import enumerate_instantiations
 from corpus import random_instance
 
@@ -516,3 +517,111 @@ def test_validate_refuses_non_integer_ids():
         "unknown unit variable id 0.0",
         "term 1: unknown variable id 3.0 in y",
     ]
+
+
+# -- the query-closure build ---------------------------------------------------
+
+
+def _assert_query_closure_build(scm, L):
+    """The query-closure build is the full build's ancestral closure of the
+    units, e1 and e2: same names, relative id order, mapped parents and
+    evidence, and the same table objects where a copy keeps its base CPT;
+    Reverse-MAP answers both alike, to the bit and the trace row, or refuses
+    both alike. Returns the two models and the answer (the refusal's text
+    for a refusal)."""
+    full = build_objective_model(scm, L)
+    part = build_objective_model(scm, L, query_closure=True)
+    fm, pm = full.model, part.model
+    closure = sorted(ancestral_closure(fm, [*full.unit_om_ids, *full.e1, *full.e2]))
+    to_part = {f: p for p, f in enumerate(closure)}
+    assert [v.name for v in pm.variables] == [fm.var(f).name for f in closure]
+    rebuilt = {*full.e1, *full.e2, full.h_id}  # outcome rows, point masses, H
+    for p, f in enumerate(closure):
+        assert pm.var(p).state_names == fm.var(f).state_names
+        assert pm.parents[p] == tuple(to_part[q] for q in fm.parents[f])
+        assert pm.tables[p] is fm.tables[f] or f in rebuilt
+        assert pm.tables[p].dtype == fm.tables[f].dtype
+        assert np.array_equal(pm.tables[p], fm.tables[f])
+    assert list(part.e1.items()) == [(to_part[k], s) for k, s in full.e1.items()]
+    assert list(part.e2.items()) == [(to_part[k], s) for k, s in full.e2.items()]
+    assert part.unit_om_ids == tuple(to_part[u] for u in full.unit_om_ids)
+    assert part.h_id == to_part.get(full.h_id)
+    for comp, comp_part in zip(full.components, part.components):
+        endo = {b: {w: to_part[vid] for w, vid in per.items() if vid in to_part}
+                for b, per in comp.endo.items()}
+        assert comp_part.endo == {b: per for b, per in endo.items() if per}
+        assert comp_part.roots == {b: to_part[vid] for b, vid in comp.roots.items()
+                                   if vid in to_part}
+        assert comp_part.worlds == tuple(
+            w for w in comp.worlds if any(w in per for per in comp_part.endo.values()))
+
+    def answer(om):
+        try:
+            r = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, want_trace=True)
+        except InconsistentEvidenceError as err:
+            return str(err)
+        inst = om.model.names_of(r.instantiation)
+        return r.value.hex(), inst, r.excluded, format_trace(r.trace, om.model)
+
+    result = answer(full)
+    assert answer(part) == result
+    return full, part, result
+
+
+def test_query_closure_build_on_random_instances():
+    smaller = inconsistent = 0
+    for seed in range(60):
+        full, part, result = _assert_query_closure_build(*random_instance(seed)[::2])
+        smaller += part.model.n < full.model.n
+        inconsistent += isinstance(result, str)
+    assert smaller > 0 and inconsistent > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_query_closure_build_on_benefit_objectives(seed):
+    rng = np.random.default_rng([61, seed])
+    scm = gen_random_scm(GenConfig(node_count=int(rng.integers(8, 15)), seed=seed))
+    roots = scm.roots
+    units = sorted(int(u) for u in rng.choice(roots, size=max(1, len(roots) // 2), replace=False))
+    endo = scm.endogenous()
+    y = int(rng.choice([v for v in endo if not scm.children[v]]))
+    x = int(rng.choice([v for v in endo if v != y]))
+    L = gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
+    full, part, _ = _assert_query_closure_build(scm, L)
+    assert part.model.n < full.model.n
+
+
+def test_query_closure_build_edge_cases():
+    # U, N -> X -> Y with U -> Y, and a unit V that nothing depends on.
+    scm = make_scm(
+        [("U", ["0", "1"]), ("N", ["0", "1"]), ("V", ["0", "1"]),
+         ("X", ["0", "1"]), ("Y", ["0", "1"])],
+        {"U": [], "N": [], "V": [], "X": ["N"], "Y": ["X", "U"]},
+        {"U": [0.3, 0.7], "N": [0.6, 0.4], "V": [0.5, 0.5],
+         "X": [1, 0, 0, 1], "Y": [1, 0, 0, 1, 0, 1, 1, 0]},
+    )
+    U, N, V, X, Y = range(5)
+    evidence = ObjectiveTerm(0.5, x={X: 1}, y={Y: 1}, e={Y: 0})  # worlds 1 and 2
+    no_outcome = ObjectiveTerm(0.5, x={X: 0}, e={X: 1})  # a treatment and evidence only
+    _, part, _ = _assert_query_closure_build(scm, ObjectiveFunction((U, V), (evidence, no_outcome)))
+    names = [v.name for v in part.model.variables]
+    # [X^1] is cut, so N^1 is kept for world 1 alone; the second term keeps
+    # X^2 and N^2 for its evidence, and the cut [X^2].
+    assert names == ["U", "V", "N^1", "X^1", "Y^1", "[X^1]", "[Y^1]", "N^2", "X^2", "[X^2]", "H"]
+    assert part.components[0].worlds == (1, 2) and part.components[1].worlds == (1, 2)
+    v = part.unit_om_ids[1]  # kept, though no copy depends on it
+    assert not part.model.parents[v] and not part.model.children[v]
+    # No term has an outcome: H is barren, so it is not built.
+    only = ObjectiveTerm(1.0, x={X: 0}, e={X: 1})
+    _, part, _ = _assert_query_closure_build(scm, ObjectiveFunction((U,), (only,)))
+    assert part.h_id is None and "H" not in [v.name for v in part.model.variables]
+    # Evidence no unit can produce: both builds refuse alike.
+    impossible = make_scm(
+        [("U", ["0", "1"]), ("Y", ["0", "1"])], {"U": [], "Y": ["U"]},
+        {"U": [0.5, 0.5], "Y": [1, 0, 1, 0]},
+    )
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}, e={1: 1}),))
+    _, _, result = _assert_query_closure_build(impossible, L)
+    assert result == "evidence e2 is inconsistent with every target instantiation"
+    with pytest.raises(InconsistentEvidenceError):
+        unit_select(impossible, L)
