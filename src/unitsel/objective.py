@@ -9,12 +9,11 @@ every outcome copy; each outcome CPT keeps its original rows when H selects
 its own term and clamps the outcome to the term's target state otherwise.
 Then L(u) = Pr'(e1 | e2, u) with e1 the outcome assignments and e2 the
 treatment, intervened-value and per-term evidence assignments. The build
-copies the units, then makes one pass per term: it copies the term's non-unit
-roots and retained worlds (with the routine that builds
-:func:`~unitsel.worlds.n_world_model`), mutilating the treatment copies as
-they are made, and records the term's e1/e2 entries. H is appended last, so
-its id is the number of copies, and becomes the last parent of each outcome
-copy.
+copies the units, then each term through the one term reduction of
+:mod:`unitsel.worlds`, which copies the term's non-unit roots and worlds,
+cuts the treatment copies and gives the term's e1/e2. H is appended last,
+so its id is the number of copies, and becomes the last parent of each
+outcome copy.
 
 Per-term worlds are dropped when unused: world 1 iff the term has no
 evidence, world 2 iff it has no world-2 treatment and no outcome there,
@@ -25,13 +24,11 @@ names and what the width bounds and size formula speak of. A query without
 a caller order needs only the ancestral closure of the units, e1 and e2,
 since every other copy is barren for it (Shachter 1986), so
 :func:`~unitsel.inference.unit_select` builds only that closure
-(``query_closure=True``). The same builder works it out on the base model
-before any copy is made: world 1 keeps the ancestors of the evidence, worlds
-2 and 3 the ancestors of their outcomes and treatments with the walk stopped
-at the mutilated treatments, a term's non-unit roots are kept when a kept
-copy descends from them, every unit is kept, and H is kept when some outcome
-copy is. Every copy's name is still drawn in the full build's order, so the
-kept copies carry their full-model names and relative id order.
+(``query_closure=True``), worked out on the base model before any copy is
+made; every unit is kept, and H when some outcome copy is. Only the kept
+copies are named, yet each gets its full-model name: copy names ``name^i``,
+``[name^i]`` and ``[[name^i]]`` are distinct from each other, so they can
+collide only with a unit's name or ``H``, and units are kept and named first.
 """
 
 from __future__ import annotations
@@ -43,11 +40,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .elimination import ancestral_closure
 from .factor import Instantiation, Variable, multiply_all, sum_axis
 from .model import (ModelError, Scm, _known_id, evidence_to_lambdas, json_number, load_json,
                     validate)
-from .worlds import (_copy_world, _point_mass, _profile_at, _term_violations, bracket_name,
+from .worlds import (_Builder, _copy_term, _point_mass, _profile_at, _term_violations,
                      counterfactual_term_profile)
 
 WEIGHT_TOL = 1e-9
@@ -63,16 +59,6 @@ class ObjectiveTerm:
     v: Instantiation = field(default_factory=dict)
     w: Instantiation = field(default_factory=dict)
     e: Instantiation = field(default_factory=dict)
-
-    def retained_worlds(self) -> tuple[int, ...]:
-        worlds = []
-        if self.e:
-            worlds.append(1)
-        if self.x or self.y:
-            worlds.append(2)
-        if self.v or self.w:
-            worlds.append(3)
-        return tuple(worlds)
 
 
 @dataclass(frozen=True)
@@ -171,17 +157,20 @@ class ObjectiveModel:
     def duplicates(self) -> dict[int, tuple[int, ...]]:
         """Base variable id -> copies in lifting sequence: all components'
         world-1 copies, then world-2 copies, then world-3 copies. Unit roots
-        map to their single shared copy."""
-        copies = {b: [u] for b, u in zip(self.unit_base_ids, self.unit_om_ids)}
+        map to their single shared copy, and a variable with no copy (an
+        endogenous one when no term keeps a world) to ()."""
+        n_base = len(self.unit_base_ids) + self.base_nonunit_exo_count + self.base_endo_count
+        copies: dict[int, list[int]] = {b: [] for b in range(n_base)}
+        for b, u in zip(self.unit_base_ids, self.unit_om_ids):
+            copies[b].append(u)
         for comp in self.components:
             for base, om_id in comp.roots.items():
-                copies.setdefault(base, []).append(om_id)
+                copies[base].append(om_id)
         for world in (1, 2, 3):
             for comp in self.components:
                 for base, per_world in comp.endo.items():
-                    ids = copies.setdefault(base, [])
                     if world in per_world:
-                        ids.append(per_world[world])
+                        copies[base].append(per_world[world])
         return {base: tuple(ids) for base, ids in copies.items()}
 
 
@@ -200,8 +189,8 @@ def build_objective_model(
 
     With ``query_closure`` only the ancestral closure of the units, e1 and
     e2 is built, which is all that a query without a caller order solves;
-    every other copy is barren for it. Each copy keeps the name it has in
-    the full model, and the copies keep their relative id order, so default
+    every other copy is barren for it. The copies keep their full-model
+    names (see the module docstring) and relative id order, so default
     orders, CPT pools and traces are those of the full model's closure. Ids
     and sizes then differ from the full model's, so a caller order, the
     width bounds and :func:`model_size_stats` need the full model (the
@@ -219,77 +208,46 @@ def build_objective_model(
         )
 
     units = objective.unit_ids
-    nonunit_roots = tuple(r for r in scm.roots if r not in units)
     endo = scm.endogenous()
     n = objective.n
-    term_worlds = [t.retained_worlds() if drop_worlds else (1, 2, 3) for t in objective.terms]
 
-    variables: list[Variable] = []
-    parents: dict[int, tuple[int, ...]] = {}
-    tables: dict[int, np.ndarray] = {}
-    taken: set[str] = set()
-
-    def fresh(name: str) -> str:
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        return name
-
-    unit_om = _copy_world(scm, units, fresh, variables, parents, tables, {})
+    build = _Builder()
+    unit_om = build.copy_world(scm, units, lambda name: name, {})
     components: list[ComponentMap] = []
     e1: Instantiation = {}
     e2: Instantiation = {}
     mixed: list[tuple[int, int]] = []  # (outcome copy, its term's mixture state)
-    for i, (term, worlds) in enumerate(zip(objective.terms, term_worlds)):
-        tag = f"^{i + 1}"
-        # World 1 carries the evidence; worlds 2/3 are mutilated at x and v.
-        cuts = {1: {}, 2: term.x, 3: term.v}
-        keep: dict[int, frozenset[int] | None] = dict.fromkeys(worlds)
-        keep_roots = None
-        if query_closure:
-            starts = {1: term.e, 2: {**term.x, **term.y}, 3: {**term.v, **term.w}}
-            keep = {w: ancestral_closure(scm, starts[w], cuts[w]) for w in worlds}
-            keep_roots = frozenset().union(*keep.values())
-        roots_om = _copy_world(scm, nonunit_roots, lambda name: fresh(name + tag),
-                               variables, parents, tables, {}, keep_roots)
-        shared = {**unit_om, **roots_om}
-        world_om = {
-            world: _copy_world(scm, endo, lambda name: fresh(bracket_name(name + tag, world)),
-                               variables, parents, tables, shared, keep[world], cuts[world])
-            for world in worlds
-        }
-        for world, treatment, outcome in ((2, term.x, term.y), (3, term.v, term.w)):
-            e2.update((world_om[world][b], state) for b, state in treatment.items())
-            for b, state in outcome.items():
-                e1[world_om[world][b]] = state
-                mixed.append((world_om[world][b], i))
-        e2.update((world_om[1][b], state) for b, state in term.e.items())
-        endo_om = {b: {w: world_om[w][b] for w in worlds if b in world_om[w]} for b in endo}
-        components.append(ComponentMap(
-            tuple(w for w in worlds if world_om[w]),
-            {b: copies for b, copies in endo_om.items() if copies},
-            roots_om,
-        ))
+    for i, term in enumerate(objective.terms):
+        roots_om, world_om, term_e1, term_e2 = _copy_term(
+            build, scm, (term.x, term.y, term.v, term.w, term.e), unit_om, f"^{i + 1}",
+            drop_worlds, query_closure)
+        e1.update(term_e1)
+        e2.update(term_e2)
+        mixed.extend((vid, i) for vid in term_e1)
+        endo_om = {b: {w: c[b] for w, c in world_om.items() if b in c} for b in endo}
+        components.append(ComponentMap(tuple(w for w, c in world_om.items() if c),
+                                       {b: c for b, c in endo_om.items() if c}, roots_om))
 
     # H comes after every copy, so its id is the number of copies. Each
     # outcome copy gets H as its last parent: rows for the other mixture
     # states clamp it to the term's target state.
     h_id: int | None = None
     if mixed or not query_closure:
-        h_id = len(variables)
-        variables.append(Variable(h_id, fresh("H"), n, tuple(f"h{i}" for i in range(1, n + 1))))
-        parents[h_id] = ()
-        tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
+        h_id = len(build.variables)
+        states = tuple(f"h{i}" for i in range(1, n + 1))
+        build.variables.append(Variable(h_id, build.name("H"), n, states))
+        build.parents[h_id] = ()
+        build.tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
     for vid, i in mixed:
-        table = tables[vid]
+        table = build.tables[vid]
         rows = np.empty(table.shape[:-1] + (n, table.shape[-1]))
         rows[...] = _point_mass(table.shape[-1], e1[vid])
         rows[..., i, :] = table
-        parents[vid] += (h_id,)
-        tables[vid] = rows
+        build.parents[vid] += (h_id,)
+        build.tables[vid] = rows
 
     return ObjectiveModel(
-        model=Scm(variables, parents, tables),
+        model=build.model(),
         h_id=h_id,
         e1=e1,
         e2=e2,
@@ -297,7 +255,7 @@ def build_objective_model(
         unit_om_ids=tuple(unit_om[u] for u in units),
         components=tuple(components),
         base_endo_count=len(endo),
-        base_nonunit_exo_count=len(nonunit_roots),
+        base_nonunit_exo_count=len(scm.roots) - len(units),
     )
 
 

@@ -5,17 +5,21 @@ observational query on an auxiliary model holding several copies ("worlds")
 of the SCM that share exogenous variables: world 1 carries the observation e,
 world 2 the intervention do(x), world 3 the intervention do(v). Copies in
 world 2 are written [X], copies in world 3 [[X]]; generic n-world copies are
-written X^k.
+written X^k. Every derived model (n-world, mutilated, counterfactual and
+objective) is built by one private builder, whose copy step is the only code
+that cuts a copy to a point mass, under one name rule: a copy name that is
+already taken gets a prime (') appended until it is free.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
+from .elimination import ancestral_closure
 from .factor import Instantiation, Variable
 from .model import ModelError, Scm, _check_state, _known_id, validate
 
@@ -35,9 +39,6 @@ class WorldMap:
     def copy_of(self, base_id: int, world: int) -> int:
         """Id of the copy of ``base_id`` in ``world`` (1-based)."""
         return self.copies[base_id][world - 1]
-
-    def map_instantiation(self, inst: Mapping[int, int], world: int) -> Instantiation:
-        return {self.copy_of(vid, world): state for vid, state in inst.items()}
 
 
 def bracket_name(name: str, world: int) -> str:
@@ -63,69 +64,82 @@ def n_world_model(
     """
     if n < 1:
         raise ModelError(f"world count must be >= 1, got {n}")
+    shared = tuple(shared)
+    for vid in shared:
+        if not _known_id(scm, vid):
+            raise ModelError(f"unknown variable id {vid} in the shared variables")
     shared = frozenset(shared)
-    root_set = set(scm.roots)
-    bad = shared - root_set
+    bad = shared - set(scm.roots)
     if bad:
         names = ", ".join(scm.var(v).name for v in sorted(bad))
         raise ModelError(f"shared variables must be roots, got non-root(s): {names}")
     if namer is None:
         namer = superscript_name if n > 1 else (lambda name, world: name)
 
-    variables: list[Variable] = []
-    parents: dict[int, tuple[int, ...]] = {}
-    tables: dict[int, np.ndarray] = {}
-    common = _copy_world(scm, sorted(shared), lambda name: name, variables, parents, tables, {})
+    build = _Builder()
+    common = build.copy_world(scm, sorted(shared), lambda name: name, {})
     own = [b for b in range(scm.n) if b not in shared]
     worlds = [
-        _copy_world(scm, own, lambda name: namer(name, k), variables, parents, tables, common)
+        build.copy_world(scm, own, lambda name: namer(name, k), common)
         for k in range(1, n + 1)
     ]
     copies = {
         b: (common[b],) * n if b in shared else tuple(world[b] for world in worlds)
         for b in range(scm.n)
     }
-    return Scm(variables, parents, tables), WorldMap(n, shared, copies)
+    return build.model(), WorldMap(n, shared, copies)
 
 
-def _copy_world(
-    scm: Scm,
-    base_ids: Iterable[int],
-    name: Callable[[str], str],
-    variables: list[Variable],
-    parents: dict[int, tuple[int, ...]],
-    tables: dict[int, np.ndarray],
-    shared: Mapping[int, int],
-    keep: Container[int] | None = None,
-    cut: Mapping[int, int] | None = None,
-) -> dict[int, int]:
-    """Append one world's copies of ``base_ids`` to a model under construction.
+@dataclass
+class _Builder:
+    """A derived model under construction: its variables, parent lists and
+    tables, filled in id order, and the names it has given out."""
 
-    Copies take the next free ids in ``base_ids`` order, named by ``name``,
-    and keep their base CPTs. A copy's parents are the ``shared`` copies
-    (base id -> model id) or else this world's own copies. The world is
-    mutilated at ``cut`` (base id -> state): such a copy has no parents and a
-    point mass on its state. With ``keep``, only the base ids in it are
-    copied, but ``name`` still sees every name, so each copy is named as in
-    the full world; a kept copy's parents must be kept or shared, or the
-    copy must be cut. Returns the world's base id -> copy id map.
-    """
-    cut = cut or {}
-    copy: dict[int, int] = {}
-    for b in base_ids:
-        v = scm.var(b)
-        copy_name = name(v.name)
-        if keep is None or b in keep:
-            copy[b] = len(variables)
-            variables.append(v._renamed(len(variables), copy_name))
-    for b, vid in copy.items():
-        if b in cut:
-            parents[vid] = ()
-            tables[vid] = _point_mass(scm.var(b).cardinality, cut[b])
-        else:
-            parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
-            tables[vid] = scm.tables[b]
-    return copy
+    variables: list[Variable] = field(default_factory=list)
+    parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    tables: dict[int, np.ndarray] = field(default_factory=dict)
+    taken: set[str] = field(default_factory=set)
+
+    def name(self, name: str) -> str:
+        """The one name rule: ``name``, with a prime appended while it is
+        taken. The name returned is then taken."""
+        while name in self.taken:
+            name += "'"
+        self.taken.add(name)
+        return name
+
+    def copy_world(
+        self, scm: Scm, base_ids: Iterable[int], name: Callable[[str], str],
+        shared: Mapping[int, int], keep: Container[int] | None = None,
+        cut: Mapping[int, int] | None = None,
+    ) -> dict[int, int]:
+        """Append one world's copies of ``base_ids`` (only those in ``keep``,
+        if given) and return its base id -> copy id map. Copies take the next
+        ids in ``base_ids`` order, are named ``name(base name)`` under the
+        name rule and keep their base CPTs. A copy's parents are the
+        ``shared`` copies (base id -> model id) or else this world's own. A
+        copy in ``cut`` (base id -> state) has no parents and a point mass on
+        its state: this is the only place a copy is cut.
+        """
+        cut = cut or {}
+        variables, parents, tables = self.variables, self.parents, self.tables
+        copy: dict[int, int] = {}
+        for b in base_ids:
+            if keep is None or b in keep:
+                v = scm.variables[b]
+                copy[b] = len(variables)
+                variables.append(v._renamed(copy[b], self.name(name(v.name))))
+        for b, vid in copy.items():
+            if b in cut:
+                parents[vid] = ()
+                tables[vid] = _point_mass(scm.var(b).cardinality, cut[b])
+            else:
+                parents[vid] = tuple(shared[p] if p in shared else copy[p] for p in scm.parents[b])
+                tables[vid] = scm.tables[b]
+        return copy
+
+    def model(self) -> Scm:
+        return Scm(self.variables, self.parents, self.tables)
 
 
 def _point_mass(cardinality: int, state: int) -> np.ndarray:
@@ -133,6 +147,41 @@ def _point_mass(cardinality: int, state: int) -> np.ndarray:
     point = np.zeros(cardinality)
     point[state] = 1.0
     return point
+
+
+def _copy_term(
+    build: _Builder, scm: Scm, term: tuple[Mapping[int, int], ...], shared: Mapping[int, int],
+    tag: str = "", drop_worlds: bool = False, closure: bool = False,
+) -> tuple[dict[int, int], dict[int, dict[int, int]], Instantiation, Instantiation]:
+    """The one term reduction: append the copies of Pr(y_x, w_v | e), ``term``
+    = (x, y, v, w, e), to ``build``: the roots not in ``shared`` (base id ->
+    model id), named X + tag, then worlds 1-3, named ``bracket_name(X + tag,
+    world)``, with world 2 cut at x and world 3 at v. ``drop_worlds`` drops
+    world 1 when there is no e, world 2 when there is no x or y and world 3
+    when there is no v or w. With ``closure`` only the ancestors of e1 and e2
+    are copied, the walk stopped at the cuts. Returns the own root copies,
+    the copies per world, e1 = {[Y]=y, [[W]]=w} and e2 = {[X]=x, [[V]]=v,
+    E=e}."""
+    x, y, v, w, e = term
+    cuts = {1: {}, 2: x, 3: v}
+    used = {1: e, 2: x or y, 3: v or w}
+    keep = dict.fromkeys(k for k in used if used[k] or not drop_worlds)  # None: keep all
+    keep_roots = None
+    if closure:
+        starts = {1: e, 2: {**x, **y}, 3: {**v, **w}}
+        keep = {k: ancestral_closure(scm, starts[k], cuts[k]) for k in keep}
+        keep_roots = frozenset().union(*keep.values())
+    roots = [r for r in scm.roots if r not in shared]
+    own = build.copy_world(scm, roots, lambda n: n + tag, {}, keep_roots)
+    shared = {**shared, **own}
+    endo = scm.endogenous()
+    copies = {
+        k: build.copy_world(scm, endo, lambda n: bracket_name(n + tag, k), shared, keep[k], cuts[k])
+        for k in keep
+    }
+    e1 = {copies[k][b]: s for k, inst in ((2, y), (3, w)) for b, s in inst.items()}
+    e2 = {copies[k][b]: s for k, inst in ((2, x), (3, v), (1, e)) for b, s in inst.items()}
+    return own, copies, e1, e2
 
 
 def triplet_model(scm: Scm) -> tuple[Scm, WorldMap]:
@@ -153,16 +202,13 @@ def mutilate(scm: Scm, interventions: Mapping[int, int]) -> Scm:
     """
     if not interventions:
         return scm
-    parents = dict(scm.parents)
-    tables = dict(scm.tables)
     for vid, state in interventions.items():
         if not _known_id(scm, vid):
             raise ModelError(f"unknown variable id {vid} in the interventions")
-        v = scm.var(vid)
-        _check_state(v, state)
-        parents[vid] = ()
-        tables[vid] = _point_mass(v.cardinality, state)
-    return Scm(scm.variables, parents, tables)
+        _check_state(scm.var(vid), state)
+    build = _Builder()
+    build.copy_world(scm, range(scm.n), lambda name: name, {}, cut=interventions)
+    return build.model()
 
 
 def _term_violations(
@@ -211,19 +257,10 @@ def counterfactual_query(
     violations = _term_violations(scm, x, y, v, w, e)
     if violations:
         raise ModelError("ill-posed counterfactual term: " + "; ".join(violations))
-    tm, wm = triplet_model(scm)
-    interventions: Instantiation = {}
-    interventions.update(wm.map_instantiation(x, 2))
-    interventions.update(wm.map_instantiation(v, 3))
-    mutilated = mutilate(tm, interventions)
-    e1: Instantiation = {}
-    e1.update(wm.map_instantiation(y, 2))
-    e1.update(wm.map_instantiation(w, 3))
-    e2: Instantiation = {}
-    e2.update(wm.map_instantiation(x, 2))
-    e2.update(wm.map_instantiation(v, 3))
-    e2.update(wm.map_instantiation(e, 1))
-    return mutilated, e1, e2
+    build = _Builder()
+    roots = build.copy_world(scm, scm.roots, lambda name: name, {})
+    _, _, e1, e2 = _copy_term(build, scm, (x, y, v, w, e), roots)
+    return build.model(), e1, e2
 
 
 # -- ground-truth oracle -------------------------------------------------------

@@ -400,6 +400,30 @@ def test_width_lifted_nworld(capsys, five_node):
     assert "bound=w observed<=bound PASS" in out
 
 
+def test_width_lifted_with_a_root_named_like_a_copy(capsys, tmp_path):
+    # The world-1 copy of Y is named Y^1 too; it once failed the build with
+    # "variable names must be unique" (exit 1).
+    model = tmp_path / "m1.json"
+    model.write_text(
+        '{"variables":[{"name":"Y^1","states":["0","1"]},{"name":"Y","states":["0","1"]}],'
+        '"parents":{"Y^1":[],"Y":["Y^1"]},"cpts":{"Y^1":[0.5,0.5],"Y":[1,0,0,1]}}'
+    )
+    assert main(["width", "--model", str(model), "--lifted", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "lifted unconstrained width (2-world): 2", "bound=n(w+1)-1 observed<=bound PASS"]
+
+
+def test_width_objective_with_an_empty_term(capsys, five_node, tmp_path):
+    # No term keeps a world, so no endogenous variable has a copy; lifting
+    # the order once raised a raw KeyError.
+    objective = tmp_path / "objective.json"
+    objective.write_text('{"units":["A"],"terms":[{"weight":1.0}]}')
+    assert main(["width", "--model", str(five_node), "--objective", str(objective),
+                 "--units", "A"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "lifted constrained width: 0", "bound=max(3w+3,|U|) observed<=bound PASS"]
+
+
 def test_width_order_file_contract(capsys, five_node, tmp_path):
     # Without --units the header is the suffix; with --units the header, if
     # any, must name them and the file must end in them.
@@ -627,9 +651,12 @@ def test_order_file_fuzz_exit_codes(order_text, command, e2):
 @settings(max_examples=150, deadline=None)
 @given(st.none() | st.tuples(st.integers(2, 5), st.integers(0, 20)), st.data())
 def test_width_fuzz_exit_codes(generated, data):
-    # five_node or a small generated model, with generated unit lists
-    # (repeats, blanks and unknown names included), order sources, world
-    # counts and objectives; any of them ends in a documented exit code.
+    # five_node or a small generated model, with generated unit lists, order
+    # sources, world counts and objectives whose terms carry treatments,
+    # outcomes and evidence on endogenous variables. Half the inputs are well
+    # formed; the others may hold repeats, blanks, unknown names and options
+    # that clash. Every bound width checks is proven, so any input ends in
+    # exit code 0, 1 or 2: a 3 is a fault.
     with tempfile.TemporaryDirectory() as tmp:
         model = os.path.join(tmp, "model.json")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -641,31 +668,58 @@ def test_width_fuzz_exit_codes(generated, data):
         with open(model) as fh:
             doc = json.load(fh)
         names = [v["name"] for v in doc["variables"]]
+        states = {v["name"]: v["states"] for v in doc["variables"]}
         roots = [name for name in names if not doc["parents"][name]]
-        name = st.sampled_from(names) | st.sampled_from(["Z", "", " "])
+        endo = [name for name in names if doc["parents"][name]]
+        well_formed = data.draw(st.booleans())
+        name = st.sampled_from(names)
+        unit = st.sampled_from(roots)
+        if not well_formed:
+            name |= st.sampled_from(["Z", "", " "])
+            unit |= name
+        units = st.lists(unit, min_size=well_formed, max_size=4, unique=well_formed)
+        unit_list = data.draw(units)
         args = ["width", "--model", model]
         if data.draw(st.booleans()):
-            args += ["--units", ",".join(data.draw(st.lists(st.sampled_from(roots) | name, max_size=4)))]
+            args += ["--units", ",".join(unit_list)]
         order = data.draw(st.sampled_from(["minfill", "exhaustive", "file"]))
         if order == "file":
             lines = data.draw(st.permutations(names))
-            for line in data.draw(st.lists(name, max_size=2)):
-                lines.insert(data.draw(st.integers(0, len(lines))), line)
-            if data.draw(st.booleans()):
-                lines.insert(0, "#constrained: " + ",".join(data.draw(st.lists(name, max_size=3))))
+            if well_formed:
+                lines = [n for n in lines if n not in unit_list] + [n for n in lines if n in unit_list]
+            else:
+                for line in data.draw(st.lists(name, max_size=2)):
+                    lines.insert(data.draw(st.integers(0, len(lines))), line)
+                if data.draw(st.booleans()):
+                    lines.insert(0, "#constrained: " + ",".join(data.draw(st.lists(name, max_size=3))))
             order = os.path.join(tmp, "order.txt")
             with open(order, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
         args += ["--order", order]
-        lifted = data.draw(st.none() | st.integers(-1, 3))
+        with_objective = data.draw(st.booleans())
+        lifted = None if with_objective and well_formed else data.draw(st.none() | st.integers(-1, 3))
         if lifted is not None:
             args += ["--lifted", str(lifted)]
-        if data.draw(st.booleans()):
-            outcome = data.draw(name)
-            states = next((v["states"] for v in doc["variables"] if v["name"] == outcome), ["0"])
+        if with_objective:
+
+            def assignment(pool, max_size):
+                chosen = data.draw(st.lists(pool, max_size=max_size, unique=well_formed))
+                return {n: data.draw(st.sampled_from(states.get(n, ["0"]))) for n in chosen}
+
+            terms = []
+            for weight in data.draw(st.sampled_from([(1.0,), (0.5, 0.5)])):
+                inner = st.sampled_from(endo) if well_formed and endo else name
+                term = {"weight": weight, "y": assignment(inner, 1), "w": assignment(inner, 1),
+                        "e": assignment(inner, 2)}
+                others = [n for n in endo if n not in term["y"] and n not in term["w"]]
+                if well_formed and others:  # treatments apart from the outcomes
+                    inner = st.sampled_from(others)
+                if others or not well_formed:
+                    term.update(x=assignment(inner, 1), v=assignment(inner, 1))
+                terms.append(term)
             objective = {
-                "units": data.draw(st.lists(st.sampled_from(roots) | name, max_size=3)),
-                "terms": [{"weight": 1.0, "y": {outcome: data.draw(st.sampled_from(states))}}],
+                "units": unit_list if well_formed else data.draw(st.just(unit_list) | units),
+                "terms": terms,
             }
             path = os.path.join(tmp, "objective.json")
             with open(path, "w") as fh:
@@ -673,7 +727,7 @@ def test_width_fuzz_exit_codes(generated, data):
             args += ["--objective", path]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
 
 
 _bad_weights = st.sampled_from([0, 2, -1.0, float("nan"), "x", None, [1]])

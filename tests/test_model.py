@@ -12,14 +12,18 @@ from unitsel import (
     ModelError,
     Scm,
     Variable,
+    build_objective_model,
+    counterfactual_query,
     evidence_to_lambdas,
+    fixture_path,
     joint_prob,
     load_model,
     make_scm,
+    mutilate,
+    n_world_model,
     save_model,
     validate,
 )
-from unitsel import build_objective_model, fixture_path, mutilate, n_world_model
 from unitsel.bench import gen_benefit_objective
 from unitsel.factor import multiply_all
 from corpus import forward_eval, reference_check, reference_topological_order, small_scm
@@ -513,3 +517,11 @@ def test_derived_models_share_the_base_tables():
         assert all(twin.tables[vid] is scm.tables[b] for vid in copies)
     cut = mutilate(scm, {endo[0]: 1})
     assert all(cut.tables[v] is scm.tables[v] for v in range(scm.n) if v != endo[0])
+    # The counterfactual triplet: roots, then worlds 1-3, with [X] and [[X]] cut.
+    x, y = endo[0], endo[-1]
+    cf, _, _ = counterfactual_query(scm, {x: 0}, {y: 1}, {x: 1}, {y: 0}, {})
+    bases = [*scm.roots, *endo * 3]
+    cuts = {len(scm.roots) + len(endo) * k + endo.index(x) for k in (1, 2)}
+    assert len(bases) == cf.n
+    for vid, b in enumerate(bases):
+        assert (cf.tables[vid] is scm.tables[b]) == (vid not in cuts)

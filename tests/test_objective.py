@@ -615,6 +615,12 @@ def test_query_closure_build_edge_cases():
     only = ObjectiveTerm(1.0, x={X: 0}, e={X: 1})
     _, part, _ = _assert_query_closure_build(scm, ObjectiveFunction((U,), (only,)))
     assert part.h_id is None and "H" not in [v.name for v in part.model.variables]
+    # A unit named like a copy: the copy takes a prime, in both builds alike.
+    clash = make_scm([("Y^1", ["0", "1"]), ("Y", ["0", "1"])], {"Y^1": [], "Y": ["Y^1"]},
+                     {"Y^1": [0.5, 0.5], "Y": [1, 0, 0, 1]})
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 1}, e={1: 1}),))
+    _, part, _ = _assert_query_closure_build(clash, L)
+    assert [v.name for v in part.model.variables] == ["Y^1", "Y^1'", "[Y^1]", "H"]
     # Evidence no unit can produce: both builds refuse alike.
     impossible = make_scm(
         [("U", ["0", "1"]), ("Y", ["0", "1"])], {"U": [], "Y": ["U"]},

@@ -77,6 +77,39 @@ def test_n_world_shared_must_be_roots():
         n_world_model(scm, [1], 2)
 
 
+def test_n_world_refuses_unknown_shared_ids():
+    # 99 once raised a raw IndexError, "A" and 0.0 a raw TypeError, True was
+    # read as id 1 and -1 as the last id.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    for vid in (99, "A", 0.0, True, -1):
+        with pytest.raises(ModelError, match=f"unknown variable id {vid} in the shared variables"):
+            n_world_model(scm, [vid], 2)
+
+
+def root_named(root):
+    # A root whose name is a copy name of the endogenous Y = root.
+    return make_scm(
+        [(root, ["0", "1"]), ("Y", ["0", "1"])],
+        {root: [], "Y": [root]},
+        {root: [0.5, 0.5], "Y": [1, 0, 0, 1]},
+    )
+
+
+def test_copy_names_take_a_prime_when_taken():
+    # Such a copy once took the root's name, and the build failed with
+    # "variable names must be unique".
+    nw, wm = n_world_model(root_named("Y^1"), [0], 2)
+    assert [v.name for v in nw.variables] == ["Y^1", "Y^1'", "Y^2"]
+    assert wm.copies == {0: (0, 0), 1: (1, 2)}
+    scm = root_named("[Y]")
+    assert [v.name for v in twin_model(scm)[0].variables] == ["[Y]", "Y", "[Y]'"]
+    assert [v.name for v in triplet_model(scm)[0].variables] == ["[Y]", "Y", "[Y]'", "[[Y]]"]
+    model, e1, e2 = counterfactual_query(scm, {}, {1: 1}, {}, {1: 0}, {1: 1})
+    assert {model.var(k).name: s for k, s in e1.items()} == {"[Y]'": 1, "[[Y]]": 0}
+    assert {model.var(k).name: s for k, s in e2.items()} == {"Y": 1}
+
+
 def test_world1_marginal_matches_base():
     scm = small_scm(11, lo=5, hi=8)
     tm, wm = triplet_model(scm)
