@@ -55,7 +55,7 @@ from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_a
                      sum_axis, union_scope)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
-from .objective import build_objective_model, evaluate_L_profile
+from .objective import _solve_model, build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
 _FUSED_MIN_CELLS = 2048
@@ -569,22 +569,28 @@ def unit_select(
 ) -> QueryResult:
     """argmax_u L(u) for a weighted counterfactual objective.
 
-    ``method="ve"`` builds the objective model and runs Reverse-MAP on it;
+    ``method="ve"`` builds an objective model and runs Reverse-MAP on it;
     ``method="brute"`` evaluates L(u) for every unit by enumeration. Both
     return the instantiation over the base unit variables. Units whose
     conditioning mass vanishes are excluded and counted. Without an order,
-    ``method="ve"`` builds only the query closure of the objective model
-    (``build_objective_model(..., query_closure=True)``), whose default
-    order, values and ties are those of the full model. A caller-supplied
-    ``order`` names variables of the full ``build_objective_model(scm,
-    objective)`` (the build is deterministic), which is then built, and must
-    cover an ancestrally closed set of them that contains the units and the
-    evidence, such as the whole objective model. An order with
-    ``method="brute"``, which orders nothing, is refused with ModelError, and
-    so is an invalid objective, by the build or the evaluation.
+    ``method="ve"`` solves the shared-worlds model of
+    :mod:`unitsel.objective` (one component per distinct evidence, one world
+    per distinct cut, built only as far as the query's ancestral closure):
+    its values are L(u), its excluded units those where some term is
+    undefined, and among units whose values tie mathematically it may pick
+    another one than a whole-model order. A caller-supplied ``order`` names variables of the
+    full ``build_objective_model(scm, objective)`` (the build is
+    deterministic), which is then built, and must cover an ancestrally
+    closed set of them that contains the units and the evidence, such as the
+    whole objective model. An order with ``method="brute"``, which orders
+    nothing, is refused with ModelError, and so is an invalid objective, by
+    the build or the evaluation.
     """
     if method == "ve":
-        om = build_objective_model(scm, objective, query_closure=order is None)
+        if order is None:
+            om = _solve_model(scm, objective)
+        else:
+            om = build_objective_model(scm, objective)
         result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
         inst = {
             base: result.instantiation[om_id]

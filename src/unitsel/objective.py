@@ -2,33 +2,43 @@
 
 An objective L(u) = sum_i w_i * Pr(y^i_{x^i}, w^i_{v^i} | e^i, u) over shared
 unit roots U is encoded as a single conditional probability on an *objective
-model*: one multi-world copy of the SCM per term, joined so only U (and the
-mixture root H) is shared, with worlds 2/3 mutilated at the treatments. The
-mixture root H has one state per term with prior w_i and becomes a parent of
-every outcome copy; each outcome CPT keeps its original rows when H selects
-its own term and clamps the outcome to the term's target state otherwise.
-Then L(u) = Pr'(e1 | e2, u) with e1 the outcome assignments and e2 the
-treatment, intervened-value and per-term evidence assignments. The build
-copies the units, then each term through the one term reduction of
-:mod:`unitsel.worlds`, which copies the term's non-unit roots and worlds,
-cuts the treatment copies and gives the term's e1/e2. H is appended last,
-so its id is the number of copies, and becomes the last parent of each
-outcome copy.
+model*, L(u) = Pr'(e1 | e2, u). Two builds make one, both through the one
+reduction of terms to worlds in :mod:`unitsel.worlds`.
 
-Per-term worlds are dropped when unused: world 1 iff the term has no
-evidence, world 2 iff it has no world-2 treatment and no outcome there,
-world 3 symmetrically. A term without evidence therefore only needs a twin.
+:func:`build_objective_model` is the paper's construction: one multi-world
+copy of the SCM per term, joined so only U (and the mixture root H) is
+shared, with worlds 2/3 mutilated at the treatments. The mixture root H has
+one state per term with prior w_i and becomes a parent of every outcome
+copy; each outcome CPT keeps its original rows when H selects its own term
+and clamps the outcome to the term's target state otherwise. e1 holds the
+outcome assignments and e2 the treatment, intervened-value and per-term
+evidence assignments. H is appended last, so its id is the number of
+copies, and becomes the last parent of each outcome copy. Per-term worlds
+are dropped when unused: world 1 iff the term has no evidence, world 2 iff
+it has no world-2 treatment and no outcome there, world 3 symmetrically. A
+term without evidence therefore only needs a twin. This full model is what
+``build-objective-model`` writes, what a caller order names and what the
+width bounds, :meth:`ObjectiveModel.duplicates` and :func:`model_size_stats`
+speak of. Its worlds share only the roots, so a term whose events fall in
+two worlds needs a functional base model: the build refuses one otherwise.
 
-The full model is what ``build-objective-model`` writes, what a caller order
-names and what the width bounds and size formula speak of. A query without
-a caller order needs only the ancestral closure of the units, e1 and e2,
-since every other copy is barren for it (Shachter 1986), so
-:func:`~unitsel.inference.unit_select` builds only that closure
-(``query_closure=True``), worked out on the base model before any copy is
-made; every unit is kept, and H when some outcome copy is. Only the kept
-copies are named, yet each gets its full-model name: copy names ``name^i``,
-``[name^i]`` and ``[[name^i]]`` are distinct from each other, so they can
-collide only with a unit's name or ``H``, and units are kept and named first.
+:func:`~unitsel.inference.unit_select` without a caller order solves a
+smaller model (:func:`_solve_model`). Terms with equal evidence e form one
+component with one copy of the non-unit roots. Given those roots, worlds
+under the same intervention are the same world (the node merging of
+counterfactual graphs; Shpitser & Pearl 2007), so a component has one world
+per distinct cut, the empty cut being world 1, which also holds e. Units
+come first, then H when some term has an outcome, then the components, each
+built only as far as the ancestral closure of the units, e1 and e2 reaches,
+since every other copy is barren for the query (Shachter 1986). Last comes
+one indicator O per group of a component's terms whose outcomes sit on the
+same copies, with those copies and H as parents: O = 1 surely when H names
+a term outside the group, and otherwise exactly when the copies match that
+term's y and w. e1 sets every O to 1 and e2 holds the cut copies and each
+component's evidence, so Pr(e1 | u, e2) = sum_h w_h Pr(y^h_{x^h}, w^h_{v^h}
+| e^h, u) and Pr(u, e2) > 0 exactly where every term is defined, as in the
+full model. A treatment-free term has all its events in world 1, so on a
+plain Bayesian network this model gives Pr(y, w | e, u).
 """
 
 from __future__ import annotations
@@ -128,8 +138,10 @@ def _check_objective(scm: Scm, objective: ObjectiveFunction) -> None:
 
 @dataclass(frozen=True)
 class ComponentMap:
-    """Where one term's copies live inside the objective model (in a
-    query-closure build, only the worlds and copies that were built)."""
+    """Where one component's copies live inside an objective model: one
+    term's, keyed by worlds 1-3, in the full model; one evidence group's, keyed
+    by world 1 (the empty cut) and 2, 3, ... (its other cuts in order of first
+    appearance), in the solve model, which lists only the copies it built."""
 
     worlds: tuple[int, ...]
     endo: dict[int, dict[int, int]]  # base endo id -> {world: model id}
@@ -174,42 +186,65 @@ class ObjectiveModel:
         return {base: tuple(ids) for base, ids in copies.items()}
 
 
+def _check_base(scm: Scm, objective: ObjectiveFunction) -> bool:
+    """Refuse an invalid objective, a base model that is not a valid
+    Bayesian network, and interventions on a base model that is not
+    functional. Returns whether the base model is functional."""
+    _check_objective(scm, objective)
+    report = validate(scm)
+    if not report.is_valid_bn:
+        raise ModelError("base model is not a valid Bayesian network")
+    if not report.functional and any(t.x or t.v for t in objective.terms):
+        raise ModelError("objective has interventions: the base model must be functional")
+    return report.functional
+
+
+def _add_mixture(build: _Builder, terms: tuple[ObjectiveTerm, ...]) -> int:
+    """Append the mixture root H, one state per term with the term weights as
+    its prior, and return its id."""
+    h_id = len(build.variables)
+    states = tuple(f"h{i}" for i in range(1, len(terms) + 1))
+    build.variables.append(Variable(h_id, build.name("H"), len(terms), states))
+    build.parents[h_id] = ()
+    build.tables[h_id] = np.asarray([t.weight for t in terms], dtype=np.float64)
+    return h_id
+
+
+def _component(
+    endo: tuple[int, ...], roots_om: dict[int, int], world_om: dict[int, dict[int, int]]
+) -> ComponentMap:
+    """The map of the copies one call of ``_copy_term`` made: its worlds
+    that got a copy, and each base endogenous variable's copies by world."""
+    per_base = {b: {k: c[b] for k, c in world_om.items() if b in c} for b in endo}
+    return ComponentMap(tuple(k for k, c in world_om.items() if c),
+                        {b: c for b, c in per_base.items() if c}, roots_om)
+
+
 def build_objective_model(
     scm: Scm,
     objective: ObjectiveFunction,
     drop_worlds: bool = True,
-    *,
-    query_closure: bool = False,
 ) -> ObjectiveModel:
-    """Construct the objective model and its Reverse-MAP evidence pair.
+    """Construct the full objective model and its Reverse-MAP evidence pair
+    (the paper's construction; see the module docstring).
 
     With ``drop_worlds`` (the default) each component keeps only the worlds
     its term uses; pass False to keep full triplets for every component.
-    The base model must be functional unless every term is treatment-free.
-
-    With ``query_closure`` only the ancestral closure of the units, e1 and
-    e2 is built, which is all that a query without a caller order solves;
-    every other copy is barren for it. The copies keep their full-model
-    names (see the module docstring) and relative id order, so default
-    orders, CPT pools and traces are those of the full model's closure. Ids
-    and sizes then differ from the full model's, so a caller order, the
-    width bounds and :func:`model_size_stats` need the full model (the
-    default). Each ``ComponentMap`` lists only the copies that exist, and H
-    exists only when some term has an outcome (``h_id`` is None otherwise).
+    The base model must be functional unless every term is treatment-free
+    and asserts its events (y, w and e) in one world: the worlds of a term
+    share only the roots, which on a plain Bayesian network would make its
+    events independent given the units.
     """
-    _check_objective(scm, objective)
-    needs_functional = any(t.x or t.v for t in objective.terms)
-    base_report = validate(scm)
-    if not base_report.is_valid_bn:
-        raise ModelError("base model is not a valid Bayesian network")
-    if needs_functional and not base_report.functional:
-        raise ModelError(
-            "objective has interventions: the base model must be functional"
-        )
+    if not _check_base(scm, objective):
+        for i, t in enumerate(objective.terms, start=1):
+            if sum(map(bool, (t.y, t.w, t.e))) > 1:
+                raise ModelError(
+                    f"term {i} asserts events in separate worlds: "
+                    "the base model must be functional"
+                )
 
     units = objective.unit_ids
     endo = scm.endogenous()
-    n = objective.n
 
     build = _Builder()
     unit_om = build.copy_world(scm, units, lambda name: name, {})
@@ -217,34 +252,105 @@ def build_objective_model(
     e1: Instantiation = {}
     e2: Instantiation = {}
     mixed: list[tuple[int, int]] = []  # (outcome copy, its term's mixture state)
-    for i, term in enumerate(objective.terms):
-        roots_om, world_om, term_e1, term_e2 = _copy_term(
-            build, scm, (term.x, term.y, term.v, term.w, term.e), unit_om, f"^{i + 1}",
-            drop_worlds, query_closure)
-        e1.update(term_e1)
-        e2.update(term_e2)
-        mixed.extend((vid, i) for vid in term_e1)
-        endo_om = {b: {w: c[b] for w, c in world_om.items() if b in c} for b in endo}
-        components.append(ComponentMap(tuple(w for w, c in world_om.items() if c),
-                                       {b: c for b, c in endo_om.items() if c}, roots_om))
+    for i, (x, y, v, w, e) in enumerate((t.x, t.y, t.v, t.w, t.e) for t in objective.terms):
+        used = {1: e, 2: x or y, 3: v or w}
+        worlds = [(k, cut) for k, cut in ((1, {}), (2, x), (3, v)) if used[k] or not drop_worlds]
+        roots_om, world_om, (ys, ws, xs, vs, es) = _copy_term(
+            build, scm, worlds, [(2, y), (3, w), (2, x), (3, v), (1, e)], unit_om, f"^{i + 1}")
+        e1.update({**ys, **ws})
+        e2.update({**xs, **vs, **es})
+        mixed.extend((vid, i) for vid in (*ys, *ws))
+        components.append(_component(endo, roots_om, world_om))
 
     # H comes after every copy, so its id is the number of copies. Each
     # outcome copy gets H as its last parent: rows for the other mixture
     # states clamp it to the term's target state.
-    h_id: int | None = None
-    if mixed or not query_closure:
-        h_id = len(build.variables)
-        states = tuple(f"h{i}" for i in range(1, n + 1))
-        build.variables.append(Variable(h_id, build.name("H"), n, states))
-        build.parents[h_id] = ()
-        build.tables[h_id] = np.asarray([t.weight for t in objective.terms], dtype=np.float64)
+    h_id = _add_mixture(build, objective.terms)
     for vid, i in mixed:
         table = build.tables[vid]
-        rows = np.empty(table.shape[:-1] + (n, table.shape[-1]))
+        rows = np.empty(table.shape[:-1] + (objective.n, table.shape[-1]))
         rows[...] = _point_mass(table.shape[-1], e1[vid])
         rows[..., i, :] = table
         build.parents[vid] += (h_id,)
         build.tables[vid] = rows
+
+    return ObjectiveModel(
+        model=build.model(),
+        h_id=h_id,
+        e1=e1,
+        e2=e2,
+        unit_base_ids=units,
+        unit_om_ids=tuple(unit_om[u] for u in units),
+        components=tuple(components),
+        base_endo_count=len(endo),
+        base_nonunit_exo_count=len(scm.roots) - len(units),
+    )
+
+
+def _solve_model(scm: Scm, objective: ObjectiveFunction) -> ObjectiveModel:
+    """The shared-worlds model that unit selection solves without a caller
+    order (see the module docstring): one component per distinct evidence,
+    one world per distinct cut within it, and one indicator O per group of a
+    component's terms with the same outcome copies. Only the ancestral
+    closure of the units, e1 and e2 is built, and H only when some term has
+    an outcome (``h_id`` is None otherwise). Its profile Pr(e1 | u, e2) is
+    L(u), 0 where :func:`evaluate_L_profile` finds u undefined; its ids,
+    names and sizes are not those of :func:`build_objective_model`."""
+    _check_base(scm, objective)
+    terms = objective.terms
+    units = objective.unit_ids
+    endo = scm.endogenous()
+    build = _Builder()
+    unit_om = build.copy_world(scm, units, lambda name: name, {})
+    h_id = _add_mixture(build, terms) if any(t.y or t.w for t in terms) else None
+
+    by_evidence: dict[frozenset, list[int]] = {}
+    for i, t in enumerate(terms):
+        by_evidence.setdefault(frozenset(t.e.items()), []).append(i)
+    components: list[ComponentMap] = []
+    e2: Instantiation = {}
+    # outcome copies -> [(term, the states it asks of them, None if it asks
+    # two states of one copy)]
+    indicators: dict[tuple[int, ...], list[tuple[int, Instantiation | None]]] = {}
+    for c, members in enumerate(by_evidence.values(), start=1):
+        cuts: dict[frozenset, Mapping[int, int]] = {frozenset(): {}}  # world 1 first
+        for i in members:
+            for cut in (terms[i].x, terms[i].v):
+                cuts.setdefault(frozenset(cut.items()), cut)
+        world = {key: k for k, key in enumerate(cuts, start=1)}
+        events = [(1, terms[members[0]].e)]
+        for i in members:
+            x, v = terms[i].x, terms[i].v
+            kx, kv = world[frozenset(x.items())], world[frozenset(v.items())]
+            events += [(kx, x), (kv, v), (kx, terms[i].y), (kv, terms[i].w)]
+        roots_om, world_om, placed = _copy_term(
+            build, scm, list(enumerate(cuts.values(), start=1)), events, unit_om, f"^{c}",
+            closure=True)
+        placed = iter(placed)
+        e2.update(next(placed))
+        for i in members:
+            xs, vs, ys, ws = (next(placed) for _ in range(4))
+            e2.update({**xs, **vs})
+            want = dict(ys)
+            consistent = all(want.setdefault(vid, s) == s for vid, s in ws.items())
+            if want:
+                indicators.setdefault(tuple(sorted(want)), []).append(
+                    (i, want if consistent else None))
+        components.append(_component(endo, roots_om, world_om))
+
+    e1: Instantiation = {}
+    for j, (copies, group) in enumerate(indicators.items(), start=1):
+        o = len(build.variables)
+        build.variables.append(Variable(o, build.name(f"O{j}"), 2, ("0", "1")))
+        build.parents[o] = (*copies, h_id)
+        table = np.zeros(tuple(build.variables[p].cardinality for p in copies) + (len(terms), 2))
+        table[..., 1] = 1.0  # H names a term outside the group
+        for i, want in group:
+            table[..., i, :] = (1.0, 0.0)
+            if want is not None:
+                table[(*(want[p] for p in copies), i)] = (0.0, 1.0)
+        build.tables[o] = table
+        e1[o] = 1
 
     return ObjectiveModel(
         model=build.model(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,38 +150,37 @@ def _point_mass(cardinality: int, state: int) -> np.ndarray:
 
 
 def _copy_term(
-    build: _Builder, scm: Scm, term: tuple[Mapping[int, int], ...], shared: Mapping[int, int],
-    tag: str = "", drop_worlds: bool = False, closure: bool = False,
-) -> tuple[dict[int, int], dict[int, dict[int, int]], Instantiation, Instantiation]:
-    """The one term reduction: append the copies of Pr(y_x, w_v | e), ``term``
-    = (x, y, v, w, e), to ``build``: the roots not in ``shared`` (base id ->
-    model id), named X + tag, then worlds 1-3, named ``bracket_name(X + tag,
-    world)``, with world 2 cut at x and world 3 at v. ``drop_worlds`` drops
-    world 1 when there is no e, world 2 when there is no x or y and world 3
-    when there is no v or w. With ``closure`` only the ancestors of e1 and e2
-    are copied, the walk stopped at the cuts. Returns the own root copies,
-    the copies per world, e1 = {[Y]=y, [[W]]=w} and e2 = {[X]=x, [[V]]=v,
-    E=e}."""
-    x, y, v, w, e = term
-    cuts = {1: {}, 2: x, 3: v}
-    used = {1: e, 2: x or y, 3: v or w}
-    keep = dict.fromkeys(k for k in used if used[k] or not drop_worlds)  # None: keep all
+    build: _Builder, scm: Scm, worlds: Sequence[tuple[int, Mapping[int, int]]],
+    events: Sequence[tuple[int, Mapping[int, int]]], shared: Mapping[int, int],
+    tag: str = "", closure: bool = False,
+) -> tuple[dict[int, int], dict[int, dict[int, int]], list[Instantiation]]:
+    """The one reduction of a group of counterfactual terms to worlds: append
+    to ``build`` the roots not in ``shared`` (base id -> model id), named
+    X + tag, then one world per ``(key, cut)`` entry of ``worlds``, named
+    ``bracket_name(X + tag, key)`` and cut at ``cut``. Given the roots, a world
+    is fixed by its cut, so terms under one intervention share one world.
+    Each ``(key, inst)`` entry of ``events`` asserts ``inst`` in world ``key``.
+    With ``closure`` only the ancestors of each world's events are copied, the
+    walk stopped at its cut, and only the roots a kept copy descends from.
+    Returns the own root copies, the copies per world key and each event on
+    its world's copies."""
+    keep: dict[int, Container[int] | None] = {key: None for key, _ in worlds}  # None: keep all
     keep_roots = None
     if closure:
-        starts = {1: e, 2: {**x, **y}, 3: {**v, **w}}
-        keep = {k: ancestral_closure(scm, starts[k], cuts[k]) for k in keep}
+        starts: dict[int, list[int]] = {key: [] for key in keep}
+        for key, inst in events:
+            starts[key] += inst
+        keep = {key: ancestral_closure(scm, starts[key], cut) for key, cut in worlds}
         keep_roots = frozenset().union(*keep.values())
     roots = [r for r in scm.roots if r not in shared]
     own = build.copy_world(scm, roots, lambda n: n + tag, {}, keep_roots)
     shared = {**shared, **own}
     endo = scm.endogenous()
     copies = {
-        k: build.copy_world(scm, endo, lambda n: bracket_name(n + tag, k), shared, keep[k], cuts[k])
-        for k in keep
+        key: build.copy_world(scm, endo, lambda n: bracket_name(n + tag, key), shared, keep[key], cut)
+        for key, cut in worlds
     }
-    e1 = {copies[k][b]: s for k, inst in ((2, y), (3, w)) for b, s in inst.items()}
-    e2 = {copies[k][b]: s for k, inst in ((2, x), (3, v), (1, e)) for b, s in inst.items()}
-    return own, copies, e1, e2
+    return own, copies, [{copies[key][b]: s for b, s in inst.items()} for key, inst in events]
 
 
 def triplet_model(scm: Scm) -> tuple[Scm, WorldMap]:
@@ -259,8 +258,9 @@ def counterfactual_query(
         raise ModelError("ill-posed counterfactual term: " + "; ".join(violations))
     build = _Builder()
     roots = build.copy_world(scm, scm.roots, lambda name: name, {})
-    _, _, e1, e2 = _copy_term(build, scm, (x, y, v, w, e), roots)
-    return build.model(), e1, e2
+    _, _, (ys, ws, xs, vs, es) = _copy_term(
+        build, scm, [(1, {}), (2, x), (3, v)], [(2, y), (3, w), (2, x), (3, v), (1, e)], roots)
+    return build.model(), {**ys, **ws}, {**xs, **vs, **es}
 
 
 # -- ground-truth oracle -------------------------------------------------------

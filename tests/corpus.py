@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -301,3 +304,69 @@ def forward_eval(scm: Scm, root_inst) -> dict[int, int]:
 def gate_count(node: Node) -> int:
     """Number of connective nodes (compiled gate nodes) in the AST."""
     return sum(not isinstance(n, Var) for n in _postorder(node))
+
+
+def exact_L_profile(scm: Scm, objective: ObjectiveFunction) -> dict[tuple[int, ...], Fraction | None]:
+    """L(u) in exact rationals, keyed by the unit states in ascending unit id
+    order; None where some term's Pr(e, u) is 0. Every full instantiation of
+    positive mass is enumerated in topological order, each probability read
+    with ``Fraction(float)``, which is exact. A term's events under its
+    treatments are read in worlds re-evaluated from the roots, which needs a
+    functional model; a treatment-free term reads all its events in the
+    enumerated world, which is Pr(y, w | e, u) on any Bayesian network."""
+    order = scm.topological_order()
+    terms = objective.terms
+    num = [defaultdict(Fraction) for _ in terms]
+    den = [defaultdict(Fraction) for _ in terms]
+
+    def world(full: dict[int, int], cut: dict[int, int]) -> dict[int, int]:
+        if not cut:
+            return full
+        values: dict[int, int] = {}
+        for vid in order:
+            if vid in cut:
+                values[vid] = cut[vid]
+            elif scm.is_root(vid):
+                values[vid] = full[vid]
+            else:
+                values[vid] = int(scm.structural_map(vid)[tuple(values[p] for p in scm.parents[vid])])
+        return values
+
+    def holds(values: dict[int, int], inst) -> bool:
+        return all(values[vid] == s for vid, s in inst.items())
+
+    def visit(k: int, full: dict[int, int], mass: Fraction) -> None:
+        if k == len(order):
+            u = tuple(full[vid] for vid in objective.unit_ids)
+            for t, n, d in zip(terms, num, den):
+                if holds(full, t.e):
+                    d[u] += mass
+                    if holds(world(full, t.x), t.y) and holds(world(full, t.v), t.w):
+                        n[u] += mass
+            return
+        vid = order[k]
+        row = scm.tables[vid][tuple(full[p] for p in scm.parents[vid])]
+        for state, p in enumerate(row):
+            if p > 0:
+                full[vid] = state
+                visit(k + 1, full, mass * Fraction(float(p)))
+        del full[vid]
+
+    visit(0, {}, Fraction(1))
+    cards = [range(scm.var(vid).cardinality) for vid in objective.unit_ids]
+    return {
+        u: sum((Fraction(t.weight) * n[u] / d[u] for t, n, d in zip(terms, num, den)), Fraction(0))
+        if all(d[u] > 0 for d in den) else None
+        for u in itertools.product(*cards)
+    }
+
+
+def separated_maximiser(exact: dict[tuple[int, ...], Fraction | None], gap: float = 1e-9):
+    """The lexicographically smallest unit of largest exact value, or None
+    when no unit is defined or the next-best defined unit (a tied one
+    included) lies within ``gap`` of it, where float evaluation may rank
+    them either way."""
+    ranked = sorted((-value, u) for u, value in exact.items() if value is not None)
+    if not ranked or len(ranked) > 1 and ranked[1][0] - ranked[0][0] <= gap:
+        return None
+    return ranked[0][1]

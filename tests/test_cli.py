@@ -269,6 +269,33 @@ def test_solve_brute_refuses_an_order(capsys, xor, xor_objective, tmp_path):
         assert capsys.readouterr() == ("", "error: an elimination order applies to method 've' only\n")
 
 
+def test_solve_observed_outcome_on_a_bayesian_network(capsys, tmp_path):
+    # U -> Y with a noisy Y, and the term Pr(Y=1 | Y=1, u) = 1. solve once
+    # answered Pr(Y=1 | u) = 0.7: the full objective model puts e and y into
+    # separate worlds, which on a plain Bayesian network share only U. The
+    # commands that need that model refuse the term.
+    model, objective, out = tmp_path / "bn.json", tmp_path / "o.json", tmp_path / "om.json"
+    model.write_text(
+        '{"variables":[{"name":"U","states":["0","1"]},{"name":"Y","states":["0","1"]}],'
+        '"parents":{"U":[],"Y":["U"]},"cpts":{"U":[0.5,0.5],"Y":[0.3,0.7,0.6,0.4]}}'
+    )
+    objective.write_text('{"units":["U"],"terms":[{"weight":1.0,"y":{"Y":"1"},"e":{"Y":"1"}}]}')
+    order = tmp_path / "order.txt"
+    order.write_text("#constrained: U\nY^1\n[Y^1]\nH\nU\n")
+    solve = ["solve", "--model", str(model), "--objective", str(objective)]
+    for method in ("ve", "brute"):
+        assert main([*solve, "--method", method]) == 0
+        assert capsys.readouterr().out == "unit: U=0\nvalue: 1.0\nexcluded: 0\n"
+    error = "error: term 1 asserts events in separate worlds: the base model must be functional\n"
+    for command in ([*solve, "--order", str(order)],
+                    ["build-objective-model", "--model", str(model), "--objective", str(objective),
+                     "--out", str(out)],
+                    ["width", "--model", str(model), "--units", "U", "--objective", str(objective)]):
+        assert main(command) == 1, command
+        assert capsys.readouterr() == ("", error), command
+    assert not out.exists()
+
+
 def test_rmap_trace_prints_the_api_trace(capsys, five_node):
     code = main([
         "rmap", "--model", str(five_node), "--targets", "A,B",

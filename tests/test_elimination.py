@@ -25,6 +25,7 @@ from unitsel import (
 )
 import unitsel.bench as bench_module
 import unitsel.elimination as elimination_module
+from unitsel.objective import _solve_model
 from unitsel import fixture_path, parse_dimacs
 from unitsel.bench import (
     GenConfig,
@@ -306,7 +307,7 @@ def _query_closures():
         endo = scm.endogenous()
         y = int(rng.choice([v for v in endo if not scm.children[v]]))
         x = int(rng.choice([v for v in endo if v != y]))
-        om = build_objective_model(
+        om = _solve_model(
             scm, gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
         )
         closures.append((om.model, om.unit_om_ids, [*om.unit_om_ids, *om.e1, *om.e2]))

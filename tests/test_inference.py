@@ -38,7 +38,7 @@ from unitsel.inference import (
 from unitsel.bench import GenConfig, _pick_units, gen_benefit_objective, gen_random_scm
 from unitsel.factor import Factor, FactorError, max_axis, multiply_all, sum_axis
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
-from unitsel.objective import build_objective_model, evaluate_L_brute
+from unitsel.objective import _solve_model, build_objective_model, evaluate_L_brute
 from unitsel.reductions import compile_formula, sat_via_rmap
 from unitsel.worlds import enumerate_instantiations
 from corpus import forward_eval, random_cnf, random_instance, reference_eliminate, small_scm
@@ -958,14 +958,14 @@ def test_e2_pass_of_a_sat_circuit_covers_the_targets_alone(monkeypatch):
 
 def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
     # The passes are checked on the model unit_select solves, which without
-    # an order is the query closure of the objective model.
+    # an order is the shared-worlds solve model.
     built = []
 
     def recording_build(*args, **kwargs):
-        built.append(build_objective_model(*args, **kwargs))
+        built.append(_solve_model(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(inference, "build_objective_model", recording_build)
+    monkeypatch.setattr(inference, "_solve_model", recording_build)
     smaller = 0
     for seed in range(10):
         scm, _, L = random_instance(seed)

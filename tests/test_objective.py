@@ -27,11 +27,12 @@ from unitsel import (
     validate_objective,
 )
 import unitsel.objective
+from unitsel.objective import _solve_model
 from unitsel.bench import GenConfig, gen_benefit_objective, gen_random_scm
 from unitsel.elimination import ancestral_closure
-from unitsel.inference import InconsistentEvidenceError, format_trace, rmap_ve
+from unitsel.inference import InconsistentEvidenceError, rmap_table
 from unitsel.worlds import enumerate_instantiations
-from corpus import random_instance
+from corpus import exact_L_profile, random_instance, separated_maximiser
 
 
 def xor_scm():
@@ -519,66 +520,108 @@ def test_validate_refuses_non_integer_ids():
     ]
 
 
-# -- the query-closure build ---------------------------------------------------
+# -- the solve model -------------------------------------------------------------
 
 
-def _assert_query_closure_build(scm, L):
-    """The query-closure build is the full build's ancestral closure of the
-    units, e1 and e2: same names, relative id order, mapped parents and
-    evidence, and the same table objects where a copy keeps its base CPT;
-    Reverse-MAP answers both alike, to the bit and the trace row, or refuses
-    both alike. Returns the two models and the answer (the refusal's text
-    for a refusal)."""
-    full = build_objective_model(scm, L)
-    part = build_objective_model(scm, L, query_closure=True)
-    fm, pm = full.model, part.model
-    closure = sorted(ancestral_closure(fm, [*full.unit_om_ids, *full.e1, *full.e2]))
-    to_part = {f: p for p, f in enumerate(closure)}
-    assert [v.name for v in pm.variables] == [fm.var(f).name for f in closure]
-    rebuilt = {*full.e1, *full.e2, full.h_id}  # outcome rows, point masses, H
-    for p, f in enumerate(closure):
-        assert pm.var(p).state_names == fm.var(f).state_names
-        assert pm.parents[p] == tuple(to_part[q] for q in fm.parents[f])
-        assert pm.tables[p] is fm.tables[f] or f in rebuilt
-        assert pm.tables[p].dtype == fm.tables[f].dtype
-        assert np.array_equal(pm.tables[p], fm.tables[f])
-    assert list(part.e1.items()) == [(to_part[k], s) for k, s in full.e1.items()]
-    assert list(part.e2.items()) == [(to_part[k], s) for k, s in full.e2.items()]
-    assert part.unit_om_ids == tuple(to_part[u] for u in full.unit_om_ids)
-    assert part.h_id == to_part.get(full.h_id)
-    for comp, comp_part in zip(full.components, part.components):
-        endo = {b: {w: to_part[vid] for w, vid in per.items() if vid in to_part}
-                for b, per in comp.endo.items()}
-        assert comp_part.endo == {b: per for b, per in endo.items() if per}
-        assert comp_part.roots == {b: to_part[vid] for b, vid in comp.roots.items()
-                                   if vid in to_part}
-        assert comp_part.worlds == tuple(
-            w for w in comp.worlds if any(w in per for per in comp_part.endo.values()))
-
-    def answer(om):
-        try:
-            r = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, want_trace=True)
-        except InconsistentEvidenceError as err:
-            return str(err)
-        inst = om.model.names_of(r.instantiation)
-        return r.value.hex(), inst, r.excluded, format_trace(r.trace, om.model)
-
-    result = answer(full)
-    assert answer(part) == result
-    return full, part, result
+def _assert_solve_model(scm, L):
+    """The model unit_select solves without an order has the profile L(u):
+    every cell of its rmap_table within 1e-12 of evaluate_L_profile, and 0
+    exactly where a unit is undefined. VE's value, excluded count and unit
+    agree with brute and the exact oracle: its unit is a maximiser, and the
+    oracle's own one when the exact runner-up lies more than 1e-9 below it.
+    Returns the solve model and the VE answer (None when every unit is
+    excluded)."""
+    om = _solve_model(scm, L)
+    values, defined = evaluate_L_profile(scm, L)
+    exact = exact_L_profile(scm, L)
+    for u, value in exact.items():
+        assert defined[u] == (value is not None)
+        assert value is None or abs(float(value) - values[u]) <= 1e-12
+    table = rmap_table(om.model, om.unit_om_ids, om.e1, om.e2)
+    grid = np.broadcast_to(table._expand(om.unit_om_ids), values.shape)
+    assert np.all(grid[~defined] == 0.0)
+    assert np.abs(grid - values).max(initial=0.0) <= 1e-12
+    if not defined.any():
+        with pytest.raises(InconsistentEvidenceError):
+            unit_select(scm, L)
+        return om, None
+    ve = unit_select(scm, L)
+    br = unit_select(scm, L, method="brute")
+    assert ve.excluded == br.excluded == int(np.count_nonzero(~defined))
+    unit = tuple(ve.instantiation[vid] for vid in L.unit_ids)
+    assert abs(ve.value - br.value) <= 1e-12 and values.max() - values[unit] <= 1e-12
+    best = separated_maximiser(exact)
+    assert best is None or unit == best
+    return om, ve
 
 
-def test_query_closure_build_on_random_instances():
-    smaller = inconsistent = 0
+def _shapes_scm():
+    """Units U, V and noise N, M: X = N, Z = X xor U, Y = (Z and M) or V."""
+    def fn(f, k):
+        return [float(f(*row) == s) for row in itertools.product((0, 1), repeat=k) for s in (0, 1)]
+
+    names = ("U", "V", "N", "M", "X", "Z", "Y")
+    return make_scm(
+        [(name, ["0", "1"]) for name in names],
+        {"U": [], "V": [], "N": [], "M": [], "X": ["N"], "Z": ["X", "U"], "Y": ["Z", "M", "V"]},
+        {"U": [0.3, 0.7], "V": [0.55, 0.45], "N": [0.6, 0.4], "M": [0.2, 0.8],
+         "X": fn(lambda n: n, 1), "Z": fn(lambda x, u: x ^ u, 2),
+         "Y": fn(lambda z, m, v: (z & m) | v, 3)},
+    )
+
+
+U, V, N, M, X, Z, Y = range(7)
+T = ObjectiveTerm
+SHAPES = {
+    "different evidence": [T(0.5, x={X: 1}, y={Y: 1}, e={Z: 0}), T(0.5, x={X: 0}, y={Y: 1}, e={Z: 1})],
+    "world-1 evidence": [T(0.6, y={Y: 1}, e={X: 0, Z: 1}), T(0.4, x={X: 1}, y={Z: 1}, e={X: 0, Z: 1})],
+    "two outcome variables": [T(0.5, x={X: 1}, y={Y: 1, Z: 0}),
+                              T(0.5, x={X: 0}, y={Z: 1}, v={X: 1}, w={Y: 0})],
+    "shared treatment": [T(0.3, x={X: 1}, y={Y: 1}, v={X: 0}, w={Y: 0}),
+                         T(0.7, x={X: 1}, y={Z: 0}, v={X: 0}, w={Z: 1})],
+    "x of one term is v of another": [T(0.5, x={X: 1}, y={Y: 1}, v={X: 0}, w={Y: 0}),
+                                      T(0.5, x={X: 0}, y={Z: 1})],
+    "x = v, y != w": [T(1.0, x={X: 1}, y={Y: 1}, v={X: 1}, w={Y: 0})],
+    "x = v, y != w, beside a term on the same copy": [
+        T(0.5, x={X: 1}, y={Y: 1}, v={X: 1}, w={Y: 0}), T(0.5, x={X: 1}, y={Y: 1})],
+    "no outcome": [T(0.5, x={X: 0}, e={Z: 1}), T(0.5, y={Y: 0}, e={Z: 1})],
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_solve_model_shapes(shape):
+    scm = _shapes_scm()
+    om, ve = _assert_solve_model(scm, ObjectiveFunction((U, V), tuple(SHAPES[shape])))
+    worlds = [comp.worlds for comp in om.components]
+    indicators = [v.name for v in om.model.variables if v.name.startswith("O")]
+    if shape == "different evidence":
+        assert worlds == [(1, 2), (1, 2)] and len(indicators) == 2
+    elif shape == "world-1 evidence":
+        assert worlds == [(1, 2)] and ve.excluded == 2  # X = 0, Z = 1 needs U = 1
+    elif shape == "shared treatment":
+        assert worlds == [(2, 3)] and len(indicators) == 2
+    elif shape == "x of one term is v of another":
+        z = om.model.by_name("[[Z^1]]").id  # term 2's outcome, in the world of X = 0
+        assert worlds == [(2, 3)] and om.model.parents[om.model.by_name("O2").id] == (z, om.h_id)
+    elif shape.startswith("x = v"):
+        assert worlds == [(2,)] and len(indicators) == 1
+        if shape == "x = v, y != w":
+            assert ve.value == 0.0 and ve.excluded == 0
+    elif shape == "no outcome":
+        assert len(indicators) == 1 and om.e1 == {om.model.by_name("O1").id: 1}
+
+
+def test_solve_model_on_random_instances():
+    inconsistent = separated = 0
     for seed in range(60):
-        full, part, result = _assert_query_closure_build(*random_instance(seed)[::2])
-        smaller += part.model.n < full.model.n
-        inconsistent += isinstance(result, str)
-    assert smaller > 0 and inconsistent > 0
+        scm, _, L = random_instance(seed)
+        _, ve = _assert_solve_model(scm, L)
+        inconsistent += ve is None
+        separated += separated_maximiser(exact_L_profile(scm, L)) is not None
+    assert inconsistent > 0 and separated > 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_query_closure_build_on_benefit_objectives(seed):
+def _benefit_instance(seed):
     rng = np.random.default_rng([61, seed])
     scm = gen_random_scm(GenConfig(node_count=int(rng.integers(8, 15)), seed=seed))
     roots = scm.roots
@@ -586,12 +629,34 @@ def test_query_closure_build_on_benefit_objectives(seed):
     endo = scm.endogenous()
     y = int(rng.choice([v for v in endo if not scm.children[v]]))
     x = int(rng.choice([v for v in endo if v != y]))
-    L = gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
-    full, part, _ = _assert_query_closure_build(scm, L)
-    assert part.model.n < full.model.n
+    return scm, x, y, gen_benefit_objective(scm, x, y, (0.25, 0.25, 0.25, 0.25), units=units)
 
 
-def test_query_closure_build_edge_cases():
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_model_on_benefit_objectives(seed):
+    # The four terms share x, v, e and the outcome variable: one component
+    # with one copy of each non-unit root in the closure, the worlds of x
+    # and v, and one indicator over [Y], [[Y]] and H.
+    scm, x, y, L = _benefit_instance(seed)
+    om, _ = _assert_solve_model(scm, L)
+    full = build_objective_model(scm, L)
+    assert om.model.n < full.model.n
+    (comp,) = om.components
+    assert comp.worlds == (2, 3)
+    closures = [ancestral_closure(scm, [x, y], {x: s}) for s in (0, 1)]
+    closed_roots = set(scm.roots) & (closures[0] | closures[1])
+    assert set(comp.roots) == closed_roots - set(L.unit_ids)
+    assert [sorted(b for b, per in comp.endo.items() if k in per) for k in (2, 3)] == [
+        sorted(c - set(scm.roots)) for c in closures]
+    assert om.model.n == len(L.unit_ids) + 1 + len(comp.roots) + sum(
+        len(c - closed_roots) for c in closures) + 1
+    (o,) = om.e1
+    names = [om.model.var(p).name for p in om.model.parents[o]]
+    yname = scm.var(y).name
+    assert names == [f"[{yname}^1]", f"[[{yname}^1]]", "H"]
+
+
+def test_solve_model_names_and_evidence():
     # U, N -> X -> Y with U -> Y, and a unit V that nothing depends on.
     scm = make_scm(
         [("U", ["0", "1"]), ("N", ["0", "1"]), ("V", ["0", "1"]),
@@ -603,31 +668,78 @@ def test_query_closure_build_edge_cases():
     U, N, V, X, Y = range(5)
     evidence = ObjectiveTerm(0.5, x={X: 1}, y={Y: 1}, e={Y: 0})  # worlds 1 and 2
     no_outcome = ObjectiveTerm(0.5, x={X: 0}, e={X: 1})  # a treatment and evidence only
-    _, part, _ = _assert_query_closure_build(scm, ObjectiveFunction((U, V), (evidence, no_outcome)))
-    names = [v.name for v in part.model.variables]
+    om, _ = _assert_solve_model(scm, ObjectiveFunction((U, V), (evidence, no_outcome)))
+    names = [v.name for v in om.model.variables]
     # [X^1] is cut, so N^1 is kept for world 1 alone; the second term keeps
     # X^2 and N^2 for its evidence, and the cut [X^2].
-    assert names == ["U", "V", "N^1", "X^1", "Y^1", "[X^1]", "[Y^1]", "N^2", "X^2", "[X^2]", "H"]
-    assert part.components[0].worlds == (1, 2) and part.components[1].worlds == (1, 2)
-    v = part.unit_om_ids[1]  # kept, though no copy depends on it
-    assert not part.model.parents[v] and not part.model.children[v]
+    assert names == ["U", "V", "H", "N^1", "X^1", "Y^1", "[X^1]", "[Y^1]", "N^2", "X^2",
+                     "[X^2]", "O1"]
+    assert om.e2 == {om.model.by_name(n).id: s for n, s in (("Y^1", 0), ("[X^1]", 1),
+                                                            ("X^2", 1), ("[X^2]", 0))}
+    v = om.unit_om_ids[1]  # kept, though no copy depends on it
+    assert not om.model.parents[v] and not om.model.children[v]
     # No term has an outcome: H is barren, so it is not built.
     only = ObjectiveTerm(1.0, x={X: 0}, e={X: 1})
-    _, part, _ = _assert_query_closure_build(scm, ObjectiveFunction((U,), (only,)))
-    assert part.h_id is None and "H" not in [v.name for v in part.model.variables]
-    # A unit named like a copy: the copy takes a prime, in both builds alike.
+    om, ve = _assert_solve_model(scm, ObjectiveFunction((U,), (only,)))
+    assert om.h_id is None and om.e1 == {} and ve.value == 1.0
+    # A unit named like a copy: the copy takes a prime.
     clash = make_scm([("Y^1", ["0", "1"]), ("Y", ["0", "1"])], {"Y^1": [], "Y": ["Y^1"]},
                      {"Y^1": [0.5, 0.5], "Y": [1, 0, 0, 1]})
     L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 1}, e={1: 1}),))
-    _, part, _ = _assert_query_closure_build(clash, L)
-    assert [v.name for v in part.model.variables] == ["Y^1", "Y^1'", "[Y^1]", "H"]
-    # Evidence no unit can produce: both builds refuse alike.
+    om, _ = _assert_solve_model(clash, L)
+    assert [v.name for v in om.model.variables] == ["Y^1", "H", "Y^1'", "O1"]
+    # Evidence no unit can produce is refused.
     impossible = make_scm(
         [("U", ["0", "1"]), ("Y", ["0", "1"])], {"U": [], "Y": ["U"]},
         {"U": [0.5, 0.5], "Y": [1, 0, 1, 0]},
     )
     L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}, e={1: 1}),))
-    _, _, result = _assert_query_closure_build(impossible, L)
-    assert result == "evidence e2 is inconsistent with every target instantiation"
-    with pytest.raises(InconsistentEvidenceError):
-        unit_select(impossible, L)
+    assert _assert_solve_model(impossible, L)[1] is None
+
+
+# -- plain Bayesian networks ------------------------------------------------------
+
+
+def _bn_reproducer():
+    # U -> Y, Y noisy: Pr(Y=1 | U) = 0.7, 0.4.
+    bn = make_scm([("U", ["0", "1"]), ("Y", ["0", "1"])], {"U": [], "Y": ["U"]},
+                  {"U": [0.5, 0.5], "Y": [0.3, 0.7, 0.6, 0.4]})
+    return bn, ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 1}, e={1: 1}),))
+
+
+def test_treatment_free_term_on_a_bayesian_network():
+    # Pr(Y=1 | Y=1, u) = 1. The full model put e and y into separate uncut
+    # worlds that share only U, and VE once answered Pr(Y=1 | u) = 0.7.
+    bn, L = _bn_reproducer()
+    for method in ("ve", "brute"):
+        assert unit_select(bn, L, method=method).value == 1.0
+    _assert_solve_model(bn, L)
+    with pytest.raises(ModelError, match="^term 1 asserts events in separate worlds: "
+                                         "the base model must be functional$"):
+        build_objective_model(bn, L)
+    with pytest.raises(ModelError, match="separate worlds"):
+        build_objective_model(bn, ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 1}, w={1: 1}),)))
+
+
+def test_solve_model_on_random_bayesian_networks():
+    # Treatment-free terms with evidence and two outcomes, which may name one
+    # variable, on the _random_bn corpus: VE against brute, the profile and
+    # the exact oracle.
+    solved = 0
+    for seed in range(30):
+        rng = np.random.default_rng([67, seed])
+        scm, cards = _random_bn(rng)
+        endo = scm.endogenous()
+        if not endo:
+            continue
+        terms = []
+        for weight in (0.3, 0.7):
+            e_vid, y_vid, w_vid = (int(v) for v in rng.choice(endo, size=3))
+            e = {e_vid: int(rng.integers(cards[e_vid]))} if rng.random() < 0.7 else {}
+            terms.append(ObjectiveTerm(weight, y={y_vid: int(rng.integers(cards[y_vid]))},
+                                       w={w_vid: int(rng.integers(cards[w_vid]))}, e=e))
+        L = ObjectiveFunction((0, 1), tuple(terms))
+        solved += _assert_solve_model(scm, L)[1] is not None
+        with pytest.raises(ModelError, match="separate worlds"):
+            build_objective_model(scm, L)
+    assert solved > 20
