@@ -83,9 +83,11 @@ class Variable:
         when it was built, so the copy skips ``__post_init__``; the new id
         must be >= 0."""
         copy = object.__new__(Variable)
-        copy.__dict__.update(
-            id=id, name=name, cardinality=self.cardinality, state_names=self.state_names
-        )
+        fields = copy.__dict__  # item by item: faster than update() with keywords
+        fields["id"] = id
+        fields["name"] = name
+        fields["cardinality"] = self.cardinality
+        fields["state_names"] = self.state_names
         return copy
 
     def state_index(self, state: str) -> int:

@@ -8,7 +8,16 @@ CPTs. A legal SCM additionally has *functional* internal CPTs: every entry is
 CPT tables are stored in declaration order: one axis per parent (in the
 declared parent order) followed by the child axis, so the flat serialization
 has the child state varying fastest. :meth:`Scm.cpt_factor` converts to the
-canonical sorted-scope factor layout.
+canonical sorted-scope factor layout; a CPT whose parents all have smaller
+ids than its child is already in it, and its factor shares the stored table.
+
+Every check runs once over the whole model, and the variables are walked one
+by one only after a check fails, to name the first bad one. :func:`load_model`
+converts every CPT list of a document with one ``np.array`` call into one
+read-only buffer, and :class:`Scm` shares its flat views instead of copying
+them. :class:`Scm` keeps the concatenated entries that it tests to be finite
+and non-negative, and :func:`validate` runs its row-sum and functional tests
+on those same entries.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,6 +36,7 @@ from .factor import Factor, FactorError, Instantiation, Variable, _is_index
 
 ROW_SUM_TOL = 1e-9
 FUNCTIONAL_TOL = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 class ModelError(ValueError):
@@ -41,11 +52,13 @@ class Scm:
     pass over all of them, and the entries in one test over all tables; the
     variables are walked one by one only to name the first that fails.
 
-    A table that is already a read-only, C-contiguous float64 array of its
-    CPT's shape (such as a table of another ``Scm``, which derived models pass
-    on) is shared, not copied: the model takes it as frozen. Every other table
-    is copied once into a read-only array, so a caller who later writes to
-    the array passed in leaves the model unchanged. Semantic legality
+    A table that is already a read-only, C-contiguous float64 array with its
+    CPT's number of entries (such as a table of another ``Scm``, which derived
+    models pass on, or a flat view of :func:`load_model`'s buffer) is shared,
+    not copied: the model takes it as frozen, and views it in the CPT's shape
+    if it has another one. Every other table is copied once into a read-only
+    array, so a caller who later writes to the array passed in leaves the
+    model unchanged. Semantic legality
     (acyclicity, row normalization, functional internal CPTs) is reported by
     :func:`validate` so that deliberately broken models can be built in tests.
     """
@@ -74,22 +87,16 @@ class Scm:
             except KeyError:
                 raise ModelError(f"no CPT for variable {v.name!r}") from None
             shape = tuple([cards[p] for p in self.parents[v.id]]) + (v.cardinality,)
-            if not _frozen(table, shape):
-                table = _table_copy(v, table, shape)
-            self.tables[v.id] = table
-        # One test over every entry; NaN fails both comparisons.
-        entries = np.concatenate(list(self.tables.values()) or [[]], axis=None)
+            shared = _shared(table, shape)
+            self.tables[v.id] = _table_copy(v, table, shape) if shared is None else shared
+        # One test over every entry; NaN fails both comparisons. validate()
+        # tests these same entries.
+        self._entries = entries = np.concatenate(list(self.tables.values()) or [[]], axis=None)
         if not np.all((entries >= 0) & (entries < math.inf)):
             v, x = next((v, x) for v in self.variables
                         for x in self.tables[v.id].flat if not 0 <= x < math.inf)
             raise ModelError(f"CPT of {v.name!r}: entry {float(x)!r} is negative, infinite or NaN")
 
-        # Children are appended in ascending id order, so each list is sorted.
-        kids: dict[int, list[int]] = {v.id: [] for v in self.variables}
-        for vid, ps in self.parents.items():
-            for p in ps:
-                kids[p].append(vid)
-        self.children = {vid: tuple(c) for vid, c in kids.items()}
         self.roots: tuple[int, ...] = tuple(
             v.id for v in self.variables if not self.parents[v.id]
         )
@@ -98,6 +105,17 @@ class Scm:
         self._validation: ValidationReport | None = None
 
     # -- lookups --------------------------------------------------------------
+
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """Each variable's children, built on first use: a loaded model is
+        often solved without them."""
+        # Children are appended in ascending id order, so each list is sorted.
+        kids: dict[int, list[int]] = {v.id: [] for v in self.variables}
+        for vid, ps in self.parents.items():
+            for p in ps:
+                kids[p].append(vid)
+        return {vid: tuple(c) for vid, c in kids.items()}
 
     @property
     def n(self) -> int:
@@ -133,19 +151,30 @@ class Scm:
         }
 
     def cpt_factor(self, vid: int) -> Factor:
-        """The node's CPT as a canonical sorted-scope factor."""
+        """The node's CPT as a canonical sorted-scope factor. When the scope
+        (parents, then the node) is already ascending, the factor shares the
+        stored table."""
         factor = self._factors.get(vid)
         if factor is None:
             scope = self.parents[vid] + (vid,)
-            order = sorted(range(len(scope)), key=scope.__getitem__)
-            # The transposed table's shape is the sorted scope's cardinalities.
-            table = np.ascontiguousarray(self.tables[vid].transpose(order))
-            factor = Factor._trusted(tuple([scope[i] for i in order]), table.shape, table)
+            table = self.tables[vid]
+            if scope != tuple(sorted(scope)):
+                order = sorted(range(len(scope)), key=scope.__getitem__)
+                table = np.ascontiguousarray(table.transpose(order))
+                scope = tuple([scope[i] for i in order])
+            # The table's shape is the sorted scope's cardinalities.
+            factor = Factor._trusted(scope, table.shape, table)
             self._factors[vid] = factor
         return factor
 
     def topological_order(self) -> tuple[int, ...]:
+        """The smallest topological order: Kahn's algorithm, taking the
+        smallest ready id first. When every parent comes before its child,
+        that is declaration order, and the walk is skipped."""
         if self._topo is None:
+            if all(p < vid for vid, ps in self.parents.items() for p in ps):
+                self._topo = tuple(range(self.n))
+                return self._topo
             indeg = {v.id: len(self.parents[v.id]) for v in self.variables}
             ready = list(self.roots)  # ascending ids: already a heap
             order: list[int] = []
@@ -222,15 +251,22 @@ def _parent_lists(
     return out
 
 
-def _frozen(table, shape: tuple[int, ...]) -> bool:
-    """Whether ``table`` is a C-contiguous float64 array of ``shape`` that
-    neither it nor the array owning its memory lets anyone write."""
-    if type(table) is not np.ndarray:
-        return False
-    base = table.base
-    return (table.shape == shape and table.dtype == np.float64 and table.flags.c_contiguous
-            and not table.flags.writeable
-            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable))
+def _shared(table, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``table`` in ``shape`` without a copy, if it is a C-contiguous float64
+    array with that many entries that neither it nor the array owning its
+    memory lets anyone write; None otherwise."""
+    if type(table) is not np.ndarray or table.dtype != _FLOAT64:
+        return None
+    flags, base = table.flags, table.base
+    if flags.writeable or not flags.c_contiguous or not (
+            base is None or isinstance(base, np.ndarray) and not base.flags.writeable):
+        return None
+    if table.shape == shape:
+        return table
+    try:
+        return table.reshape(shape)
+    except ValueError:  # another number of entries
+        return None
 
 
 def _table_copy(v: Variable, table, shape: tuple[int, ...]) -> np.ndarray:
@@ -285,21 +321,22 @@ def validate(scm: Scm) -> ValidationReport:
 
 
 def _check(scm: Scm) -> ValidationReport:
-    """One row-sum test per cardinality and one functional test over every
-    internal CPT. Only a failing test walks the variables, so the violations
-    name each bad variable in declaration order."""
+    """One row-sum test per cardinality and one functional test, both on the
+    entries :class:`Scm` kept. Only a failing row-sum test walks the
+    variables, so the violations name each bad variable in declaration
+    order."""
     violations: list[str] = []
     acyclic = scm.is_acyclic()
     if not acyclic:
         violations.append("parent relation is cyclic")
 
-    by_card: dict[int, list[np.ndarray]] = {}
-    for v in scm.variables:
-        by_card.setdefault(v.cardinality, []).append(scm.tables[v.id])
-    normalized = not any(
-        np.any(_bad_rows(np.concatenate(group, axis=None), card))
-        for card, group in by_card.items()
-    )
+    cards = [v.cardinality for v in scm.variables]
+    if len(set(cards)) == 1:  # one cardinality: the kept entries are its group
+        groups = {cards[0]: scm._entries}
+    else:
+        groups = {card: np.concatenate([t for t, c in zip(scm.tables.values(), cards) if c == card],
+                                       axis=None) for card in set(cards)}
+    normalized = not any(np.any(_bad_rows(entries, card)) for card, entries in groups.items())
     if not normalized:
         for v in scm.variables:
             bad = _bad_rows(scm.tables[v.id], v.cardinality)
@@ -309,15 +346,17 @@ def _check(scm: Scm) -> ValidationReport:
                     f"(first bad row index {int(np.argmax(bad))})"
                 )
 
+    # Each table's entries start where the previous table's end; every table
+    # has at least one entry, so one reduceat gives each table's verdict.
+    sizes = [t.size for t in scm.tables.values()]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    by_table = np.logical_and.reduceat(_zero_one(scm._entries), starts) if sizes else []
     endo = scm.endogenous()
-    if _functional(np.concatenate([scm.tables[vid] for vid in endo] or [[]], axis=None)):
-        functional_status = dict.fromkeys(endo, True)
-    else:
-        functional_status = {vid: scm.node_functional(vid) for vid in endo}
-        violations.extend(
-            f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
-            for vid, ok in functional_status.items() if not ok
-        )
+    functional_status = {vid: bool(by_table[vid]) for vid in endo}
+    violations.extend(
+        f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
+        for vid, ok in functional_status.items() if not ok
+    )
     return ValidationReport(acyclic, normalized, functional_status, violations)
 
 
@@ -326,9 +365,14 @@ def _bad_rows(table: np.ndarray, cardinality: int) -> np.ndarray:
     return np.abs(table.reshape(-1, cardinality).sum(axis=1) - 1.0) > ROW_SUM_TOL
 
 
+def _zero_one(entries: np.ndarray) -> np.ndarray:
+    """Which entries are 0 or 1."""
+    return np.minimum(np.abs(entries), np.abs(entries - 1.0)) <= FUNCTIONAL_TOL
+
+
 def _functional(entries: np.ndarray) -> bool:
     """Whether every entry is 0 or 1."""
-    return bool(np.all(np.minimum(np.abs(entries), np.abs(entries - 1.0)) <= FUNCTIONAL_TOL))
+    return bool(np.all(_zero_one(entries)))
 
 
 def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:
@@ -421,30 +465,9 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
         if not isinstance(doc[key], kind):
             raise ModelError(f"model {key!r} must be {word}")
 
-    variables = []
-    for i, entry in enumerate(doc["variables"]):
-        if not isinstance(entry, dict):
-            entry = {}
-        name, states = entry.get("name"), entry.get("states")
-        if not (isinstance(name, str) and isinstance(states, list)
-                and set(map(type, states)) <= {str}):
-            raise ModelError(
-                f"bad variable entry at position {i}: needs a string 'name' and "
-                "a list of string 'states'"
-            )
-        try:
-            variables.append(Variable(i, name, len(states), tuple(states)))
-        except FactorError as err:
-            raise ModelError(str(err)) from None
+    variables = _variables(doc["variables"])
     parents, cpts = _by_id(variables, doc["parents"], doc["cpts"])
-    tables: dict[int, np.ndarray] = {}
-    for vid, flat in cpts.items():
-        name = variables[vid].name
-        if not isinstance(flat, list):
-            raise ModelError(f"CPT of {name!r} must be a list of numbers")
-        tables[vid] = _cpt_array(flat, f"CPT of {name!r}: entry")
-
-    scm = Scm(variables, parents, tables)
+    scm = Scm(variables, parents, _cpt_tables(variables, cpts))
 
     report = validate(scm)
     if not report.acyclic or not report.normalized:
@@ -454,16 +477,68 @@ def load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
     return scm
 
 
-def _cpt_array(flat: list, context: str) -> np.ndarray:
-    """A document's CPT list as a float64 array. A list of JSON ints and
-    floats converts in one call; any other list goes through
-    :func:`json_number`, which names the first entry that is not a number."""
-    if set(map(type, flat)) <= {int, float}:
+def _variables(entries: list) -> list[Variable]:
+    """The document's variable entries as Variables. Each distinct tuple of
+    states is checked by the Variable rule once, at its first variable; the
+    later variables with the same states are built from that one."""
+    checked: dict[tuple, Variable] = {}
+    variables = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            entry = {}
+        name, states = entry.get("name"), entry.get("states")
+        if isinstance(name, str) and isinstance(states, list):
+            states = tuple(states)
+            try:
+                first = checked.get(states)
+            except TypeError:  # an unhashable state, refused below
+                first = None
+            if first is not None:
+                variables.append(first._renamed(i, name))
+                continue
+        if not (isinstance(name, str) and isinstance(states, tuple)
+                and set(map(type, states)) <= {str}):
+            raise ModelError(
+                f"bad variable entry at position {i}: needs a string 'name' and "
+                "a list of string 'states'"
+            )
         try:
-            return np.array(flat, dtype=np.float64)
-        except OverflowError:  # an int beyond float range, named below
-            pass
-    return np.array([json_number(x, context) for x in flat])
+            checked[states] = Variable(i, name, len(states), states)
+        except FactorError as err:
+            raise ModelError(str(err)) from None
+        variables.append(checked[states])
+    return variables
+
+
+def _cpt_tables(variables: Sequence[Variable], cpts: Mapping[int, object]) -> dict[int, np.ndarray]:
+    """The document's CPT lists, keyed by variable id, as float64 arrays.
+
+    When every CPT is a list of JSON ints and floats, one type scan and one
+    ``np.array`` call put them all in one read-only buffer, and each table is
+    a flat view of it, which :class:`Scm` shares. Otherwise the lists are
+    converted one by one in document order, so that the error names the
+    first CPT that is not a list, or through :func:`json_number` the first
+    entry that is not a number."""
+    lists = list(cpts.values())
+    if set(map(type, lists)) <= {list}:
+        flat = list(chain.from_iterable(lists))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                buffer = np.array(flat, dtype=np.float64)
+            except OverflowError:  # an int beyond float range, named below
+                pass
+            else:
+                buffer.flags.writeable = False
+                ends = accumulate(map(len, lists))
+                return {vid: buffer[end - len(values):end]
+                        for (vid, values), end in zip(cpts.items(), ends)}
+    tables: dict[int, np.ndarray] = {}
+    for vid, values in cpts.items():
+        context = f"CPT of {variables[vid].name!r}"
+        if not isinstance(values, list):
+            raise ModelError(f"{context} must be a list of numbers")
+        tables[vid] = np.array([json_number(x, f"{context}: entry") for x in values])
+    return tables
 
 
 def _by_id(
@@ -472,15 +547,26 @@ def _by_id(
     """The name-keyed parent lists and tables keyed by variable id, with
     every name resolved to its id. A name that is not a variable's, or a
     parent list that is not a list (or tuple) of names, is refused with
-    ModelError."""
+    ModelError. All names are looked up in one pass; only when a lookup or
+    the type test fails are the lists walked in order, so that the error
+    names the first bad one."""
     ids = {v.name: v.id for v in variables}
+    try:
+        parents = {ids[name]: tuple(map(ids.__getitem__, plist))
+                   for name, plist in parents_by_name.items()}
+        tables = {ids[name]: t for name, t in tables_by_name.items()}
+    except (KeyError, TypeError):
+        pass
+    else:
+        if set(map(type, parents_by_name.values())) <= {list, tuple}:
+            return parents, tables
 
     def resolve(name, context: str) -> int:
         if not isinstance(name, str) or name not in ids:
             raise ModelError(f"unknown variable {name!r} referenced by {context}")
         return ids[name]
 
-    parents: dict[int, tuple[int, ...]] = {}
+    parents = {}
     for name, plist in parents_by_name.items():
         vid = resolve(name, "parents")
         if not isinstance(plist, (list, tuple)):

@@ -50,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import Instantiation, Variable, multiply_all, sum_axis
+from .factor import FactorError, Instantiation, Variable, multiply_all, sum_axis
 from .model import (ModelError, Scm, _known_id, evidence_to_lambdas, json_number, load_json,
                     validate)
 from .worlds import (_Builder, _copy_term, _point_mass, _profile_at, _term_violations,
@@ -206,7 +206,9 @@ def _add_mixture(build: _Builder, terms: tuple[ObjectiveTerm, ...]) -> int:
     states = tuple(f"h{i}" for i in range(1, len(terms) + 1))
     build.variables.append(Variable(h_id, build.name("H"), len(terms), states))
     build.parents[h_id] = ()
-    build.tables[h_id] = np.asarray([t.weight for t in terms], dtype=np.float64)
+    prior = np.array([t.weight for t in terms], dtype=np.float64)
+    prior.flags.writeable = False  # so that the model shares it
+    build.tables[h_id] = prior
     return h_id
 
 
@@ -271,6 +273,7 @@ def build_objective_model(
         rows = np.empty(table.shape[:-1] + (objective.n, table.shape[-1]))
         rows[...] = _point_mass(table.shape[-1], e1[vid])
         rows[..., i, :] = table
+        rows.flags.writeable = False  # so that the model shares it
         build.parents[vid] += (h_id,)
         build.tables[vid] = rows
 
@@ -349,6 +352,7 @@ def _solve_model(scm: Scm, objective: ObjectiveFunction) -> ObjectiveModel:
             table[..., i, :] = (1.0, 0.0)
             if want is not None:
                 table[(*(want[p] for p in copies), i)] = (0.0, 1.0)
+        table.flags.writeable = False  # so that the model shares it
         build.tables[o] = table
         e1[o] = 1
 
@@ -522,7 +526,10 @@ def load_objective(scm: Scm, data: bytes | str) -> ObjectiveFunction:
             inst = entry.get(key, {})
             if not isinstance(inst, dict):
                 raise ModelError(f"term {i}: {key!r} must map variable names to states")
-            insts[key] = scm.instantiation(inst)
+            try:
+                insts[key] = scm.instantiation(inst)
+            except FactorError as err:  # a state the variable does not have
+                raise ModelError(f"term {i}: {key!r}: {err}") from None
         weight = json_number(entry["weight"], f"term {i}: weight")
         terms.append(ObjectiveTerm(weight=weight, **insts))
     return ObjectiveFunction(unit_ids, tuple(terms))

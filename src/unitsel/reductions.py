@@ -225,8 +225,9 @@ OR_TABLE = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]
 )  # gate = min(1, left + right): the saturating reading of the sum rule
 IDENTITY_TABLE = np.array([[1.0, 0.0], [0.0, 1.0]])  # and/or of a node with itself
-for _gate_table in (NOT_TABLE, AND_TABLE, OR_TABLE, IDENTITY_TABLE):
-    _gate_table.flags.writeable = False  # read-only, so every circuit shares it
+_UNIFORM_TABLE = np.array([0.5, 0.5])  # the prior of every declared variable
+for _table in (NOT_TABLE, AND_TABLE, OR_TABLE, IDENTITY_TABLE, _UNIFORM_TABLE):
+    _table.flags.writeable = False  # read-only, so every circuit shares it
 
 
 def compile_formula(formula: Formula) -> tuple[Scm, int]:
@@ -246,7 +247,7 @@ def compile_formula(formula: Formula) -> tuple[Scm, int]:
         vid = len(variables)
         variables.append(Variable(vid, name, 2, ("0", "1")))
         parents[vid] = ()
-        tables[vid] = np.array([0.5, 0.5])
+        tables[vid] = _UNIFORM_TABLE
         ids[name] = vid
 
     counter = 0

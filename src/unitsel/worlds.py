@@ -143,9 +143,11 @@ class _Builder:
 
 
 def _point_mass(cardinality: int, state: int) -> np.ndarray:
-    """The distribution that puts all its mass on ``state``."""
+    """The distribution that puts all its mass on ``state``, read-only so
+    that the model built on it shares it."""
     point = np.zeros(cardinality)
     point[state] = 1.0
+    point.flags.writeable = False
     return point
 
 

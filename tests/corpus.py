@@ -14,7 +14,8 @@ from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
-from unitsel.model import FUNCTIONAL_TOL, ROW_SUM_TOL, ValidationReport
+from unitsel.model import (FUNCTIONAL_TOL, ROW_SUM_TOL, ModelError, ValidationReport, Variable,
+                           json_number, load_json, validate)
 from unitsel.reductions import Node, Var, _postorder
 
 
@@ -286,6 +287,73 @@ def reference_check(scm: Scm) -> ValidationReport:
                 f"internal variable {scm.var(vid).name!r} has a non-functional CPT"
             )
     return ValidationReport(acyclic, normalized, functional_status, violations)
+
+
+def reference_load_model(data: bytes | str, allow_nonfunctional: bool = False) -> Scm:
+    """The per-variable loader: one Variable per entry, one name lookup per
+    reference, and one float64 array per CPT, each converted on its own and
+    copied by Scm."""
+    doc = load_json(data, "model")
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
+    for key, kind, word in (("variables", list, "an array"), ("parents", dict, "an object"),
+                            ("cpts", dict, "an object")):
+        if key not in doc:
+            raise ModelError(f"model document missing {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ModelError(f"model {key!r} must be {word}")
+
+    variables = []
+    for i, entry in enumerate(doc["variables"]):
+        if not isinstance(entry, dict):
+            entry = {}
+        name, states = entry.get("name"), entry.get("states")
+        if not (isinstance(name, str) and isinstance(states, list)
+                and set(map(type, states)) <= {str}):
+            raise ModelError(
+                f"bad variable entry at position {i}: needs a string 'name' and "
+                "a list of string 'states'"
+            )
+        try:
+            variables.append(Variable(i, name, len(states), tuple(states)))
+        except FactorError as err:
+            raise ModelError(str(err)) from None
+
+    ids = {v.name: v.id for v in variables}
+
+    def resolve(name, context: str) -> int:
+        if not isinstance(name, str) or name not in ids:
+            raise ModelError(f"unknown variable {name!r} referenced by {context}")
+        return ids[name]
+
+    parents: dict[int, tuple[int, ...]] = {}
+    for name, plist in doc["parents"].items():
+        vid = resolve(name, "parents")
+        if not isinstance(plist, (list, tuple)):
+            raise ModelError(f"parents of {name!r} must be a list of names")
+        parents[vid] = tuple([resolve(p, f"parents of {name!r}") for p in plist])
+    cpts = {resolve(name, "cpts"): t for name, t in doc["cpts"].items()}
+
+    tables: dict[int, np.ndarray] = {}
+    for vid, flat in cpts.items():
+        context = f"CPT of {variables[vid].name!r}"
+        if not isinstance(flat, list):
+            raise ModelError(f"{context} must be a list of numbers")
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                tables[vid] = np.array(flat, dtype=np.float64)
+                continue
+            except OverflowError:  # an int beyond float range, named below
+                pass
+        tables[vid] = np.array([json_number(x, f"{context}: entry") for x in flat])
+
+    scm = Scm(variables, parents, tables)
+    report = validate(scm)
+    if not report.acyclic or not report.normalized:
+        raise ModelError("; ".join(report.violations))
+    if not report.functional and not allow_nonfunctional:
+        raise ModelError("; ".join(report.violations))
+    return scm
 
 
 def forward_eval(scm: Scm, root_inst) -> dict[int, int]:

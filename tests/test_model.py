@@ -26,7 +26,8 @@ from unitsel import (
 )
 from unitsel.bench import gen_benefit_objective
 from unitsel.factor import multiply_all
-from corpus import forward_eval, reference_check, reference_topological_order, small_scm
+from corpus import (forward_eval, reference_check, reference_load_model,
+                    reference_topological_order, small_scm)
 
 
 @pytest.fixture()
@@ -525,3 +526,141 @@ def test_derived_models_share_the_base_tables():
     assert len(bases) == cf.n
     for vid, b in enumerate(bases):
         assert (cf.tables[vid] is scm.tables[b]) == (vid not in cuts)
+
+
+def test_package_made_tables_are_shared_not_copied(monkeypatch):
+    # Point masses, the mixture prior, the indicator tables, the clamped
+    # outcome rows, the circuit priors and the loader's views were each
+    # copied once more when a model was built on them.
+    import unitsel.model
+    from unitsel import compile_formula, parse_dimacs
+    from unitsel.objective import _solve_model
+
+    copies = []
+    copy = unitsel.model._table_copy
+    monkeypatch.setattr(unitsel.model, "_table_copy",
+                        lambda *args: copies.append(args[0].name) or copy(*args))
+    scm = small_scm(3)
+    endo = scm.endogenous()
+    objective = gen_benefit_objective(scm, endo[0], endo[-1], (0.4, 0.3, 0.2, 0.1),
+                                      units=scm.roots[:2])
+    copies.clear()
+    _solve_model(scm, objective)
+    build_objective_model(scm, objective)
+    mutilate(scm, {endo[0]: 1})
+    compile_formula(parse_dimacs("p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"))
+    load_model(save_model(scm))
+    assert copies == []
+
+
+def _fuzz_base_document(rng: np.random.Generator) -> dict:
+    """A legal model document: cardinalities 1-4, parents drawn from the
+    variables declared before, and functional or not CPTs; the parents and
+    CPTs are listed in declaration order or shuffled."""
+    n = int(rng.integers(1, 7))
+    cards = [int(c) for c in rng.integers(1, 5, size=n)]
+    names = [f"V{i}" for i in range(n)]
+    parents, cpts = {}, {}
+    for i in range(n):
+        ps = sorted(int(j) for j in rng.choice(i, size=int(rng.integers(0, min(2, i) + 1)),
+                                                replace=False))
+        rows = math.prod(cards[j] for j in ps)
+        if rng.random() < 0.6:
+            table = np.zeros((rows, cards[i]))
+            table[np.arange(rows), rng.integers(0, cards[i], size=rows)] = 1.0
+        else:
+            table = rng.integers(1, 5, size=(rows, cards[i])).astype(float)
+            table /= table.sum(axis=1, keepdims=True)
+        parents[names[i]] = [names[j] for j in ps]
+        cpts[names[i]] = table.ravel().tolist()
+    doc = {"variables": [{"name": name, "states": [f"s{j}" for j in range(c)]}
+                         for name, c in zip(names, cards)],
+           "parents": parents, "cpts": cpts}
+    for key in ("parents", "cpts"):
+        if rng.random() < 0.5:
+            items = list(doc[key].items())
+            rng.shuffle(items)
+            doc[key] = dict(items)
+    return doc
+
+
+FUZZ_VALUES = (None, True, False, 0, 1, -1, 2, 0.0, 0.5, 1.0, -0.5, 1e400, math.nan, 2**70,
+               10**400, "", "0", "s1", "V0", "V1", [], [1], ["s0", "s1"], ["V0"], {},
+               {"name": "V0", "states": ["s0"]})
+
+
+def _fuzz_paths(doc: dict) -> list[tuple]:
+    """Every place a mutation can go: a top-level key, an entry, a field or
+    an element, under 'variables', 'parents' and 'cpts'."""
+    paths = [("variables",), ("parents",), ("cpts",)]
+    if isinstance(doc.get("variables"), list):
+        for i, entry in enumerate(doc["variables"]):
+            paths.append(("variables", i))
+            if isinstance(entry, dict):
+                paths += [("variables", i, "name"), ("variables", i, "states")]
+                if isinstance(entry.get("states"), list):
+                    paths += [("variables", i, "states", j) for j in range(len(entry["states"]))]
+    for key in ("parents", "cpts"):
+        if isinstance(doc.get(key), dict):
+            for name, value in doc[key].items():
+                paths.append((key, name))
+                if isinstance(value, list):
+                    paths += [(key, name, j) for j in range(len(value))]
+    return paths
+
+
+def _mutate(doc: dict, rng: np.random.Generator) -> None:
+    paths = _fuzz_paths(doc)
+    *head, last = paths[int(rng.integers(len(paths)))]
+    node = doc
+    for step in head:
+        node = node[step]
+    if isinstance(node, dict) and rng.random() < 0.1:
+        del node[last]
+    else:
+        node[last] = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+
+
+def _load_outcome(load, data: str, allow_nonfunctional: bool):
+    """What a loader makes of a document, bit for bit: the model's
+    variables, parents, tables and validation report, or the refusal."""
+    try:
+        scm = load(data, allow_nonfunctional=allow_nonfunctional)
+    except ModelError as err:
+        return "refused", str(err)
+    report = validate(scm)
+    return ("loaded", scm.variables, scm.parents,
+            [(vid, t.shape, t.dtype.str, t.tobytes()) for vid, t in scm.tables.items()],
+            (report.acyclic, report.normalized, report.functional_status, report.violations))
+
+
+def test_load_model_matches_the_per_variable_reference_on_mutated_documents():
+    # Every document loads to the reference's model bit for bit, or both
+    # refuse it with ModelError and the same message.
+    rng = np.random.default_rng(8822)
+    outcomes, messages = {"loaded": 0, "refused": 0}, set()
+    for trial in range(2000):
+        doc = _fuzz_base_document(rng)
+        for _ in range(int(rng.integers(1, 4))):
+            _mutate(doc, rng)
+        data = json.dumps(doc)
+        allow = bool(rng.random() < 0.5)
+        got = _load_outcome(load_model, data, allow)
+        assert got == _load_outcome(reference_load_model, data, allow), (trial, data)
+        outcomes[got[0]] += 1
+        if got[0] == "refused":
+            messages.add(re.sub(r"'[^']*'|\d+|\S+ is", "_", got[1]).split(";")[0])
+    # Both outcomes occur, and the refusals reach many distinct checks.
+    assert outcomes["loaded"] >= 20 and outcomes["refused"] >= 1000, outcomes
+    assert len(messages) >= 15, sorted(messages)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_model_matches_the_per_variable_reference_on_legal_documents(seed):
+    # Non-binary cardinalities: the row-sum test groups entries by cardinality.
+    doc = _fuzz_base_document(np.random.default_rng([17, seed]))
+    data = json.dumps(doc)
+    got = _load_outcome(load_model, data, True)
+    assert got[0] == "loaded" and got == _load_outcome(reference_load_model, data, True)
+    scm = load_model(data, allow_nonfunctional=True)
+    assert not any(t.flags.writeable for t in scm.tables.values())

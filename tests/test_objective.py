@@ -1,7 +1,9 @@
 """Objective functions and the objective-model reduction."""
 
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -743,3 +745,54 @@ def test_solve_model_on_random_bayesian_networks():
         with pytest.raises(ModelError, match="separate worlds"):
             build_objective_model(scm, L)
     assert solved > 20
+
+
+@pytest.mark.parametrize("state", ['"x"', "1.5", "true", "0", "NaN", "null", "[0]", '{"X": "x"}'])
+def test_load_objective_refuses_a_state_the_variable_lacks(state):
+    # Each once escaped as FactorError from Variable.state_index.
+    doc = f'{{"units":["U"],"terms":[{{"weight":1.0,"y":{{"Y":"0"}},"x":{{"X":{state}}}}}]}}'
+    shown = repr(json.loads(state))
+    message = f"term 1: 'x': variable 'X' has no state {shown}"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        load_objective(xor_scm(), doc)
+
+
+def test_load_objective_refuses_mutated_documents_with_model_error_only():
+    scm = make_scm(
+        [("U", ["0", "1"]), ("X", ["0", "1"]), ("Y", ["a", "b", "c"])],
+        {"U": [], "X": ["U"], "Y": ["X"]},
+        {"U": [0.5, 0.5], "X": [0, 1, 1, 0], "Y": [1, 0, 0, 0, 0, 1]},
+    )
+    base = {"units": ["U"], "terms": [
+        {"weight": 0.5, "x": {"X": "0"}, "y": {"Y": "a"}, "v": {"X": "1"}, "w": {"Y": "c"}},
+        {"weight": 0.5, "y": {"Y": "c"}, "e": {"X": "1"}},
+    ]}
+    values = (None, True, False, 0, 1, -1, 0.5, 1e400, math.nan, 2**70, 10**400, "", "0", "1",
+              "a", "U", "X", "Y", [], ["U"], {}, {"X": "x"}, {"Y": "b"})
+    rng = np.random.default_rng(6114)
+    outcomes = {"loaded": 0, "refused": 0}
+    for trial in range(2000):
+        doc = json.loads(json.dumps(base))
+        for _ in range(int(rng.integers(1, 4))):
+            paths = [("units",), ("terms",)]
+            if isinstance(doc["units"], list):
+                paths += [("units", j) for j in range(len(doc["units"]))]
+            if isinstance(doc["terms"], list):
+                for i, term in enumerate(doc["terms"]):
+                    paths.append(("terms", i))
+                    if isinstance(term, dict):
+                        for key in ("weight", "x", "y", "v", "w", "e"):
+                            paths.append(("terms", i, key))
+                            if isinstance(term.get(key), dict):
+                                paths += [("terms", i, key, name) for name in ("U", "X", "Y")]
+            *head, last = paths[int(rng.integers(len(paths)))]
+            node = doc
+            for step in head:
+                node = node[step]
+            node[last] = values[int(rng.integers(len(values)))]
+        try:
+            load_objective(scm, json.dumps(doc))
+            outcomes["loaded"] += 1
+        except ModelError:
+            outcomes["refused"] += 1
+    assert outcomes["loaded"] >= 20 and outcomes["refused"] >= 1000, outcomes
