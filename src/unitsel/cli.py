@@ -85,10 +85,10 @@ def parse_assignments(scm: Scm, text: str | None) -> Instantiation:
         if "=" not in chunk:
             raise ModelError(f"bad assignment {chunk!r}, expected name=state")
         name, state = chunk.split("=", 1)
-        v = scm.by_name(name.strip())
-        if v.id in out:
-            raise ModelError(f"evidence variable {v.name!r} is repeated")
-        out[v.id] = v.state_index(state.strip())
+        inst = scm.instantiation({name.strip(): state.strip()})
+        if inst.keys() & out.keys():
+            raise ModelError(f"evidence variable {name.strip()!r} is repeated")
+        out.update(inst)
     return out
 
 

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
-from .model import ModelError, Scm
+from .model import ModelError, Scm, _known_id
 
 ENUM_MAX_ORDERS = 50000  # orders visited by treewidth_exact_enum
 EXACT_MAX_FREE = 22  # nodes per phase of treewidth_exact's subset program
@@ -214,12 +214,17 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _sequence(order: EliminationOrder | Sequence[int]) -> tuple[int, ...]:
+    """The ids of ``order`` in elimination order."""
+    return order.sequence if isinstance(order, EliminationOrder) else tuple(order)
+
+
 def _elimination_walk(
     g: UGraph, order: EliminationOrder | Sequence[int]
 ) -> tuple[tuple[int, ...], list[int]]:
     """The order as a tuple, and for each of its nodes the bitset, over
     ranks in the order, of the neighbors still there when the node goes."""
-    seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
+    seq = _sequence(order)
     if len(seq) != len(g.adj) or set(seq) != g.adj.keys():
         raise ModelError("order must cover exactly the graph nodes")
     # Ranks follow the order, so the neighbors left when v goes are the bits
@@ -387,9 +392,8 @@ def lift_order_unconstrained(
     the lifted model (all first-world copies, then all second-world copies,
     then all third-world copies; shared variables map to their single copy).
     """
-    seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
     lifted: list[int] = []
-    for vid in seq:
+    for vid in _sequence(order):
         lifted.extend(duplicates[vid])
     if h_id is not None:
         lifted.append(h_id)
@@ -422,8 +426,7 @@ def lift_order_constrained(
 
 def append_root_order(order: EliminationOrder | Sequence[int], h_id: int) -> EliminationOrder:
     """The order <pi, H> for a model extended by a fresh root H."""
-    seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
-    return EliminationOrder(seq + (h_id,), None)
+    return EliminationOrder(_sequence(order) + (h_id,), None)
 
 
 # -- structural predicates -----------------------------------------------------
@@ -442,8 +445,10 @@ def is_external(scm: Scm, units: Iterable[int]) -> bool:
 
     Requires the base DAG (undirected skeleton) to be connected.
     """
-    units = set(units)
+    units = tuple(units)
     for vid in units:
+        if not _known_id(scm, vid):
+            raise ModelError(f"unknown unit variable id {vid}")
         if not scm.is_root(vid):
             raise ModelError(f"unit variable {scm.var(vid).name!r} must be a root")
     g = skeleton(scm)
@@ -542,6 +547,8 @@ def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) 
     on the elimination order used for the first phase.
     """
     suffix = set(constrained_suffix) if constrained_suffix is not None else set()
+    if not suffix <= g.nodes:
+        raise ModelError(f"constrained nodes {suffix - g.nodes} are not in the graph")
     first = sorted(g.nodes - suffix)
     if len(first) > EXACT_MAX_FREE or len(suffix) > EXACT_MAX_FREE:
         raise ModelError(f"exact oracle limited to {EXACT_MAX_FREE} nodes per phase")

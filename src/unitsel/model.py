@@ -137,11 +137,16 @@ class Scm:
         return tuple(v.id for v in self.variables if self.parents[v.id])
 
     def instantiation(self, by_name: Mapping[str, str]) -> Instantiation:
-        """Translate a {variable name: state name} mapping to id/index form."""
+        """Translate a {variable name: state name} mapping to id/index form.
+        A name that is not a variable's, or a state its variable lacks, is
+        refused with ModelError."""
         out: Instantiation = {}
         for name, state in by_name.items():
             v = self.by_name(name)
-            out[v.id] = v.state_index(state)
+            try:
+                out[v.id] = v.state_index(state)
+            except FactorError as err:
+                raise ModelError(str(err)) from None
         return out
 
     def names_of(self, inst: Mapping[int, int]) -> dict[str, str]:
@@ -200,9 +205,6 @@ class Scm:
     def size_parameters(self) -> int:
         """Total number of CPT entries (the model size |G|)."""
         return int(sum(t.size for t in self.tables.values()))
-
-    def node_functional(self, vid: int) -> bool:
-        return _functional(self.tables[vid])
 
     def structural_map(self, vid: int) -> np.ndarray:
         """For a functional node, the implied state per parent row (argmax)."""
@@ -368,11 +370,6 @@ def _bad_rows(table: np.ndarray, cardinality: int) -> np.ndarray:
 def _zero_one(entries: np.ndarray) -> np.ndarray:
     """Which entries are 0 or 1."""
     return np.minimum(np.abs(entries), np.abs(entries - 1.0)) <= FUNCTIONAL_TOL
-
-
-def _functional(entries: np.ndarray) -> bool:
-    """Whether every entry is 0 or 1."""
-    return bool(np.all(_zero_one(entries)))
 
 
 def joint_prob(scm: Scm, full: Mapping[int, int]) -> float:

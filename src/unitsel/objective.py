@@ -50,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import FactorError, Instantiation, Variable, multiply_all, sum_axis
+from .factor import Instantiation, multiply_all, sum_axis
 from .model import (ModelError, Scm, _known_id, evidence_to_lambdas, json_number, load_json,
                     validate)
 from .worlds import (_Builder, _copy_term, _point_mass, _profile_at, _term_violations,
@@ -202,14 +202,8 @@ def _check_base(scm: Scm, objective: ObjectiveFunction) -> bool:
 def _add_mixture(build: _Builder, terms: tuple[ObjectiveTerm, ...]) -> int:
     """Append the mixture root H, one state per term with the term weights as
     its prior, and return its id."""
-    h_id = len(build.variables)
     states = tuple(f"h{i}" for i in range(1, len(terms) + 1))
-    build.variables.append(Variable(h_id, build.name("H"), len(terms), states))
-    build.parents[h_id] = ()
-    prior = np.array([t.weight for t in terms], dtype=np.float64)
-    prior.flags.writeable = False  # so that the model shares it
-    build.tables[h_id] = prior
-    return h_id
+    return build.add("H", states, (), np.array([t.weight for t in terms], dtype=np.float64))
 
 
 def _component(
@@ -220,6 +214,25 @@ def _component(
     per_base = {b: {k: c[b] for k, c in world_om.items() if b in c} for b in endo}
     return ComponentMap(tuple(k for k, c in world_om.items() if c),
                         {b: c for b, c in per_base.items() if c}, roots_om)
+
+
+def _objective_model(
+    build: _Builder, scm: Scm, units: tuple[int, ...], unit_om: Mapping[int, int],
+    h_id: int | None, e1: Instantiation, e2: Instantiation, components: list[ComponentMap],
+) -> ObjectiveModel:
+    """The model ``build`` holds, with its query and its maps, for units
+    ``units`` of ``scm``."""
+    return ObjectiveModel(
+        model=build.model(),
+        h_id=h_id,
+        e1=e1,
+        e2=e2,
+        unit_base_ids=units,
+        unit_om_ids=tuple(unit_om[u] for u in units),
+        components=tuple(components),
+        base_endo_count=len(scm.endogenous()),
+        base_nonunit_exo_count=len(scm.roots) - len(units),
+    )
 
 
 def build_objective_model(
@@ -273,21 +286,10 @@ def build_objective_model(
         rows = np.empty(table.shape[:-1] + (objective.n, table.shape[-1]))
         rows[...] = _point_mass(table.shape[-1], e1[vid])
         rows[..., i, :] = table
-        rows.flags.writeable = False  # so that the model shares it
         build.parents[vid] += (h_id,)
         build.tables[vid] = rows
 
-    return ObjectiveModel(
-        model=build.model(),
-        h_id=h_id,
-        e1=e1,
-        e2=e2,
-        unit_base_ids=units,
-        unit_om_ids=tuple(unit_om[u] for u in units),
-        components=tuple(components),
-        base_endo_count=len(endo),
-        base_nonunit_exo_count=len(scm.roots) - len(units),
-    )
+    return _objective_model(build, scm, units, unit_om, h_id, e1, e2, components)
 
 
 def _solve_model(scm: Scm, objective: ObjectiveFunction) -> ObjectiveModel:
@@ -343,30 +345,15 @@ def _solve_model(scm: Scm, objective: ObjectiveFunction) -> ObjectiveModel:
 
     e1: Instantiation = {}
     for j, (copies, group) in enumerate(indicators.items(), start=1):
-        o = len(build.variables)
-        build.variables.append(Variable(o, build.name(f"O{j}"), 2, ("0", "1")))
-        build.parents[o] = (*copies, h_id)
         table = np.zeros(tuple(build.variables[p].cardinality for p in copies) + (len(terms), 2))
         table[..., 1] = 1.0  # H names a term outside the group
         for i, want in group:
             table[..., i, :] = (1.0, 0.0)
             if want is not None:
                 table[(*(want[p] for p in copies), i)] = (0.0, 1.0)
-        table.flags.writeable = False  # so that the model shares it
-        build.tables[o] = table
-        e1[o] = 1
+        e1[build.add(f"O{j}", ("0", "1"), (*copies, h_id), table)] = 1
 
-    return ObjectiveModel(
-        model=build.model(),
-        h_id=h_id,
-        e1=e1,
-        e2=e2,
-        unit_base_ids=units,
-        unit_om_ids=tuple(unit_om[u] for u in units),
-        components=tuple(components),
-        base_endo_count=len(endo),
-        base_nonunit_exo_count=len(scm.roots) - len(units),
-    )
+    return _objective_model(build, scm, units, unit_om, h_id, e1, e2, components)
 
 
 # -- reference evaluation -------------------------------------------------------
@@ -528,7 +515,7 @@ def load_objective(scm: Scm, data: bytes | str) -> ObjectiveFunction:
                 raise ModelError(f"term {i}: {key!r} must map variable names to states")
             try:
                 insts[key] = scm.instantiation(inst)
-            except FactorError as err:  # a state the variable does not have
+            except ModelError as err:
                 raise ModelError(f"term {i}: {key!r}: {err}") from None
         weight = json_number(entry["weight"], f"term {i}: weight")
         terms.append(ObjectiveTerm(weight=weight, **insts))

@@ -18,9 +18,10 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .factor import Variable, _is_index
+from .factor import _is_index
 from .inference import rmap_ve
 from .model import ModelError, Scm
+from .worlds import _Builder
 
 EMAJSAT_MAX_V = 20
 
@@ -61,6 +62,9 @@ class Formula:
     v_vars: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if len(set(self.variables)) != len(self.variables):
+            repeated = sorted({n for n in self.variables if self.variables.count(n) > 1})
+            raise ModelError(f"formula declares variables more than once: {repeated}")
         used = collect_names(self.root)
         missing = used - set(self.variables)
         if missing:
@@ -68,8 +72,10 @@ class Formula:
         if (self.u_vars is None) != (self.v_vars is None):
             raise ModelError("a partition must give both u and v blocks")
         if self.u_vars is not None:
-            both = set(self.u_vars) | set(self.v_vars)
-            if set(self.u_vars) & set(self.v_vars) or both != set(self.variables):
+            blocks = (*self.u_vars, *self.v_vars)
+            # Covering the variables with as many entries as there are
+            # variables leaves no room for an overlap or a repeat.
+            if set(blocks) != set(self.variables) or len(blocks) != len(self.variables):
                 raise ModelError("u and v must partition the declared variables")
 
     def with_partition(self, u_vars, v_vars) -> "Formula":
@@ -237,55 +243,30 @@ def compile_formula(formula: Formula) -> tuple[Scm, int]:
     functional gate (NOT = 1 - input, AND = product, OR = saturating sum).
     A bare variable formula has the variable root itself as sentinel.
     """
-    variables: list[Variable] = []
-    parents: dict[int, tuple[int, ...]] = {}
-    tables: dict[int, np.ndarray] = {}
-    taken = set(formula.variables)
-    ids: dict[str, int] = {}
-
-    for name in formula.variables:
-        vid = len(variables)
-        variables.append(Variable(vid, name, 2, ("0", "1")))
-        parents[vid] = ()
-        tables[vid] = _UNIFORM_TABLE
-        ids[name] = vid
-
-    counter = 0
-
-    def gate_name() -> str:
-        nonlocal counter
-        counter += 1
-        name = f"s{counter}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        return name
-
-    # Gates get ids and names in post-order; each node's id goes on the
-    # stack, and a gate pops its inputs' ids.
+    build = _Builder()
+    ids = {name: build.add(name, ("0", "1"), (), _UNIFORM_TABLE) for name in formula.variables}
+    # Gates get ids and names s1, s2, ... (primed if a variable has the name)
+    # in post-order; each node's id goes on the stack, and a gate pops its
+    # inputs' ids.
     built: list[int] = []
+    gates = 0
     for node in _postorder(formula.root):
         if isinstance(node, Var):
             built.append(ids[node.name])
             continue
-        vid = len(variables)
-        variables.append(Variable(vid, gate_name(), 2, ("0", "1")))
         if isinstance(node, Not):
-            parents[vid] = (built.pop(),)
-            tables[vid] = NOT_TABLE
+            parents, table = (built.pop(),), NOT_TABLE
         else:
             right, left = built.pop(), built.pop()
             if left == right:
                 # Repeated literal (e.g. a DIMACS clause "1 1 0"): both inputs
                 # are the same node, and the gate reduces to the identity.
-                parents[vid] = (left,)
-                tables[vid] = IDENTITY_TABLE
+                parents, table = (left,), IDENTITY_TABLE
             else:
-                parents[vid] = (left, right)
-                tables[vid] = AND_TABLE if isinstance(node, And) else OR_TABLE
-        built.append(vid)
-
-    return Scm(variables, parents, tables), built.pop()
+                parents, table = (left, right), AND_TABLE if isinstance(node, And) else OR_TABLE
+        gates += 1
+        built.append(build.add(f"s{gates}", ("0", "1"), parents, table))
+    return build.model(), built.pop()
 
 
 # -- exact ground truths -------------------------------------------------------------

@@ -5,10 +5,13 @@ observational query on an auxiliary model holding several copies ("worlds")
 of the SCM that share exogenous variables: world 1 carries the observation e,
 world 2 the intervention do(x), world 3 the intervention do(v). Copies in
 world 2 are written [X], copies in world 3 [[X]]; generic n-world copies are
-written X^k. Every derived model (n-world, mutilated, counterfactual and
-objective) is built by one private builder, whose copy step is the only code
-that cuts a copy to a point mass, under one name rule: a copy name that is
-already taken gets a prime (') appended until it is free.
+written X^k. Every model the package derives or compiles (n-world,
+mutilated, counterfactual, objective, and the Boolean circuits of
+:mod:`unitsel.reductions`) is built by one private builder. Its copy step is
+the only code that cuts a copy to a point mass, its add step appends a fresh
+variable, and both name under one rule: a name that is already taken gets a
+prime (') appended until it is free. The builder makes every table read-only
+before it builds the model, so the model shares them all.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ class WorldMap:
     n_worlds: int
     shared: frozenset[int]
     copies: dict[int, tuple[int, ...]]
-
-    def copy_of(self, base_id: int, world: int) -> int:
-        """Id of the copy of ``base_id`` in ``world`` (1-based)."""
-        return self.copies[base_id][world - 1]
 
 
 def bracket_name(name: str, world: int) -> str:
@@ -92,8 +91,9 @@ def n_world_model(
 
 @dataclass
 class _Builder:
-    """A derived model under construction: its variables, parent lists and
-    tables, filled in id order, and the names it has given out."""
+    """A derived or compiled model under construction: its variables,
+    parent lists and tables, filled in id order, and the names it has given
+    out."""
 
     variables: list[Variable] = field(default_factory=list)
     parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -138,16 +138,31 @@ class _Builder:
                 tables[vid] = scm.tables[b]
         return copy
 
+    def add(self, name: str, states: tuple[str, ...], parents: tuple[int, ...],
+            table: np.ndarray) -> int:
+        """Append a fresh variable, named ``name`` under the name rule, and
+        return its id, the next one."""
+        vid = len(self.variables)
+        self.variables.append(Variable(vid, self.name(name), len(states), states))
+        self.parents[vid] = parents
+        self.tables[vid] = table
+        return vid
+
     def model(self) -> Scm:
+        """The model built so far. Every table is made read-only first, so
+        that the model shares it instead of copying it."""
+        for table in self.tables.values():
+            # Most are base tables, already read-only; setting the flag costs
+            # about ten times as much as reading it.
+            if table.flags.writeable:
+                table.flags.writeable = False
         return Scm(self.variables, self.parents, self.tables)
 
 
 def _point_mass(cardinality: int, state: int) -> np.ndarray:
-    """The distribution that puts all its mass on ``state``, read-only so
-    that the model built on it shares it."""
+    """The distribution that puts all its mass on ``state``."""
     point = np.zeros(cardinality)
     point[state] = 1.0
-    point.flags.writeable = False
     return point
 
 

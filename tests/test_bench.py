@@ -47,7 +47,7 @@ def test_gen_random_scm_minimal():
     assert validate(scm).is_valid_scm
     assert len(scm.roots) >= 1
     child = scm.endogenous()[0]
-    assert scm.node_functional(child)
+    assert validate(scm).functional_status[child]
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -145,6 +145,10 @@ def test_parse_assignments(five_node):
     assert parse_assignments(scm, "A=a0,,B=b1, ") == {0: 0, 1: 1}
     with pytest.raises(ModelError, match="^bad assignment 'A', expected name=state$"):
         parse_assignments(scm, "A")
+    with pytest.raises(ModelError, match="^variable 'A' has no state 'a9'$"):
+        parse_assignments(scm, "B=b1, A=a9")
+    with pytest.raises(ModelError, match="^evidence variable 'A' is repeated$"):
+        parse_assignments(scm, "A=a0, A =a1")
 
 
 def test_map_zero_optimum_exits_2(capsys, five_node):

@@ -583,6 +583,13 @@ def test_exact_dp_matches_enumeration():
         assert w_enum == w_dp
 
 
+def test_exact_dp_refuses_a_constrained_node_not_in_the_graph():
+    # It once raised a raw KeyError.
+    g = random_ugraph(3, lo=4, hi=4)
+    with pytest.raises(ModelError, match="not in the graph"):
+        treewidth_exact(g, {99})
+
+
 def test_enumeration_guard():
     g = random_ugraph(1, lo=12, hi=12)
     with pytest.raises(ModelError):
@@ -620,6 +627,19 @@ def test_is_external_tight_family_false():
         scm, units, _ = gen_tight_family(n)
         assert skeleton(scm).connected()
         assert not is_external(scm, units)
+
+
+@pytest.mark.parametrize("unit", [99, -1, True, 0.0])
+def test_is_external_refuses_unknown_unit_ids(unit):
+    # 99 and -1 once raised a raw KeyError; True was read as id 1 and 0.0 as
+    # id 0.
+    scm = make_scm(
+        [("A", ["0", "1"]), ("B", ["0", "1"]), ("C", ["0", "1"])],
+        {"A": [], "B": [], "C": ["A", "B"]},
+        {"A": [.5, .5], "B": [.5, .5], "C": [1, 0, 0, 1, 0, 1, 0, 1]},
+    )
+    with pytest.raises(ModelError, match=f"^unknown unit variable id {unit}$"):
+        is_external(scm, [unit])
 
 
 def test_is_external_requires_connected_and_roots():

@@ -137,6 +137,17 @@ def test_save_load_roundtrip_byte_stable(two_node):
     assert data == again
 
 
+def test_instantiation_refuses_a_state_the_variable_lacks(two_node):
+    # A state once escaped as FactorError from Variable.state_index, while an
+    # unknown name was refused with ModelError.
+    scm = load_model(two_node, allow_nonfunctional=True)
+    assert scm.instantiation({"V": "v2", "U": "u1"}) == {1: 1, 0: 0}
+    with pytest.raises(ModelError, match="^variable 'V' has no state 'v3'$"):
+        scm.instantiation({"V": "v3"})
+    with pytest.raises(ModelError, match="^no variable named 'W'$"):
+        scm.instantiation({"W": "v1"})
+
+
 def test_load_errors_name_the_node(two_node):
     import json
 

@@ -3,8 +3,9 @@
 Each corpus is hashed (sha256) over the saved model JSON plus every
 structural output a caller reads: e1, e2, the mixture root id, the
 component maps and ``duplicates()`` of an objective model, the world map
-of an n-world model, and the evidence pair of a counterfactual query. A
-refactor of any builder must leave every digest unchanged.
+of an n-world model, the evidence pair of a counterfactual query, and the
+sentinel id of a compiled circuit. A refactor of any builder must leave
+every digest unchanged.
 """
 
 import hashlib
@@ -15,15 +16,18 @@ from unitsel import (
     ObjectiveFunction,
     ObjectiveTerm,
     build_objective_model,
+    compile_formula,
     counterfactual_query,
     make_scm,
     mutilate,
     n_world_model,
+    parse_dimacs,
     save_model,
     triplet_model,
     twin_model,
 )
 from unitsel.bench import GenConfig, gen_benefit_objective, gen_random_scm, gen_tight_family
+from corpus import random_cnf
 
 SEEDS = range(12)
 
@@ -123,6 +127,12 @@ def mutilated_records():
         yield save_model(model) + repr((e1, e2)).encode()
 
 
+def compiled_records():
+    for seed in range(40):
+        scm, sentinel = compile_formula(parse_dimacs(random_cnf(seed)))
+        yield save_model(scm) + repr(sentinel).encode()
+
+
 CORPORA = {
     "objective-random": (
         random_objective_records,
@@ -135,6 +145,10 @@ CORPORA = {
     "n-world": (
         world_records,
         "5df34131473bb3c4ecd54951c41f139eccf391e6950886ac68c19365dbdd4e82",
+    ),
+    "compiled": (
+        compiled_records,
+        "3caa1fc7c342d8ba76d69102224a5068f3844bac3025da5d6bdd9b3915becc36",
     ),
     "mutilated": (
         mutilated_records,

@@ -230,6 +230,21 @@ def test_evaluate_large_formula():
         assert evaluate(f.root, assignment) == expected
 
 
+def test_formula_refuses_a_repeated_variable():
+    # The repeat once gave a (2, 2, 2) truth table with 2 satisfying cells.
+    with pytest.raises(ModelError, match=r"more than once: \['a'\]"):
+        Formula(And(Var("a"), Var("b")), ("a", "b", "a"))
+    with pytest.raises(ModelError, match="partition"):
+        Formula(And(Var("a"), Var("b")), ("a", "b"), ("a", "a"), ("b",))
+
+
+def test_gate_name_taken_by_a_variable_gets_a_prime():
+    scm, sentinel = compile_formula(Formula(Or(Var("s1"), Not(Var("s2"))), ("s1", "s2")))
+    assert [v.name for v in scm.variables] == ["s1", "s2", "s1'", "s2'"]
+    assert sentinel == 3
+    assert scm.parents == {0: (), 1: (), 2: (1,), 3: (0, 2)}
+
+
 def test_formula_partition_validation():
     with pytest.raises(ModelError):
         Formula(Var("x1"), ("x1", "x2"), ("x1",), ("x1",))

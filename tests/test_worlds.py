@@ -115,7 +115,7 @@ def test_world1_marginal_matches_base():
     tm, wm = triplet_model(scm)
     for vid in scm.endogenous():
         base = posterior(scm, {vid}, {})
-        copy_id = wm.copy_of(vid, 1)
+        copy_id = wm.copies[vid][0]
         lifted = posterior(tm, {copy_id}, {})
         assert np.allclose(base.values, lifted.values, rtol=1e-9)
 
