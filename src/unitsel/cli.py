@@ -226,14 +226,12 @@ def cmd_width(args: argparse.Namespace) -> None:
         shared = unit_ids if unit_ids else list(scm.roots)
         nw, wm = n_world_model(scm, shared, k)
         gn = moral_graph(nw)
-        # A shared variable's copies are one node, listed once.
-        dedup = {b: tuple(dict.fromkeys(c)) for b, c in wm.copies.items()}
         if unit_ids:
-            lifted = lift_order_constrained(order, dedup, None, unit_ids)
+            lifted = lift_order_constrained(order, wm.copies, None, unit_ids)
             heading = f"lifted constrained width ({k}-world)"
             checks.append((heading, order_width(gn, lifted), w, "w"))
         else:
-            lifted = lift_order_unconstrained(order, dedup, None)
+            lifted = lift_order_unconstrained(order, wm.copies, None)
             heading = f"lifted unconstrained width ({k}-world)"
             checks.append((heading, order_width(gn, lifted), k * (w + 1) - 1, "n(w+1)-1"))
     print(f"width: {w}")

@@ -35,6 +35,13 @@ builds no set; ``simulate_elimination`` turns each into its cluster, the
 node and those neighbors, as a ``frozenset``. Callers that need only the
 width (the width table, the lifted-width checks, the enumeration oracle)
 use ``order_width``.
+
+Lifting an order replaces each variable by its copies in the lifting map,
+a repeated copy once; ``_lifted`` is that one step, and it refuses a
+variable the map lacks. ``treewidth_exact`` runs its subset program
+(Bodlaender et al. 2012) on the graph itself: once a set S is eliminated,
+two nodes are adjacent exactly when a path through S joins them (Rose,
+Tarjan & Lueker 1976), so no filled graph is built.
 """
 
 from __future__ import annotations
@@ -381,6 +388,17 @@ def mindegree_order(
 # -- order lifting -------------------------------------------------------------
 
 
+def _lifted(ids: Iterable[int], duplicates: Mapping[int, tuple[int, ...]]) -> list[int]:
+    """The copies of each of ``ids`` in turn, a copy that its tuple repeats
+    listed once; an id that ``duplicates`` lacks is refused."""
+    lifted: list[int] = []
+    for vid in ids:
+        if vid not in duplicates:
+            raise ModelError(f"order variable {vid} has no copies in the lifting map")
+        lifted += dict.fromkeys(duplicates[vid])
+    return lifted
+
+
 def lift_order_unconstrained(
     order: EliminationOrder | Sequence[int],
     duplicates: Mapping[int, tuple[int, ...]],
@@ -390,11 +408,9 @@ def lift_order_unconstrained(
 
     ``duplicates`` maps every base variable id to the ids of its copies in
     the lifted model (all first-world copies, then all second-world copies,
-    then all third-world copies; shared variables map to their single copy).
+    then all third-world copies; a shared variable's copies are one id).
     """
-    lifted: list[int] = []
-    for vid in _sequence(order):
-        lifted.extend(duplicates[vid])
+    lifted = _lifted(_sequence(order), duplicates)
     if h_id is not None:
         lifted.append(h_id)
     return EliminationOrder(tuple(lifted), None)
@@ -410,18 +426,16 @@ def lift_order_constrained(
     units = set(units)
     if order.constrained_suffix is None or set(order.constrained_suffix) != units:
         raise ModelError("order is not constrained on the given unit variables")
-    lifted: list[int] = []
-    for vid in order.prefix:
-        lifted.extend(duplicates[vid])
+    lifted = _lifted(order.prefix, duplicates)
     if h_id is not None:
         lifted.append(h_id)
     suffix: list[int] = []
     for vid in order.suffix:
-        copies = duplicates[vid]
-        if len(set(copies)) != 1:
+        copies = _lifted((vid,), duplicates)
+        if len(copies) != 1:
             raise ModelError("unit variables must be shared in the lifted model")
-        suffix.append(copies[0])
-    return EliminationOrder(tuple(lifted) + tuple(suffix), frozenset(suffix))
+        suffix += copies
+    return EliminationOrder(tuple(lifted + suffix), frozenset(suffix))
 
 
 def append_root_order(order: EliminationOrder | Sequence[int], h_id: int) -> EliminationOrder:
@@ -432,18 +446,12 @@ def append_root_order(order: EliminationOrder | Sequence[int], h_id: int) -> Eli
 # -- structural predicates -----------------------------------------------------
 
 
-def skeleton(scm: Scm) -> UGraph:
-    g = UGraph(nodes=(v.id for v in scm.variables))
-    for v in scm.variables:
-        for p in scm.parents[v.id]:
-            g.add_edge(p, v.id)
-    return g
-
-
 def is_external(scm: Scm, units: Iterable[int]) -> bool:
     """True iff the DAG stays connected after removing the unit roots.
 
-    Requires the base DAG (undirected skeleton) to be connected.
+    Requires the base DAG to be connected. The moral graph has the DAG's
+    connected parts: a marriage edge joins two parents of a child, and a
+    child is never a unit.
     """
     units = tuple(units)
     for vid in units:
@@ -451,19 +459,10 @@ def is_external(scm: Scm, units: Iterable[int]) -> bool:
             raise ModelError(f"unknown unit variable id {vid}")
         if not scm.is_root(vid):
             raise ModelError(f"unit variable {scm.var(vid).name!r} must be a root")
-    g = skeleton(scm)
+    g = moral_graph(scm)
     if not g.connected():
         raise ModelError("base DAG is disconnected")
     return g.without(units).connected()
-
-
-def eliminate_all(g: UGraph, vids: Iterable[int]) -> UGraph:
-    """The filled graph left after eliminating ``vids`` (any order; the
-    result is order-independent)."""
-    work = g.copy()
-    for v in vids:
-        work.eliminate(v)
-    return work
 
 
 # -- exact width oracles -------------------------------------------------------
@@ -498,13 +497,16 @@ def treewidth_exact_enum(
     )
 
 
-def _phase_min_width(g: UGraph, phase_nodes: list[int]) -> int:
+def _phase_min_width(g: UGraph, phase_nodes: list[int], gone: Sequence[int] = ()) -> int:
     """Min over orders of the max cluster size while eliminating
-    ``phase_nodes`` from ``g`` (other nodes stay). Subset dynamic program."""
+    ``phase_nodes`` from ``g`` once ``gone`` is eliminated (other nodes
+    stay). Subset dynamic program."""
     if not phase_nodes:
         return 0
-    index = {v: i for i, v in enumerate(phase_nodes)}
+    # Bits at n and above stand for ``gone``: eliminated in every state.
+    index = {v: i for i, v in enumerate((*phase_nodes, *gone))}
     n = len(phase_nodes)
+    gone_mask = (1 << len(index)) - (1 << n)
 
     def cluster_size(v: int, mask: int) -> int:
         # Neighbors of v in the graph with `mask` already eliminated =
@@ -532,7 +534,7 @@ def _phase_min_width(g: UGraph, phase_nodes: list[int]) -> int:
             if not (mask >> i) & 1:
                 continue
             prev = mask & ~(1 << i)
-            c = max(best[prev], cluster_size(phase_nodes[i], prev))
+            c = max(best[prev], cluster_size(phase_nodes[i], prev | gone_mask))
             if q is None or c < q:
                 q = c
         best[mask] = q
@@ -542,9 +544,8 @@ def _phase_min_width(g: UGraph, phase_nodes: list[int]) -> int:
 def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) -> int:
     """Exact (constrained) treewidth via dynamic programming over subsets.
 
-    The constrained problem splits into two independent phases: the filled
-    graph over the suffix after eliminating everything else does not depend
-    on the elimination order used for the first phase.
+    A constrained order splits into two independent phases: the second
+    walks through the free nodes of ``g`` as already eliminated.
     """
     suffix = set(constrained_suffix) if constrained_suffix is not None else set()
     if not suffix <= g.nodes:
@@ -553,9 +554,5 @@ def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) 
     if len(first) > EXACT_MAX_FREE or len(suffix) > EXACT_MAX_FREE:
         raise ModelError(f"exact oracle limited to {EXACT_MAX_FREE} nodes per phase")
     size1 = _phase_min_width(g, first)
-    if suffix:
-        reduced = eliminate_all(g, first)
-        size2 = _phase_min_width(reduced, sorted(suffix))
-    else:
-        size2 = 0
+    size2 = _phase_min_width(g, sorted(suffix), first)
     return max(size1, size2) - 1

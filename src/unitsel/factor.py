@@ -68,6 +68,8 @@ class Variable:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise FactorError(f"variable id must be >= 0, got {self.id}")
+        if not isinstance(self.name, str) or not set(map(type, self.state_names)) <= {str}:
+            raise FactorError(f"variable {self.name!r}: name and state names must be strings")
         if self.cardinality < 1:
             raise FactorError(f"variable {self.name!r} needs cardinality >= 1")
         if len(self.state_names) != self.cardinality:

@@ -62,6 +62,8 @@ class Formula:
     v_vars: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not set(map(type, self.variables)) <= {str}:
+            raise ModelError(f"formula variable names must be strings: {self.variables!r}")
         if len(set(self.variables)) != len(self.variables):
             repeated = sorted({n for n in self.variables if self.variables.count(n) > 1})
             raise ModelError(f"formula declares variables more than once: {repeated}")

@@ -9,6 +9,7 @@ from unitsel import (
     ModelError,
     build_objective_model,
     is_external,
+    make_scm,
     minfill_order,
     moral_graph,
     save_model,
@@ -25,7 +26,7 @@ from unitsel.bench import (
     tight_family_order,
     width_table_csv,
 )
-from unitsel.elimination import skeleton, treewidth_exact
+from unitsel.elimination import treewidth_exact
 from corpus import random_constrained_order
 
 
@@ -57,7 +58,7 @@ def test_gen_random_scm_postconditions(seed):
     roots = set(scm.roots)
     for vid in scm.endogenous():
         assert any(p in roots for p in scm.parents[vid])
-    assert skeleton(scm).connected()
+    assert moral_graph(scm).connected()
     priors = [scm.tables[r] for r in roots]
     assert all(0.05 / 1.0 <= p.min() for p in priors)
 
@@ -206,3 +207,13 @@ def test_external_roots_width_lower_bound(seed):
             order = random_constrained_order(g, units, rng)
             assert simulate_elimination(g, order).width >= len(units)
     assert found >= 1
+
+
+def test_benefit_objective_refuses_a_non_binary_variable():
+    scm = make_scm(
+        [("U", ["0", "1", "2"]), ("X", ["0", "1", "2"]), ("Y", ["0", "1"])],
+        {"U": [], "X": ["U"], "Y": ["X"]},
+        {"U": [0.2, 0.3, 0.5], "X": [1, 0, 0, 0, 1, 0, 0, 0, 1], "Y": [1, 0, 0, 1, 0, 1]},
+    )
+    with pytest.raises(ModelError, match="^treatment variable must be binary$"):
+        gen_benefit_objective(scm, 1, 2, (0.4, 0.3, 0.2, 0.1))

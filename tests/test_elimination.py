@@ -39,10 +39,8 @@ from unitsel.bench import (
 )
 from unitsel.elimination import (
     ancestral_closure,
-    eliminate_all,
     mindegree_order,
     moral_subgraph,
-    skeleton,
 )
 from unitsel.inference import default_order
 from unitsel.objective import ObjectiveFunction, ObjectiveTerm
@@ -446,6 +444,27 @@ def test_lift_requires_shared_unit_copies():
         lift_order_constrained(base, split, om.h_id, [ids["U"]])
 
 
+def test_lift_refuses_an_id_the_map_lacks():
+    # Both forms once raised a raw KeyError: 5.
+    missing = "^order variable 5 has no copies in the lifting map$"
+    with pytest.raises(ModelError, match=missing):
+        lift_order_unconstrained([0, 5], {0: (0,)})
+    with pytest.raises(ModelError, match=missing):
+        lift_order_constrained(EliminationOrder((0, 5), frozenset()), {0: (0,)}, None, [])
+    with pytest.raises(ModelError, match=missing):
+        lift_order_constrained(EliminationOrder((0, 5), frozenset({5})), {0: (0,)}, None, [5])
+
+
+def test_lift_lists_a_repeated_copy_once():
+    # An n-world map repeats a shared variable's one copy n times.
+    copies = {0: (0, 0, 0), 1: (1, 2, 3), 2: (4, 4, 4)}
+    assert lift_order_unconstrained([0, 1, 2], copies, 9).sequence == (0, 1, 2, 3, 4, 9)
+    order = EliminationOrder((1, 0, 2), frozenset({0, 2}))
+    lifted = lift_order_constrained(order, copies, None, [0, 2])
+    assert lifted.sequence == (1, 2, 3, 0, 4)
+    assert lifted.constrained_suffix == frozenset({0, 4})
+
+
 def test_append_root_order():
     order = EliminationOrder((0, 1, 2))
     assert append_root_order(order, 9).sequence == (0, 1, 2, 9)
@@ -533,7 +552,10 @@ def test_reduced_graph_adjacency_iff_avoiding_path(seed):
     others = [v for v in nodes if v != h]
     k = int(rng.integers(1, len(others) + 1))
     units = set(int(v) for v in rng.choice(others, size=k, replace=False))
-    reduced = eliminate_all(g, [v for v in nodes if v != h and v not in units])
+    reduced = g.copy()
+    for v in nodes:
+        if v != h and v not in units:
+            reduced.eliminate(v)
 
     def path_avoiding(x):
         allowed = (set(nodes) - units) | {x, h}
@@ -590,6 +612,14 @@ def test_exact_dp_refuses_a_constrained_node_not_in_the_graph():
         treewidth_exact(g, {99})
 
 
+def test_exact_dp_refuses_a_phase_over_the_limit():
+    limit = elimination_module.EXACT_MAX_FREE
+    g = UGraph(range(limit + 1))
+    for suffix in (None, g.nodes):
+        with pytest.raises(ModelError, match=f"^exact oracle limited to {limit} nodes per phase$"):
+            treewidth_exact(g, suffix)
+
+
 def test_enumeration_guard():
     g = random_ugraph(1, lo=12, hi=12)
     with pytest.raises(ModelError):
@@ -625,8 +655,25 @@ def test_is_external_cut_roots_false():
 def test_is_external_tight_family_false():
     for n in (3, 5, 8):
         scm, units, _ = gen_tight_family(n)
-        assert skeleton(scm).connected()
+        assert moral_graph(scm).connected()
         assert not is_external(scm, units)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_is_external_matches_the_dag_skeleton(seed):
+    # The moral graph's marriage edges join parents of a common child, which
+    # is never a unit, so removing the units leaves the same connected parts
+    # as in the DAG's own undirected edges.
+    rng = np.random.default_rng([563, seed])
+    scm = random_dag_scm(seed, lo=4, hi=10)
+    roots = scm.roots
+    k = int(rng.integers(1, len(roots) + 1))
+    units = set(int(v) for v in rng.choice(roots, size=k, replace=False))
+    dag = UGraph(
+        (v for v in range(scm.n) if v not in units),
+        ((p, v) for v in range(scm.n) for p in scm.parents[v] if p not in units),
+    )
+    assert is_external(scm, units) == dag.connected()
 
 
 @pytest.mark.parametrize("unit", [99, -1, True, 0.0])

@@ -26,6 +26,10 @@ def test_variable_validation():
         Variable(0, "X", 2, ("a", "a"))
     with pytest.raises(FactorError):
         Variable(-1, "X", 1, ("a",))
+    # Each of these once built a variable that a saved model could not load.
+    for name, states in ((1, ("0", "1")), ("X", (0, 1)), ("X", ("0", b"1"))):
+        with pytest.raises(FactorError, match="name and state names must be strings$"):
+            Variable(0, name, 2, states)
 
 
 def test_factor_layout_last_variable_fastest():
@@ -43,6 +47,8 @@ def test_lookup_refuses_bad_states():
         with pytest.raises(FactorError, match="out of range for variable 1"):
             f[{0: 0, 1: state}]
     assert f[{0: np.int64(1), 1: np.int64(2)}] == 5.0
+    with pytest.raises(FactorError, match="^instantiation missing variable 1$"):
+        f[{0: 0}]
 
 
 def test_factor_structural_errors():
@@ -54,6 +60,8 @@ def test_factor_structural_errors():
         Factor((0,), (2,), [1, -1])  # negative
     with pytest.raises(FactorError):
         Factor((0,), (2,), [1, float("nan")])
+    with pytest.raises(FactorError, match="^one cardinality >= 1 required per scope variable$"):
+        Factor((0,), (0,), [])
 
 
 def test_multiply_prior_by_conditional():

@@ -1085,3 +1085,11 @@ def test_float_passes_leave_survivors_in_tag_order(monkeypatch):
             pass
     assert len(tags) > 200 and any(len(t) > 1 for t in tags)
     assert all(t == sorted(t) for t in tags)
+
+
+def test_unknown_op_and_method_are_refused(two_node):
+    with pytest.raises(ValueError, match="^unknown elimination op 'min'$"):
+        eliminate("min", cpt_pool(two_node, range(two_node.n)), (0,), two_node)
+    L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}),))
+    with pytest.raises(ValueError, match="^unknown method 'exact'$"):
+        unit_select(two_node, L, method="exact")

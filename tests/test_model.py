@@ -25,7 +25,7 @@ from unitsel import (
     validate,
 )
 from unitsel.bench import gen_benefit_objective
-from unitsel.factor import multiply_all
+from unitsel.factor import FactorError, multiply_all
 from corpus import (forward_eval, reference_check, reference_load_model,
                     reference_topological_order, small_scm)
 
@@ -675,3 +675,14 @@ def test_load_model_matches_the_per_variable_reference_on_legal_documents(seed):
     assert got[0] == "loaded" and got == _load_outcome(reference_load_model, data, True)
     scm = load_model(data, allow_nonfunctional=True)
     assert not any(t.flags.writeable for t in scm.tables.values())
+
+
+@pytest.mark.parametrize("names_states, message", [
+    ([(1, ["0", "1"])], "^variable 1: name and state names must be strings$"),
+    ([("A", [0, 1])], "^variable 'A': name and state names must be strings$"),
+])
+def test_make_scm_refuses_names_and_states_that_are_not_strings(names_states, message):
+    # Both once built a model that save_model wrote and load_model refused.
+    name = names_states[0][0]
+    with pytest.raises(FactorError, match=message):
+        make_scm(names_states, {name: []}, {name: [0.5, 0.5]})

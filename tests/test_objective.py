@@ -243,6 +243,8 @@ def test_objective_without_terms_and_partial_units_are_refused():
     scm = xor_scm()
     report = validate_objective(scm, ObjectiveFunction((0,), ()))
     assert not report.ok and "objective has no terms" in report.violations
+    report = validate_objective(scm, ObjectiveFunction((), (ObjectiveTerm(1.0, y={3: 1}),)))
+    assert not report.ok and "objective has no unit variables" in report.violations
     objective = ObjectiveFunction((0, 1), (ObjectiveTerm(1.0, y={3: 1}),))
     with pytest.raises(ModelError, match="^u must assign exactly the unit variables$"):
         evaluate_L_brute(scm, objective, {0: 0})
@@ -796,3 +798,26 @@ def test_load_objective_refuses_mutated_documents_with_model_error_only():
         except ModelError:
             outcomes["refused"] += 1
     assert outcomes["loaded"] >= 20 and outcomes["refused"] >= 1000, outcomes
+
+
+def test_profile_of_a_non_functional_model_refuses_treatments_and_large_joints():
+    # A noisy X makes the model a plain Bayesian network: the profile then
+    # comes from the full joint, which holds no intervention.
+    noisy = make_scm(
+        [("U", ["0", "1"]), ("X", ["0", "1"]), ("Y", ["0", "1"])],
+        {"U": [], "X": ["U"], "Y": ["X"]},
+        {"U": [0.5, 0.5], "X": [0.3, 0.7, 0.6, 0.4], "Y": [1, 0, 0, 1]},
+    )
+    treated = ObjectiveFunction((0,), (ObjectiveTerm(1.0, x={1: 0}, y={2: 1}),))
+    with pytest.raises(ModelError, match="^treatment-free evaluation requested for a term with treatments$"):
+        evaluate_L_profile(noisy, treated)
+    # 20 binary roots and the noisy X: 2^21 joint cells.
+    roots = [f"R{i}" for i in range(20)]
+    big = make_scm(
+        [(r, ["0", "1"]) for r in roots] + [("X", ["0", "1"])],
+        {**{r: [] for r in roots}, "X": ["R0"]},
+        {**{r: [0.5, 0.5] for r in roots}, "X": [0.3, 0.7, 0.6, 0.4]},
+    )
+    observed = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={20: 1}),))
+    with pytest.raises(ModelError, match="^model too large for full-joint evaluation$"):
+        evaluate_L_profile(big, observed)

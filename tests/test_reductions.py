@@ -250,3 +250,12 @@ def test_formula_partition_validation():
         Formula(Var("x1"), ("x1", "x2"), ("x1",), ("x1",))
     with pytest.raises(ModelError):
         Formula(Var("x9"), ("x1",))
+    with pytest.raises(ModelError, match="^a partition must give both u and v blocks$"):
+        Formula(Var("x1"), ("x1",), ("x1",), None)
+
+
+def test_formula_refuses_variable_names_that_are_not_strings():
+    # compile_formula once built a model with a variable named 1, which
+    # save_model wrote and load_model refused.
+    with pytest.raises(ModelError, match=r"^formula variable names must be strings: \(1,\)$"):
+        compile_formula(Formula(Not(Var(1)), (1,)))

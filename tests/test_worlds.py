@@ -214,6 +214,8 @@ def test_oracle_refuses_ill_posed_terms_and_units():
     # An unknown unit id once raised a raw KeyError.
     with pytest.raises(ModelError, match="unknown unit variable id 9"):
         counterfactual_oracle(scm, {}, {3: 1}, {}, {}, {}, {9: 0})
+    with pytest.raises(ModelError, match="^unit variable 'N' must be a root$"):
+        counterfactual_oracle(scm, {}, {3: 1}, {}, {}, {}, {2: 0})
 
 
 def test_oracle_refuses_non_integer_unit_ids():
