@@ -20,7 +20,7 @@ from unitsel import (
     treewidth_exact,
 )
 from unitsel.bench import gen_tight_family, tight_family_order
-from unitsel.elimination import lift_order_constrained
+from unitsel.elimination import lift_order
 from unitsel.inference import format_trace
 
 scm = load_model(open(fixture_path("five_node.json"), "rb").read())
@@ -60,7 +60,7 @@ base, units, objective = gen_tight_family(6)
 om = build_objective_model(base, objective)
 pi = tight_family_order(base, 6)
 w = simulate_elimination(moral_graph(base), pi).width
-lifted = lift_order_constrained(pi, om.duplicates(), om.h_id, units)
+lifted = lift_order(pi, om.duplicates(), om.h_id)
 w_lifted = simulate_elimination(moral_graph(om.model), lifted).width
 print(f"  base width w = {w}; lifted width = {w_lifted}; "
       f"bound max(3w+3, |U|) = {max(3 * w + 3, len(units))}")

@@ -44,10 +44,8 @@ from .elimination import (
     ClusterReport,
     EliminationOrder,
     UGraph,
-    append_root_order,
     is_external,
-    lift_order_constrained,
-    lift_order_unconstrained,
+    lift_order,
     minfill_order,
     moral_graph,
     order_width,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .factor import Variable
+from .factor import Variable, _is_int
 from .model import ModelError, Scm
 from .objective import (
     ObjectiveFunction,
@@ -26,7 +26,7 @@ from .objective import (
 )
 from .elimination import (
     EliminationOrder,
-    lift_order_constrained,
+    lift_order,
     minfill_order,
     moral_graph,
     order_width,
@@ -45,6 +45,12 @@ class GenConfig:
     trials: int = 25
 
     def __post_init__(self) -> None:
+        for name in ("node_count", "seed", "max_parents", "trials"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.node_count < 2:
             raise ModelError("node_count must be >= 2")
         if self.max_parents < 1:
@@ -119,8 +125,8 @@ def gen_tight_family(n: int) -> tuple[Scm, tuple[int, ...], ObjectiveFunction]:
     Pr(x1_e, x2_e' | u) + ... with treatment variable E and no evidence; an
     odd trailing outcome gets its own single-intervention term.
     """
-    if n < 3:
-        raise ModelError("tight family needs n >= 3")
+    if not (_is_int(n) and n >= 3):
+        raise ModelError(f"tight family needs an integer n >= 3, got {n!r}")
     names = [f"U{i}" for i in range(1, n + 1)] + ["E"] + [
         f"X{i}" for i in range(1, n)
     ]
@@ -260,10 +266,7 @@ def run_width_trial(cfg: GenConfig, trial: int) -> dict:
     g2 = moral_graph(twin)
     w2 = len(units) + order_width(g2, minfill_order(g2))
 
-    lifted = lift_order_constrained(
-        base_order, om.duplicates(), om.h_id, units
-    )
-    lifted_width = order_width(g1, lifted)
+    lifted_width = order_width(g1, lift_order(base_order, om.duplicates(), om.h_id))
     counts = (scm.n, om.model.n, twin.n, len(roots), w, w1, w2)
     bound = lifted_width_bound(objective, w, len(units))[0]
     return {**dict(zip(_COUNTS, counts)), "lifted_ok": lifted_width <= bound}

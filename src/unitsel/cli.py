@@ -26,8 +26,7 @@ from .model import ModelError, Scm, json_number, load_json, load_model, save_mod
 from .objective import build_objective_model, lifted_width_bound, load_objective, save_objective
 from .elimination import (
     EliminationOrder,
-    lift_order_constrained,
-    lift_order_unconstrained,
+    lift_order,
     minfill_order,
     moral_graph,
     order_width,
@@ -214,26 +213,24 @@ def cmd_width(args: argparse.Namespace) -> None:
         om = build_objective_model(scm, objective)
         dup = om.duplicates()
         go = moral_graph(om.model)
-        lifted = lift_order_unconstrained(order, dup, om.h_id)
+        lifted = lift_order(order.sequence, dup, om.h_id)
         bound = 3 * om.n_components * (w + 1)
         checks.append(("lifted unconstrained width", order_width(go, lifted), bound, "3n(w+1)"))
         if unit_ids:
-            lifted = lift_order_constrained(order, dup, om.h_id, unit_ids)
+            lifted = lift_order(order, dup, om.h_id)
             bound, label = lifted_width_bound(objective, w, len(unit_ids))
             checks.append(("lifted constrained width", order_width(go, lifted), bound, label))
     elif args.lifted is not None:
         k = args.lifted
         shared = unit_ids if unit_ids else list(scm.roots)
         nw, wm = n_world_model(scm, shared, k)
-        gn = moral_graph(nw)
+        lifted = lift_order(order if unit_ids else order.sequence, wm.copies)
         if unit_ids:
-            lifted = lift_order_constrained(order, wm.copies, None, unit_ids)
-            heading = f"lifted constrained width ({k}-world)"
-            checks.append((heading, order_width(gn, lifted), w, "w"))
+            kind, bound, label = "constrained", w, "w"
         else:
-            lifted = lift_order_unconstrained(order, wm.copies, None)
-            heading = f"lifted unconstrained width ({k}-world)"
-            checks.append((heading, order_width(gn, lifted), k * (w + 1) - 1, "n(w+1)-1"))
+            kind, bound, label = "unconstrained", k * (w + 1) - 1, "n(w+1)-1"
+        checks.append((f"lifted {kind} width ({k}-world)", order_width(moral_graph(nw), lifted),
+                       bound, label))
     print(f"width: {w}")
     names = [_scope_names(sorted(c, key=lambda v: scm.var(v).name), scm) for c in report.clusters]
     print("clusters: " + " ".join(names))

@@ -36,12 +36,16 @@ node and those neighbors, as a ``frozenset``. Callers that need only the
 width (the width table, the lifted-width checks, the enumeration oracle)
 use ``order_width``.
 
-Lifting an order replaces each variable by its copies in the lifting map,
-a repeated copy once; ``_lifted`` is that one step, and it refuses a
-variable the map lacks. ``treewidth_exact`` runs its subset program
-(Bodlaender et al. 2012) on the graph itself: once a set S is eliminated,
-two nodes are adjacent exactly when a path through S joins them (Rose,
-Tarjan & Lueker 1976), so no filled graph is built.
+``lift_order`` is the one lifting rule: it replaces each variable of an
+order by its copies in the lifting map, a repeated copy once, and refuses a
+variable the map lacks. A mixture root H goes just before the constrained
+suffix, whose variables must each have one copy, and last without one; the
+lifted order is constrained exactly when the order is.
+
+``treewidth_exact`` runs its subset program (Bodlaender et al. 2012) on the
+graph itself: once a set S is eliminated, two nodes are adjacent exactly
+when a path through S joins them (Rose, Tarjan & Lueker 1976), so no filled
+graph is built.
 """
 
 from __future__ import annotations
@@ -75,23 +79,6 @@ class UGraph:
             return
         self.adj.setdefault(a, set()).add(b)
         self.adj.setdefault(b, set()).add(a)
-
-    def copy(self) -> "UGraph":
-        g = UGraph()
-        g.adj = {v: set(ns) for v, ns in self.adj.items()}
-        return g
-
-    def eliminate(self, v: int) -> frozenset[int]:
-        """Connect all neighbors of ``v``, remove ``v``, return its cluster."""
-        ns = self.adj.pop(v)
-        cluster = frozenset(ns | {v})
-        ns = list(ns)
-        for i, a in enumerate(ns):
-            self.adj[a].discard(v)
-            for b in ns[i + 1:]:
-                self.adj[a].add(b)
-                self.adj[b].add(a)
-        return cluster
 
     def connected(self) -> bool:
         if not self.adj:
@@ -221,17 +208,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _sequence(order: EliminationOrder | Sequence[int]) -> tuple[int, ...]:
-    """The ids of ``order`` in elimination order."""
-    return order.sequence if isinstance(order, EliminationOrder) else tuple(order)
-
-
 def _elimination_walk(
     g: UGraph, order: EliminationOrder | Sequence[int]
 ) -> tuple[tuple[int, ...], list[int]]:
     """The order as a tuple, and for each of its nodes the bitset, over
     ranks in the order, of the neighbors still there when the node goes."""
-    seq = _sequence(order)
+    seq = order.sequence if isinstance(order, EliminationOrder) else tuple(order)
     if len(seq) != len(g.adj) or set(seq) != g.adj.keys():
         raise ModelError("order must cover exactly the graph nodes")
     # Ranks follow the order, so the neighbors left when v goes are the bits
@@ -399,48 +381,32 @@ def _lifted(ids: Iterable[int], duplicates: Mapping[int, tuple[int, ...]]) -> li
     return lifted
 
 
-def lift_order_unconstrained(
+def lift_order(
     order: EliminationOrder | Sequence[int],
     duplicates: Mapping[int, tuple[int, ...]],
     h_id: int | None = None,
 ) -> EliminationOrder:
-    """Replace each variable by its duplicate sequence, then append H.
+    """The copies of the order's prefix, then H (if given), then the copies
+    of its constrained suffix: H goes just before the unit block, and last
+    without one.
 
     ``duplicates`` maps every base variable id to the ids of its copies in
     the lifted model (all first-world copies, then all second-world copies,
-    then all third-world copies; a shared variable's copies are one id).
+    then all third-world copies; a shared variable's copies are one id). A
+    suffix variable must have one copy, and the result is constrained on
+    those copies exactly when ``order`` is constrained; a plain sequence is
+    not.
     """
-    lifted = _lifted(_sequence(order), duplicates)
-    if h_id is not None:
-        lifted.append(h_id)
-    return EliminationOrder(tuple(lifted), None)
-
-
-def lift_order_constrained(
-    order: EliminationOrder,
-    duplicates: Mapping[int, tuple[int, ...]],
-    h_id: int | None,
-    units: Iterable[int],
-) -> EliminationOrder:
-    """Same replacement, with H inserted just before the unit block."""
-    units = set(units)
-    if order.constrained_suffix is None or set(order.constrained_suffix) != units:
-        raise ModelError("order is not constrained on the given unit variables")
+    if not isinstance(order, EliminationOrder):
+        order = EliminationOrder(tuple(order))
     lifted = _lifted(order.prefix, duplicates)
     if h_id is not None:
         lifted.append(h_id)
-    suffix: list[int] = []
-    for vid in order.suffix:
-        copies = _lifted((vid,), duplicates)
-        if len(copies) != 1:
-            raise ModelError("unit variables must be shared in the lifted model")
-        suffix += copies
-    return EliminationOrder(tuple(lifted + suffix), frozenset(suffix))
-
-
-def append_root_order(order: EliminationOrder | Sequence[int], h_id: int) -> EliminationOrder:
-    """The order <pi, H> for a model extended by a fresh root H."""
-    return EliminationOrder(_sequence(order) + (h_id,), None)
+    suffix = _lifted(order.suffix, duplicates)
+    if any(len(set(duplicates[vid])) != 1 for vid in order.suffix):
+        raise ModelError("unit variables must be shared in the lifted model")
+    constrained = None if order.constrained_suffix is None else frozenset(suffix)
+    return EliminationOrder(tuple(lifted + suffix), constrained)
 
 
 # -- structural predicates -----------------------------------------------------

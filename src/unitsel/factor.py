@@ -33,11 +33,13 @@ the bits of ``ndarray.sum`` over one variable with fewer than 8 states; from
 Tables are validated once, where they enter the package. CPT tables enter
 through :class:`~unitsel.model.Scm`, which checks every entry once, so
 ``Scm.cpt_factor`` and the 0/1 indicators are built trusted. ``Factor(...)``
-is the entry point for factors built outside the package: it checks the
-scope, the size and that every entry is finite and non-negative, and copies
-the table. The results of factor operations are computed from validated
-factors, so they are trusted: they skip the checks and the copy and keep the
-dtype of the computation (integer tables stay integer).
+is the entry point for factors built outside the package: it refuses a scope
+id that is not an int >= 0 and a cardinality that is not an int >= 1 (a
+bool is neither; nothing is coerced), checks the size and that every entry
+is finite and non-negative, and copies the table. The results of factor
+operations are computed from validated factors, so they are trusted: they
+skip the checks and the copy and keep the dtype of the computation (integer
+tables stay integer).
 """
 
 from __future__ import annotations
@@ -101,11 +103,15 @@ class Variable:
             ) from None
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_index(value, size: int) -> bool:
     """Whether ``value`` is an integer (a bool is not) in ``range(size)``:
     the one rule for a state index, and for a variable id of a model."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return is_int and 0 <= value < size
+    return _is_int(value) and 0 <= value < size
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,12 @@ class Factor:
     __slots__ = ("vids", "cards", "values")
 
     def __init__(self, vids: Iterable[int], cards: Iterable[int], values) -> None:
-        vids = tuple(int(v) for v in vids)
-        cards = tuple(int(c) for c in cards)
-        if list(vids) != sorted(set(vids)):
-            raise FactorError(f"scope must be strictly ascending ids, got {vids}")
-        if len(cards) != len(vids) or any(c < 1 for c in cards):
+        vids, cards = tuple(vids), tuple(cards)
+        if not all(_is_index(v, math.inf) for v in vids) or list(vids) != sorted(set(vids)):
+            raise FactorError(f"scope must be strictly ascending int ids >= 0, got {vids}")
+        if len(cards) != len(vids) or not all(_is_int(c) and c >= 1 for c in cards):
             raise FactorError("one cardinality >= 1 required per scope variable")
+        vids, cards = tuple(map(int, vids)), tuple(map(int, cards))
         arr = np.asarray(values, dtype=np.float64)
         if arr.size != math.prod(cards):
             raise FactorError(

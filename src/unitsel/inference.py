@@ -318,7 +318,8 @@ def _query_order(
     if order.constrained_suffix is not None and order.constrained_suffix != targets:
         raise ModelError("elimination order is constrained on variables other than the targets")
     covered = set(order.sequence)
-    closed = covered <= scm.parents.keys() and ancestral_closure(scm, covered) == covered
+    known = all(_known_id(scm, vid) for vid in order.sequence)
+    closed = known and ancestral_closure(scm, covered) == covered
     if not (closed and seen <= covered):
         raise ModelError(
             "elimination order must cover an ancestrally closed set of model "

@@ -23,7 +23,7 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 import numpy as np
 
 from .elimination import ancestral_closure
-from .factor import Instantiation, Variable
+from .factor import Instantiation, Variable, _is_int
 from .model import ModelError, Scm, _check_state, _known_id, validate
 
 
@@ -61,6 +61,8 @@ def n_world_model(
     Non-shared variables are duplicated per world with their CPTs copied;
     shared roots keep a single copy with edges into every world.
     """
+    if not _is_int(n):
+        raise ModelError(f"world count must be an integer, got {n!r}")
     if n < 1:
         raise ModelError(f"world count must be >= 1, got {n}")
     shared = tuple(shared)

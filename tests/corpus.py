@@ -94,12 +94,28 @@ def random_ugraph(seed: int, lo: int = 5, hi: int = 12, p: float = 0.35) -> UGra
     return g
 
 
-def fill_count(g: UGraph, v: int) -> int:
-    """Number of fill edges eliminating ``v`` from ``g`` would add."""
-    ns = g.adj[v]
+def neighbor_sets(g: UGraph) -> dict[int, set[int]]:
+    """A copy of the adjacency of ``g`` as a plain dict of neighbor sets."""
+    return {v: set(ns) for v, ns in g.adj.items()}
+
+
+def eliminate_node(adj: dict[int, set[int]], v: int) -> frozenset[int]:
+    """Connect the neighbors of ``v`` in the neighbor sets ``adj``, remove
+    ``v`` and return its cluster."""
+    ns = adj.pop(v)
+    for a in ns:
+        adj[a] |= ns - {a}
+        adj[a].discard(v)
+    return frozenset(ns | {v})
+
+
+def fill_count(adj: dict[int, set[int]], v: int) -> int:
+    """Number of fill edges eliminating ``v`` from the neighbor sets ``adj``
+    would add."""
+    ns = adj[v]
     missing = 0
     for a in ns:
-        missing += len(ns - g.adj[a]) - 1  # a is never adjacent to itself
+        missing += len(ns - adj[a]) - 1  # a is never adjacent to itself
     return missing // 2
 
 
@@ -107,15 +123,15 @@ def reference_minfill_order(g: UGraph, constrained_suffix=None) -> EliminationOr
     """The set-based greedy minfill loop: every step scans every eligible
     live node with ``fill_count`` (ties: smallest id)."""
     suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
-    work = g.copy()
+    work = neighbor_sets(g)
     seq: list[int] = []
-    while work.nodes:
-        pool = work.nodes - suffix if suffix else work.nodes
+    while work:
+        pool = work.keys() - suffix if suffix else work.keys()
         if not pool:
-            pool = work.nodes
+            pool = work.keys()
         best = min(pool, key=lambda v: (fill_count(work, v), v))
         seq.append(best)
-        work.eliminate(best)
+        eliminate_node(work, best)
     return EliminationOrder(tuple(seq), suffix)
 
 
@@ -134,29 +150,22 @@ def reference_mindegree_order(g: UGraph, constrained_suffix=None) -> Elimination
     """The set-based greedy min-degree loop: every step scans every eligible
     live node for its degree (ties: smallest id)."""
     suffix = frozenset(constrained_suffix) if constrained_suffix is not None else None
-    work = g.copy()
+    work = neighbor_sets(g)
     seq: list[int] = []
-    while work.nodes:
-        pool = work.nodes - suffix if suffix else work.nodes
+    while work:
+        pool = work.keys() - suffix if suffix else work.keys()
         if not pool:
-            pool = work.nodes
-        best = min(pool, key=lambda v: (len(work.adj[v]), v))
+            pool = work.keys()
+        best = min(pool, key=lambda v: (len(work[v]), v))
         seq.append(best)
-        work.eliminate(best)
+        eliminate_node(work, best)
     return EliminationOrder(tuple(seq), suffix)
 
 
 def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:
     """Clusters of eliminating ``seq`` from a plain dict of neighbor sets."""
-    adj = {v: set(ns) for v, ns in g.adj.items()}
-    clusters = []
-    for v in seq:
-        ns = adj.pop(v)
-        clusters.append(frozenset(ns | {v}))
-        for a in ns:
-            adj[a] |= ns - {a}
-            adj[a].discard(v)
-    return clusters
+    adj = neighbor_sets(g)
+    return [eliminate_node(adj, v) for v in seq]
 
 
 def reference_moral_subgraph(scm: Scm, vids) -> UGraph:

@@ -39,11 +39,7 @@ from unitsel.bench import (
     run_width_table,
     tight_family_order,
 )
-from unitsel.elimination import (
-    append_root_order,
-    lift_order_constrained,
-    lift_order_unconstrained,
-)
+from unitsel.elimination import lift_order
 from unitsel.inference import joint_mass
 from unitsel.objective import evaluate_L_brute
 from unitsel.reductions import (
@@ -195,7 +191,7 @@ def test_criterion_5_width_bound_properties():
         pi_u = minfill_order(g)
         w_u = simulate_elimination(g, pi_u).width
         wa = simulate_elimination(
-            go, lift_order_unconstrained(pi_u, om_full.duplicates(), om_full.h_id)
+            go, lift_order(pi_u, om_full.duplicates(), om_full.h_id)
         ).width
         if wa > 3 * n * (w_u + 1):
             violations["a"] += 1
@@ -203,7 +199,7 @@ def test_criterion_5_width_bound_properties():
         pi_c = minfill_order(g, constrained_suffix=units)
         w_c = simulate_elimination(g, pi_c).width
         wb = simulate_elimination(
-            go, lift_order_constrained(pi_c, om_full.duplicates(), om_full.h_id, units)
+            go, lift_order(pi_c, om_full.duplicates(), om_full.h_id)
         ).width
         if wb > max(3 * w_c + 3, len(units)):
             violations["b"] += 1
@@ -216,7 +212,7 @@ def test_criterion_5_width_bound_properties():
         omb_full = build_objective_model(scm, Lb, drop_worlds=False)
         wc = simulate_elimination(
             moral_graph(omb_full.model),
-            lift_order_constrained(pi_c, omb_full.duplicates(), omb_full.h_id, units),
+            lift_order(pi_c, omb_full.duplicates(), omb_full.h_id),
         ).width
         if wc > 3 * w_c + 3:
             violations["c"] += 1
@@ -224,7 +220,7 @@ def test_criterion_5_width_bound_properties():
         omb = build_objective_model(scm, Lb)
         wd = simulate_elimination(
             moral_graph(omb.model),
-            lift_order_constrained(pi_c, omb.duplicates(), omb.h_id, units),
+            lift_order(pi_c, omb.duplicates(), omb.h_id),
         ).width
         if wd > 2 * w_c + 2:
             violations["d"] += 1
@@ -232,23 +228,20 @@ def test_criterion_5_width_bound_properties():
         nodes = [v.id for v in scm.variables]
         k = int(rng.integers(1, len(nodes) + 1))
         children = sorted(int(v) for v in rng.choice(nodes, size=k, replace=False))
-        g2 = g.copy()
+        g2 = moral_graph(scm)
         h = max(nodes) + 1
         g2.adj[h] = set()
         for z in children:
             g2.add_edge(h, z)
             for p in scm.parents[z]:
                 g2.add_edge(h, p)
-        we = simulate_elimination(g2, append_root_order(pi_u, h)).width
+        we = simulate_elimination(g2, EliminationOrder(pi_u.sequence + (h,))).width
         if we > w_u + 1:
             violations["e"] += 1
 
         k_worlds = int(rng.integers(1, 5))
         nw, wm = n_world_model(scm, units, k_worlds)
-        dup = {b: tuple(dict.fromkeys(c)) for b, c in wm.copies.items()}
-        wf = simulate_elimination(
-            moral_graph(nw), lift_order_constrained(pi_c, dup, None, units)
-        ).width
+        wf = simulate_elimination(moral_graph(nw), lift_order(pi_c, wm.copies)).width
         if wf != w_c:
             violations["f"] += 1
     assert violations == {k: 0 for k in "abcdef"}, violations

@@ -43,6 +43,25 @@ def test_gen_config_validation():
             GenConfig(node_count=3, seed=0, trials=trials)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"node_count": 5.5}, {"node_count": True}, {"seed": 1.0}, {"seed": None},
+    {"max_parents": True}, {"max_parents": 2.0}, {"trials": 2.5}, {"trials": False},
+])
+def test_gen_config_refuses_a_parameter_that_is_not_an_int(kwargs):
+    # GenConfig(5.5, 0) once passed its checks and then made gen_random_scm
+    # raise a raw TypeError; trials=2.5 and max_parents=True were accepted.
+    name = next(iter(kwargs))
+    with pytest.raises(ModelError, match=f"^{name} must be an integer, got "):
+        GenConfig(**{"node_count": 5, "seed": 0, **kwargs})
+
+
+def test_gen_config_refuses_a_negative_seed():
+    with pytest.raises(ModelError, match="^seed must be >= 0, got -1$"):
+        GenConfig(node_count=5, seed=-1)
+    cfg = GenConfig(node_count=np.int64(5), seed=np.int64(0), max_parents=np.int64(2))
+    assert validate(gen_random_scm(cfg)).is_valid_scm
+
+
 def test_gen_random_scm_minimal():
     scm = gen_random_scm(GenConfig(node_count=2, seed=3))
     assert validate(scm).is_valid_scm
@@ -89,6 +108,13 @@ def test_tight_family_structure():
         gen_tight_family(2)
 
 
+@pytest.mark.parametrize("n", [3.5, 4.0, "4", True])
+def test_tight_family_refuses_a_size_that_is_not_an_int(n):
+    # 3.5 and 4.0 once raised a raw TypeError, "4" another one.
+    with pytest.raises(ModelError, match="^tight family needs an integer n >= 3, got "):
+        gen_tight_family(n)
+
+
 def test_tight_family_odd_tail():
     scm, units, L = gen_tight_family(4)  # outcomes X1..X3: one pair + tail
     assert len(L.terms) == 2
@@ -125,9 +151,9 @@ def test_tight_family_h_cluster_covers_units():
     om = build_objective_model(scm, L)
     g = moral_graph(om.model)
     base = tight_family_order(scm, n)
-    from unitsel.elimination import lift_order_constrained
+    from unitsel.elimination import lift_order
 
-    lifted = lift_order_constrained(base, om.duplicates(), om.h_id, units)
+    lifted = lift_order(base, om.duplicates(), om.h_id)
     report = simulate_elimination(g, lifted)
     h_position = lifted.sequence.index(om.h_id)
     h_cluster = report.clusters[h_position]

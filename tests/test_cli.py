@@ -889,6 +889,12 @@ def test_gen_refuses_max_parents_below_one(capsys):
         assert capsys.readouterr().err == "error: max_parents must be >= 1\n"
 
 
+def test_gen_refuses_a_negative_seed(capsys):
+    # numpy's "expected non-negative integer" once surfaced as the message.
+    assert main(["gen", "--kind", "random", "--n", "5", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
+
 def test_gen_random_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gen", "--kind", "random", "--n", "8", "--seed", "3", "--out", str(a)]) == 0

@@ -8,11 +8,9 @@ from unitsel import (
     EliminationOrder,
     ModelError,
     UGraph,
-    append_root_order,
     build_objective_model,
     is_external,
-    lift_order_constrained,
-    lift_order_unconstrained,
+    lift_order,
     load_model,
     make_scm,
     minfill_order,
@@ -46,7 +44,9 @@ from unitsel.inference import default_order
 from unitsel.objective import ObjectiveFunction, ObjectiveTerm
 from unitsel.reductions import compile_formula
 from corpus import (
+    eliminate_node,
     fill_count,
+    neighbor_sets,
     random_cnf,
     random_constrained_order,
     random_dag_scm,
@@ -202,10 +202,10 @@ def test_minfill_tree_is_width_one():
     report = simulate_elimination(g, order)
     assert report.width == 1
     # every elimination in a tree adds no fill edge under minfill
-    work = g.copy()
+    work = neighbor_sets(g)
     for v in order.sequence:
         assert fill_count(work, v) == 0
-        work.eliminate(v)
+        eliminate_node(work, v)
 
 
 def test_minfill_matches_exhaustive_on_five_node(five_node):
@@ -250,7 +250,7 @@ def _record_minfill_calls(monkeypatch, module):
 
     def record(g, constrained_suffix=None):
         suffix = None if constrained_suffix is None else frozenset(constrained_suffix)
-        calls.append((g.copy(), suffix))
+        calls.append((g, suffix))
         return minfill_order(g, constrained_suffix=suffix)
 
     monkeypatch.setattr(module, "minfill_order", record)
@@ -398,7 +398,7 @@ def worked_example():
 
 def test_lift_order_unconstrained_worked_sequence():
     scm, om, base, ids = worked_example()
-    lifted = lift_order_unconstrained(base, om.duplicates(), om.h_id)
+    lifted = lift_order(base.sequence, om.duplicates(), om.h_id)
     names = [om.model.var(v).name for v in lifted.sequence]
     assert names == [
         "A^1", "A^2",
@@ -410,7 +410,7 @@ def test_lift_order_unconstrained_worked_sequence():
 
 def test_lift_order_constrained_worked_sequence():
     scm, om, base, ids = worked_example()
-    lifted = lift_order_constrained(base, om.duplicates(), om.h_id, [ids["U"]])
+    lifted = lift_order(base, om.duplicates(), om.h_id)
     names = [om.model.var(v).name for v in lifted.sequence]
     assert names[-2:] == ["H", "U"]
     assert names[:-2] == [
@@ -424,50 +424,51 @@ def test_lift_order_constrained_worked_sequence():
 def test_lift_constrained_with_empty_units_matches_unconstrained():
     scm, om, base, ids = worked_example()
     unconstrained = EliminationOrder(base.sequence, None)
-    a = lift_order_unconstrained(unconstrained, om.duplicates(), om.h_id)
-    b = lift_order_constrained(
-        EliminationOrder(base.sequence, frozenset()), om.duplicates(), om.h_id, []
-    )
+    a = lift_order(unconstrained, om.duplicates(), om.h_id)
+    b = lift_order(EliminationOrder(base.sequence, frozenset()), om.duplicates(), om.h_id)
     assert a.sequence == b.sequence
-
-
-def test_lift_requires_matching_suffix():
-    scm, om, base, ids = worked_example()
-    with pytest.raises(ModelError):
-        lift_order_constrained(base, om.duplicates(), om.h_id, [ids["A"]])
 
 
 def test_lift_requires_shared_unit_copies():
     scm, om, base, ids = worked_example()
     split = {**om.duplicates(), ids["U"]: (om.unit_om_ids[0], om.h_id)}
     with pytest.raises(ModelError, match="^unit variables must be shared in the lifted model$"):
-        lift_order_constrained(base, split, om.h_id, [ids["U"]])
+        lift_order(base, split, om.h_id)
 
 
 def test_lift_refuses_an_id_the_map_lacks():
     # Both forms once raised a raw KeyError: 5.
     missing = "^order variable 5 has no copies in the lifting map$"
     with pytest.raises(ModelError, match=missing):
-        lift_order_unconstrained([0, 5], {0: (0,)})
+        lift_order([0, 5], {0: (0,)})
     with pytest.raises(ModelError, match=missing):
-        lift_order_constrained(EliminationOrder((0, 5), frozenset()), {0: (0,)}, None, [])
+        lift_order(EliminationOrder((0, 5), frozenset()), {0: (0,)})
     with pytest.raises(ModelError, match=missing):
-        lift_order_constrained(EliminationOrder((0, 5), frozenset({5})), {0: (0,)}, None, [5])
+        lift_order(EliminationOrder((0, 5), frozenset({5})), {0: (0,)})
 
 
 def test_lift_lists_a_repeated_copy_once():
     # An n-world map repeats a shared variable's one copy n times.
     copies = {0: (0, 0, 0), 1: (1, 2, 3), 2: (4, 4, 4)}
-    assert lift_order_unconstrained([0, 1, 2], copies, 9).sequence == (0, 1, 2, 3, 4, 9)
+    assert lift_order([0, 1, 2], copies, 9).sequence == (0, 1, 2, 3, 4, 9)
     order = EliminationOrder((1, 0, 2), frozenset({0, 2}))
-    lifted = lift_order_constrained(order, copies, None, [0, 2])
+    lifted = lift_order(order, copies)
     assert lifted.sequence == (1, 2, 3, 0, 4)
     assert lifted.constrained_suffix == frozenset({0, 4})
 
 
-def test_append_root_order():
-    order = EliminationOrder((0, 1, 2))
-    assert append_root_order(order, 9).sequence == (0, 1, 2, 9)
+def test_lift_order_keeps_the_order_constraint():
+    # H goes just before the constrained suffix, and last without one; the
+    # lifted order is constrained exactly when the order is.
+    copies = {0: (0,), 1: (1, 2), 2: (3,)}
+    for order, sequence, constrained in (
+        ([1, 0, 2], (1, 2, 0, 3, 9), None),
+        (EliminationOrder((1, 0, 2)), (1, 2, 0, 3, 9), None),
+        (EliminationOrder((1, 0, 2), frozenset()), (1, 2, 0, 3, 9), frozenset()),
+        (EliminationOrder((1, 0, 2), frozenset({0, 2})), (1, 2, 9, 0, 3), frozenset({0, 3})),
+    ):
+        lifted = lift_order(order, copies, 9)
+        assert (lifted.sequence, lifted.constrained_suffix) == (sequence, constrained)
 
 
 # -- width properties --------------------------------------------------------------
@@ -482,11 +483,10 @@ def test_nworld_constrained_lift_preserves_width_exactly(seed):
     units = tuple(sorted(int(v) for v in rng.choice(roots, size=k, replace=False)))
     n = int(rng.integers(1, 5))
     nw, wm = n_world_model(scm, units, n)
-    dup = {b: tuple(dict.fromkeys(c)) for b, c in wm.copies.items()}
     g = moral_graph(scm)
     base = minfill_order(g, constrained_suffix=units)
     w = simulate_elimination(g, base).width
-    lifted = lift_order_constrained(base, dup, None, units)
+    lifted = lift_order(base, wm.copies)
     w_lift = simulate_elimination(moral_graph(nw), lifted).width
     assert w_lift == w
 
@@ -515,7 +515,7 @@ def test_appended_root_width_bound(seed):
     base = minfill_order(g)
     w = simulate_elimination(g, base).width
     g2, h = _moral_with_added_root(scm, children)
-    w2 = simulate_elimination(g2, append_root_order(base, h)).width
+    w2 = simulate_elimination(g2, EliminationOrder(base.sequence + (h,))).width
     assert w2 <= w + 1
 
 
@@ -552,10 +552,10 @@ def test_reduced_graph_adjacency_iff_avoiding_path(seed):
     others = [v for v in nodes if v != h]
     k = int(rng.integers(1, len(others) + 1))
     units = set(int(v) for v in rng.choice(others, size=k, replace=False))
-    reduced = g.copy()
+    reduced = neighbor_sets(g)
     for v in nodes:
         if v != h and v not in units:
-            reduced.eliminate(v)
+            eliminate_node(reduced, v)
 
     def path_avoiding(x):
         allowed = (set(nodes) - units) | {x, h}
@@ -571,7 +571,7 @@ def test_reduced_graph_adjacency_iff_avoiding_path(seed):
         return False
 
     for x in units:
-        assert (h in reduced.adj[x]) == path_avoiding(x)
+        assert (h in reduced[x]) == path_avoiding(x)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -64,6 +64,26 @@ def test_factor_structural_errors():
         Factor((0,), (0,), [])
 
 
+@pytest.mark.parametrize("vid", [1.7, "1", True, -1, np.float64(1)])
+def test_factor_refuses_a_scope_id_that_is_not_an_int(vid):
+    # Each of these was once coerced to an id (-1 kept as it was).
+    with pytest.raises(FactorError, match="^scope must be strictly ascending int ids >= 0"):
+        Factor((vid,), (2,), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("card", [2.7, True, "2", 0, -1])
+def test_factor_refuses_a_cardinality_that_is_not_an_int(card):
+    # 2.7 was once read as 2 and True as 1.
+    with pytest.raises(FactorError, match="^one cardinality >= 1 required per scope variable$"):
+        Factor((0,), (card,), [1.0, 1.0])
+
+
+def test_factor_keeps_numpy_int_ids_and_cardinalities():
+    f = Factor(np.array([0, 3]), np.array([2, 1]), [1.0, 2.0])
+    assert (f.vids, f.cards) == ((0, 3), (2, 1))
+    assert all(type(x) is int for x in (*f.vids, *f.cards))
+
+
 def test_multiply_prior_by_conditional():
     joint = multiply_all([PRIOR, COND])
     assert joint.vids == (0, 1)

@@ -899,6 +899,22 @@ def test_caller_order_must_cover_an_ancestrally_closed_set(five_node):
         joint_mass(five_node, evidence, EliminationOrder((ids["A"], ids["B"])))
 
 
+@pytest.mark.parametrize("want_trace", [True, False])
+def test_caller_order_ids_follow_the_id_rule(five_node, monkeypatch, want_trace):
+    # A float or a bool that equals an id finds it in a dict but is not one:
+    # with a trace, such an order once raised a raw TypeError mid-elimination.
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("eliminate ran for a refused order")
+
+    monkeypatch.setattr(inference, "eliminate", no_elimination)
+    for first in (1.0, True, np.float64(1), -1, 5):
+        order = EliminationOrder((first, 2, 3, 4, 0))
+        with pytest.raises(ModelError, match="ancestrally closed set of model variables"):
+            map_ve(five_node, [0], {}, order=order, want_trace=want_trace)
+        with pytest.raises(ModelError, match="ancestrally closed set of model variables"):
+            rmap_ve(five_node, [0], {}, {}, order=order, want_trace=want_trace)
+
+
 def test_queries_build_no_validated_factor(monkeypatch):
     # CPT entries are checked once, in Scm; the query paths build every
     # factor trusted, so the public constructor's checks and copy never run.

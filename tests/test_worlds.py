@@ -87,6 +87,19 @@ def test_n_world_refuses_unknown_shared_ids():
             n_world_model(scm, [vid], 2)
 
 
+def test_n_world_refuses_a_world_count_that_is_not_an_int():
+    # 2.0 once raised a raw TypeError, and True built a model whose map
+    # counted True worlds.
+    scm = chain_scm()
+    for n in (2.0, True, "2", None):
+        with pytest.raises(ModelError, match="^world count must be an integer, got "):
+            n_world_model(scm, [0], n)
+    for n in (0, -1):
+        with pytest.raises(ModelError, match=f"^world count must be >= 1, got {n}$"):
+            n_world_model(scm, [0], n)
+    assert n_world_model(scm, [0], np.int64(2))[1].n_worlds == 2
+
+
 def root_named(root):
     # A root whose name is a copy name of the endogenous Y = root.
     return make_scm(
