@@ -47,7 +47,7 @@ for n in range(3, 9):
     base, units, objective = gen_tight_family(n)
     g = moral_graph(base)
     w_base = simulate_elimination(g, tight_family_order(base, n)).width
-    assert treewidth_exact(g, constrained_suffix=units) == w_base
+    assert treewidth_exact(g, constrained_suffix=units)[0] == w_base
     om = build_objective_model(base, objective)
     go = moral_graph(om.model)
     w_obj = simulate_elimination(

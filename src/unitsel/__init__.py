@@ -51,7 +51,6 @@ from .elimination import (
     order_width,
     simulate_elimination,
     treewidth_exact,
-    treewidth_exact_enum,
 )
 from .inference import (
     InconsistentEvidenceError,

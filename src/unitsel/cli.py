@@ -31,7 +31,7 @@ from .elimination import (
     moral_graph,
     order_width,
     simulate_elimination,
-    treewidth_exact_enum,
+    treewidth_exact,
 )
 from .inference import (
     InconsistentEvidenceError,
@@ -193,7 +193,7 @@ def cmd_width(args: argparse.Namespace) -> None:
     if args.order == "minfill":
         order = minfill_order(g, constrained_suffix=suffix)
     elif args.order == "exhaustive":
-        _, order = treewidth_exact_enum(g, constrained_suffix=suffix)
+        _, order = treewidth_exact(g, constrained_suffix=suffix)
     else:
         order = _load_order(args.order, scm)
         if suffix is not None:

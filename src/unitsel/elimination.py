@@ -33,8 +33,7 @@ bitset of later neighbors per node, and it has two readers:
 ``order_width`` counts their bits, the width being the largest count, and
 builds no set; ``simulate_elimination`` turns each into its cluster, the
 node and those neighbors, as a ``frozenset``. Callers that need only the
-width (the width table, the lifted-width checks, the enumeration oracle)
-use ``order_width``.
+width (the width table, the lifted-width checks) use ``order_width``.
 
 ``lift_order`` is the one lifting rule: it replaces each variable of an
 order by its copies in the lifting map, a repeated copy once, and refuses a
@@ -42,24 +41,30 @@ variable the map lacks. A mixture root H goes just before the constrained
 suffix, whose variables must each have one copy, and last without one; the
 lifted order is constrained exactly when the order is.
 
-``treewidth_exact`` runs its subset program (Bodlaender et al. 2012) on the
-graph itself: once a set S is eliminated, two nodes are adjacent exactly
-when a path through S joins them (Rose, Tarjan & Lueker 1976), so no filled
-graph is built.
+``treewidth_exact`` runs the subset program of Bodlaender et al. (2012) on
+the same rank bitsets, free nodes first. Once a set S is eliminated, two
+nodes are adjacent exactly when a path through S joins them (Rose, Tarjan &
+Lueker 1976), so a node's cluster is a bit walk through S and no filled graph
+is built. Its table is a cost-to-go: rest[S] is the least largest cluster
+(less one) over the orders of the phase's nodes outside S, once S is gone.
+The width W is the larger of the two phases' rest[0]. A walk then runs
+forward through each phase and takes, at each S, the smallest-id node whose
+cluster and whose rest[S | v] both fit under W. That is the lexicographically
+first order of width W: the order that a scan of every order, in
+lexicographic order, keeping the first strict minimum, would return. The
+walk keeps under W and not under its phase's own optimum, since any order of
+width W ties, and the first of them wins.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
 from .model import ModelError, Scm, _known_id
 
-ENUM_MAX_ORDERS = 50000  # orders visited by treewidth_exact_enum
-EXACT_MAX_FREE = 22  # nodes per phase of treewidth_exact's subset program
+EXACT_MAX_FREE = 16  # nodes per phase of treewidth_exact's subset program
 
 
 class UGraph:
@@ -431,94 +436,66 @@ def is_external(scm: Scm, units: Iterable[int]) -> bool:
     return g.without(units).connected()
 
 
-# -- exact width oracles -------------------------------------------------------
+# -- exact width ---------------------------------------------------------------
 
 
-def treewidth_exact_enum(
+def treewidth_exact(
     g: UGraph, constrained_suffix: Iterable[int] | None = None
 ) -> tuple[int, EliminationOrder]:
-    """Minimum width by enumerating all (constrained) orders.
+    """The exact (constrained) treewidth of ``g`` and the lexicographically
+    first order of that width, by dynamic programming over subsets.
 
-    Small graphs only: an unconstrained graph is feasible up to 8 nodes; a
-    constrained one up to roughly 5 + 5. The order count is checked first.
-    """
-    nodes = sorted(g.nodes)
-    suffix = sorted(constrained_suffix) if constrained_suffix is not None else []
-    rest = [v for v in nodes if v not in set(suffix)]
-    count = math.factorial(len(rest)) * math.factorial(len(suffix))
-    if count > ENUM_MAX_ORDERS:
-        raise ModelError(
-            f"enumeration oracle would visit {count} orders (limit {ENUM_MAX_ORDERS})"
-        )
-    best: tuple[int, tuple[int, ...]] | None = None
-    for head in itertools.permutations(rest):
-        for tail in itertools.permutations(suffix) if suffix else [()]:
-            seq = head + tail
-            width = order_width(g, seq)
-            if best is None or width < best[0]:
-                best = (width, seq)
-    assert best is not None
-    return best[0], EliminationOrder(
-        best[1], frozenset(suffix) if constrained_suffix is not None else None
-    )
-
-
-def _phase_min_width(g: UGraph, phase_nodes: list[int], gone: Sequence[int] = ()) -> int:
-    """Min over orders of the max cluster size while eliminating
-    ``phase_nodes`` from ``g`` once ``gone`` is eliminated (other nodes
-    stay). Subset dynamic program."""
-    if not phase_nodes:
-        return 0
-    # Bits at n and above stand for ``gone``: eliminated in every state.
-    index = {v: i for i, v in enumerate((*phase_nodes, *gone))}
-    n = len(phase_nodes)
-    gone_mask = (1 << len(index)) - (1 << n)
-
-    def cluster_size(v: int, mask: int) -> int:
-        # Neighbors of v in the graph with `mask` already eliminated =
-        # surviving nodes reachable from v through eliminated nodes.
-        seen = {v}
-        stack = [v]
-        size = 1
-        while stack:
-            a = stack.pop()
-            for b in g.adj[a]:
-                if b in seen:
-                    continue
-                seen.add(b)
-                i = index.get(b)
-                if i is not None and (mask >> i) & 1:
-                    stack.append(b)  # eliminated: pass through
-                else:
-                    size += 1
-        return size
-
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        q = None
-        for i in range(n):
-            if not (mask >> i) & 1:
-                continue
-            prev = mask & ~(1 << i)
-            c = max(best[prev], cluster_size(phase_nodes[i], prev | gone_mask))
-            if q is None or c < q:
-                q = c
-        best[mask] = q
-    return best[(1 << n) - 1]
-
-
-def treewidth_exact(g: UGraph, constrained_suffix: Iterable[int] | None = None) -> int:
-    """Exact (constrained) treewidth via dynamic programming over subsets.
-
-    A constrained order splits into two independent phases: the second
-    walks through the free nodes of ``g`` as already eliminated.
+    A constrained order splits into two independent phases: the free nodes,
+    then the suffix once every free node is gone.
     """
     suffix = set(constrained_suffix) if constrained_suffix is not None else set()
     if not suffix <= g.nodes:
         raise ModelError(f"constrained nodes {suffix - g.nodes} are not in the graph")
-    first = sorted(g.nodes - suffix)
-    if len(first) > EXACT_MAX_FREE or len(suffix) > EXACT_MAX_FREE:
+    free = sorted(g.nodes - suffix)
+    if len(free) > EXACT_MAX_FREE or len(suffix) > EXACT_MAX_FREE:
         raise ModelError(f"exact oracle limited to {EXACT_MAX_FREE} nodes per phase")
-    size1 = _phase_min_width(g, first)
-    size2 = _phase_min_width(g, sorted(suffix), first)
-    return max(size1, size2) - 1
+    nodes = free + sorted(suffix)
+    adj = _rank_bitsets(g, nodes)
+
+    def cluster(v: int, gone: int) -> int:
+        """The neighbors of rank ``v`` once the ranks in ``gone`` are
+        eliminated, counted: the nodes outside ``gone`` that it reaches
+        through ``gone``."""
+        seen = adj[v] | 1 << v
+        front = adj[v] & gone
+        while front:
+            low = front & -front
+            front ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            front |= new & gone
+        return (seen & ~gone).bit_count() - 1
+
+    # Each phase: its first rank, its node count, the ranks gone before it
+    # and its cost-to-go table. Bit i of a state S is rank lo + i.
+    phases = []
+    for lo, n, gone in ((0, len(free), 0), (len(free), len(suffix), (1 << len(free)) - 1)):
+        full = (1 << n) - 1
+        rest = [-1] * (full + 1)
+        for s in range(full - 1, -1, -1):
+            best = len(nodes)
+            for i in range(n):
+                # A node whose cost-to-go is no less than best cannot lower it.
+                if not s >> i & 1 and rest[s | 1 << i] < best:
+                    best = min(best, max(rest[s | 1 << i], cluster(lo + i, gone | s << lo)))
+            rest[s] = best
+        phases.append((lo, n, gone, rest))
+    width = max(rest[0] for *_, rest in phases)
+    seq = []
+    for lo, n, gone, rest in phases:
+        s = 0
+        for _ in range(n):
+            i = next(
+                i for i in range(n)
+                if not s >> i & 1 and rest[s | 1 << i] <= width
+                and cluster(lo + i, gone | s << lo) <= width
+            )
+            seq.append(nodes[lo + i])
+            s |= 1 << i
+    constrained = frozenset(suffix) if constrained_suffix is not None else None
+    return width, EliminationOrder(tuple(seq), constrained)

@@ -32,7 +32,8 @@ the bits of ``ndarray.sum`` over one variable with fewer than 8 states; from
 
 Tables are validated once, where they enter the package. CPT tables enter
 through :class:`~unitsel.model.Scm`, which checks every entry once, so
-``Scm.cpt_factor`` and the 0/1 indicators are built trusted. ``Factor(...)``
+``Scm.cpt_factor`` is built trusted; a 0/1 indicator checks its id,
+cardinality and state by the rules below and is built trusted. ``Factor(...)``
 is the entry point for factors built outside the package: it refuses a scope
 id that is not an int >= 0 and a cardinality that is not an int >= 1 (a
 bool is neither; nothing is coerced), checks the size and that every entry
@@ -186,7 +187,12 @@ class Factor:
 
     @classmethod
     def indicator(cls, vid: int, card: int, state: int) -> "Factor":
-        """The 0/1 evidence factor that is 1 exactly at ``state``."""
+        """The 0/1 evidence factor that is 1 exactly at ``state``; the id and
+        the cardinality are held to the rules of ``Factor(...)``."""
+        if not _is_index(vid, math.inf):
+            raise FactorError(f"scope must be strictly ascending int ids >= 0, got {(vid,)}")
+        if not (_is_int(card) and card >= 1):
+            raise FactorError("one cardinality >= 1 required per scope variable")
         if not _is_index(state, card):
             raise FactorError(f"state {state!r} out of range for cardinality {card}")
         table = np.zeros(card)

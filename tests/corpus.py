@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
-from unitsel.elimination import EliminationOrder, UGraph
+from unitsel.elimination import EliminationOrder, UGraph, order_width
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 from unitsel.model import (FUNCTIONAL_TOL, ROW_SUM_TOL, ModelError, ValidationReport, Variable,
@@ -160,6 +161,35 @@ def reference_mindegree_order(g: UGraph, constrained_suffix=None) -> Elimination
         seq.append(best)
         eliminate_node(work, best)
     return EliminationOrder(tuple(seq), suffix)
+
+
+ENUM_MAX_ORDERS = 50000  # orders visited by treewidth_by_enumeration
+
+
+def treewidth_by_enumeration(g: UGraph, constrained_suffix=None) -> tuple[int, EliminationOrder]:
+    """The minimum width and its order, by scanning every (constrained) order
+    of the sorted nodes in lexicographic order and keeping the first strict
+    minimum. The order count is checked first: an unconstrained graph is
+    feasible up to 8 nodes, a constrained one up to about 5 + 5."""
+    nodes = sorted(g.nodes)
+    suffix = sorted(constrained_suffix) if constrained_suffix is not None else []
+    rest = [v for v in nodes if v not in set(suffix)]
+    count = math.factorial(len(rest)) * math.factorial(len(suffix))
+    if count > ENUM_MAX_ORDERS:
+        raise ModelError(
+            f"enumeration oracle would visit {count} orders (limit {ENUM_MAX_ORDERS})"
+        )
+    best: tuple[int, tuple[int, ...]] | None = None
+    for head in itertools.permutations(rest):
+        for tail in itertools.permutations(suffix):
+            seq = head + tail
+            width = order_width(g, seq)
+            if best is None or width < best[0]:
+                best = (width, seq)
+    assert best is not None
+    return best[0], EliminationOrder(
+        best[1], frozenset(suffix) if constrained_suffix is not None else None
+    )
 
 
 def reference_clusters(g: UGraph, seq) -> list[frozenset[int]]:

@@ -129,7 +129,7 @@ def test_tight_family_base_width_three(n):
     g = moral_graph(scm)
     assert simulate_elimination(g, tight_family_order(scm, n)).width == 3
     if n <= 6:
-        assert treewidth_exact(g, constrained_suffix=units) == 3
+        assert treewidth_exact(g, constrained_suffix=units)[0] == 3
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unitsel.bench
+import unitsel.elimination
 from unitsel import ModelError, cli, fixture_path, load_model, rmap_ve
 from unitsel.cli import main, parse_assignments
 from unitsel.elimination import EliminationOrder
@@ -323,6 +324,34 @@ def test_width_five_node(capsys, five_node):
 def test_width_with_units_prints_pinned_clusters(capsys, five_node):
     assert main(["width", "--model", str(five_node), "--units", "A,B"]) == 0
     assert capsys.readouterr().out == "width: 2\nclusters: BCD CE ABC AB B\n"
+
+
+def test_width_exhaustive_prints_the_first_optimal_order(capsys, five_node):
+    # Byte for byte what the enumeration of every order printed here.
+    for units, out in (
+        ([], "width: 2\nclusters: ABC BCD CDE DE E\n"),
+        (["--units", "A,B"], "width: 2\nclusters: BCD CE ABC AB B\n"),
+    ):
+        assert main(["width", "--model", str(five_node), "--order", "exhaustive", *units]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_width_exhaustive_answers_up_to_the_phase_limit(capsys, tmp_path):
+    # The tight family at n = 6 has 6!·6! constrained orders, too many to
+    # enumerate; one phase over the limit is refused with empty stdout.
+    limit = unitsel.elimination.EXACT_MAX_FREE
+    for n, code in ((6, 0), (limit + 1, 1)):
+        model = tmp_path / f"tight{n}.json"
+        assert main(["gen", "--kind", "tight", "--n", str(n), "--out", str(model)]) == 0
+        capsys.readouterr()
+        units = ",".join(f"U{i}" for i in range(1, n + 1))
+        args = ["width", "--model", str(model), "--units", units, "--order", "exhaustive"]
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", f"error: exact oracle limited to {limit} nodes per phase\n")
+        else:
+            assert out.startswith("width: 3\n")
 
 
 def test_width_tight_family(capsys, tmp_path):

@@ -19,7 +19,6 @@ from unitsel import (
     order_width,
     simulate_elimination,
     treewidth_exact,
-    treewidth_exact_enum,
 )
 import unitsel.bench as bench_module
 import unitsel.elimination as elimination_module
@@ -56,6 +55,7 @@ from corpus import (
     reference_mindegree_order,
     reference_minfill_order,
     reference_moral_subgraph,
+    treewidth_by_enumeration,
 )
 
 
@@ -211,7 +211,7 @@ def test_minfill_tree_is_width_one():
 def test_minfill_matches_exhaustive_on_five_node(five_node):
     g = moral_graph(five_node)
     w = simulate_elimination(g, minfill_order(g)).width
-    best, _ = treewidth_exact_enum(g)
+    best, _ = treewidth_by_enumeration(g)
     assert w == best == 2
 
 
@@ -594,15 +594,23 @@ def test_width_invariant_under_relabeling(seed):
 
 
 def test_exact_dp_matches_enumeration():
-    for seed in range(12):
-        g = random_ugraph(seed + 90, lo=4, hi=7)
-        nodes = sorted(g.nodes)
-        rng = np.random.default_rng([560, seed])
-        k = int(rng.integers(0, len(nodes)))
-        suffix = set(int(v) for v in rng.choice(nodes, size=k, replace=False)) if k else None
-        w_enum, _ = treewidth_exact_enum(g, constrained_suffix=suffix)
-        w_dp = treewidth_exact(g, constrained_suffix=suffix)
-        assert w_enum == w_dp
+    # 300 graphs of 2-8 nodes, every odd one constrained on a random subset
+    # (empty and whole included): the same width and the same order, the
+    # lexicographically first of that width.
+    for seed in range(300):
+        g = random_ugraph(seed, lo=2, hi=8)
+        suffix = None
+        if seed % 2:
+            nodes = sorted(g.nodes)
+            rng = np.random.default_rng([560, seed])
+            k = int(rng.integers(0, len(nodes) + 1))
+            suffix = {int(v) for v in rng.choice(nodes, size=k, replace=False)}
+        w_enum, o_enum = treewidth_by_enumeration(g, constrained_suffix=suffix)
+        width, order = treewidth_exact(g, constrained_suffix=suffix)
+        assert (width, order.sequence, order.constrained_suffix) == (
+            w_enum, o_enum.sequence, o_enum.constrained_suffix
+        ), seed
+        assert order_width(g, order) == width
 
 
 def test_exact_dp_refuses_a_constrained_node_not_in_the_graph():
@@ -623,7 +631,7 @@ def test_exact_dp_refuses_a_phase_over_the_limit():
 def test_enumeration_guard():
     g = random_ugraph(1, lo=12, hi=12)
     with pytest.raises(ModelError):
-        treewidth_exact_enum(g)
+        treewidth_by_enumeration(g)
 
 
 # -- structural predicates -----------------------------------------------------------

@@ -240,6 +240,17 @@ def test_indicator():
             Factor.indicator(3, 2, state)
 
 
+def test_indicator_refuses_a_bad_id_or_cardinality():
+    # It once built a trusted factor on the id 1.5, -1, True or "a", and a
+    # cardinality of 2.0 or True raised a raw TypeError from numpy.
+    for vid in (1.5, -1, True, "a"):
+        with pytest.raises(FactorError, match="^scope must be strictly ascending int ids >= 0"):
+            Factor.indicator(vid, 2, 0)
+    for card in (2.0, True):
+        with pytest.raises(FactorError, match="^one cardinality >= 1 required per scope variable$"):
+            Factor.indicator(0, card, 0)
+
+
 # -- properties (dyadic values keep float products exact) ---------------------
 
 CARDS = {0: 2, 1: 3, 2: 2, 3: 2}
