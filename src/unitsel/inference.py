@@ -41,6 +41,21 @@ more sum elimination, over the targets and on the survivors' 0/1 masks as
 integer factors (int64, or Python integers once the target grid reaches
 2^63), counts the consistent targets exactly and at width cost. The same masks
 break a tie at value zero (``_max_pass``).
+
+Unit selection without a caller order solves the shared-worlds solve model of
+:mod:`unitsel.objective`. When no term has evidence e, that model's e2 holds
+only cut copies, each a parentless point mass at its asserted state, and the
+units are roots, so Pr(u, e2) = prod_i Pr(u_i) and L(u) = Pr(e1, e2 | u)
+wherever every Pr(u_i) > 0 (d-separation; Pearl 1988). That is MAP on the
+model with each unit's CPT swapped for its support indicator 1[Pr(u_i) > 0]
+(``_evidence_free_select``): one sum pass under e1+e2 and one max pass, whose
+value-0 ties are the indicators. The excluded units number grid - prod_i
+|supp(u_i)|, and InconsistentEvidenceError cannot arise, since every prior
+has a state of positive mass. The answer is Reverse-MAP's bit for bit: there
+each unit CPT waits in its unit's bucket, so it survives the e1+e2 pass
+unchanged; the e2 pass leaves the unit CPTs and scalar 1s; and dividing each
+CPT by itself, as its first covering survivor, gives exactly its support
+indicator.
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_a
                      sum_axis, union_scope)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
-from .objective import _solve_model, build_objective_model, evaluate_L_profile
+from .objective import ObjectiveModel, _solve_model, build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
 _FUSED_MIN_CELLS = 2048
@@ -562,6 +577,31 @@ def brute_rmap(
 # -- unit selection ------------------------------------------------------------
 
 
+def _evidence_free_select(om: ObjectiveModel) -> QueryResult:
+    """Reverse-MAP on a solve model whose e2 holds only cut copies, as one
+    MAP query (see the module docstring): one sum pass under e1+e2 over the
+    query order, with each unit's CPT swapped for its support indicator
+    1[Pr(u_i) > 0], and one max pass whose value-0 ties are those indicators.
+    Units outside the support are the excluded ones."""
+    scm = om.model
+    order = _query_order(scm, om.unit_om_ids, None, om.e1, om.e2)
+    support = {}
+    for vid in om.unit_om_ids:
+        prior = scm.cpt_factor(vid)
+        indicator = (prior.values > 0).astype(np.float64)
+        support[vid] = Factor._trusted(prior.vids, prior.cards, indicator)
+    pool = [
+        TaggedFactor(("cpt", vid), support[vid] if vid in support else scm.cpt_factor(vid))
+        for vid in sorted(order.sequence)
+    ]
+    pool = eliminate("sum", pool + lambda_pool(scm, {**om.e1, **om.e2}), order.prefix, scm)[0]
+    ties = [TaggedFactor(("cpt", vid), f) for vid, f in support.items()]
+    value, inst = _max_pass(scm, pool, ties, order, None)
+    grid = math.prod(f.values.size for f in support.values())
+    consistent = math.prod(int(np.count_nonzero(f.values)) for f in support.values())
+    return QueryResult(value, inst, excluded=grid - consistent)
+
+
 def unit_select(
     scm: Scm,
     objective,
@@ -579,11 +619,14 @@ def unit_select(
     per distinct cut, built only as far as the query's ancestral closure):
     its values are L(u), its excluded units those where some term is
     undefined, and among units whose values tie mathematically it may pick
-    another one than a whole-model order. A caller-supplied ``order`` names variables of the
-    full ``build_objective_model(scm, objective)`` (the build is
-    deterministic), which is then built, and must cover an ancestrally
-    closed set of them that contains the units and the evidence, such as the
-    whole objective model. An order with ``method="brute"``, which orders
+    another one than a whole-model order. When no term has evidence e, that
+    solve is one MAP query, one sum pass and one max pass with each unit
+    prior swapped for its support indicator (see the module docstring), and
+    gives Reverse-MAP's value, unit and excluded count. A caller-supplied
+    ``order`` names variables of the full ``build_objective_model(scm,
+    objective)`` (the build is deterministic), which is then built, and must
+    cover an ancestrally closed set of them that contains the units and the
+    evidence, such as the whole objective model. An order with ``method="brute"``, which orders
     nothing, is refused with ModelError, and so is an invalid objective, by
     the build or the evaluation.
     """
@@ -592,7 +635,10 @@ def unit_select(
             om = _solve_model(scm, objective)
         else:
             om = build_objective_model(scm, objective)
-        result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
+        if order is None and not any(t.e for t in objective.terms):
+            result = _evidence_free_select(om)
+        else:
+            result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
         inst = {
             base: result.instantiation[om_id]
             for base, om_id in zip(om.unit_base_ids, om.unit_om_ids)

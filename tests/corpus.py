@@ -12,7 +12,7 @@ import numpy as np
 
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
-from unitsel.elimination import EliminationOrder, UGraph, order_width
+from unitsel.elimination import EliminationOrder, UGraph
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
 from unitsel.model import (FUNCTIONAL_TOL, ROW_SUM_TOL, ModelError, ValidationReport, Variable,
@@ -179,16 +179,41 @@ def treewidth_by_enumeration(g: UGraph, constrained_suffix=None) -> tuple[int, E
         raise ModelError(
             f"enumeration oracle would visit {count} orders (limit {ENUM_MAX_ORDERS})"
         )
+    # The graph is ranked once: bit r of a node set stands for nodes[r]. The
+    # orders are walked depth first, the free nodes before the suffix and the
+    # lowest rank first at each depth, which visits every order once, in
+    # lexicographic order; the graph left after a prefix is shared by every
+    # order that starts with it. Eliminating a node joins its neighbours
+    # left, and its cluster is itself and them.
+    rank = {v: r for r, v in enumerate(nodes)}
+    free = sum(1 << rank[v] for v in rest)
     best: tuple[int, tuple[int, ...]] | None = None
-    for head in itertools.permutations(rest):
-        for tail in itertools.permutations(suffix):
-            seq = head + tail
-            width = order_width(g, seq)
+
+    def walk(adj: list[int], left: int, width: int, seq: tuple[int, ...]) -> None:
+        nonlocal best
+        if not left:
             if best is None or width < best[0]:
                 best = (width, seq)
+            return
+        options = left & free or left
+        while options:
+            low = options & -options
+            r = low.bit_length() - 1
+            ns = adj[r] & (left ^ low)
+            after = adj.copy()
+            todo = ns
+            while todo:
+                bit = todo & -todo
+                after[bit.bit_length() - 1] |= ns
+                todo ^= bit
+            walk(after, left ^ low, max(width, ns.bit_count()), seq + (r,))
+            options ^= low
+
+    walk([sum(1 << rank[a] for a in g.adj[v]) for v in nodes], (1 << len(nodes)) - 1, -1, ())
     assert best is not None
     return best[0], EliminationOrder(
-        best[1], frozenset(suffix) if constrained_suffix is not None else None
+        tuple(nodes[r] for r in best[1]),
+        frozenset(suffix) if constrained_suffix is not None else None,
     )
 
 

@@ -13,6 +13,7 @@ from unitsel import (
     ModelError,
     ObjectiveFunction,
     ObjectiveTerm,
+    Scm,
     brute_map,
     brute_rmap,
     joint_prob,
@@ -41,7 +42,8 @@ from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import _solve_model, build_objective_model, evaluate_L_brute
 from unitsel.reductions import compile_formula, sat_via_rmap
 from unitsel.worlds import enumerate_instantiations
-from corpus import forward_eval, random_cnf, random_instance, reference_eliminate, small_scm
+from corpus import (exact_L_profile, forward_eval, random_cnf, random_instance, reference_eliminate,
+                    separated_maximiser, small_scm)
 
 
 @pytest.fixture(scope="module")
@@ -826,6 +828,126 @@ def test_unit_select_random_40_prunes_to_small_width():
     assert 0.0 <= res.value <= 1.0
 
 
+# -- evidence-free unit selection: one MAP pass ---------------------------------
+
+
+def _zero_some_prior_states(scm, units, rng):
+    """``scm`` with one state of about half the units' priors set to 0 and
+    the rest of that prior rescaled."""
+    tables = dict(scm.tables)
+    for vid in units:
+        prior = np.array(tables[vid], dtype=float)
+        if np.count_nonzero(prior) > 1 and rng.random() < 0.5:
+            prior[int(rng.integers(prior.size))] = 0.0
+            tables[vid] = prior / prior.sum()
+    return Scm(scm.variables, scm.parents, tables)
+
+
+def _answer(res):
+    return res.value, res.instantiation, res.excluded
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_evidence_free_select_equals_reverse_map(seed):
+    # On the same solve model, Reverse-MAP divides each unit prior by itself,
+    # so the MAP pass on support indicators gives the same bits, unit and
+    # excluded count.
+    scm, units, L = random_instance(seed, with_evidence=False)
+    scm = _zero_some_prior_states(scm, units, np.random.default_rng([37, seed]))
+    om = _solve_model(scm, L)
+    ve = inference._evidence_free_select(om)
+    assert _answer(ve) == _answer(rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2))
+    res = unit_select(scm, L)
+    assert (res.value, res.excluded) == (ve.value, ve.excluded)
+    assert res.instantiation == {b: ve.instantiation[o] for b, o in zip(units, om.unit_om_ids)}
+
+
+def test_evidence_free_select_matches_the_exact_oracle():
+    separated = zeroed = 0
+    for seed in range(40):
+        scm, units, L = random_instance(seed + 300, with_evidence=False)
+        scm = _zero_some_prior_states(scm, units, np.random.default_rng([38, seed]))
+        exact = exact_L_profile(scm, L)
+        res = unit_select(scm, L)
+        unit = tuple(res.instantiation[vid] for vid in units)
+        assert res.excluded == sum(value is None for value in exact.values())
+        assert exact[unit] is not None
+        assert abs(res.value - float(max(v for v in exact.values() if v is not None))) <= 1e-12
+        best = separated_maximiser(exact)
+        if best is not None:
+            assert unit == best and abs(res.value - float(exact[best])) <= 1e-12
+        separated += best is not None
+        zeroed += res.excluded > 0
+    assert separated > 0 and zeroed > 0
+
+
+def _unit_model(u_prior, v_prior, y_of):
+    """Units U (three states) and V, a noise root N, X = N and Y = y_of(U,
+    V, X)."""
+    y = [float(y_of(*row) == s) for row in itertools.product(range(3), range(2), range(2))
+         for s in (0, 1)]
+    return make_scm(
+        [("U", "012"), ("V", "01"), ("N", "01"), ("X", "01"), ("Y", "01")],
+        {"U": [], "V": [], "N": [], "X": ["N"], "Y": ["U", "V", "X"]},
+        {"U": u_prior, "V": v_prior, "N": [0.3, 0.7], "X": [1, 0, 0, 1], "Y": y},
+    )
+
+
+def test_evidence_free_select_excludes_zero_prior_unit_states():
+    # Y = [U + V + X >= 3] and L(u) = 0.6 Pr(Y_{X=1} = 1 | u) + 0.4 Pr(Y = 0 |
+    # u). U = 1 and V = 0 have no prior mass, which leaves (0, 1) at 0.4 and
+    # (2, 1) at 0.6 of the 3 x 2 grid; (1, 1) and (2, 0) would read 0.72.
+    scm = _unit_model([0.4, 0.0, 0.6], [0.0, 1.0], lambda u, v, x: u + v + x >= 3)
+    L = ObjectiveFunction((0, 1), (ObjectiveTerm(0.6, x={3: 1}, y={4: 1}),
+                                   ObjectiveTerm(0.4, y={4: 0})))
+    res = unit_select(scm, L)
+    assert _answer(res) == (pytest.approx(0.6, abs=1e-15), {0: 2, 1: 1}, 6 - 2 * 1)
+    brute = unit_select(scm, L, method="brute")
+    assert (brute.instantiation, brute.excluded) == (res.instantiation, res.excluded)
+
+
+def test_evidence_free_select_at_value_zero_takes_the_smallest_supported_unit():
+    # Y = 0 surely, so L(u) = Pr(Y = 1 | u) = 0 everywhere; U = 0 and V = 0
+    # have no prior mass, so the smallest supported unit is (1, 1).
+    scm = _unit_model([0.0, 0.4, 0.6], [0.0, 1.0], lambda u, v, x: 0)
+    L = ObjectiveFunction((0, 1), (ObjectiveTerm(1.0, y={4: 1}),))
+    res = unit_select(scm, L)
+    assert _answer(res) == (0.0, {0: 1, 1: 1}, 4)
+    assert _answer(unit_select(scm, L, method="brute")) == _answer(res)
+
+
+def test_evidence_free_select_on_a_non_functional_model():
+    # Treatment-free terms assert y and w in world 1, which is Pr(y, w | u)
+    # on any Bayesian network: random (not 0/1) rows for every endogenous
+    # variable, checked against brute, the exact oracle and Reverse-MAP.
+    separated = 0
+    for seed in range(12):
+        rng = np.random.default_rng([39, seed])
+        base = small_scm(seed + 500, lo=4, hi=7)
+        tables = dict(base.tables)
+        for vid in base.endogenous():
+            rows = rng.uniform(0.05, 1.0, size=np.shape(tables[vid]))
+            tables[vid] = rows / rows.sum(axis=-1, keepdims=True)
+        scm = Scm(base.variables, base.parents, tables)
+        units = tuple(sorted(int(u) for u in rng.choice(scm.roots, size=min(2, len(scm.roots)),
+                                                          replace=False)))
+        endo = [int(v) for v in rng.permutation(scm.endogenous())]
+        L = ObjectiveFunction(units, (ObjectiveTerm(0.7, y={endo[0]: 1}, w={endo[1]: 0}),
+                                      ObjectiveTerm(0.3, y={endo[-1]: 0})))
+        om = _solve_model(scm, L)
+        ve = unit_select(scm, L)
+        brute = unit_select(scm, L, method="brute")
+        rmap = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2)
+        assert (ve.value, ve.excluded) == (rmap.value, rmap.excluded)
+        assert abs(ve.value - brute.value) <= 1e-12 and ve.excluded == brute.excluded == 0
+        exact = exact_L_profile(scm, L)
+        best = separated_maximiser(exact)
+        if best is not None:
+            assert tuple(ve.instantiation[vid] for vid in units) == best
+        separated += best is not None
+    assert separated > 0
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_default_order_matches_whole_model_order(seed):
     # The default order covers only the ancestral closure of the targets and
@@ -973,30 +1095,53 @@ def test_e2_pass_of_a_sat_circuit_covers_the_targets_alone(monkeypatch):
 
 
 def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
-    # The passes are checked on the model unit_select solves, which without
-    # an order is the shared-worlds solve model.
+    # The passes are checked on the models unit_select solves by Reverse-MAP:
+    # the shared-worlds solve model of an objective with evidence, and the
+    # full objective model under a caller order (an evidence-free objective
+    # without an order runs one sum pass; see the test below).
     built = []
 
-    def recording_build(*args, **kwargs):
-        built.append(_solve_model(*args, **kwargs))
-        return built[-1]
+    def recording(build):
+        def wrapper(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+        return wrapper
 
-    monkeypatch.setattr(inference, "_solve_model", recording_build)
+    monkeypatch.setattr(inference, "_solve_model", recording(_solve_model))
+    monkeypatch.setattr(inference, "build_objective_model", recording(build_objective_model))
+    checked = {False: 0, True: 0}  # with a caller order -> checked solves
     smaller = 0
     for seed in range(10):
         scm, _, L = random_instance(seed)
-        built.clear()
-        passes = _record_sum_passes(monkeypatch)
-        try:
-            unit_select(scm, L)
-        except InconsistentEvidenceError:
-            pass
-        (om,) = built
-        if not om.e2:
-            continue
-        vars1 = _assert_e2_pass_on_its_closure(passes, om.model, om.unit_om_ids, om.e2)
-        smaller += len(passes[1][0]) < len(vars1)
+        full = build_objective_model(scm, L)
+        whole = minfill_order(moral_graph(full.model), constrained_suffix=full.unit_om_ids)
+        for order in (None, whole) if any(t.e for t in L.terms) else (whole,):
+            built.clear()
+            passes = _record_sum_passes(monkeypatch)
+            try:
+                unit_select(scm, L, order=order)
+            except InconsistentEvidenceError:
+                pass
+            (om,) = built
+            vars1 = _assert_e2_pass_on_its_closure(passes, om.model, om.unit_om_ids, om.e2)
+            smaller += len(passes[1][0]) < len(vars1)
+            checked[order is not None] += 1
+    assert checked[False] > 0 and checked[True] == 10
     assert smaller > 0
+
+
+def test_evidence_free_unit_select_runs_one_sum_pass(monkeypatch):
+    # Without evidence in any term, Pr(u, e2) is the unit prior: no e2 pass,
+    # no count pass over its masks and no paired division.
+    def no_division(*args):
+        raise AssertionError("_paired_division called")
+
+    monkeypatch.setattr(inference, "_paired_division", no_division)
+    for seed in range(10):
+        scm, _, L = random_instance(seed, with_evidence=False)
+        passes = _record_sum_passes(monkeypatch)
+        unit_select(scm, L)
+        assert len(passes) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
