@@ -157,11 +157,13 @@ def moral_graph(scm: Scm) -> UGraph:
     return moral_subgraph(scm, range(scm.n))
 
 
-def moral_subgraph(scm: Scm, vids: Iterable[int]) -> UGraph:
+def moral_subgraph(scm: Scm, vids: Iterable[int], removed: Container[int] = ()) -> UGraph:
     """The moral graph of the families of ``vids``: for an ancestrally closed
-    set, the moral graph of the submodel it induces."""
+    set, the moral graph of the submodel it induces. The variables in
+    ``removed`` are taken out of every family, their own included, as
+    slicing the CPTs at their states takes them out of the CPTs' scopes."""
     vids = sorted(vids)
-    adj: dict[int, set[int]] = {vid: set() for vid in vids}
+    adj: dict[int, set[int]] = {vid: set() for vid in vids if vid not in removed}
     parents = scm.parents
     for vid in vids:
         if parents[vid]:
@@ -169,6 +171,8 @@ def moral_subgraph(scm: Scm, vids: Iterable[int]) -> UGraph:
             # the root alone, with no edge); a parent outside ``vids``
             # becomes a node here. The self-loops go below.
             family = (*parents[vid], vid)
+            if removed:
+                family = tuple([a for a in family if a not in removed])
             for a in family:
                 adj.setdefault(a, set()).update(family)
     for v, ns in adj.items():

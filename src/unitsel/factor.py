@@ -15,11 +15,12 @@ union of some factors' scopes, ``product`` reshapes each of their tables to
 that cluster (size-1 axes for missing variables) and multiplies them left to
 right, and ``sum_axis``/``max_axis`` reduce one axis of a table.
 ``multiply_all`` is the one product of whole factors; evidence enters a
-product as 0/1 ``Factor.indicator`` factors. A factor has no reduction of
-its own: the reductions run in the steps of ``unitsel.inference.eliminate``,
-each on its bucket's tables and over one variable, so a step builds no factor
-but the one it creates, and a max step records a :class:`MaximizerTable` for
-that one variable.
+product as 0/1 ``Factor.indicator`` factors, and ``restrict`` slices a
+factor at the states that evidence forces (``unitsel.inference``). A factor
+has no reduction of its own: the reductions run in the steps of
+``unitsel.inference.eliminate``, each on its bucket's tables and over one
+variable, so a step builds no factor but the one it creates, and a max step
+records a :class:`MaximizerTable` for that one variable.
 
 A reduction views the table as (before, states, after) and combines its
 state slices: a max keeps a running maximum over the slices, and a sum adds
@@ -244,6 +245,21 @@ def multiply_all(factors: Iterable[Factor]) -> Factor:
         return Factor.scalar(1.0)
     vids, cards = union_scope(factors)
     return Factor._trusted(vids, cards, product(factors, vids))
+
+
+def restrict(factor: Factor, states: Mapping[int, int]) -> Factor:
+    """The factor sliced at the ``states`` of the variables it mentions:
+    their axes go, and a factor that mentions none comes back as it is. The
+    states are trusted to be in range; the slice is a contiguous copy, a 0-d
+    table when every variable is fixed."""
+    if not any(vid in states for vid in factor.vids):
+        return factor
+    index = tuple([states.get(vid, slice(None)) for vid in factor.vids])
+    kept = [(vid, card) for vid, card in zip(factor.vids, factor.cards) if vid not in states]
+    vids = tuple([vid for vid, _ in kept])
+    cards = tuple([card for _, card in kept])
+    # np.array: an index of ints alone gives a numpy scalar, not a 0-d array.
+    return Factor._trusted(vids, cards, np.array(factor.values[index]))
 
 
 # -- kernels on bare tables ----------------------------------------------------

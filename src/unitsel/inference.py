@@ -14,6 +14,7 @@ every created pass-2 scope inside a pass-1 one.
 
 All engines share one core: ``_query_order`` (id and disjointness checks,
 and an order ending in ``_target_block``, the targets in descending id),
+``_rmap_order`` (the same for Reverse-MAP, with the forced states),
 ``_sum_pass`` (one sum pass), ``_two_pass`` (the e1+e2 pass, then the e2
 pass) and ``_max_pass`` (the max pass and its tie rule at value 0); each
 entry point adds only its own count or normalization.
@@ -31,6 +32,24 @@ ancestrally closed set of variables that contains the targets and evidence;
 the whole model always qualifies, and then the e1+e2 pass and the trace are
 those of the unpruned model. The e2 pass is restricted to its own closure
 whatever the order.
+
+Without a caller order, Reverse-MAP also absorbs the evidence that e1
+forces through zero CPT rows (``_forced_states``), as unit resolution does in
+weighted model counting (Chavira & Darwiche 2008). A parent p is forced to t
+when every positive entry of its child's CPT column at the child's given or
+forced state has p = t: then Pr(e, p != t) = 0, so summing p over t alone is
+exact for any CPT, functional or not. The walk starts from the e1 variables
+outside the closure C2 of the targets and e2, goes up through forced
+variables and stops at C2 (which holds the targets) and at given evidence.
+Children that force different states, or an all-zero column, force nothing,
+and elimination produces the zeros. The e1+e2 pass slices every CPT that
+mentions a forced variable at the forced states (``restrict``; Koller &
+Friedman 2009, sec. 9.3), gives the forced variables no indicator and no
+step, and ``default_order`` orders the closure with them taken out of every
+family. Sliced CPTs make a sparser moral graph: on a compiled CNF, the
+sentinel forces every clause output and every gate of the conjunction. No
+CPT of C2 mentions a forced variable, since C2 is ancestrally closed, so the
+e2 pass, its order, the count and the covers below are unchanged.
 
 Targets with Pr(u, e2) = 0 receive the value 0, because the division writes
 0 wherever its divisor is 0, and are reported as excluded; they can never win
@@ -60,14 +79,15 @@ indicator.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_all, product,
-                     sum_axis, union_scope)
+                     restrict, sum_axis, union_scope)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import ObjectiveModel, _solve_model, build_objective_model, evaluate_L_profile
@@ -123,9 +143,16 @@ def _tag_label(tag: Tag, scm: Scm) -> str:
     return f"1_{tag[1]}"
 
 
-def cpt_pool(scm: Scm, vids: Iterable[int]) -> list[TaggedFactor]:
-    """The CPT factors of ``vids`` in id order."""
-    return [TaggedFactor(("cpt", vid), scm.cpt_factor(vid)) for vid in sorted(vids)]
+def cpt_pool(
+    scm: Scm, vids: Iterable[int], swap: Mapping[int, Factor] | None = None
+) -> list[TaggedFactor]:
+    """The CPT factors of ``vids`` in id order, each taken from ``swap``
+    where it has one."""
+    swap = swap or {}
+    return [
+        TaggedFactor(("cpt", vid), swap[vid] if vid in swap else scm.cpt_factor(vid))
+        for vid in sorted(vids)
+    ]
 
 
 def lambda_pool(scm: Scm, evidence: Mapping[int, int]) -> list[TaggedFactor]:
@@ -300,24 +327,24 @@ def _target_block(prefix: Iterable[int], targets: frozenset[int]) -> Elimination
     return EliminationOrder(tuple(prefix) + tuple(sorted(targets, reverse=True)), targets)
 
 
-def default_order(scm: Scm, targets: Iterable[int], vids: Iterable[int]) -> EliminationOrder:
+def default_order(
+    scm: Scm, targets: Iterable[int], vids: Iterable[int], forced: Container[int] = ()
+) -> EliminationOrder:
     """Constrained min-degree order over the moral graph of the ancestrally
-    closed set ``vids``, ending in the target block of ``_target_block``."""
+    closed set ``vids`` with the ``forced`` variables taken out of every
+    family, ending in the target block of ``_target_block``. The forced
+    variables get no place in it."""
     targets = frozenset(targets)
-    base = mindegree_order(moral_subgraph(scm, vids), constrained_suffix=targets)
+    base = mindegree_order(moral_subgraph(scm, vids, forced), constrained_suffix=targets)
     return _target_block(base.prefix, targets)
 
 
-def _query_order(
-    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Mapping[int, int]
-) -> EliminationOrder:
+def _checked_query(
+    scm: Scm, targets: frozenset[int], *evidence: Mapping[int, int]
+) -> set[int]:
     """Refuse ids that are not the model's (a float or a bool is not one),
-    overlapping target and evidence sets and evidence states out of range,
-    then return the default order over the ancestral closure of the targets
-    and evidence, or the caller's one (an ancestrally closed set containing
-    them, ending in the targets, and constrained on the targets or on
-    nothing), either ending in ``_target_block``."""
-    targets = frozenset(targets)
+    overlapping target and evidence sets and evidence states out of range;
+    return the targets and evidence variables."""
     unknown = {vid for vids in (targets, *evidence) for vid in vids if not _known_id(scm, vid)}
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown, key=repr)} in the query")
@@ -328,6 +355,19 @@ def _query_order(
         seen |= e
     for vid, state in (item for e in evidence for item in e.items()):
         _check_state(scm.var(vid), state)
+    return seen
+
+
+def _query_order(
+    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Mapping[int, int]
+) -> EliminationOrder:
+    """Check the query (``_checked_query``), then return the default order
+    over the ancestral closure of the targets and evidence, or the caller's
+    one (an ancestrally closed set containing them, ending in the targets,
+    and constrained on the targets or on nothing), either ending in
+    ``_target_block``."""
+    targets = frozenset(targets)
+    seen = _checked_query(scm, targets, *evidence)
     if order is None:
         return default_order(scm, targets, ancestral_closure(scm, seen))
     if order.constrained_suffix is not None and order.constrained_suffix != targets:
@@ -343,15 +383,94 @@ def _query_order(
     return _target_block(EliminationOrder(order.sequence, targets).prefix, targets)
 
 
+def _forced_states(
+    scm: Scm, e1: Mapping[int, int], c2: Container[int]
+) -> dict[int, int]:
+    """The states that e1 forces on variables outside ``c2``, the ancestral
+    closure of the targets and e2 (see the module docstring). A parent is
+    forced to t when every positive entry of its child's CPT column at the
+    child's given or forced state has the parent at t. The walk starts from
+    the e1 variables outside ``c2`` and goes up through forced variables,
+    stopping at ``c2`` and at given evidence. After the given variables, it
+    visits the candidates in descending topological rank, so a candidate is
+    decided once every child that could force it has been; children that
+    force different states, or an all-zero column, force nothing."""
+    votes: dict[int, set[int]] = {}  # the states each candidate is forced to
+
+    def vote(vid: int, state: int) -> list[int]:
+        """Cast the votes of ``vid``'s column at ``state``; return the
+        parents voted on for the first time."""
+        # The parents' states at the positive entries of the column, one
+        # index array per parent (the stored table has the child last).
+        rows = np.nonzero(scm.tables[vid][..., state]) if scm.parents[vid] else ()
+        new = []
+        for parent, states in zip(scm.parents[vid], rows):
+            if parent in c2 or parent in e1:
+                continue
+            states = set(states.tolist())
+            if len(states) != 1:
+                continue
+            if parent not in votes:
+                new.append(parent)
+            votes.setdefault(parent, set()).update(states)
+        return new
+
+    for vid, state in e1.items():
+        if vid not in c2:
+            vote(vid, state)
+    if not votes:
+        return {}
+    rank = {vid: i for i, vid in enumerate(scm.topological_order())}
+    heap = [(-rank[vid], vid) for vid in votes]
+    heapq.heapify(heap)
+    forced: dict[int, int] = {}
+    while heap:
+        vid = heapq.heappop(heap)[1]
+        if len(votes[vid]) == 1:
+            forced[vid] = state = min(votes[vid])
+            for parent in vote(vid, state):
+                heapq.heappush(heap, (-rank[parent], parent))
+    return forced
+
+
+def _rmap_order(
+    scm: Scm,
+    targets: Iterable[int],
+    order: EliminationOrder | None,
+    e1: Mapping[int, int],
+    e2: Mapping[int, int],
+) -> tuple[EliminationOrder, dict[int, int]]:
+    """The Reverse-MAP query order and the states e1 forces outside the
+    closure C2 of the targets and e2 (``_forced_states``). A caller order is
+    checked by ``_query_order`` and forces nothing; without one, the query
+    is checked first, and ``default_order`` orders its closure without the
+    forced variables."""
+    if order is not None:
+        return _query_order(scm, targets, order, e1, e2), {}
+    targets = frozenset(targets)
+    _checked_query(scm, targets, e1, e2)
+    c2 = ancestral_closure(scm, [*targets, *e2])
+    forced = _forced_states(scm, e1, c2)
+    closure = c2 | ancestral_closure(scm, e1, cut=c2)
+    return default_order(scm, targets, closure, forced), forced
+
+
 def _sum_pass(
     scm: Scm,
     evidence: Mapping[int, int],
     order: EliminationOrder,
     trace: list[TraceStep] | None = None,
+    forced: Mapping[int, int] | None = None,
+    swap: Mapping[int, Factor] | None = None,
 ) -> list[TaggedFactor]:
-    """Sum the order's prefix out of the CPTs of the order's variables times
-    the evidence indicators."""
-    pool = cpt_pool(scm, order.sequence) + lambda_pool(scm, evidence)
+    """Sum the order's prefix out of the CPTs of the order's variables and
+    of the ``forced`` ones times the evidence indicators. Each CPT is taken
+    from ``swap`` where it has one, and every CPT that mentions a forced
+    variable is sliced at the forced states (``restrict``)."""
+    pool = cpt_pool(scm, (*order.sequence, *(forced or ())), swap)
+    if forced:
+        pool = [TaggedFactor(tag, restrict(f, forced)) for tag, f in pool]
+    pool += lambda_pool(scm, evidence)
     return eliminate("sum", pool, order.prefix, trace=trace, scm=scm)[0]
 
 
@@ -360,18 +479,20 @@ def _two_pass(
     e1: Mapping[int, int],
     e2: Mapping[int, int],
     order: EliminationOrder,
+    forced: Mapping[int, int],
     trace: list[TraceStep] | None = None,
 ) -> tuple[list[TaggedFactor], list[TaggedFactor]]:
-    """The Reverse-MAP sum passes: under e1+e2 over the query order
-    (traced), then under e2 alone over the same order restricted to the
-    ancestral closure of the targets and e2, where Pr(u, e2) lives; every
-    other variable is barren for it. The restriction keeps the relative order
-    and the constrained suffix."""
+    """The Reverse-MAP sum passes: under e1+e2 over the query order with
+    the forced states absorbed (traced), then under e2 alone over the same
+    order restricted to the ancestral closure of the targets and e2, where
+    Pr(u, e2) lives; every other variable is barren for it. The restriction
+    keeps the relative order and the constrained suffix, and no CPT of that
+    closure mentions a forced variable."""
     closure = ancestral_closure(scm, [*order.suffix, *e2])
     order2 = EliminationOrder(
         tuple(v for v in order.sequence if v in closure), order.constrained_suffix
     )
-    return _sum_pass(scm, {**e1, **e2}, order, trace), _sum_pass(scm, e2, order2)
+    return _sum_pass(scm, {**e1, **e2}, order, trace, forced), _sum_pass(scm, e2, order2)
 
 
 def _product(pool: Iterable[TaggedFactor]) -> Factor:
@@ -464,10 +585,15 @@ def rmap_ve(
     each pass-2 survivor is divided into a pass-1 survivor that covers its
     scope, and the targets are maximized out of the quotients, which keep
     the pass-1 tags, so the trace shows the pass-1 sum steps and max steps.
+    Without an order, the e1+e2 pass absorbs the states that e1 forces
+    outside that closure through zero CPT rows, which is exact for any CPT
+    (see the module docstring): their CPTs are sliced, and the forced
+    variables have no step in the order or the trace. A caller order keeps
+    every indicator and step.
     """
-    order = _query_order(scm, targets, order, e1, e2)
+    order, forced = _rmap_order(scm, targets, order, e1, e2)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool1, pool2 = _two_pass(scm, e1, e2, order, trace)
+    pool1, pool2 = _two_pass(scm, e1, e2, order, forced, trace)
 
     grid = math.prod(scm.var(v).cardinality for v in order.suffix)
     dtype = np.int64 if grid < 2**63 else object
@@ -493,9 +619,10 @@ def rmap_table(
     order: EliminationOrder | None = None,
 ) -> Factor:
     """The full conditional profile Pr(e1 | u, e2) as a factor over the
-    targets (0 where Pr(u, e2) = 0). Used for whole-grid checks."""
-    order = _query_order(scm, targets, order, e1, e2)
-    return _product(_paired_division(*_two_pass(scm, e1, e2, order)))
+    targets (0 where Pr(u, e2) = 0). Used for whole-grid checks. The passes
+    are ``rmap_ve``'s, forced evidence absorbed without an order."""
+    order, forced = _rmap_order(scm, targets, order, e1, e2)
+    return _product(_paired_division(*_two_pass(scm, e1, e2, order, forced)))
 
 
 def posterior(
@@ -582,19 +709,17 @@ def _evidence_free_select(om: ObjectiveModel) -> QueryResult:
     MAP query (see the module docstring): one sum pass under e1+e2 over the
     query order, with each unit's CPT swapped for its support indicator
     1[Pr(u_i) > 0], and one max pass whose value-0 ties are those indicators.
-    Units outside the support are the excluded ones."""
+    Units outside the support are the excluded ones. The pass absorbs the
+    states that e1 forces, through the order and pool of ``rmap_ve``'s e1+e2
+    pass, so the bits stay Reverse-MAP's where an indicator forces copies."""
     scm = om.model
-    order = _query_order(scm, om.unit_om_ids, None, om.e1, om.e2)
+    order, forced = _rmap_order(scm, om.unit_om_ids, None, om.e1, om.e2)
     support = {}
     for vid in om.unit_om_ids:
         prior = scm.cpt_factor(vid)
         indicator = (prior.values > 0).astype(np.float64)
         support[vid] = Factor._trusted(prior.vids, prior.cards, indicator)
-    pool = [
-        TaggedFactor(("cpt", vid), support[vid] if vid in support else scm.cpt_factor(vid))
-        for vid in sorted(order.sequence)
-    ]
-    pool = eliminate("sum", pool + lambda_pool(scm, {**om.e1, **om.e2}), order.prefix, scm)[0]
+    pool = _sum_pass(scm, {**om.e1, **om.e2}, order, None, forced, support)
     ties = [TaggedFactor(("cpt", vid), f) for vid, f in support.items()]
     value, inst = _max_pass(scm, pool, ties, order, None)
     grid = math.prod(f.values.size for f in support.values())

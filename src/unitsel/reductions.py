@@ -307,16 +307,16 @@ def emajsat_ratio(formula: Formula, u: Mapping[str, int]) -> Fraction:
 def sat_via_rmap(formula: Formula) -> tuple[bool, dict[str, int] | None]:
     """Satisfiability via Reverse-MAP on the compiled circuit.
 
-    All variables are targets; e1 sets the sentinel to 1 and e2 is empty.
+    The variables are targets; e1 sets the sentinel to 1 and e2 is empty.
     The optimum is positive iff the formula is satisfiable, in which case the
-    maximizing unit is a satisfying assignment (returned as {name: 0/1}).
+    maximizing unit is a satisfying assignment (returned as {name: 0/1}). A
+    bare-variable formula is its own sentinel, which e1 sets, so it is not a
+    target and is 1 in the witness.
     """
     scm, sentinel = compile_formula(formula)
-    targets = [scm.by_name(name).id for name in formula.variables]
-    result = rmap_ve(scm, targets, {sentinel: 1}, {})
+    ids = {name: scm.by_name(name).id for name in formula.variables}
+    result = rmap_ve(scm, [vid for vid in ids.values() if vid != sentinel], {sentinel: 1}, {})
     if result.value == 0.0:
         return False, None
-    witness = {
-        scm.var(vid).name: state for vid, state in result.instantiation.items()
-    }
-    return True, witness
+    states = {**result.instantiation, sentinel: 1}
+    return True, {name: states[vid] for name, vid in ids.items()}

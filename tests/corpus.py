@@ -502,3 +502,34 @@ def separated_maximiser(exact: dict[tuple[int, ...], Fraction | None], gap: floa
     if not ranked or len(ranked) > 1 and ranked[1][0] - ranked[0][0] <= gap:
         return None
     return ranked[0][1]
+
+
+def exact_rmap_profile(scm: Scm, targets, e1, e2) -> dict[tuple[int, ...], Fraction | None]:
+    """Pr(e1 | u, e2) in exact rationals, keyed by the target states in
+    ascending id order; None where Pr(u, e2) is 0. Every full instantiation
+    of positive mass is enumerated, each CPT entry read with
+    ``Fraction(float)``, which is exact; any CPT, functional or not."""
+    order = scm.topological_order()
+    targets = sorted(targets)
+    num: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    den: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+
+    def visit(k: int, full: dict[int, int], mass: Fraction) -> None:
+        if k == len(order):
+            if all(full[vid] == s for vid, s in e2.items()):
+                u = tuple(full[vid] for vid in targets)
+                den[u] += mass
+                if all(full[vid] == s for vid, s in e1.items()):
+                    num[u] += mass
+            return
+        vid = order[k]
+        row = scm.tables[vid][tuple(full[p] for p in scm.parents[vid])]
+        for state, p in enumerate(row):
+            if p > 0:
+                full[vid] = state
+                visit(k + 1, full, mass * Fraction(float(p)))
+        del full[vid]
+
+    visit(0, {}, Fraction(1))
+    cards = [range(scm.var(vid).cardinality) for vid in targets]
+    return {u: num[u] / den[u] if den[u] > 0 else None for u in itertools.product(*cards)}

@@ -182,6 +182,20 @@ def test_moral_subgraph_matches_pairwise_reference():
     assert open_sets >= 10
 
 
+def test_moral_subgraph_without_removed_variables():
+    # Taking variables out of every family is taking their nodes out of the
+    # moral graph: every edge between two others came from a family holding
+    # both.
+    for seed in range(40):
+        scm = random_dag_scm(seed, 3, 16)
+        rng = np.random.default_rng([317, seed])
+        removed = {v for v in range(scm.n) if rng.random() < 0.3}
+        for vids in (range(scm.n), ancestral_closure(scm, [scm.n - 1])):
+            got = moral_subgraph(scm, vids, removed)
+            want = moral_subgraph(scm, vids).without(removed)
+            assert got.adj == want.adj
+
+
 def test_width_trials_build_no_clusters(monkeypatch):
     # The width table reads widths only, so it must not pay for a cluster
     # set per eliminated node.

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitsel import make_scm
 from unitsel.factor import (Factor, FactorError, MaximizerTable, Variable, max_axis,
-                            multiply_all, sum_axis)
+                            multiply_all, restrict, sum_axis)
 from unitsel.inference import TaggedFactor, eliminate
 from corpus import divide
 
@@ -102,6 +102,18 @@ def test_multiply_identity_and_absorbing():
 def test_multiply_cardinality_clash():
     with pytest.raises(FactorError):
         multiply_all([Factor((0,), (2,), [1, 1]), Factor((0,), (3,), [1, 1, 1])])
+
+
+def test_restrict_slices_the_mentioned_variables():
+    f = Factor((1, 4, 7), (2, 3, 2), range(12))
+    sliced = restrict(f, {4: 2, 9: 0})
+    assert (sliced.vids, sliced.cards) == ((1, 7), (2, 2))
+    assert sliced.values.tolist() == f.values[:, 2, :].tolist()
+    assert sliced.values.flags.c_contiguous and not sliced.values.flags.writeable
+    assert restrict(f, {0: 1, 9: 0}) is f  # mentions none of them
+    point = restrict(f, {1: 1, 4: 0, 7: 1})
+    assert (point.vids, point.values.shape, float(point.values)) == ((), (), 7.0)
+    assert f.values.tolist() == np.arange(12.0).reshape(2, 3, 2).tolist()
 
 
 def _sum_steps(f, elim):

@@ -862,6 +862,21 @@ def test_evidence_free_select_equals_reverse_map(seed):
     assert res.instantiation == {b: ve.instantiation[o] for b, o in zip(units, om.unit_om_ids)}
 
 
+def test_evidence_free_select_and_reverse_map_absorb_the_same_forced_copies():
+    # With a single term, its indicator O in e1 forces H and the copies it
+    # asserts; both paths slice the same CPTs and keep the same bits.
+    forcing = 0
+    for seed in range(40):
+        scm, units, L = random_instance(seed, with_evidence=False)
+        om = _solve_model(scm, L)
+        c2 = ancestral_closure(om.model, [*om.unit_om_ids, *om.e2])
+        forced = inference._forced_states(om.model, om.e1, c2)
+        forcing += bool(forced)
+        ve = inference._evidence_free_select(om)
+        assert _answer(ve) == _answer(rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2))
+    assert forcing >= 10
+
+
 def test_evidence_free_select_matches_the_exact_oracle():
     separated = zeroed = 0
     for seed in range(40):

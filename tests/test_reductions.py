@@ -189,6 +189,15 @@ def test_sat_via_rmap_unsat():
     assert not ok and witness is None
 
 
+def test_sat_via_rmap_on_a_bare_variable_formula():
+    # The formula's root is x2 itself, so the sentinel is a declared
+    # variable: e1 sets it, and it is no target (once refused as overlapping).
+    f = parse_dimacs("p cnf 2 1\n2 0\n")
+    assert sat_via_rmap(f) == (True, {"x1": 0, "x2": 1})
+    assert truth_table(f).tolist() == [[False, True], [False, True]]
+    assert sat_via_rmap(parse_dimacs("p cnf 1 1\n-1 0\n")) == (True, {"x1": 0})
+
+
 def test_sat_via_rmap_witness_satisfies():
     for seed in range(6):
         f = parse_dimacs(random_cnf(seed + 60, max_vars=7))
