@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Mapping, Sequence
 
 from .factor import Instantiation
@@ -310,8 +311,29 @@ def cmd_bench(args: argparse.Namespace) -> None:
         raise AssertionError("lifted-order width bound violated")
 
 
+class _Once(argparse.Action):
+    """Store a value (``const`` for a flag), refusing a repeated option, of
+    which argparse would keep the last value silently."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"option {'/'.join(self.option_strings)} is repeated")
+        given.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose options and flags, and its subcommands', are ``_Once``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store_true", partial(_Once, nargs=0, const=True, default=False))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unitsel",
         description="Exact unit selection on structural causal models",
     )

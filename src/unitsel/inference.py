@@ -15,9 +15,10 @@ every created pass-2 scope inside a pass-1 one.
 All engines share one core: ``_query_order`` (id and disjointness checks,
 and an order ending in ``_target_block``, the targets in descending id),
 ``_rmap_order`` (the same for Reverse-MAP, with the forced states),
-``_sum_pass`` (one sum pass), ``_two_pass`` (the e1+e2 pass, then the e2
-pass) and ``_max_pass`` (the max pass and its tie rule at value 0); each
-entry point adds only its own count or normalization.
+``_sum_pass`` (one sum pass), ``_rmap_passes`` (the e1+e2 pass, then the
+e2 pass where one is needed, and the division) and ``_max_pass`` (the max
+pass and its tie rule at value 0); each entry point adds only its own count
+or normalization.
 Every pass is one call of ``eliminate``, which keeps its factors in buckets
 (bucket elimination; Dechter 1999), so a step touches only the factors that
 mention its variable, never the whole pool.
@@ -51,30 +52,30 @@ sentinel forces every clause output and every gate of the conjunction. No
 CPT of C2 mentions a forced variable, since C2 is ancestrally closed, so the
 e2 pass, its order, the count and the covers below are unchanged.
 
+Root targets cancel (d-separation; Pearl 1988): the prior of a target
+without parents is a factor of both Pr(u, e1, e2) and Pr(u, e2), so both
+passes take one support indicator I_i = 1[Pr(u_i) > 0], built once per query,
+in its place. It survives both passes in its target's bucket, and as its own
+first cover it is not divided, since I/I = I: the answers are those of
+dividing the prior by itself, bit for bit. Only where a pass-1 survivor with
+a smaller tag covers it (the CPT of a target child with a smaller id) is I
+divided into that survivor, and the value's last bits may move. When the
+closure of the targets and e2 holds only root targets and e2 roots whose CPT
+is 1 at the asserted state (e2 = {} qualifies, and so does every compiled CNF
+and every unit selection whose terms have no evidence e), Pr(u, e2) = prod_i
+I_i: there is no e2 pass, no division and no count.
+
 Targets with Pr(u, e2) = 0 receive the value 0, because the division writes
 0 wherever its divisor is 0, and are reported as excluded; they can never win
 the maximization unless every target is excluded, which raises
-InconsistentEvidenceError.
-Pr(u, e2) > 0 exactly when every pass-2 survivor is positive at u, so one
-more sum elimination, over the targets and on the survivors' 0/1 masks as
-integer factors (int64, or Python integers once the target grid reaches
-2^63), counts the consistent targets exactly and at width cost. The same masks
-break a tie at value zero (``_max_pass``).
-
-Unit selection without a caller order solves the shared-worlds solve model of
-:mod:`unitsel.objective`. When no term has evidence e, that model's e2 holds
-only cut copies, each a parentless point mass at its asserted state, and the
-units are roots, so Pr(u, e2) = prod_i Pr(u_i) and L(u) = Pr(e1, e2 | u)
-wherever every Pr(u_i) > 0 (d-separation; Pearl 1988). That is MAP on the
-model with each unit's CPT swapped for its support indicator 1[Pr(u_i) > 0]
-(``_evidence_free_select``): one sum pass under e1+e2 and one max pass, whose
-value-0 ties are the indicators. The excluded units number grid - prod_i
-|supp(u_i)|, and InconsistentEvidenceError cannot arise, since every prior
-has a state of positive mass. The answer is Reverse-MAP's bit for bit: there
-each unit CPT waits in its unit's bucket, so it survives the e1+e2 pass
-unchanged; the e2 pass leaves the unit CPTs and scalar 1s; and dividing each
-CPT by itself, as its first covering survivor, gives exactly its support
-indicator.
+InconsistentEvidenceError. Pr(u, e2) > 0 exactly when every pass-2 survivor
+is positive at u, so one more sum elimination on the 0/1 masks of the
+survivors that are not positive everywhere, as integer factors (int64, or
+Python integers once the target grid reaches 2^63), over the targets they
+mention, times the other targets' cardinalities, counts the consistent
+targets exactly and at width cost. The same masks break a tie at value zero
+(``_max_pass``). Without an e2 pass the indicators do both, and every prior
+has a state of positive mass, so the evidence is never inconsistent.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from .factor import (Factor, Instantiation, MaximizerTable, max_axis, multiply_a
                      restrict, sum_axis, union_scope)
 from .elimination import EliminationOrder, ancestral_closure, mindegree_order, moral_subgraph
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
-from .objective import ObjectiveModel, _solve_model, build_objective_model, evaluate_L_profile
+from .objective import _solve_model, build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
 
 _FUSED_MIN_CELLS = 2048
@@ -474,25 +475,38 @@ def _sum_pass(
     return eliminate("sum", pool, order.prefix, trace=trace, scm=scm)[0]
 
 
-def _two_pass(
+def _rmap_passes(
     scm: Scm,
+    targets: Iterable[int],
     e1: Mapping[int, int],
     e2: Mapping[int, int],
-    order: EliminationOrder,
-    forced: Mapping[int, int],
+    order: EliminationOrder | None,
     trace: list[TraceStep] | None = None,
-) -> tuple[list[TaggedFactor], list[TaggedFactor]]:
-    """The Reverse-MAP sum passes: under e1+e2 over the query order with
-    the forced states absorbed (traced), then under e2 alone over the same
-    order restricted to the ancestral closure of the targets and e2, where
-    Pr(u, e2) lives; every other variable is barren for it. The restriction
-    keeps the relative order and the constrained suffix, and no CPT of that
-    closure mentions a forced variable."""
+) -> tuple[EliminationOrder, dict[int, Factor], list[TaggedFactor], list[TaggedFactor] | None]:
+    """The query order, the root targets' support indicators, the quotients
+    and the e2 pass's survivors (None when Pr(u, e2) is the product of the
+    indicators and the pass is skipped; see the module docstring). The e1+e2
+    pass runs over the query order with the forced states absorbed (traced),
+    the e2 pass over the same order restricted to the ancestral closure of
+    the targets and e2, where Pr(u, e2) lives: it keeps the relative order
+    and the constrained suffix, and no CPT of it mentions a forced variable."""
+    order, forced = _rmap_order(scm, targets, order, e1, e2)
+    swap = {}
+    for vid in order.suffix:
+        if not scm.parents[vid]:
+            prior = scm.cpt_factor(vid)
+            indicator = (prior.values > 0).astype(np.float64)
+            swap[vid] = Factor._trusted(prior.vids, prior.cards, indicator)
+    pool1 = _sum_pass(scm, {**e1, **e2}, order, trace, forced, swap)
+    point_masses = all(not scm.parents[v] and scm.tables[v][s] == 1.0 for v, s in e2.items())
+    if len(swap) == len(order.suffix) and point_masses:
+        return order, swap, pool1, None
     closure = ancestral_closure(scm, [*order.suffix, *e2])
     order2 = EliminationOrder(
         tuple(v for v in order.sequence if v in closure), order.constrained_suffix
     )
-    return _sum_pass(scm, {**e1, **e2}, order, trace, forced), _sum_pass(scm, e2, order2)
+    pool2 = _sum_pass(scm, e2, order2, swap=swap)
+    return order, swap, _paired_division(pool1, pool2, swap.values()), pool2
 
 
 def _product(pool: Iterable[TaggedFactor]) -> Factor:
@@ -505,7 +519,8 @@ def _scalar_value(pool: Iterable[TaggedFactor]) -> float:
     """The product of the scalar survivors, in pool order (tag order)."""
     value = 1.0
     for tf in pool:
-        assert tf.factor.vids == (), "non-scalar factor survived elimination"
+        if tf.factor.vids != ():
+            raise AssertionError("non-scalar factor survived elimination")
         value *= float(tf.factor.values)
     return value
 
@@ -546,27 +561,35 @@ def map_ve(
 
 
 def _paired_division(
-    pool1: Sequence[TaggedFactor], pool2: Sequence[TaggedFactor]
+    pool1: Sequence[TaggedFactor], pool2: Sequence[TaggedFactor], swapped: Iterable[Factor] = ()
 ) -> list[TaggedFactor]:
     """Divide each pass-2 survivor into the first pass-1 survivor whose scope
     covers it, broadcast over that scope, with 0 wherever the divisor is 0.
     The pass-1 survivors come in tag order, so the first cover has the
-    smallest tag. The quotients keep the pass-1 order and tags.
+    smallest tag. The quotients keep the pass-1 order and tags, and a
+    survivor that nothing divides is returned as it is. A ``swapped``
+    indicator that is its own first cover is not divided (I/I = I); a cached
+    CPT that survives both passes is.
 
     A positive numerator over a zero divisor is legal here: the zero of
     Pr(u, e2) may sit in another pass-1 survivor than the chosen one."""
-    tables = [tf.factor.values for tf in pool1]
+    tables = {}
     scopes = [set(tf.factor.vids) for tf in pool1]
+    swapped = {id(f) for f in swapped}
     for divisor in (tf.factor for tf in pool2):
         i = next((i for i, scope in enumerate(scopes) if scope.issuperset(divisor.vids)), None)
         if i is None:
             raise AssertionError(f"no pass-1 survivor covers the scope {divisor.vids}")
         cover = pool1[i].factor
+        if cover is divisor and id(divisor) in swapped:
+            continue
         den = divisor._expand(cover.vids)
-        tables[i] = np.divide(tables[i], den, out=np.zeros(cover.cards), where=den > 0)
+        tables[i] = np.divide(tables.get(i, cover.values), den, out=np.zeros(cover.cards),
+                              where=den > 0)
     return [
-        TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, table))
-        for tf, table in zip(pool1, tables)
+        TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, tables[i]))
+        if i in tables else tf
+        for i, tf in enumerate(pool1)
     ]
 
 
@@ -589,25 +612,32 @@ def rmap_ve(
     outside that closure through zero CPT rows, which is exact for any CPT
     (see the module docstring): their CPTs are sliced, and the forced
     variables have no step in the order or the trace. A caller order keeps
-    every indicator and step.
+    every indicator and step. Root target priors cancel to their support
+    indicators, and the e2 pass, the count and the division are skipped
+    where they would give only those; the trace is the same either way.
     """
-    order, forced = _rmap_order(scm, targets, order, e1, e2)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool1, pool2 = _two_pass(scm, e1, e2, order, forced, trace)
-
+    order, swap, pool, pool2 = _rmap_passes(scm, targets, e1, e2, order, trace)
     grid = math.prod(scm.var(v).cardinality for v in order.suffix)
-    dtype = np.int64 if grid < 2**63 else object
-    masks = []
-    for tag, f in pool2:
-        mask = np.asarray(f.values > 0, dtype=np.int64).astype(dtype, copy=False)
-        masks.append(TaggedFactor(tag, Factor._trusted(f.vids, f.cards, mask)))
-    counts = eliminate("sum", masks, order.suffix, scm=scm)[0]
-    consistent = math.prod(tf.factor.values.item() for tf in counts)
-    if consistent == 0:
-        raise InconsistentEvidenceError(
-            "evidence e2 is inconsistent with every target instantiation"
-        )
-    value, inst = _max_pass(scm, _paired_division(pool1, pool2), masks, order, trace)
+    if pool2 is None:
+        ties = [TaggedFactor(("cpt", vid), f) for vid, f in sorted(swap.items())]
+        consistent = math.prod(int(np.count_nonzero(f.values)) for f in swap.values())
+    else:
+        dtype = np.int64 if grid < 2**63 else object
+        ties = [  # a survivor positive everywhere constrains nothing
+            TaggedFactor(tag, Factor._trusted(f.vids, f.cards, np.asarray(
+                f.values > 0, dtype=np.int64).astype(dtype, copy=False)))
+            for tag, f in pool2 if not f.values.all()
+        ]
+        counted = [vid for vid in order.suffix if any(vid in tf.factor.vids for tf in ties)]
+        counts = eliminate("sum", ties, counted, scm=scm)[0]
+        consistent = math.prod([tf.factor.values.item() for tf in counts] + [
+            scm.var(v).cardinality for v in order.suffix if v not in counted])
+        if consistent == 0:
+            raise InconsistentEvidenceError(
+                "evidence e2 is inconsistent with every target instantiation"
+            )
+    value, inst = _max_pass(scm, pool, ties, order, trace)
     return QueryResult(value, inst, trace, excluded=grid - consistent)
 
 
@@ -620,9 +650,8 @@ def rmap_table(
 ) -> Factor:
     """The full conditional profile Pr(e1 | u, e2) as a factor over the
     targets (0 where Pr(u, e2) = 0). Used for whole-grid checks. The passes
-    are ``rmap_ve``'s, forced evidence absorbed without an order."""
-    order, forced = _rmap_order(scm, targets, order, e1, e2)
-    return _product(_paired_division(*_two_pass(scm, e1, e2, order, forced)))
+    and the division are ``rmap_ve``'s."""
+    return _product(_rmap_passes(scm, targets, e1, e2, order)[2])
 
 
 def posterior(
@@ -634,7 +663,8 @@ def posterior(
     """Normalized conditional table Pr(targets | evidence)."""
     order = _query_order(scm, targets, order, evidence)
     joint = _product(_sum_pass(scm, evidence, order))
-    assert set(joint.vids) == order.constrained_suffix, "survivors must be the targets"
+    if set(joint.vids) != order.constrained_suffix:
+        raise AssertionError("survivors must be the targets")
     mass = joint.total()
     if mass == 0.0:
         raise InconsistentEvidenceError("evidence has zero probability mass")
@@ -670,7 +700,8 @@ def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> 
         p = joint_mass(scm, {**evidence, **u}, order)
         if best is None or p > best[0]:
             best = (p, u)
-    assert best is not None
+    if best is None:
+        raise AssertionError("no target instantiation was enumerated")
     return QueryResult(best[0], best[1])
 
 
@@ -704,29 +735,6 @@ def brute_rmap(
 # -- unit selection ------------------------------------------------------------
 
 
-def _evidence_free_select(om: ObjectiveModel) -> QueryResult:
-    """Reverse-MAP on a solve model whose e2 holds only cut copies, as one
-    MAP query (see the module docstring): one sum pass under e1+e2 over the
-    query order, with each unit's CPT swapped for its support indicator
-    1[Pr(u_i) > 0], and one max pass whose value-0 ties are those indicators.
-    Units outside the support are the excluded ones. The pass absorbs the
-    states that e1 forces, through the order and pool of ``rmap_ve``'s e1+e2
-    pass, so the bits stay Reverse-MAP's where an indicator forces copies."""
-    scm = om.model
-    order, forced = _rmap_order(scm, om.unit_om_ids, None, om.e1, om.e2)
-    support = {}
-    for vid in om.unit_om_ids:
-        prior = scm.cpt_factor(vid)
-        indicator = (prior.values > 0).astype(np.float64)
-        support[vid] = Factor._trusted(prior.vids, prior.cards, indicator)
-    pool = _sum_pass(scm, {**om.e1, **om.e2}, order, None, forced, support)
-    ties = [TaggedFactor(("cpt", vid), f) for vid, f in support.items()]
-    value, inst = _max_pass(scm, pool, ties, order, None)
-    grid = math.prod(f.values.size for f in support.values())
-    consistent = math.prod(int(np.count_nonzero(f.values)) for f in support.values())
-    return QueryResult(value, inst, excluded=grid - consistent)
-
-
 def unit_select(
     scm: Scm,
     objective,
@@ -744,26 +752,22 @@ def unit_select(
     per distinct cut, built only as far as the query's ancestral closure):
     its values are L(u), its excluded units those where some term is
     undefined, and among units whose values tie mathematically it may pick
-    another one than a whole-model order. When no term has evidence e, that
-    solve is one MAP query, one sum pass and one max pass with each unit
-    prior swapped for its support indicator (see the module docstring), and
-    gives Reverse-MAP's value, unit and excluded count. A caller-supplied
-    ``order`` names variables of the full ``build_objective_model(scm,
-    objective)`` (the build is deterministic), which is then built, and must
-    cover an ancestrally closed set of them that contains the units and the
-    evidence, such as the whole objective model. An order with ``method="brute"``, which orders
+    another one than a whole-model order. Either model is solved by
+    ``rmap_ve``, where the unit priors cancel to their support indicators;
+    when no term has evidence e, e2 holds only cut copies, point masses at
+    their asserted states, so the solve is one sum pass and one max pass
+    (see the module docstring). A caller-supplied ``order`` names variables
+    of the full ``build_objective_model(scm, objective)`` (the build is
+    deterministic), which is then built, and must cover an ancestrally
+    closed set of them that contains the units and the evidence, such as the
+    whole objective model. An order with ``method="brute"``, which orders
     nothing, is refused with ModelError, and so is an invalid objective, by
     the build or the evaluation.
     """
     if method == "ve":
-        if order is None:
-            om = _solve_model(scm, objective)
-        else:
-            om = build_objective_model(scm, objective)
-        if order is None and not any(t.e for t in objective.terms):
-            result = _evidence_free_select(om)
-        else:
-            result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
+        build = _solve_model if order is None else build_objective_model
+        om = build(scm, objective)
+        result = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, order=order)
         inst = {
             base: result.instantiation[om_id]
             for base, om_id in zip(om.unit_base_ids, om.unit_om_ids)

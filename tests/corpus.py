@@ -12,9 +12,10 @@ import numpy as np
 
 from unitsel import ObjectiveFunction, ObjectiveTerm, Scm
 from unitsel.bench import GenConfig, gen_random_scm
-from unitsel.elimination import EliminationOrder, UGraph
+from unitsel.elimination import EliminationOrder, UGraph, ancestral_closure
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
-from unitsel.inference import TaggedFactor, TraceStep, _scope_names, _tag_label
+from unitsel.inference import (InconsistentEvidenceError, QueryResult, TaggedFactor, TraceStep,
+                               _max_pass, _rmap_order, _scope_names, _sum_pass, _tag_label)
 from unitsel.model import (FUNCTIONAL_TOL, ROW_SUM_TOL, ModelError, ValidationReport, Variable,
                            json_number, load_json, validate)
 from unitsel.reductions import Node, Var, _postorder
@@ -292,6 +293,46 @@ def reference_eliminate(op, pool, order, scm, step_base=0, trace=None):
             trace.append(TraceStep(step, vid, used, created_label, product.vids))
         pool = rest + [TaggedFactor(tag, created)]
     return pool, max_tables
+
+
+def reference_rmap(scm: Scm, targets, e1, e2, order=None, want_trace=False, covers=None):
+    """Reverse-MAP as two full sum passes, a count and a division: the e1+e2
+    pass over the query order, the e2 pass over its restriction to the
+    ancestral closure of the targets and e2, a count pass over every
+    survivor's 0/1 mask, and each e2 survivor divided into its first
+    covering e1+e2 survivor, every root prior by itself included. The query
+    order, the passes and the max pass are the engine's. Returns the
+    QueryResult and the quotient survivors; ``covers``, when given, receives
+    one (divisor tag, cover tag) pair per division."""
+    order, forced = _rmap_order(scm, targets, order, e1, e2)
+    trace = [] if want_trace else None
+    pool1 = _sum_pass(scm, {**e1, **e2}, order, trace, forced)
+    closure = ancestral_closure(scm, [*order.suffix, *e2])
+    order2 = EliminationOrder(tuple(v for v in order.sequence if v in closure),
+                              order.constrained_suffix)
+    pool2 = _sum_pass(scm, e2, order2)
+    grid = math.prod(scm.var(v).cardinality for v in order.suffix)
+    dtype = np.int64 if grid < 2**63 else object
+    masks = []
+    for tag, f in pool2:
+        mask = np.asarray(f.values > 0, dtype=np.int64).astype(dtype, copy=False)
+        masks.append(TaggedFactor(tag, Factor._trusted(f.vids, f.cards, mask)))
+    counts = reference_eliminate("sum", masks, order.suffix, scm)[0]
+    consistent = math.prod(tf.factor.values.item() for tf in counts)
+    if consistent == 0:
+        raise InconsistentEvidenceError("e2 is inconsistent with every target instantiation")
+    tables = [tf.factor.values for tf in pool1]
+    for tag, divisor in pool2:
+        i = next(i for i, tf in enumerate(pool1) if set(tf.factor.vids) >= set(divisor.vids))
+        cover = pool1[i].factor
+        if covers is not None:
+            covers.append((tag, pool1[i].tag))
+        den = divisor._expand(cover.vids)
+        tables[i] = np.divide(tables[i], den, out=np.zeros(cover.cards), where=den > 0)
+    quotients = [TaggedFactor(tf.tag, Factor._trusted(tf.factor.vids, tf.factor.cards, t))
+                 for tf, t in zip(pool1, tables)]
+    value, inst = _max_pass(scm, quotients, masks, order, trace)
+    return QueryResult(value, inst, trace, excluded=grid - consistent), quotients
 
 
 def divide(num: Factor, den: Factor) -> Factor:

@@ -162,6 +162,31 @@ def test_map_zero_optimum_exits_2(capsys, five_node):
     assert captured.err == "error: MAP optimum is zero: evidence inconsistent\n"
 
 
+@pytest.mark.parametrize("args, option", [
+    (["map", "--targets", "A", "--e", "E=e1", "--e", "D=d1"], "--e"),
+    (["map", "--targets", "A", "--targets", "B"], "--targets"),
+    (["map", "--targets", "A", "--trace", "--trace"], "--trace"),
+    (["rmap", "--targets", "A", "--e1", "E=e1", "--e1", "D=d1"], "--e1"),
+    (["rmap", "--targets", "A", "--e1", "E=e1", "--e2", "D=d1", "--e2", "C=c0"], "--e2"),
+    (["solve", "--objective", "o.json", "--method", "ve", "--method", "brute"], "--method"),
+    (["solve", "--objective", "o.json", "--json", "--json"], "--json"),
+    (["width", "--order", "minfill", "--order", "exhaustive"], "--order"),
+    (["width", "--lifted", "2", "--lifted", "3"], "--lifted"),
+])
+def test_a_repeated_option_is_refused(capsys, five_node, args, option):
+    # argparse keeps the last value of a repeated option: "--e E=e1 --e
+    # D=d1" once answered MAP under D=d1 alone and exited 0.
+    code = main([args[0], "--model", str(five_node), *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.endswith(f"error: option {option} is repeated\n")
+
+
+def test_one_option_with_every_assignment_still_answers(capsys, five_node):
+    code = main(["map", "--model", str(five_node), "--targets", "A", "--e", "E=e1,D=d1"])
+    assert code == 0 and capsys.readouterr().out == "value: 0.3\ninstantiation: A=a0\n"
+
+
 def _unitsel(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "unitsel", *args], cwd=ROOT, env=env,

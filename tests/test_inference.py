@@ -1,8 +1,14 @@
 """Elimination engines: trace fidelity, oracle agreement, invariants."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +48,8 @@ from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.objective import _solve_model, build_objective_model, evaluate_L_brute
 from unitsel.reductions import compile_formula, sat_via_rmap
 from unitsel.worlds import enumerate_instantiations
-from corpus import (exact_L_profile, forward_eval, random_cnf, random_instance, reference_eliminate,
-                    separated_maximiser, small_scm)
+from corpus import (exact_L_profile, exact_rmap_profile, forward_eval, random_cnf, random_instance,
+                    reference_eliminate, reference_rmap, separated_maximiser, small_scm)
 
 
 @pytest.fixture(scope="module")
@@ -847,24 +853,32 @@ def _answer(res):
     return res.value, res.instantiation, res.excluded
 
 
+def _assert_same_answer(got, want):
+    """Equal value bits, unit, excluded count and trace."""
+    assert (got.value.hex(), got.instantiation, got.excluded) == (
+        want.value.hex(), want.instantiation, want.excluded)
+    assert got.trace == want.trace
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_evidence_free_select_equals_reverse_map(seed):
-    # On the same solve model, Reverse-MAP divides each unit prior by itself,
-    # so the MAP pass on support indicators gives the same bits, unit and
-    # excluded count.
+    # Without evidence in any term, unit_select runs Reverse-MAP with no e2
+    # pass; the two-pass reference, which divides each unit prior by itself,
+    # gives the same bits, unit and excluded count on the same solve model.
     scm, units, L = random_instance(seed, with_evidence=False)
     scm = _zero_some_prior_states(scm, units, np.random.default_rng([37, seed]))
     om = _solve_model(scm, L)
-    ve = inference._evidence_free_select(om)
-    assert _answer(ve) == _answer(rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2))
+    want, _ = reference_rmap(om.model, om.unit_om_ids, om.e1, om.e2)
+    _assert_same_answer(rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2), want)
     res = unit_select(scm, L)
-    assert (res.value, res.excluded) == (ve.value, ve.excluded)
-    assert res.instantiation == {b: ve.instantiation[o] for b, o in zip(units, om.unit_om_ids)}
+    assert (res.value, res.excluded) == (want.value, want.excluded)
+    assert res.instantiation == {b: want.instantiation[o] for b, o in zip(units, om.unit_om_ids)}
 
 
 def test_evidence_free_select_and_reverse_map_absorb_the_same_forced_copies():
     # With a single term, its indicator O in e1 forces H and the copies it
-    # asserts; both paths slice the same CPTs and keep the same bits.
+    # asserts; the one-pass solve and the two-pass reference slice the same
+    # CPTs and keep the same bits and trace.
     forcing = 0
     for seed in range(40):
         scm, units, L = random_instance(seed, with_evidence=False)
@@ -872,8 +886,9 @@ def test_evidence_free_select_and_reverse_map_absorb_the_same_forced_copies():
         c2 = ancestral_closure(om.model, [*om.unit_om_ids, *om.e2])
         forced = inference._forced_states(om.model, om.e1, c2)
         forcing += bool(forced)
-        ve = inference._evidence_free_select(om)
-        assert _answer(ve) == _answer(rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2))
+        want, _ = reference_rmap(om.model, om.unit_om_ids, om.e1, om.e2, want_trace=True)
+        got = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2, want_trace=True)
+        _assert_same_answer(got, want)
     assert forcing >= 10
 
 
@@ -952,7 +967,7 @@ def test_evidence_free_select_on_a_non_functional_model():
         om = _solve_model(scm, L)
         ve = unit_select(scm, L)
         brute = unit_select(scm, L, method="brute")
-        rmap = rmap_ve(om.model, om.unit_om_ids, om.e1, om.e2)
+        rmap, _ = reference_rmap(om.model, om.unit_om_ids, om.e1, om.e2)
         assert (ve.value, ve.excluded) == (rmap.value, rmap.excluded)
         assert abs(ve.value - brute.value) <= 1e-12 and ve.excluded == brute.excluded == 0
         exact = exact_L_profile(scm, L)
@@ -1096,24 +1111,12 @@ def _assert_e2_pass_on_its_closure(passes, scm, targets, e2) -> set[int]:
     return vars1
 
 
-def test_e2_pass_of_a_sat_circuit_covers_the_targets_alone(monkeypatch):
-    # e2 is empty and the targets are roots: the e2 pass pools their CPTs
-    # and eliminates nothing, where it once summed the whole circuit out.
-    formula = parse_dimacs(random_cnf(4))
-    scm, _ = compile_formula(formula)
-    targets = {scm.by_name(name).id for name in formula.variables}
-    passes = _record_sum_passes(monkeypatch)
-    sat_via_rmap(formula)
-    vars1 = _assert_e2_pass_on_its_closure(passes, scm, targets, {})
-    assert passes[1] == (targets, ())
-    assert len(vars1) > len(targets)
-
-
 def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
     # The passes are checked on the models unit_select solves by Reverse-MAP:
-    # the shared-worlds solve model of an objective with evidence, and the
-    # full objective model under a caller order (an evidence-free objective
-    # without an order runs one sum pass; see the test below).
+    # the shared-worlds solve model and, under a caller order, the full
+    # objective model. The e2 pass runs exactly when some term has evidence
+    # e; otherwise e2 holds only cut copies, point masses at their asserted
+    # states, and the units are roots, so one sum pass is all there is.
     built = []
 
     def recording(build):
@@ -1124,13 +1127,13 @@ def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
 
     monkeypatch.setattr(inference, "_solve_model", recording(_solve_model))
     monkeypatch.setattr(inference, "build_objective_model", recording(build_objective_model))
-    checked = {False: 0, True: 0}  # with a caller order -> checked solves
+    checked = {False: 0, True: 0}  # e2 pass run -> checked solves
     smaller = 0
     for seed in range(10):
         scm, _, L = random_instance(seed)
         full = build_objective_model(scm, L)
         whole = minfill_order(moral_graph(full.model), constrained_suffix=full.unit_om_ids)
-        for order in (None, whole) if any(t.e for t in L.terms) else (whole,):
+        for order in (None, whole):
             built.clear()
             passes = _record_sum_passes(monkeypatch)
             try:
@@ -1138,25 +1141,72 @@ def test_e2_pass_of_an_objective_model_covers_its_closure(monkeypatch):
             except InconsistentEvidenceError:
                 pass
             (om,) = built
-            vars1 = _assert_e2_pass_on_its_closure(passes, om.model, om.unit_om_ids, om.e2)
-            smaller += len(passes[1][0]) < len(vars1)
-            checked[order is not None] += 1
-    assert checked[False] > 0 and checked[True] == 10
+            runs = any(t.e for t in L.terms)
+            if runs:
+                vars1 = _assert_e2_pass_on_its_closure(passes, om.model, om.unit_om_ids, om.e2)
+                smaller += len(passes[1][0]) < len(vars1)
+            else:
+                assert len(passes) == 1
+            checked[runs] += 1
+    assert checked[False] > 0 and checked[True] > 0
     assert smaller > 0
 
 
-def test_evidence_free_unit_select_runs_one_sum_pass(monkeypatch):
-    # Without evidence in any term, Pr(u, e2) is the unit prior: no e2 pass,
-    # no count pass over its masks and no paired division.
+def _assert_one_sum_pass(monkeypatch, solve) -> None:
+    """``solve()`` runs one sum pass and never reaches the paired division."""
     def no_division(*args):
         raise AssertionError("_paired_division called")
 
     monkeypatch.setattr(inference, "_paired_division", no_division)
+    passes = _record_sum_passes(monkeypatch)
+    solve()
+    assert len(passes) == 1
+
+
+def test_sat_via_rmap_runs_one_sum_pass(monkeypatch):
+    # e2 is empty and the targets are roots, so Pr(u, e2) is the product of
+    # their support indicators: no e2 pass, no count pass and no division.
+    for seed in range(10):
+        formula = parse_dimacs(random_cnf(seed))
+        _assert_one_sum_pass(monkeypatch, lambda: sat_via_rmap(formula))
+
+
+def test_evidence_free_unit_select_runs_one_sum_pass(monkeypatch):
+    # Without evidence in any term, Pr(u, e2) is the product of the unit
+    # priors' support indicators: no e2 pass, no count pass over its masks
+    # and no paired division.
     for seed in range(10):
         scm, _, L = random_instance(seed, with_evidence=False)
-        passes = _record_sum_passes(monkeypatch)
-        unit_select(scm, L)
-        assert len(passes) == 1
+        _assert_one_sum_pass(monkeypatch, lambda: unit_select(scm, L))
+
+
+def _record_sum_orders(monkeypatch) -> list[tuple[bool, tuple[int, ...]]]:
+    """Record, for every sum pass, whether it is a float pass (not a count
+    pass over integer masks) and its order."""
+    passes = []
+
+    def recording(op, pool, order, *args, **kwargs):
+        if op == "sum":
+            passes.append((any(tf.factor.values.dtype == np.float64 for tf in pool), tuple(order)))
+        return eliminate(op, pool, order, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "eliminate", recording)
+    return passes
+
+
+@pytest.mark.parametrize("k, pinned", [(12, 0), (12, 3), (20, 5)])
+def test_count_pass_visits_only_the_pinned_units(monkeypatch, k, pinned):
+    # Only the units that e2 pins can make Pr(u, e2) zero: the count pass
+    # eliminates exactly those, in the target block's order, and the other
+    # units enter the count as their cardinalities. With nothing pinned, e2 is
+    # empty and the units are roots, so there is no e2 pass and no count.
+    scm = _disjoint_units(k, 2)
+    e2 = {k + i: 1 for i in range(1, pinned + 1)}
+    passes = _record_sum_orders(monkeypatch)
+    res = rmap_ve(scm, range(k), {2 * k: 1}, e2)
+    counts = [order for is_float, order in passes if not is_float]
+    assert counts == ([tuple(range(pinned, 0, -1))] if pinned else [])
+    assert res.excluded == 2**k - 2 ** (k - pinned)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1269,3 +1319,151 @@ def test_unknown_op_and_method_are_refused(two_node):
     L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}),))
     with pytest.raises(ValueError, match="^unknown method 'exact'$"):
         unit_select(two_node, L, method="exact")
+
+
+# -- root units cancel: the one-pass and pruned-count paths against two passes --
+
+
+def _cancellation_query(seed):
+    """A random Reverse-MAP query for the root-unit cancellation rule:
+    (scm, targets, e1, e2, order). About a third of the roots are point
+    masses, so they have a zero-prior state; some models have random
+    (non-0/1) rows. Odd seeds draw the targets and e2 among the roots
+    alone, each e2 root at its likeliest state, so that Pr(u, e2) is often
+    the product of the support indicators; even seeds draw them among all
+    variables, one in three of them a variable and its parents. Every third
+    seed solves the shared-worlds model of a random objective instead. Half
+    the queries take a whole-model caller order."""
+    rng = np.random.default_rng([43, seed])
+    if seed % 3 == 2:
+        scm, units, L = random_instance(seed + 700, with_evidence=bool(seed % 2))
+        scm = _zero_some_prior_states(scm, units, rng)
+        om = _solve_model(scm, L)
+        scm, targets, e1, e2 = om.model, sorted(om.unit_om_ids), om.e1, om.e2
+    else:
+        base = small_scm(seed + 3000, lo=4, hi=8)
+        tables = dict(base.tables)
+        for vid in base.roots:
+            if rng.random() < 0.3:
+                tables[vid] = np.eye(2)[int(rng.integers(2))]
+        if rng.random() < 0.3:
+            for vid in base.endogenous():
+                rows = rng.uniform(0.05, 1.0, size=np.shape(tables[vid]))
+                tables[vid] = rows / rows.sum(axis=-1, keepdims=True)
+        scm = Scm(base.variables, base.parents, tables)
+        if seed % 2:
+            roots = [int(v) for v in rng.permutation(scm.roots)]
+            k = int(rng.integers(1, min(3, len(roots)) + 1))
+            targets = sorted(roots[:k])
+            e2 = {v: int(np.argmax(scm.tables[v])) for v in roots[k:k + int(rng.integers(0, 3))]}
+            e1 = {int(rng.choice(scm.endogenous())): int(rng.integers(0, 2))}
+        else:
+            vids = [int(v) for v in rng.permutation(scm.n)]
+            k = int(rng.integers(1, 4))
+            if seed % 6 == 0:
+                # A variable and its parents: its CPT survives the first pass
+                # and is the first cover of any root parent with a larger id.
+                child = vids[int(np.argmax([bool(scm.parents[v]) for v in vids]))]
+                family = [child, *scm.parents[child]]
+                if len(family) < len(vids):
+                    vids = family + [v for v in vids if v not in family]
+                    k = len(family)
+            targets = sorted(vids[:k])
+            e1 = {vids[k]: int(rng.integers(0, 2))}
+            e2 = {v: int(rng.integers(0, 2)) for v in vids[k + 1:k + 1 + int(rng.integers(0, 3))]}
+    order = None
+    if seed % 4 < 2:
+        order = minfill_order(moral_graph(scm), constrained_suffix=frozenset(targets))
+    return scm, targets, e1, e2, order
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_root_units_cancel_as_in_two_pass_reverse_map(monkeypatch, chunk):
+    # Swapping each root target's prior for its support indicator, skipping
+    # its self-division, counting over the constrained targets alone and
+    # skipping the e2 pass where Pr(u, e2) is the product of the indicators
+    # keep the two-pass answer bit for bit wherever each root target's prior
+    # is its own first cover. Otherwise the prior no longer round-trips
+    # through a division and a multiplication; the answer is then checked
+    # against the exact oracle.
+    seen = dict.fromkeys(["one pass", "two passes", "excluded", "order", "moved",
+                          "inconsistent"], 0)
+    passes = _record_sum_orders(monkeypatch)
+    for seed in range(chunk * 110, (chunk + 1) * 110):
+        scm, targets, e1, e2, order = _cancellation_query(seed)
+        covers = []
+        try:
+            want, quotients = reference_rmap(scm, targets, e1, e2, order, True, covers)
+        except InconsistentEvidenceError:
+            with pytest.raises(InconsistentEvidenceError):
+                rmap_ve(scm, targets, e1, e2, order)
+            seen["inconsistent"] += 1
+            continue
+        before = len(passes)
+        got = rmap_ve(scm, targets, e1, e2, order, want_trace=True)
+        n_passes = sum(is_float for is_float, _ in passes[before:])
+        table = rmap_table(scm, targets, e1, e2, order)
+        moved = any(tag[0] == "cpt" and tag[1] in targets and not scm.parents[tag[1]]
+                    and cover != tag for tag, cover in covers)
+        assert got.trace == want.trace and got.excluded == want.excluded
+        if moved:
+            exact = exact_rmap_profile(scm, targets, e1, e2)
+            best = max(v for v in exact.values() if v is not None)
+            unit = tuple(got.instantiation[v] for v in targets)
+            assert abs(got.value - float(best)) <= 1e-12
+            assert exact[unit] is not None and abs(float(exact[unit]) - float(best)) <= 1e-12
+            for u, value in exact.items():
+                assert abs(table[dict(zip(targets, u))] - float(value or 0)) <= 1e-12
+        else:
+            _assert_same_answer(got, want)
+            np.testing.assert_array_equal(table.values, multiply_all(
+                tf.factor for tf in quotients)._expand(table.vids))
+        seen["one pass" if n_passes == 1 else "two passes"] += 1
+        seen["excluded"] += got.excluded > 0
+        seen["order"] += order is not None
+        seen["moved"] += moved
+    assert all(seen.values()), seen
+
+
+_INVARIANTS_UNDER_O = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from unitsel import cli, fixture_path, inference, load_model
+
+    def message(call):
+        try:
+            call()
+        except AssertionError as err:
+            return str(err)
+        return None
+
+    path = fixture_path("five_node.json")
+    scm = load_model(open(path, "rb").read())
+    stray = [inference.TaggedFactor(("cpt", 0), scm.cpt_factor(0))]  # over A
+    out = {"optimize": sys.flags.optimize,
+           "scalar": message(lambda: inference._scalar_value(stray))}
+    inference.enumerate_instantiations = lambda scm, targets: iter(())
+    out["brute_map"] = message(lambda: inference.brute_map(scm, [1], {}))
+    sum_pass = inference._sum_pass
+    inference._sum_pass = lambda *args, **kwargs: sum_pass(*args, **kwargs) + stray
+    out["posterior"] = message(lambda: inference.posterior(scm, [1], {}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out["exit"] = cli.main(["map", "--model", path, "--targets", "B"])
+    print(json.dumps(out))
+""")
+
+
+def test_invariant_breaches_raise_under_python_O():
+    # A bare assert vanishes under -O; the invariants raise AssertionError
+    # themselves, so a breach still exits 3 instead of answering.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INVARIANTS_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": 1,
+        "scalar": "non-scalar factor survived elimination",
+        "brute_map": "no target instantiation was enumerated",
+        "posterior": "survivors must be the targets",
+        "exit": 3,
+    }
