@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .factor import Variable, _is_int
-from .model import ModelError, Scm
+from .model import ModelError, Scm, _known_id
 from .objective import (
     ObjectiveFunction,
     ObjectiveTerm,
@@ -189,8 +189,12 @@ def gen_benefit_objective(
     Terms pair the outcome states (y, y'), (y, y), (y', y'), (y', y) under
     do(x) in world 2 and do(x') in world 3, weighted by (beta, gamma, theta,
     delta). No term carries evidence, so the objective model is twin-built.
+    A treatment or outcome id that is not the model's is refused with
+    ModelError.
     """
     for vid, role in ((x_id, "treatment"), (y_id, "outcome")):
+        if not _known_id(scm, vid):
+            raise ModelError(f"unknown {role} variable id {vid!r}")
         if scm.is_root(vid):
             raise ModelError(f"{role} variable must be endogenous")
         if scm.var(vid).cardinality != 2:

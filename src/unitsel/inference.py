@@ -13,15 +13,15 @@ every pass-2 cluster lies inside the pass-1 cluster of the same variable and
 every created pass-2 scope inside a pass-1 one.
 
 All engines share one core: ``_query_order`` (id and disjointness checks,
-and an order ending in ``_target_block``, the targets in descending id),
-``_rmap_order`` (the same for Reverse-MAP, with the forced states),
-``_sum_pass`` (one sum pass), ``_rmap_passes`` (the e1+e2 pass, then the
-e2 pass where one is needed, and the division) and ``_max_pass`` (the max
-pass and its tie rule at value 0); each entry point adds only its own count
-or normalization.
+the forced states, and an order ending in ``_target_block``, the targets in
+descending id), ``_sum_pass`` (one sum pass), ``_rmap_passes`` (the e1+e2
+pass, then the e2 pass where one is needed, and the division) and
+``_max_pass`` (the max pass and its tie rule at value 0); each entry point
+adds only its own count or normalization.
 Every pass is one call of ``eliminate``, which keeps its factors in buckets
 (bucket elimination; Dechter 1999), so a step touches only the factors that
-mention its variable, never the whole pool.
+mention its variable, never the whole pool, and has one kernel: multiply the
+bucket, then sum or maximize the variable out.
 
 Every query is pruned to the ancestral closure of its targets and evidence.
 A variable outside it is barren: no evidence and no target lies at or below
@@ -34,23 +34,25 @@ the whole model always qualifies, and then the e1+e2 pass and the trace are
 those of the unpruned model. The e2 pass is restricted to its own closure
 whatever the order.
 
-Without a caller order, Reverse-MAP also absorbs the evidence that e1
+Without a caller order, every query also absorbs the evidence that its e1
 forces through zero CPT rows (``_forced_states``), as unit resolution does in
-weighted model counting (Chavira & Darwiche 2008). A parent p is forced to t
-when every positive entry of its child's CPT column at the child's given or
-forced state has p = t: then Pr(e, p != t) = 0, so summing p over t alone is
-exact for any CPT, functional or not. The walk starts from the e1 variables
-outside the closure C2 of the targets and e2, goes up through forced
-variables and stops at C2 (which holds the targets) and at given evidence.
-Children that force different states, or an all-zero column, force nothing,
-and elimination produces the zeros. The e1+e2 pass slices every CPT that
-mentions a forced variable at the forced states (``restrict``; Koller &
-Friedman 2009, sec. 9.3), gives the forced variables no indicator and no
-step, and ``default_order`` orders the closure with them taken out of every
-family. Sliced CPTs make a sparser moral graph: on a compiled CNF, the
-sentinel forces every clause output and every gate of the conjunction. No
-CPT of C2 mentions a forced variable, since C2 is ancestrally closed, so the
-e2 pass, its order, the count and the covers below are unchanged.
+weighted model counting (Chavira & Darwiche 2008); the e1 of a MAP,
+posterior or joint-mass query is its whole evidence, and its e2 is empty. A
+parent p is forced to t when every positive entry of its child's CPT column
+at the child's given or forced state has p = t: then Pr(e, p != t) = 0, so
+summing p over t alone is exact for any CPT, functional or not. The walk
+starts from the e1 variables outside the closure C2 of the targets and e2,
+goes up through forced variables and stops at C2 (which holds the targets)
+and at given evidence. Children that force different states, or an all-zero
+column, force nothing, and elimination produces the zeros. The e1+e2 pass
+(the only sum pass of the other queries) slices every CPT that mentions a
+forced variable at the forced states (``restrict``; Koller & Friedman 2009,
+sec. 9.3), gives the forced variables no indicator and no step, and
+``default_order`` orders the closure with them taken out of every family.
+Sliced CPTs make a sparser moral graph: on a compiled CNF, the sentinel
+forces every clause output and every gate of the conjunction. No CPT of C2
+mentions a forced variable, since C2 is ancestrally closed, so the e2 pass,
+its order, the count and the covers below are unchanged.
 
 Root targets cancel (d-separation; Pearl 1988): the prior of a target
 without parents is a factor of both Pr(u, e1, e2) and Pr(u, e2), so both
@@ -93,11 +95,6 @@ from .elimination import EliminationOrder, ancestral_closure, mindegree_order, m
 from .model import ModelError, Scm, _check_state, _known_id, evidence_to_lambdas
 from .objective import _solve_model, build_objective_model, evaluate_L_profile
 from .worlds import enumerate_instantiations
-
-_FUSED_MIN_CELLS = 2048
-"""Cluster cells from which a sum step contracts its last factor into the
-sum (``_step``); below it einsum's per-call planning costs more than the
-product it saves."""
 
 Tag = tuple
 """Factor provenance: ("cpt", vid), ("lam", vid), ("step", i) or ("unit", vid)."""
@@ -178,18 +175,15 @@ def eliminate(
     step index) replaces them. Returns the surviving pool and, for max, one
     maximizer table per step, which records the step's variable and is
     needed for instantiation recovery. ``scm`` names the traced factors and
-    gives the cardinality of a variable that no factor mentions.
+    gives the cardinality of a variable that no factor mentions. An order
+    that repeats a variable or names an id that is not the model's is
+    refused with ModelError before any step.
 
     Each step multiplies its bucket's bare tables into the cluster's product
     and reduces the variable's axis out of it in ``_step`` (``product``,
     ``sum_axis`` and ``max_axis`` of :mod:`unitsel.factor`, the package's
     only reductions), so only the created factor and, for max, its maximizer
-    table become objects. A sum step over float64 factors whose cluster has
-    at least ``_FUSED_MIN_CELLS`` cells and fewer than 52 variables, and
-    which no single factor spans, fuses its last multiply into the sum, so
-    the cluster's full product is never built; its values may differ from
-    multiply-then-sum ones in the last bits, and its trace row is the same.
-    Max steps and integer count passes always multiply, then reduce.
+    table become objects.
 
     The factors wait in buckets (Dechter 1999): each in the bucket of its
     first variable in the order, or among the survivors when the order has
@@ -203,9 +197,12 @@ def eliminate(
     """
     if op not in ("sum", "max"):
         raise ValueError(f"unknown elimination op {op!r}")
-    position: dict[int, int] = {}
-    for i, vid in enumerate(order):
-        position.setdefault(vid, i)
+    unknown = [vid for vid in order if not _known_id(scm, vid)]
+    if unknown:
+        raise ModelError(f"unknown variable ids {unknown} in the elimination order")
+    position = {vid: i for i, vid in enumerate(order)}
+    if len(position) != len(order):
+        raise ModelError("elimination order repeats a variable")
     buckets: dict[int, list[TaggedFactor]] = {}
     survivors: list[TaggedFactor] = []
     outside = len(order)  # the position of a variable the order lacks
@@ -252,42 +249,18 @@ def eliminate(
 def _step(
     op: str, factors: list[Factor], vid: int
 ) -> tuple[Factor, tuple[int, ...], MaximizerTable | None]:
-    """Sum or maximize ``vid`` out of the product of ``factors``; returns the
-    created factor, the cluster (the union of their scopes) and, for max, the
-    step's maximizer table: the first maximizing state of ``vid`` per cell of
-    the created factor.
-
-    A fused sum step (gated as ``eliminate`` says) multiplies all factors but
-    the last, and ``np.einsum`` sums over ``vid`` the product of that head and
-    the last factor, with the cluster relabelled 0..k-1 (numpy accepts labels
-    below 52). ``optimize=True`` lets it hand the contraction to BLAS; without
-    it the contraction is a slow generic loop. Every other step builds the
-    cluster's product and reduces ``vid`` out of it with ``sum_axis`` or
-    ``max_axis``; when one factor spans the cluster (always, for a single
-    factor), that product is no larger than the factor, so contracting would
-    save nothing."""
+    """Sum or maximize ``vid`` out of the product of ``factors`` over their
+    cluster (the union of their scopes); returns the created factor, the
+    cluster and, for max, the step's maximizer table: the first maximizing
+    state of ``vid`` per cell of the created factor."""
     cluster, cards = union_scope(factors)
     axis = cluster.index(vid)
     kept, kept_cards = cluster[:axis] + cluster[axis + 1:], cards[:axis] + cards[axis + 1:]
+    joint = product(factors, cluster)
     if op == "max":
-        best, arg = max_axis(product(factors, cluster), axis)
+        best, arg = max_axis(joint, axis)
         return Factor._trusted(kept, kept_cards, best), cluster, MaximizerTable(kept, vid, arg)
-    if (
-        len(cluster) >= 52
-        or math.prod(cards) < _FUSED_MIN_CELLS
-        or any(len(f.vids) == len(cluster) or f.values.dtype != np.float64 for f in factors)
-    ):
-        table = sum_axis(product(factors, cluster), axis)
-    else:
-        head = factors[:-1]
-        head_vids = union_scope(head)[0]
-        table = np.asarray(np.einsum(
-            product(head, head_vids), [cluster.index(v) for v in head_vids],
-            factors[-1].values, [cluster.index(v) for v in factors[-1].vids],
-            [i for i in range(len(cluster)) if i != axis],
-            optimize=True,
-        ))
-    return Factor._trusted(kept, kept_cards, table), cluster, None
+    return Factor._trusted(kept, kept_cards, sum_axis(joint, axis)), cluster, None
 
 
 def _scope_names(vids: tuple[int, ...], scm: Scm) -> str:
@@ -360,17 +333,26 @@ def _checked_query(
 
 
 def _query_order(
-    scm: Scm, targets: Iterable[int], order: EliminationOrder | None, *evidence: Mapping[int, int]
-) -> EliminationOrder:
-    """Check the query (``_checked_query``), then return the default order
-    over the ancestral closure of the targets and evidence, or the caller's
-    one (an ancestrally closed set containing them, ending in the targets,
-    and constrained on the targets or on nothing), either ending in
-    ``_target_block``."""
+    scm: Scm,
+    targets: Iterable[int],
+    order: EliminationOrder | None,
+    e1: Mapping[int, int],
+    e2: Mapping[int, int] = {},
+) -> tuple[EliminationOrder, dict[int, int]]:
+    """Check the query (``_checked_query``), then return its order and the
+    states that e1 forces outside the closure C2 of the targets and e2
+    (``_forced_states``). Without a caller order, ``default_order`` orders
+    the ancestral closure of the targets and evidence without the forced
+    variables. A caller order (an ancestrally closed set containing them,
+    ending in the targets, and constrained on the targets or on nothing)
+    forces nothing. Either ends in ``_target_block``."""
     targets = frozenset(targets)
-    seen = _checked_query(scm, targets, *evidence)
+    seen = _checked_query(scm, targets, e1, e2)
     if order is None:
-        return default_order(scm, targets, ancestral_closure(scm, seen))
+        c2 = ancestral_closure(scm, [*targets, *e2])
+        forced = _forced_states(scm, e1, c2)
+        closure = c2 | ancestral_closure(scm, e1, cut=c2)
+        return default_order(scm, targets, closure, forced), forced
     if order.constrained_suffix is not None and order.constrained_suffix != targets:
         raise ModelError("elimination order is constrained on variables other than the targets")
     covered = set(order.sequence)
@@ -381,7 +363,7 @@ def _query_order(
             "elimination order must cover an ancestrally closed set of model "
             "variables containing the targets and evidence"
         )
-    return _target_block(EliminationOrder(order.sequence, targets).prefix, targets)
+    return _target_block(EliminationOrder(order.sequence, targets).prefix, targets), {}
 
 
 def _forced_states(
@@ -434,28 +416,6 @@ def _forced_states(
     return forced
 
 
-def _rmap_order(
-    scm: Scm,
-    targets: Iterable[int],
-    order: EliminationOrder | None,
-    e1: Mapping[int, int],
-    e2: Mapping[int, int],
-) -> tuple[EliminationOrder, dict[int, int]]:
-    """The Reverse-MAP query order and the states e1 forces outside the
-    closure C2 of the targets and e2 (``_forced_states``). A caller order is
-    checked by ``_query_order`` and forces nothing; without one, the query
-    is checked first, and ``default_order`` orders its closure without the
-    forced variables."""
-    if order is not None:
-        return _query_order(scm, targets, order, e1, e2), {}
-    targets = frozenset(targets)
-    _checked_query(scm, targets, e1, e2)
-    c2 = ancestral_closure(scm, [*targets, *e2])
-    forced = _forced_states(scm, e1, c2)
-    closure = c2 | ancestral_closure(scm, e1, cut=c2)
-    return default_order(scm, targets, closure, forced), forced
-
-
 def _sum_pass(
     scm: Scm,
     evidence: Mapping[int, int],
@@ -490,7 +450,7 @@ def _rmap_passes(
     the e2 pass over the same order restricted to the ancestral closure of
     the targets and e2, where Pr(u, e2) lives: it keeps the relative order
     and the constrained suffix, and no CPT of it mentions a forced variable."""
-    order, forced = _rmap_order(scm, targets, order, e1, e2)
+    order, forced = _query_order(scm, targets, order, e1, e2)
     swap = {}
     for vid in order.suffix:
         if not scm.parents[vid]:
@@ -552,11 +512,12 @@ def map_ve(
 
     Sums out the non-target variables under the evidence indicators, then
     maximizes out the targets, recovering the instantiation from the
-    maximizer tables.
+    maximizer tables. Without an order, the sum pass absorbs the states that
+    the evidence forces outside the targets' closure, as in ``rmap_ve``.
     """
-    order = _query_order(scm, targets, order, evidence)
+    order, forced = _query_order(scm, targets, order, evidence)
     trace: list[TraceStep] | None = [] if want_trace else None
-    pool = _sum_pass(scm, evidence, order, trace)
+    pool = _sum_pass(scm, evidence, order, trace, forced)
     return QueryResult(*_max_pass(scm, pool, [], order, trace), trace)
 
 
@@ -660,9 +621,10 @@ def posterior(
     evidence: Mapping[int, int],
     order: EliminationOrder | None = None,
 ) -> Factor:
-    """Normalized conditional table Pr(targets | evidence)."""
-    order = _query_order(scm, targets, order, evidence)
-    joint = _product(_sum_pass(scm, evidence, order))
+    """Normalized conditional table Pr(targets | evidence). Without an
+    order, the sum pass absorbs the forced states, as in ``map_ve``."""
+    order, forced = _query_order(scm, targets, order, evidence)
+    joint = _product(_sum_pass(scm, evidence, order, forced=forced))
     if set(joint.vids) != order.constrained_suffix:
         raise AssertionError("survivors must be the targets")
     mass = joint.total()
@@ -684,17 +646,19 @@ def query_prob(scm: Scm, event: Mapping[int, int], given: Mapping[int, int]) -> 
 
 
 def joint_mass(scm: Scm, inst: Mapping[int, int], order: EliminationOrder | None = None) -> float:
-    """Pr(inst) by summing out the order's variables under the indicators."""
-    order = _query_order(scm, (), order, inst)
-    return _scalar_value(_sum_pass(scm, inst, order))
+    """Pr(inst) by summing out the order's variables under the indicators.
+    Without an order, the pass absorbs the states that ``inst`` forces."""
+    order, forced = _query_order(scm, (), order, inst)
+    return _scalar_value(_sum_pass(scm, inst, order, forced=forced))
 
 
 def brute_map(scm: Scm, targets: Iterable[int], evidence: Mapping[int, int]) -> QueryResult:
     """Full enumeration over the targets; ties go to the lexicographically
     smallest instantiation in declaration order (the VE tie rule)."""
-    targets = set(targets)
-    # The first unit stands for every unit: the order covers their variables.
-    order = _query_order(scm, (), None, dict.fromkeys(targets, 0), evidence)
+    targets = frozenset(targets)
+    # One unforced order over the closure serves every unit, so the oracle
+    # does not depend on the forced-evidence walk.
+    order = default_order(scm, (), ancestral_closure(scm, _checked_query(scm, targets, evidence)))
     best: tuple[float, Instantiation] | None = None
     for u in enumerate_instantiations(scm, targets):
         p = joint_mass(scm, {**evidence, **u}, order)
@@ -713,8 +677,8 @@ def brute_rmap(
 ) -> QueryResult:
     """Full enumeration Reverse-MAP oracle with the same exclusion rule and
     tie-breaking as the VE path."""
-    targets = set(targets)
-    order = _query_order(scm, (), None, dict.fromkeys(targets, 0), e1, e2)
+    targets = frozenset(targets)
+    order = default_order(scm, (), ancestral_closure(scm, _checked_query(scm, targets, e1, e2)))
     best: tuple[float, Instantiation] | None = None
     excluded = 0
     for u in enumerate_instantiations(scm, targets):

@@ -15,7 +15,7 @@ from unitsel.bench import GenConfig, gen_random_scm
 from unitsel.elimination import EliminationOrder, UGraph, ancestral_closure
 from unitsel.factor import Factor, FactorError, MaximizerTable, multiply_all
 from unitsel.inference import (InconsistentEvidenceError, QueryResult, TaggedFactor, TraceStep,
-                               _max_pass, _rmap_order, _scope_names, _sum_pass, _tag_label)
+                               _max_pass, _query_order, _scope_names, _sum_pass, _tag_label)
 from unitsel.model import (FUNCTIONAL_TOL, ROW_SUM_TOL, ModelError, ValidationReport, Variable,
                            json_number, load_json, validate)
 from unitsel.reductions import Node, Var, _postorder
@@ -304,7 +304,7 @@ def reference_rmap(scm: Scm, targets, e1, e2, order=None, want_trace=False, cove
     order, the passes and the max pass are the engine's. Returns the
     QueryResult and the quotient survivors; ``covers``, when given, receives
     one (divisor tag, cover tag) pair per division."""
-    order, forced = _rmap_order(scm, targets, order, e1, e2)
+    order, forced = _query_order(scm, targets, order, e1, e2)
     trace = [] if want_trace else None
     pool1 = _sum_pass(scm, {**e1, **e2}, order, trace, forced)
     closure = ancestral_closure(scm, [*order.suffix, *e2])

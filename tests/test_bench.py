@@ -8,7 +8,9 @@ import pytest
 from unitsel import (
     ModelError,
     build_objective_model,
+    fixture_path,
     is_external,
+    load_model,
     make_scm,
     minfill_order,
     moral_graph,
@@ -243,3 +245,16 @@ def test_benefit_objective_refuses_a_non_binary_variable():
     )
     with pytest.raises(ModelError, match="^treatment variable must be binary$"):
         gen_benefit_objective(scm, 1, 2, (0.4, 0.3, 0.2, 0.1))
+
+
+def test_benefit_objective_refuses_unknown_ids():
+    # An id that is not the model's (a bool or a float is not one) is refused
+    # before it is looked up or used as a term key.
+    with open(fixture_path("five_node.json"), "rb") as fh:
+        scm = load_model(fh.read())
+    weights = (0.25,) * 4
+    for x, y, role in ((99, 4, "treatment"), (True, 4, "treatment"), (3, -1, "outcome"),
+                       (3, 4.0, "outcome")):
+        with pytest.raises(ModelError, match=f"^unknown {role} variable id "):
+            gen_benefit_objective(scm, x, y, weights)
+    assert gen_benefit_objective(scm, 3, 4, weights).terms[0].x == {3: 0}

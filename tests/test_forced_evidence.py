@@ -1,5 +1,6 @@
-"""Forced evidence in Reverse-MAP's e1+e2 pass: the rule, its exactness
-against enumeration and exact rationals, and what it leaves unchanged."""
+"""Forced evidence in the e1+e2 pass of every query without a caller order:
+the rule, its exactness against enumeration and exact rationals, and what it
+leaves unchanged."""
 
 import hashlib
 
@@ -11,18 +12,22 @@ from unitsel import (
     InconsistentEvidenceError,
     ModelError,
     Scm,
+    brute_map,
     brute_rmap,
     compile_formula,
     make_scm,
+    map_ve,
     parse_dimacs,
+    posterior,
     rmap_table,
     rmap_ve,
 )
 from unitsel import inference
 from unitsel.elimination import ancestral_closure, minfill_order, moral_graph
 from unitsel.factor import Variable
-from unitsel.inference import format_trace
+from unitsel.inference import format_trace, joint_mass
 from unitsel.reductions import evaluate, sat_via_rmap, truth_table
+from unitsel.worlds import enumerate_instantiations
 
 from corpus import exact_rmap_profile, random_cnf, separated_maximiser, small_scm
 
@@ -229,8 +234,44 @@ def _random_query(scm: Scm, rng):
     return targets, e1, e2
 
 
+def _check_map_queries(scm: Scm, targets, evidence) -> bool:
+    """map_ve, posterior and joint_mass without an order against whole-model
+    caller orders and the enumeration oracles; returns whether the evidence
+    forces a variable outside the targets' closure."""
+    forced = _forced(scm, targets, evidence, {})
+    whole = minfill_order(moral_graph(scm), constrained_suffix=targets)
+    unconstrained = minfill_order(moral_graph(scm))
+    masses = {}
+    for u in enumerate_instantiations(scm, targets):
+        inst = {**evidence, **u}
+        masses[tuple(u.values())] = mass = joint_mass(scm, inst)
+        assert abs(mass - joint_mass(scm, inst, unconstrained)) <= 1e-12
+    result = map_ve(scm, targets, evidence, want_trace=True)
+    assert not {step.var for step in result.trace} & forced.keys()
+    caller, brute = map_ve(scm, targets, evidence, order=whole), brute_map(scm, targets, evidence)
+    assert abs(result.value - max(masses.values())) <= 1e-12
+    for other in (caller, brute):
+        assert abs(result.value - other.value) <= 1e-12
+        assert result.instantiation == other.instantiation
+    total = sum(masses.values())
+    if total == 0.0:
+        for order in (None, whole):
+            with pytest.raises(InconsistentEvidenceError):
+                posterior(scm, targets, evidence, order)
+        return bool(forced)
+    table, caller = posterior(scm, targets, evidence), posterior(scm, targets, evidence, whole)
+    assert table.vids == caller.vids == tuple(targets)
+    assert np.abs(table.values - caller.values).max() <= 1e-12
+    for u, mass in masses.items():
+        assert abs(table[dict(zip(targets, u))] - mass / total) <= 1e-12
+    return bool(forced)
+
+
 def test_random_forcing_models_match_enumeration_and_exact_rationals():
-    seen = {"forced": 0, "reaches_c2": 0, "zero": 0, "excluded": 0, "noisy_forced": 0}
+    # Reverse-MAP against exact rationals, and MAP, posterior and joint mass
+    # with e1+e2 as their evidence against caller orders and enumeration.
+    seen = {"forced": 0, "reaches_c2": 0, "zero": 0, "excluded": 0, "noisy_forced": 0,
+            "map_forced": 0}
     for seed in range(150):
         scm = forcing_scm(seed)
         rng = np.random.default_rng([42, seed])
@@ -248,6 +289,7 @@ def test_random_forcing_models_match_enumeration_and_exact_rationals():
                 not np.isin(scm.tables[c], (0.0, 1.0)).all()
                 for v in forced for c in scm.children[v]
             )
+            seen["map_forced"] += _check_map_queries(scm, targets, {**e1, **e2})
     assert all(count >= 5 for count in seen.values()), seen
 
 
@@ -265,6 +307,9 @@ def test_unknown_ids_are_refused_before_the_walk(monkeypatch):
         for query in (rmap_ve, rmap_table):
             with pytest.raises(ModelError):
                 query(scm, targets, e1, e2)
+        for query in (map_ve, posterior):
+            with pytest.raises(ModelError):
+                query(scm, targets, {**e1, **e2})
 
 
 CNF = "p cnf 3 2\n1 -2 0\n2 3 0\n"

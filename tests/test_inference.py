@@ -137,7 +137,8 @@ def _random_pool(rng, scm, dtype):
 def test_bucket_eliminate_matches_pool_scan(seed):
     # Survivors with their tags, tables and order, traces and maximizer
     # tables are those of the pool-scan loop, on random pools and orders that
-    # may skip or repeat a variable, or name one no factor mentions.
+    # may skip a variable or name one no factor mentions; an order that
+    # repeats a variable is refused.
     rng = np.random.default_rng([95, seed])
     n = int(rng.integers(1, 9))
     cards = [int(c) for c in rng.integers(1, 4, size=n)]
@@ -152,6 +153,10 @@ def test_bucket_eliminate_matches_pool_scan(seed):
         if order and rng.random() < 0.2:
             order.append(order[0])
         step_base = int(rng.integers(0, 3))
+        if len(set(order)) < len(order):
+            with pytest.raises(ModelError, match="repeats a variable"):
+                eliminate(op, pool, order, scm, step_base)
+            continue
         got_trace, want_trace = [], []
         got = eliminate(op, pool, order, scm, step_base, got_trace)
         want = reference_eliminate(op, pool, order, scm, step_base, want_trace)
@@ -194,20 +199,6 @@ def test_bucket_eliminate_matches_pool_scan_on_query_passes(seed):
         assert np.array_equal(g.argmax, w.argmax)
 
 
-def _label_scope_size(label: str) -> int:
-    """The number of variables in a traced factor label such as
-    ``f_V1(V1,V2)`` (the names in these tests are longer than one letter)."""
-    names = label[label.index("(") + 1:-1]
-    return len(names.split(",")) if names else 0
-
-
-def _count_einsum(monkeypatch) -> list:
-    calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(1) or einsum(*a, **k))
-    return calls
-
-
 def _flat_scm(cards):
     """A model of independent variables V0, V1, ... that names the factors of
     a hand-built pool and gives the cardinalities."""
@@ -218,7 +209,7 @@ def _flat_scm(cards):
     )
 
 
-def _fused_case(seed):
+def _large_case(seed):
     """A 14-variable model, 12 random scopes of 4-6 variables and an order
     of 12 variables: large enough for clusters of 2,048 cells and more."""
     rng = np.random.default_rng([99, seed])
@@ -232,80 +223,38 @@ def _fused_case(seed):
     return rng, cards, _flat_scm(cards), scopes, order
 
 
-def _large_steps(trace, cards):
-    """The traced steps over two or more factors whose cluster has at least
-    _FUSED_MIN_CELLS cells, and those of them that one factor spans."""
-    large = [
-        step for step in trace
-        if len(step.used) >= 2
-        and math.prod(cards[v] for v in step.cluster) >= inference._FUSED_MIN_CELLS
-    ]
-    spanned = [
-        step for step in large
-        if any(_label_scope_size(label) == len(step.cluster) for label in step.used)
-    ]
-    return large, spanned
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_fused_sum_steps_match_row_kernels(monkeypatch, seed):
-    # A float sum step contracts its last factor with einsum exactly when it
-    # has two or more factors, a cluster of at least _FUSED_MIN_CELLS cells
-    # and no factor that spans the cluster; tags, scopes, trace rows and
-    # survivor order are those of the multiply-then-sum loop and the tables
-    # agree to 1e-12. An int64 or object count pass over the same clusters
-    # never fuses and stays integer and exact.
-    rng, cards, scm, scopes, order = _fused_case(seed)
-    fused = _count_einsum(monkeypatch)
+def test_sum_steps_match_reference_bits(seed):
+    # Every sum step multiplies its bucket over the cluster and sums the
+    # variable out, as the pool scan does: over clusters of 2,048 cells and
+    # more, the tags, scopes, trace rows, survivor order and table bits are
+    # the reference's, float64 included, and int64 or object count passes
+    # stay integer and exact.
+    rng, cards, scm, scopes, order = _large_case(seed)
     for dtype in (np.float64, np.int64, object):
         pool = []
         for j, vids in enumerate(scopes):
             shape = tuple(cards[v] for v in vids)
             values = rng.random(shape) if dtype is np.float64 else rng.integers(0, 4, shape)
             pool.append(TaggedFactor(("cpt", j), Factor._trusted(vids, shape, values.astype(dtype))))
-        fused.clear()
         got_trace, want_trace = [], []
         got, _ = eliminate("sum", pool, order, scm, trace=got_trace)
         want, _ = reference_eliminate("sum", pool, order, scm, trace=want_trace)
         assert got_trace == want_trace
+        assert max(math.prod(cards[v] for v in step.cluster) for step in got_trace) >= 2048
         assert [tf.tag for tf in got] == [tf.tag for tf in want]
         for g, w in zip(got, want):
             assert (g.factor.vids, g.factor.cards) == (w.factor.vids, w.factor.cards)
             assert g.factor.values.dtype == w.factor.values.dtype == np.dtype(dtype)
-            if dtype is np.float64:
-                assert np.allclose(g.factor.values, w.factor.values, rtol=1e-12, atol=0.0)
-            else:
-                assert np.array_equal(g.factor.values, w.factor.values)
-        large, spanned = _large_steps(got_trace, cards)
-        assert len(large) > len(spanned)
-        assert len(fused) == (len(large) - len(spanned) if dtype is np.float64 else 0)
+            assert np.array_equal(g.factor.values, w.factor.values)
 
 
-def test_fused_cases_hold_large_steps_that_a_factor_spans():
-    # The cases above exercise both sides of the gate: steps that contract,
-    # and large steps that one factor spans, which must not.
-    spanned = 0
-    for seed in range(8):
-        _, cards, scm, scopes, order = _fused_case(seed)
-        pool = [
-            TaggedFactor(("cpt", j), Factor._trusted(vids, shape, np.ones(shape)))
-            for j, vids in enumerate(scopes)
-            for shape in [tuple(cards[v] for v in vids)]
-        ]
-        trace = []
-        eliminate("sum", pool, order, scm, trace=trace)
-        spanned += len(_large_steps(trace, cards)[1])
-    assert spanned > 0
-
-
-def test_sum_step_that_a_factor_spans_multiplies_then_sums(monkeypatch):
-    # A factor over the whole 4,096-cell cluster makes its product no larger
-    # than itself, so the step skips einsum and gives the bits of the
-    # multiply-then-sum loop.
+def test_sum_step_that_a_factor_spans_multiplies_then_sums():
+    # A factor over the whole 4,096-cell cluster: the step's product is no
+    # larger than that factor, and the bits are those of the pool scan.
     rng = np.random.default_rng(98)
     cards = [2] * 12
     scm = _flat_scm(cards)
-    fused = _count_einsum(monkeypatch)
     pool = [
         TaggedFactor(("cpt", 0), Factor._trusted((1, 4, 7), (2, 2, 2), rng.random((2, 2, 2)))),
         TaggedFactor(("cpt", 1), Factor._trusted(tuple(range(12)), (2,) * 12, rng.random((2,) * 12))),
@@ -318,7 +267,6 @@ def test_sum_step_that_a_factor_spans_multiplies_then_sums(monkeypatch):
         for g, w in zip(got, want):
             assert (g.factor.vids, g.factor.cards, g.factor.values.tolist()) == (
                 w.factor.vids, w.factor.cards, w.factor.values.tolist())
-    assert fused == []
 
 
 def _small_integer_pool(rng, cards, dtype, size=8):
@@ -981,7 +929,8 @@ def test_evidence_free_select_on_a_non_functional_model():
 @pytest.mark.parametrize("seed", range(60))
 def test_default_order_matches_whole_model_order(seed):
     # The default order covers only the ancestral closure of the targets and
-    # evidence; a caller order over the whole model must give the same answers.
+    # evidence, less the variables the evidence forces; a caller order over
+    # the whole model must give the same answers.
     scm = small_scm(seed + 1000)
     rng = np.random.default_rng([95, seed])
     vids = [v.id for v in scm.variables]
@@ -1004,7 +953,9 @@ def test_default_order_matches_whole_model_order(seed):
 
     pruned, full = both(map_ve, evidence)
     assert abs(pruned.value - full.value) <= 1e-12
-    kept = ancestral_closure(scm, set(targets) | set(evidence))
+    assert pruned.instantiation == full.instantiation
+    forced = inference._forced_states(scm, evidence, ancestral_closure(scm, targets))
+    kept = ancestral_closure(scm, set(targets) | set(evidence)) - set(forced)
     traced = map_ve(scm, targets, evidence, want_trace=True).trace
     assert {s.var for s in traced} == kept
     pruned, full = both(rmap_ve, e1, e2)
@@ -1319,6 +1270,20 @@ def test_unknown_op_and_method_are_refused(two_node):
     L = ObjectiveFunction((0,), (ObjectiveTerm(1.0, y={1: 0}),))
     with pytest.raises(ValueError, match="^unknown method 'exact'$"):
         unit_select(two_node, L, method="exact")
+
+
+def test_eliminate_refuses_repeated_and_unknown_order_ids(two_node):
+    # A repeated variable would be summed out twice, multiplying a survivor
+    # by its cardinality, and a bool or out-of-range id would name the wrong
+    # variable or none: both are refused before any step.
+    pool = cpt_pool(two_node, range(two_node.n))
+    cases = (([1, 0, 0], "repeats a variable"), ([0, 7], r"unknown variable ids \[7\]"),
+             ([True], r"unknown variable ids \[True\]"), ([-1], "unknown"), ([1.0], "unknown"))
+    for order, message in cases:
+        trace = []
+        with pytest.raises(ModelError, match=message):
+            eliminate("sum", pool, order, two_node, trace=trace)
+        assert trace == []
 
 
 # -- root units cancel: the one-pass and pruned-count paths against two passes --
