@@ -1,16 +1,21 @@
 """Boolean formulas compiled into SCM circuits, with exact ground truths.
 
 A formula over Boolean variables becomes an SCM with one uniform-prior binary
-root per variable and one functional gate node per connective; the single
-sentinel leaf takes value 1 exactly on satisfying assignments. Together with
-the exact satisfying-count ratios this gives executable versions of the
-hardness-proof constructions, testable against truth-table enumeration.
-Formulas enter only as DIMACS CNF text (``parse_dimacs``) or as ``Formula``
-ASTs built in code.
+root per variable and one functional gate node per connective (the paper's
+circuit, ``compile_formula``); the single sentinel leaf takes value 1 exactly
+on satisfying assignments. Together with the exact satisfying-count ratios
+this gives executable versions of the hardness-proof constructions, testable
+against truth-table enumeration. ``sat_via_rmap`` solves a folded circuit with
+the same roots and sentinel semantics, compiled by the same walk: a NOT adds
+no node, and each maximal same-connective subtree is one gate, of at most
+``FOLD_FAN_IN`` inputs, whose CPT folds in the literal signs, so a CNF has
+one gate per clause and a tree of AND gates. Formulas enter only as DIMACS
+CNF text (``parse_dimacs``) or as ``Formula`` ASTs built in code.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,33 +89,34 @@ class Formula:
         return Formula(self.root, self.variables, tuple(u_vars), tuple(v_vars))
 
 
-def _children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, Var):
-        return ()
-    if isinstance(node, Not):
-        return (node.child,)
-    return (node.left, node.right)
-
-
 def _postorder(root: Node) -> Iterator[Node]:
     """The AST's nodes, children before parents and left before right; no
     recursion, since a DIMACS conjunction nests one level per clause."""
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded:
+        if expanded or isinstance(node, Var):
             yield node
-            continue
-        kids = _children(node)
-        if not kids:
-            yield node
-            continue
-        stack.append((node, True))
-        stack += ((kid, False) for kid in reversed(kids))
+        elif isinstance(node, Not):
+            stack += ((node, True), (node.child, False))
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
 
 
 def collect_names(node: Node) -> set[str]:
-    return {n.name for n in _postorder(node) if isinstance(n, Var)}
+    """The names of the variables the AST uses. The nodes are visited in no
+    particular order, on a plain stack."""
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:
+            stack += (node.left, node.right)
+    return names
 
 
 def evaluate(node: Node, assignment: Mapping[str, int]) -> bool:
@@ -167,6 +173,8 @@ def parse_dimacs(text: str) -> Formula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ModelError(f"line {lineno}: repeated DIMACS header {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ModelError(f"line {lineno}: bad DIMACS header {line!r}")
@@ -239,36 +247,160 @@ for _table in (NOT_TABLE, AND_TABLE, OR_TABLE, IDENTITY_TABLE, _UNIFORM_TABLE):
 
 
 def compile_formula(formula: Formula) -> tuple[Scm, int]:
-    """Compile to an SCM circuit; returns the model and the sentinel node id.
+    """Compile to the paper's SCM circuit; returns the model and the sentinel
+    node id.
 
     Every declared variable becomes a uniform binary root; every connective a
     functional gate (NOT = 1 - input, AND = product, OR = saturating sum).
     A bare variable formula has the variable root itself as sentinel.
     """
+    return _compile(formula, _PaperGates)
+
+
+def _compile(formula: Formula, kind: type[_Gates]) -> tuple[Scm, int]:
+    """The one compilation walk: every declared variable becomes a uniform
+    binary root, then the AST is turned, in post-order, into ``kind``'s items
+    (a gate's id, or a pending part of one): a variable gives a leaf item, a
+    NOT negates its input's item, and an AND or OR joins the two it pops.
+    ``root`` turns the last item into the sentinel's id. A bare variable is
+    its own sentinel."""
     build = _Builder()
     ids = {name: build.add(name, ("0", "1"), (), _UNIFORM_TABLE) for name in formula.variables}
-    # Gates get ids and names s1, s2, ... (primed if a variable has the name)
-    # in post-order; each node's id goes on the stack, and a gate pops its
-    # inputs' ids.
-    built: list[int] = []
-    gates = 0
+    if isinstance(formula.root, Var):
+        return build.model(), ids[formula.root.name]
+    gates = kind(build)
+    built: list = []
     for node in _postorder(formula.root):
         if isinstance(node, Var):
-            built.append(ids[node.name])
-            continue
-        if isinstance(node, Not):
-            parents, table = (built.pop(),), NOT_TABLE
+            built.append(gates.leaf(ids[node.name]))
+        elif isinstance(node, Not):
+            built.append(gates.negate(built.pop()))
         else:
             right, left = built.pop(), built.pop()
-            if left == right:
-                # Repeated literal (e.g. a DIMACS clause "1 1 0"): both inputs
-                # are the same node, and the gate reduces to the identity.
-                parents, table = (left,), IDENTITY_TABLE
-            else:
-                parents, table = (left, right), AND_TABLE if isinstance(node, And) else OR_TABLE
-        gates += 1
-        built.append(build.add(f"s{gates}", ("0", "1"), parents, table))
-    return build.model(), built.pop()
+            built.append(gates.join(isinstance(node, And), left, right))
+    sentinel = gates.root(built.pop())
+    return build.model(), sentinel
+
+
+class _Gates:
+    """Gate nodes appended to a builder, with ids and names s1, s2, ...
+    (primed if a variable has the name) in the order they are added."""
+
+    def __init__(self, build: _Builder) -> None:
+        self.build = build
+        self.count = 0
+
+    def gate(self, parents: tuple[int, ...], table: np.ndarray) -> int:
+        self.count += 1
+        return self.build.add(f"s{self.count}", ("0", "1"), parents, table)
+
+
+class _PaperGates(_Gates):
+    """The paper's circuit: one gate per connective; an item is a node id."""
+
+    def leaf(self, vid: int) -> int:
+        return vid
+
+    def negate(self, vid: int) -> int:
+        return self.gate((vid,), NOT_TABLE)
+
+    def join(self, conj: bool, left: int, right: int) -> int:
+        if left == right:
+            # Repeated literal (e.g. a DIMACS clause "1 1 0"): both inputs
+            # are the same node, and the gate reduces to the identity.
+            return self.gate((left,), IDENTITY_TABLE)
+        return self.gate((left, right), AND_TABLE if conj else OR_TABLE)
+
+    def root(self, vid: int) -> int:
+        return vid
+
+
+FOLD_FAN_IN = 4  # inputs of a folded gate at most, so its CPT has at most 32 cells
+
+
+@dataclass
+class _Group:
+    """A same-connective subtree whose gates are not built yet: its
+    connective and, per input node, the mask of the states that make the
+    node's literals true (bit s for state s). Literals over one node combine
+    as the connective does: an AND intersects their masks, an OR unites them."""
+
+    conj: bool
+    masks: dict[int, int]
+
+    def add(self, vid: int, mask: int) -> None:
+        old = self.masks.get(vid)
+        if old is not None:
+            mask = old & mask if self.conj else old | mask
+        self.masks[vid] = mask
+
+
+class _FoldedGates(_Gates):
+    """The folded circuit: a NOT flips the sign of the literal under it and
+    adds no node, and each maximal same-connective subtree becomes one gate
+    over its distinct input nodes, or a tree of such gates when it has more
+    than ``FOLD_FAN_IN``. An item is a literal ``(vid, mask)`` (mask 2: the
+    node at 1; mask 1: at 0) or a pending ``_Group``."""
+
+    def leaf(self, vid: int) -> tuple[int, int]:
+        return vid, 2
+
+    def negate(self, item) -> tuple[int, int]:
+        vid, mask = self._literal(item)
+        return vid, mask ^ 3
+
+    def join(self, conj: bool, left, right) -> _Group:
+        def same(item) -> bool:
+            return isinstance(item, _Group) and item.conj == conj
+
+        # An input group of the same connective is consumed here, so it is
+        # extended in place: a conjunction chain folds in linear time.
+        group = right if same(right) else left if same(left) else _Group(conj, {})
+        for item in (left, right):
+            if item is group:
+                continue
+            for vid, mask in item.masks.items() if same(item) else [self._literal(item)]:
+                group.add(vid, mask)
+        return group
+
+    def root(self, item) -> int:
+        vid, mask = self._literal(item)
+        if mask == 2 and self.build.parents[vid]:
+            return vid
+        # The formula is a literal over a variable or a negated gate, which
+        # gets a gate of its own: the sentinel is a variable only for a
+        # bare-variable formula, as in the paper's circuit.
+        return self.gate((vid,), _gate_table(False, (mask,)))
+
+    def _literal(self, item) -> tuple[int, int]:
+        """The item as a literal; a pending group's gates are built here."""
+        if not isinstance(item, _Group):
+            return item
+        inputs = sorted(item.masks.items())
+        if len(inputs) == 1 and inputs[0][1] in (1, 2):
+            return inputs[0]  # a repeated literal: no gate
+        while len(inputs) > FOLD_FAN_IN:
+            head, inputs = inputs[:FOLD_FAN_IN], inputs[FOLD_FAN_IN:]
+            inputs.append((self._gate(item.conj, head), 2))
+        return self._gate(item.conj, inputs), 2
+
+    def _gate(self, conj: bool, inputs: list[tuple[int, int]]) -> int:
+        parents, masks = zip(*inputs)
+        return self.gate(parents, _gate_table(conj, masks))
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_table(conj: bool, masks: tuple[int, ...]) -> np.ndarray:
+    """The read-only CPT of a folded gate, shared by every gate of its
+    connective and masks: the gate is 1 where all (AND) or any (OR) of its
+    inputs has a state in its mask. The cache holds at most 680 tables (two
+    connectives, masks 0-3 on one to ``FOLD_FAN_IN`` inputs)."""
+    states = np.indices((2,) * len(masks))
+    true = np.array([(mask >> s) & 1 for mask, s in zip(masks, states)], dtype=bool)
+    out = true.all(axis=0) if conj else true.any(axis=0)
+    table = np.stack([~out, out], axis=-1).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 # -- exact ground truths -------------------------------------------------------------
@@ -305,15 +437,21 @@ def emajsat_ratio(formula: Formula, u: Mapping[str, int]) -> Fraction:
 
 
 def sat_via_rmap(formula: Formula) -> tuple[bool, dict[str, int] | None]:
-    """Satisfiability via Reverse-MAP on the compiled circuit.
+    """Satisfiability via Reverse-MAP on the folded circuit.
 
-    The variables are targets; e1 sets the sentinel to 1 and e2 is empty.
+    The folded circuit has the paper's variables and sentinel semantics, but
+    a NOT adds no node, and each maximal same-connective subtree is one gate
+    of at most ``FOLD_FAN_IN`` inputs whose CPT folds in the literal signs,
+    such as one gate per CNF clause. The variables are targets; e1 sets the
+    sentinel to 1 and e2 is empty. The sentinel forces every AND gate and
+    every clause gate of a CNF, so the sum pass is left with almost no step.
     The optimum is positive iff the formula is satisfiable, in which case the
-    maximizing unit is a satisfying assignment (returned as {name: 0/1}). A
-    bare-variable formula is its own sentinel, which e1 sets, so it is not a
-    target and is 1 in the witness.
+    maximizing unit is its first satisfying assignment in truth-table order
+    (the first declared variable most significant; returned as {name: 0/1}).
+    A bare-variable formula is its own sentinel, which e1 sets, so it is not
+    a target and is 1 in the witness.
     """
-    scm, sentinel = compile_formula(formula)
+    scm, sentinel = _compile(formula, _FoldedGates)
     ids = {name: scm.by_name(name).id for name in formula.variables}
     result = rmap_ve(scm, [vid for vid in ids.values() if vid != sentinel], {sentinel: 1}, {})
     if result.value == 0.0:

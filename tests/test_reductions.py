@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from unitsel import ModelError, brute_rmap, posterior, validate
+from unitsel import ModelError, brute_rmap, posterior, rmap_table, rmap_ve, validate
 from unitsel.reductions import (
     AND_TABLE,
+    FOLD_FAN_IN,
     And,
     Formula,
     Not,
@@ -20,6 +21,9 @@ from unitsel.reductions import (
     parse_dimacs,
     sat_via_rmap,
     truth_table,
+    _compile,
+    _FoldedGates,
+    _PaperGates,
 )
 from unitsel.worlds import enumerate_instantiations
 from corpus import forward_eval, gate_count, random_cnf
@@ -63,6 +67,16 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p cnf 1 1\n\uff11 0\n")
     with pytest.raises(ModelError, match="line 2"):
         parse_dimacs("p cnf 10 1\n1_0 0\n")
+
+
+def test_parse_refuses_a_repeated_header():
+    # The second header once replaced the first: the first text read as a
+    # valid 1-clause formula although its first header declares 2 clauses.
+    with pytest.raises(ModelError, match="^line 3: repeated DIMACS header 'p cnf 5 1'$"):
+        parse_dimacs("p cnf 5 2\n1 0\np cnf 5 1\n")
+    # And this one failed as "undeclared variables".
+    with pytest.raises(ModelError, match="^line 3: repeated DIMACS header"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
 
 
 def test_parse_comments_and_unused_variables():
@@ -268,3 +282,100 @@ def test_formula_refuses_variable_names_that_are_not_strings():
     # save_model wrote and load_model refused.
     with pytest.raises(ModelError, match=r"^formula variable names must be strings: \(1,\)$"):
         compile_formula(Formula(Not(Var(1)), (1,)))
+
+
+def random_formula(rng: np.random.Generator, names: tuple[str, ...], depth: int):
+    """A random AST over ``names`` with nested NOT, AND and OR."""
+    if depth == 0 or rng.random() < 0.2:
+        return Var(names[int(rng.integers(len(names)))])
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return Not(random_formula(rng, names, depth - 1))
+    left, right = random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1)
+    return (And if kind == 1 else Or)(left, right)
+
+
+def random_formulas(count: int):
+    rng = np.random.default_rng(4242)
+    for _ in range(count):
+        names = tuple(f"x{i}" for i in range(1, int(rng.integers(1, 6)) + 1))
+        yield Formula(random_formula(rng, names, int(rng.integers(1, 7))), names)
+
+
+def _grid(formula: Formula, kind) -> tuple[list[str], np.ndarray]:
+    """The circuit's targets and its Reverse-MAP profile Pr(sentinel = 1 | u)
+    over them, axes in declaration order."""
+    scm, sentinel = _compile(formula, kind)
+    targets = [scm.by_name(n).id for n in formula.variables if scm.by_name(n).id != sentinel]
+    profile = rmap_table(scm, targets, {sentinel: 1}, {})
+    return ([scm.var(v).name for v in targets],
+            np.transpose(profile.values, [profile.vids.index(v) for v in targets]))
+
+
+EDGE_CNFS = {
+    "repeated literal": "p cnf 1 1\n1 1 0\n",
+    "tautological clause": "p cnf 2 2\n1 -1 0\n2 0\n",
+    "bare variable": "p cnf 2 1\n2 0\n",
+    "negated-literal root": "p cnf 1 1\n-1 0\n",
+    "clause wider than the cap": "p cnf 7 2\n1 -2 3 -4 5 -6 7 0\n-1 2 0\n",
+    "conjunction longer than the cap": "p cnf 6 6\n1 2 0\n-2 0\n3 -4 0\n4 0\n-5 6 0\n5 0\n",
+    "contradiction": "p cnf 1 2\n1 0\n-1 0\n",
+}
+
+
+def test_folded_and_paper_circuits_agree_on_edge_cases_and_random_asts():
+    formulas = [*map(parse_dimacs, EDGE_CNFS.values()),
+                Formula(Not(Not(Var("a"))), ("a", "b")),
+                Formula(Or(Not(Not(Var("a"))), Not(Var("b"))), ("a", "b")),
+                *random_formulas(150)]
+    for formula in formulas:
+        names, folded = _grid(formula, _FoldedGates)
+        paper_names, paper = _grid(formula, _PaperGates)
+        assert names == paper_names
+        assert np.array_equal(folded, paper)
+        if not isinstance(formula.root, Var):
+            # Every declared variable is a target, so the grid is the truth table.
+            assert np.array_equal(folded, truth_table(formula).astype(float))
+
+
+def test_sat_via_rmap_returns_the_first_satisfying_assignment_of_random_asts():
+    outcomes = {True: 0, False: 0}
+    for formula in random_formulas(300):
+        table = truth_table(formula)
+        ok, witness = sat_via_rmap(formula)
+        assert ok == bool(table.any())
+        outcomes[ok] += 1
+        if ok:
+            first = np.unravel_index(int(np.argmax(table)), table.shape)
+            assert witness == dict(zip(formula.variables, map(int, first)))
+        else:
+            assert witness is None
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_folded_gates_cap_their_fan_in_and_share_read_only_tables():
+    # Two clauses with one sign pattern over ascending variables, (+, -, +).
+    scm, sentinel = _compile(parse_dimacs("p cnf 9 3\n1 -2 3 0\n6 4 -5 0\n"
+                                          "1 2 3 4 5 6 7 8 9 0\n"), _FoldedGates)
+    gates = {scm.parents[v.id]: v.id for v in scm.variables[9:]}
+    clauses = [gates[(0, 1, 2)], gates[(3, 4, 5)]]
+    assert scm.tables[clauses[0]] is scm.tables[clauses[1]]
+    with pytest.raises(ValueError):
+        scm.tables[clauses[0]][0, 0, 0, 0] = 1.0
+    assert FOLD_FAN_IN == 4
+    assert all(len(scm.parents[g]) <= 4 for g in gates.values())
+    assert max(scm.tables[g].size for g in gates.values()) == 32
+    assert validate(scm).is_valid_scm
+
+
+def test_a_folded_3cnf_sums_out_no_gate_but_its_sentinel():
+    # No NOT gate exists, and the sentinel forces every clause gate and every
+    # gate of the conjunction, so the sum pass only removes the sentinel's
+    # own evidence indicator. The paper's circuit sums out its inner gates.
+    formula = parse_dimacs(random_cnf(11, max_vars=12, ratio=4.3))
+    for kind, paper in ((_FoldedGates, False), (_PaperGates, True)):
+        scm, sentinel = _compile(formula, kind)
+        targets = [scm.by_name(n).id for n in formula.variables]
+        result = rmap_ve(scm, targets, {sentinel: 1}, {}, want_trace=True)
+        summed = {step.var for step in result.trace} - set(targets)
+        assert (summed != {sentinel}) == paper
